@@ -1,167 +1,59 @@
-"""Hot numeric kernels, JIT-compiled when numba is available.
+"""Hot numeric kernels, one numpy implementation each.
 
-Every kernel has a pure-numpy twin; set DEEPTHERM_NUMBA=0 to force the numpy
-lane (the numba lane is the default whenever numba imports).  Within a lane
-results are deterministic; across lanes they agree to floating-point
-tolerance, not bitwise (summation orders differ).
+Results are deterministic for a given numpy/BLAS build.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_WANT_NUMBA = os.environ.get("DEEPTHERM_NUMBA", "1") != "0"
-
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-if not HAVE_NUMBA:
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def active_lane() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
+ROW_BLOCK = 4096  # rows per GEMM in moment_accumulate; bounds the k-fold rows held at once
 
 
 # ---------------------------------------------------------------------------
 # weighted sum of k-fold projector powers:  out += sum_b w_b (psi_b psi_b^+)^{(x)k}
 
 
-def _moment_accumulate_numpy(psi: np.ndarray, weights: np.ndarray, k: int, out: np.ndarray):
-    b, da = psi.shape
-    v = psi
-    for _ in range(k - 1):
-        v = np.einsum("bi,bj->bij", v.reshape(b, -1), psi).reshape(b, -1)
-    out += np.einsum("bi,bj,b->ij", v, v.conj(), weights)
-    return out
-
-
-@njit(cache=True)
-def _moment_accumulate_numba(psi, weights, k, out):  # pragma: no cover - numba path
-    b, da = psi.shape
-    dim = da**k
-    v = np.empty(dim, dtype=np.complex128)
-    for s in range(b):
-        w = weights[s]
-        if w == 0.0:
-            continue
-        n = 1
-        v[0] = 1.0
-        for _ in range(k):
-            for i in range(n - 1, -1, -1):
-                base = v[i]
-                for a in range(da):
-                    v[i * da + a] = base * psi[s, a]
-            n *= da
-        for i in range(dim):
-            wvi = w * v[i]
-            for j in range(dim):
-                out[i, j] += wvi * np.conj(v[j])
-    return out
-
-
 def moment_accumulate(psi: np.ndarray, weights: np.ndarray, k: int, out: np.ndarray = None):
-    """Accumulate sum_b weights[b] * (|psi_b><psi_b|)^{(x)k} into out."""
+    """Accumulate sum_b weights[b] * (|psi_b><psi_b|)^{(x)k} into out.
+
+    Per block of ROW_BLOCK rows, build the k-fold product rows v_b = psi_b^{(x)k}
+    and add one GEMM, (v * w).T @ v.conj().
+    """
     psi = np.ascontiguousarray(psi, dtype=np.complex128)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
-    dim = psi.shape[1] ** k
+    b, da = psi.shape
+    dim = da**k
     if out is None:
         out = np.zeros((dim, dim), dtype=np.complex128)
-    if HAVE_NUMBA:
-        return _moment_accumulate_numba(psi, weights, k, out)
-    return _moment_accumulate_numpy(psi, weights, k, out)
+    for lo in range(0, b, ROW_BLOCK):
+        blk = psi[lo : lo + ROW_BLOCK]
+        v = blk
+        for _ in range(k - 1):
+            v = (v[:, :, None] * blk[:, None, :]).reshape(len(blk), -1)
+        out += (v * weights[lo : lo + ROW_BLOCK, None]).T @ v.conj()
+    return out
 
 
 # ---------------------------------------------------------------------------
 # row aggregation by orbit id:  agg[orb[r], :] += src[r, :]
 
 
-def _orbit_aggregate_numpy(src: np.ndarray, orb: np.ndarray, n_orbits: int):
-    agg = np.zeros((n_orbits, src.shape[1]), dtype=src.dtype)
-    np.add.at(agg, orb, src)
-    return agg
-
-
-@njit(cache=True)
-def _orbit_aggregate_numba(src, orb, n_orbits):  # pragma: no cover - numba path
-    agg = np.zeros((n_orbits, src.shape[1]), dtype=np.complex128)
-    for r in range(src.shape[0]):
-        o = orb[r]
-        for c in range(src.shape[1]):
-            agg[o, c] += src[r, c]
-    return agg
-
-
 def orbit_aggregate(src: np.ndarray, orb: np.ndarray, n_orbits: int) -> np.ndarray:
     src = np.ascontiguousarray(src, dtype=np.complex128)
     orb = np.ascontiguousarray(orb, dtype=np.int64)
-    if HAVE_NUMBA:
-        return _orbit_aggregate_numba(src, orb, n_orbits)
-    return _orbit_aggregate_numpy(src, orb, n_orbits)
+    agg = np.zeros((n_orbits, src.shape[1]), dtype=src.dtype)
+    np.add.at(agg, orb, src)
+    return agg
 
 
 # ---------------------------------------------------------------------------
 # Haar unitaries from Ginibre draws (QR with the R-diagonal phases divided out)
 
 
-def _haar_from_ginibre_numpy(z: np.ndarray) -> np.ndarray:
+def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Map a batch of complex Gaussian matrices to Haar unitaries."""
+    z = np.ascontiguousarray(z, dtype=np.complex128)
     q, r = np.linalg.qr(z)
     diag = np.einsum("...ii->...i", r)
     ph = diag / np.abs(diag)
     return q * ph[..., None, :]
-
-
-@njit(cache=True)
-def _haar_from_ginibre_numba(z):  # pragma: no cover - numba path
-    b, d, _ = z.shape
-    out = np.empty_like(z)
-    for s in range(b):
-        a = z[s].copy()
-        # modified Gram-Schmidt; r_diag tracks the R diagonal for the phase fix
-        for j in range(d):
-            col = a[:, j].copy()
-            for i in range(j):
-                qi = out[s, :, i]
-                ov = np.complex128(0.0)
-                for r_ in range(d):
-                    ov += np.conj(qi[r_]) * col[r_]
-                for r_ in range(d):
-                    col[r_] -= ov * qi[r_]
-            nrm = 0.0
-            for r_ in range(d):
-                nrm += col[r_].real ** 2 + col[r_].imag ** 2
-            nrm = np.sqrt(nrm)
-            for r_ in range(d):
-                out[s, r_, j] = col[r_] / nrm
-        # phase of <q_j, z_j> = R_jj
-        for j in range(d):
-            rjj = np.complex128(0.0)
-            for r_ in range(d):
-                rjj += np.conj(out[s, r_, j]) * z[s, r_, j]
-            ph = rjj / abs(rjj)
-            for r_ in range(d):
-                out[s, r_, j] *= ph
-    return out
-
-
-def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
-    """Map a batch of complex Gaussian matrices to Haar unitaries."""
-    z = np.ascontiguousarray(z, dtype=np.complex128)
-    if HAVE_NUMBA:
-        return _haar_from_ginibre_numba(z)
-    return _haar_from_ginibre_numpy(z)

@@ -3,8 +3,7 @@
 Subcommands: weingarten, exact, replica, mc, rates, figure3.  A flat
 key=value config file can seed any flags (command line wins).  Errors are
 reported as a machine-readable JSON object on stderr with a nonzero exit
-code.  OMP_NUM_THREADS controls BLAS threading; DEEPTHERM_NUMBA=0 selects
-the pure-numpy kernel lane.
+code.  OMP_NUM_THREADS controls BLAS threading.
 """
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from ._kernels import active_lane
 from .dual_tensors import build_w
 from .kim import (
     KimConfig,
@@ -28,7 +26,7 @@ from .kim import (
     moment_from_state,
     plus_state,
 )
-from .montecarlo import McConfig, mc_moment
+from .montecarlo import McConfig, jackknife_delta_se, mc_moment
 from .permgroup import enumerate_sym, weingarten_table
 from .plotting import emit_plot
 from .records import ResultRecord, RunConfig, read_csv, write_record
@@ -88,8 +86,7 @@ def cmd_exact(args) -> int:
     _record(args, "exact",
             ["n", "na", "t", "bc", "k", "delta_k", "entropy_bits", "wraparound_flag"],
             rows, {"n": args.n, "na": args.na, "t": args.t, "bc": args.bc,
-                   "k": args.k, "g": args.g, "offset": base.offset,
-                   "lane": active_lane()})
+                   "k": args.k, "g": args.g, "offset": base.offset})
     return EXIT_OK
 
 
@@ -110,7 +107,7 @@ def cmd_replica(args) -> int:
             ["k", "n", "t", "bc", "deviation_trace_norm", "fit_a", "fit_b",
              "fit_c", "extrapolated_norm", "fit_residual_flag"],
             rows, {"k": args.k, "nmax": args.nmax, "t": args.t, "bc": args.bc,
-                   "na": args.na, "g": args.g, "lane": active_lane()})
+                   "na": args.na, "g": args.g})
     return EXIT_OK
 
 
@@ -126,14 +123,13 @@ def cmd_mc(args) -> int:
             ["k", "t", "bc", "M_checkpoint", "delta_k", "stderr", "converged_flag"],
             rows, {"k": args.k, "t": args.t, "bc": args.bc, "na": args.na,
                    "g": args.g, "samples": args.samples, "seed": args.seed,
-                   "batch": cfg.resolved_batch(), "lane": active_lane()})
+                   "batch": cfg.resolved_batch()})
     return EXIT_OK
 
 
 def _checkpoint_stderrs(est, cfg) -> list:
-    """Jackknife SE of delta at each checkpoint, from batch partial sums."""
+    """Jackknife SE of delta at each checkpoint, over the batches done by then."""
     from .kim import haar_moment_operator
-    from .linalg import trace_norm
 
     batch = cfg.resolved_batch()
     haar = haar_moment_operator(cfg.n_a, cfg.k)
@@ -146,16 +142,7 @@ def _checkpoint_stderrs(est, cfg) -> list:
         while done < m_i and nb < len(nums):
             done += min(batch, cfg.samples - done)
             nb += 1
-        if nb < 2:
-            out.append(float("nan"))
-            continue
-        num = nums[:nb].sum(axis=0)
-        den = dens[:nb].sum()
-        deltas = np.empty(nb)
-        for i in range(nb):
-            rho_i = (num - nums[i]) / (den - dens[i])
-            deltas[i] = 0.5 * trace_norm(rho_i - haar)
-        out.append(float(np.sqrt((nb - 1) / nb * ((deltas - deltas.mean()) ** 2).sum())))
+        out.append(jackknife_delta_se(nums[:nb], dens[:nb], haar) if nb >= 2 else float("nan"))
     return out
 
 
@@ -214,8 +201,7 @@ def cmd_figure3(args) -> int:
     cfg_rec = RunConfig(
         subcommand="figure3",
         params={"na": args.na, "kmax": args.kmax, "tmax": args.tmax, "g": args.g,
-                "mc_samples": args.mc_samples, "mc_k": args.mc_k,
-                "lane": active_lane()},
+                "mc_samples": args.mc_samples, "mc_k": args.mc_k},
         seed=args.seed, out=pts_path, fmt=args.format, artifact_version=__version__)
     write_record(ResultRecord(config=cfg_rec, columns=["k", "t", "bc", "method", "value"],
                               rows=points))
@@ -358,10 +344,12 @@ def _apply_config_defaults(ap: argparse.ArgumentParser, overrides: dict) -> None
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
-    if "--config" in argv:
-        i = argv.index("--config")
-        _apply_config_defaults(ap, _load_config_file(argv[i + 1]))
     try:
+        if "--config" in argv:
+            i = argv.index("--config")
+            if i + 1 == len(argv):
+                ap.error("argument --config: expected one argument")
+            _apply_config_defaults(ap, _load_config_file(argv[i + 1]))
         args = ap.parse_args(argv)
         if args.out is None and hasattr(args, "func") and args.func in (
             cmd_weingarten, cmd_exact, cmd_replica, cmd_mc,

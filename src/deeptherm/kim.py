@@ -195,18 +195,14 @@ def moment_operator(ens: ProjectedEnsemble, k: int) -> np.ndarray:
     return out / np.trace(out)
 
 
-def moment_from_state(state: np.ndarray, cfg: KimConfig, k: int, batch: int = 1 << 16) -> np.ndarray:
+def moment_from_state(state: np.ndarray, cfg: KimConfig, k: int) -> np.ndarray:
     """Streaming moment accumulation over bath outcomes (never stores states)."""
     if cfg.n_a * k > 14:
         raise ValueError("replicated dimension too large")
     amps = _subsystem_amplitudes(state, cfg)
-    dim = (2**cfg.n_a) ** k
-    out = np.zeros((dim, dim), dtype=complex)
-    for lo in range(0, amps.shape[0], batch):
-        blk = amps[lo : lo + batch]
-        p = np.einsum("zs,zs->z", blk, blk.conj()).real
-        w = np.where(p < P_FLOOR, 0.0, p ** (1 - k))
-        _kernels.moment_accumulate(blk, w, k, out)
+    p = np.einsum("zs,zs->z", amps, amps.conj()).real
+    w = np.where(p < P_FLOOR, 0.0, p ** (1 - k))
+    out = _kernels.moment_accumulate(amps, w, k)
     return out / np.trace(out)
 
 

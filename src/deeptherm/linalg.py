@@ -137,14 +137,3 @@ def haar_moment_operator(n_a: int, k: int) -> np.ndarray:
     for p in enumerate_sym(k):
         out += permutation_operator(p, d)
     return (out / denom).astype(complex)
-
-
-def assert_moment_operator(rho: np.ndarray, tol: float = 1e-9) -> None:
-    """Hermitian, unit trace, eigenvalues >= -tol."""
-    if np.abs(rho - rho.conj().T).max() > tol:
-        raise AssertionError("moment operator not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise AssertionError("moment operator trace != 1")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if w.min() < -10 * tol:
-        raise AssertionError(f"moment operator not PSD (min eig {w.min():.2e})")

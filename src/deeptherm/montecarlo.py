@@ -161,19 +161,23 @@ class McEstimate:
         B = len(self.batch_nums)
         if B < 2:
             raise McError("jackknife needs at least 2 batches")
-        num = np.sum(self.batch_nums, axis=0)
-        den = float(np.sum(self.batch_dens))
-        haar = haar_moment_operator(self.n_a, self.k)
-        deltas = np.empty(B)
-        rhos = np.empty((B,) + num.shape, dtype=complex)
-        for i in range(B):
-            rho_i = (num - self.batch_nums[i]) / (den - self.batch_dens[i])
-            rhos[i] = rho_i
-            deltas[i] = 0.5 * trace_norm(rho_i - haar)
-        fac = (B - 1) / B
-        se_delta = float(np.sqrt(fac * ((deltas - deltas.mean()) ** 2).sum()))
-        se_entry = np.sqrt(fac * (np.abs(rhos - rhos.mean(axis=0)) ** 2).sum(axis=0))
+        nums = np.asarray(self.batch_nums)
+        dens = np.asarray(self.batch_dens)
+        se_delta = jackknife_delta_se(nums, dens, haar_moment_operator(self.n_a, self.k))
+        rhos = (nums.sum(axis=0) - nums) / (dens.sum() - dens)[:, None, None]
+        se_entry = np.sqrt((B - 1) / B * (np.abs(rhos - rhos.mean(axis=0)) ** 2).sum(axis=0))
         return se_delta, se_entry
+
+
+def jackknife_delta_se(nums: np.ndarray, dens: np.ndarray, haar: np.ndarray) -> float:
+    """Leave-one-batch-out jackknife SE of delta from per-batch partial sums."""
+    B = len(nums)
+    num = nums.sum(axis=0)
+    den = dens.sum()
+    deltas = np.empty(B)
+    for i in range(B):
+        deltas[i] = 0.5 * trace_norm((num - nums[i]) / (den - dens[i]) - haar)
+    return float(np.sqrt((B - 1) / B * ((deltas - deltas.mean()) ** 2).sum()))
 
 
 def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstimate:

@@ -10,7 +10,6 @@ which only holds in the invertible regime.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -208,7 +207,3 @@ def wg_asymptotic_ratio(p: Permutation, d: int) -> float:
     """Leading-order d^{#(p) - 2m} asymptote of Wg(p, d); diagnostics only."""
     m = p.degree
     return float(d) ** (cycle_count(p) - 2 * m)
-
-
-def factorial(m: int) -> int:
-    return math.factorial(m)

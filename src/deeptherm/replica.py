@@ -42,7 +42,6 @@ from .permgroup import (
 )
 
 MAX_REPLICAS = 8        # hard cap on m = k + n
-PRACTICAL_REPLICAS = 6  # dense-engine comfort zone, matches the n <= 6-k sweeps
 _MEM_BUDGET_BYTES = 3_500_000_000
 
 

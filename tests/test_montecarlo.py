@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from deeptherm.cli import _checkpoint_stderrs
 from deeptherm.linalg import haar_moment_operator, permutation_operator, trace_norm
 from deeptherm.montecarlo import (
     McConfig,
@@ -82,6 +83,18 @@ def test_mc_seed_determinism(w2):
     e2 = mc_moment(cfg, w2)
     assert e1.series.points == e2.series.points
     assert np.array_equal(e1.rho, e2.rho)
+
+
+def test_checkpoint_stderrs_end_at_jackknife(w2):
+    # the CLI's per-checkpoint SEs and McEstimate.jackknife share one helper;
+    # 30_500 samples leave a partial last batch
+    cfg = McConfig(k=2, t=2, n_a=2, bc="obc", g=G, samples=30_500, seed=123)
+    est = mc_moment(cfg, w2)
+    ses = _checkpoint_stderrs(est, cfg)
+    assert len(ses) == len(est.series.points)
+    assert np.isnan(ses[0])  # one batch at the first checkpoint
+    assert est.series.points[-1][0] == cfg.samples
+    assert ses[-1] == est.jackknife()[0]
 
 
 def test_mc_estimate_symmetric_under_replica_permutation(w2):

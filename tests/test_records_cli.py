@@ -124,6 +124,14 @@ def test_cli_error_record(tmp_path, capsys):
     err = capsys.readouterr().err
     rec = json.loads(err.strip())
     assert "guard band" in rec["error"]
+    # a config file that cannot be read is a runtime error with the same record
+    missing = str(tmp_path / "missing.cfg")
+    assert main(["--config", missing, "weingarten", "--out", out]) == 3
+    rec = json.loads(capsys.readouterr().err.strip())
+    assert rec["type"] == "FileNotFoundError"
+    # --config without a value is a usage error, not a traceback
+    assert main(["weingarten", "--m", "2", "--d", "4", "--out", out, "--config"]) == 2
+    assert "--config: expected one argument" in capsys.readouterr().err
 
 
 def test_cli_json_format(tmp_path):
