@@ -5,6 +5,7 @@ Results are deterministic for a given numpy/BLAS build.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 ROW_BLOCK = 4096  # rows per GEMM in moment_accumulate; bounds the k-fold rows held at once
 
@@ -39,11 +40,18 @@ def moment_accumulate(psi: np.ndarray, weights: np.ndarray, k: int, out: np.ndar
 
 
 def orbit_aggregate(src: np.ndarray, orb: np.ndarray, n_orbits: int) -> np.ndarray:
+    """Sum the rows of src by orbit id, as one sparse indicator matmul.
+
+    Each orbit's rows are added in increasing row order, the order of
+    np.add.at; an orbit id with no rows gives a zero row.
+    """
     src = np.ascontiguousarray(src, dtype=np.complex128)
     orb = np.ascontiguousarray(orb, dtype=np.int64)
-    agg = np.zeros((n_orbits, src.shape[1]), dtype=src.dtype)
-    np.add.at(agg, orb, src)
-    return agg
+    rows = np.arange(len(orb))
+    indicator = sparse.csr_array(
+        (np.ones(len(orb), dtype=src.dtype), (orb, rows)), shape=(n_orbits, len(orb))
+    )
+    return indicator @ src
 
 
 # ---------------------------------------------------------------------------

@@ -109,28 +109,29 @@ def conjugacy_classes(m: int) -> dict:
     return out
 
 
+_CYCLE_BLOCK = 256  # rows of the table composed at once; bounds the (block, m!, m) arrays
+
+
 @lru_cache(maxsize=32)
 def _product_cycle_counts(m: int) -> np.ndarray:
-    """C[a, b] = #cycles(p_a p_b^{-1}) over the lexicographic enumeration."""
-    perms = enumerate_sym(m)
-    inv_images = [p.inverse().images for p in perms]
-    n = len(perms)
-    C = np.empty((n, n), dtype=np.int8)
-    for a, p in enumerate(perms):
-        pa = p.images
-        for b in range(n):
-            q = inv_images[b]
-            comp = tuple(pa[q[i]] for i in range(m))
-            seen = 0
-            cnt = 0
-            for i in range(m):
-                if not (seen >> i) & 1:
-                    cnt += 1
-                    j = i
-                    while not (seen >> j) & 1:
-                        seen |= 1 << j
-                        j = comp[j]
-            C[a, b] = cnt
+    """C[a, b] = #cycles(p_a p_b^{-1}) over the lexicographic enumeration.
+
+    Each cycle has one smallest element: following every position m-1 steps
+    along the composed permutation and keeping the running minimum, the
+    positions that are their own minimum count the cycles.
+    """
+    perms = np.array([p.images for p in enumerate_sym(m)], dtype=np.int8)
+    inv = np.argsort(perms, axis=1)
+    pos = np.arange(m, dtype=np.int8)
+    C = np.empty((len(perms), len(perms)), dtype=np.int8)
+    for lo in range(0, len(perms), _CYCLE_BLOCK):
+        comp = perms[lo : lo + _CYCLE_BLOCK, inv]  # comp[a, b, i] = p_a(p_b^{-1}(i))
+        low = np.broadcast_to(pos, comp.shape)
+        walk = low
+        for _ in range(m - 1):
+            walk = np.take_along_axis(comp, walk, axis=-1)
+            low = np.minimum(low, walk)
+        C[lo : lo + _CYCLE_BLOCK] = (low == pos).sum(axis=-1)
     return C
 
 

@@ -16,8 +16,12 @@ replica (ket, bra) pairs closed by maximally-entangled caps.
 The evaluation engine groups the double sum by the conjugacy class of
 s t^-1.  Writing s = c t and using the relabeling identities of the W-fold
 tensor, the inner sum over t collapses onto digit-multiset orbits of the
-replica index, so each class costs one dense contraction instead of m!
-of them.  Class-resolved diagrams are cached and reweighted per (t, bc).
+replica index.  The engine works in orbit space, once per m: the m-fold W
+product K is summed over orbits a single time; each class's gather matrix
+acts on those small orbit sums; and one GEMM of K against the stacked class
+rows gives a (replica index x class x orbit) tensor P that serves every
+split m = k + n.  A class diagram at (k, n) is then a weighted gather over P.
+Class-resolved diagrams are cached and reweighted per (t, bc).
 """
 from __future__ import annotations
 
@@ -148,9 +152,29 @@ def diagram_term(sigma: Permutation, tau: Permutation, spec: ReplicaSpec, w: WTe
     return DiagramTerm(sigma=sigma, tau=tau, k=k, n=n, value=val)
 
 
+def _n_classes(m: int) -> int:
+    """Number of conjugacy classes of S_m (integer partitions of m)."""
+    parts = [1] + [0] * m
+    for size in range(1, m + 1):
+        for total in range(size, m + 1):
+            parts[total] += parts[total - size]
+    return parts[m]
+
+
 def _estimate_engine_bytes(n_a: int, m: int) -> int:
-    dA, q = 2**n_a, 2 ** min_depth(n_a)
-    return 3 * (dA**m) * (q ** (2 * m)) * 16
+    """Bytes _sagg_bundle holds at once: K, orbit sums O, class rows S and P."""
+    dA, q2m = 2**n_a, 2 ** (2 * m * min_depth(n_a))
+    n_orbits = math.comb(dA + m - 1, m)  # digit multisets
+    rows = _n_classes(m) * n_orbits
+    return 16 * (dA**m * q2m + n_orbits * q2m + rows * q2m + dA**m * rows)
+
+
+def _check_engine_size(n_a: int, m: int) -> None:
+    need = _estimate_engine_bytes(n_a, m)
+    if need > _MEM_BUDGET_BYTES:
+        raise ReplicaError(
+            f"replica engine at n_a={n_a}, m={m} needs ~{need / 1e9:.1f} GB, above budget"
+        )
 
 
 def _orbit_structure(base: int, m: int):
@@ -186,53 +210,55 @@ def _build_kfold(wdata: np.ndarray, m: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _sagg_bundle(n_a: int, m: int, g: float, j: float, h: float):
-    """Per-class symmetrized diagram halves.
+    """Orbit-space diagram halves for every class and every k split of one m.
 
-    Returns (orb, weight, n_orbits, {cycle_type: Sagg}) where
-    Sagg[orbit, s] aggregates the class-gathered conjugate K over all digit
-    rearrangements of the replica index; the engine's inner sum over the
-    second group element reduces to these orbit sums.
+    Returns (orb, weight, order, P) with
+
+        P[M, c, o] = sum_s K[M, s] * S_c[o, s],
+        S_c[o, (a, b)] = sum_y conj(O)[o, y, b] * B_c[y, a],
+
+    where K[M, s] is the m-fold W product, O its sum over the digit-multiset
+    orbit o of the replica index M, B_c the class-c gather matrix on the
+    a-legs and `order` the class order along c.  The orbit sum is linear and
+    commutes with the a-leg gather and with conj, so K is aggregated once and
+    all classes share one GEMM.  P is small (dA^m x classes x orbits); K is
+    dropped on return.
     """
-    if _estimate_engine_bytes(n_a, m) > _MEM_BUDGET_BYTES:
-        raise ReplicaError(
-            f"replica engine at n_a={n_a}, m={m} needs ~"
-            f"{_estimate_engine_bytes(n_a, m) / 1e9:.1f} GB, above budget"
-        )
+    _check_engine_size(n_a, m)
     w = build_w(n_a, g, j=j, h=h)
     dA, q = 2**n_a, 2 ** w.t_legs
-    K = _build_kfold(w.data, m)
-    Kc = K.conj()
+    K = _build_kfold(w.data, m).reshape(dA**m, q ** (2 * m))
     orb, weight, n_orbits = _orbit_structure(dA, m)
-    # class gather matrices on the a-leg register
+    O = _kernels.orbit_aggregate(K, orb, n_orbits).conj().reshape(n_orbits, q**m, q**m)
     classes = conjugacy_classes(m)
-    saggs = {}
-    for ct, members in classes.items():
+    ar = np.arange(q**m)
+    S = np.empty((len(classes), n_orbits, q**m, q**m), dtype=np.complex128)
+    for i, members in enumerate(classes.values()):
         B = np.zeros((q**m, q**m))
-        ar = np.arange(q**m)
         for gamma in members:
             B[digit_permute_codes(gamma.images, q)[ar], ar] += 1.0
-        Kb = np.einsum("Myb,ya->Mab", Kc, B, optimize=True)
-        saggs[ct] = _kernels.orbit_aggregate(
-            Kb.reshape(dA**m, q**m * q**m), orb, n_orbits
-        )
-        del Kb
-    return orb, weight, n_orbits, saggs
+        S[i] = np.einsum("oyb,ya->oab", O, B, optimize=True)
+    P = (K @ S.reshape(-1, q ** (2 * m)).T).reshape(dA**m, len(classes), n_orbits)
+    return orb, weight, tuple(classes), P
 
 
 @lru_cache(maxsize=32)
 def class_diagram_terms(n_a: int, k: int, n: int, g: float, j: float, h: float):
-    """Capped diagram operators per conjugacy class of s t^-1 (t-independent)."""
-    m = k + n
-    orb, weight, _, saggs = _sagg_bundle(n_a, m, g, j, h)
-    w = build_w(n_a, g, j=j, h=h)
-    dA = 2**n_a
-    q2m = (2 ** w.t_legs) ** (2 * m)
-    K = _build_kfold(w.data, m).reshape(dA**k, dA**n, q2m)
-    out = {}
-    for ct, sagg in saggs.items():
-        Z = (sagg[orb] * weight[:, None]).reshape(dA**k, dA**n, q2m)
-        out[ct] = np.einsum("mcs,ncs->mn", K, Z, optimize=True)
-    return out
+    """Capped diagram operators per conjugacy class of s t^-1 (t-independent).
+
+    A gather over the bundle's P: with replica index M = (row, cap),
+
+        out_c[m1, n1] = sum_cap weight[(n1, cap)] * P[(m1, cap), c, orb(n1, cap)].
+    """
+    orb, weight, order, P = _sagg_bundle(n_a, k + n, g, j, h)
+    dk, dn = 2 ** (n_a * k), 2 ** (n_a * n)
+    P = P.reshape(dk, dn, len(order), -1)
+    caps = np.arange(dn)
+    orb, weight = orb.reshape(dk, dn), weight.reshape(dk, dn)
+    return {
+        ct: np.einsum("mnc,nc->mn", P[:, caps, i, orb], weight)
+        for i, ct in enumerate(order)
+    }
 
 
 def _kahan_matrix_sum(terms):
@@ -280,6 +306,7 @@ def deviation_series(spec: ReplicaSpec, n_max: int, w: WTensor | None = None):
     """[(n, ||rho^(k,n) - rho_Haar^(k)||_1) for n = 0..n_max]."""
     if spec.k + n_max > MAX_REPLICAS:
         raise ReplicaError("k + n_max above the replica cap")
+    _check_engine_size(spec.n_a, spec.k + n_max)
     haar = haar_moment_operator(spec.n_a, spec.k)
     out = []
     for n in range(n_max + 1):

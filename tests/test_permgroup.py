@@ -11,6 +11,7 @@ from deeptherm.permgroup import (
     DegreeError,
     Permutation,
     WeingartenConditioningError,
+    _product_cycle_counts,
     conjugacy_classes,
     cycle_count,
     enumerate_sym,
@@ -67,6 +68,15 @@ def test_cycle_count_product_bound():
             for t in perms:
                 if s != t:
                     assert cycle_count(s.compose(t.inverse())) <= m - 1
+
+
+def test_product_cycle_count_table_matches_cycle_count():
+    for m in (1, 2, 3, 4):
+        perms = enumerate_sym(m)
+        C = _product_cycle_counts(m)
+        assert C.dtype == np.int8 and C.shape == (len(perms), len(perms))
+        ref = [[cycle_count(p.compose(q.inverse())) for q in perms] for p in perms]
+        assert np.array_equal(C, ref)
 
 
 def test_gram_matrix_examples():

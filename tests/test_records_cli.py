@@ -36,6 +36,17 @@ def test_csv_write_read(tmp_path):
         write_csv(path, ["a"], [[1, 2]])
 
 
+def test_written_files_follow_umask(tmp_path):
+    path = str(tmp_path / "x.csv")
+    old = os.umask(0o022)
+    try:
+        write_csv(path, ["a", "b"], [[1, 0.5]])
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == 0o644
+    assert open(path, encoding="utf-8").read() == f"a,b\n1,{format_value(0.5)}\n"
+
+
 def test_result_record_json_round_trip():
     cfg = RunConfig(subcommand="mc", params={"k": 2}, seed=7, out="x.csv")
     rec = ResultRecord(config=cfg, columns=["a"], rows=[[1.0], [2.0]])
@@ -132,6 +143,10 @@ def test_cli_error_record(tmp_path, capsys):
     # --config without a value is a usage error, not a traceback
     assert main(["weingarten", "--m", "2", "--d", "4", "--out", out, "--config"]) == 2
     assert "--config: expected one argument" in capsys.readouterr().err
+    # a replica sum the engine cannot hold is refused before any allocation
+    assert main(["replica", "--k", "4", "--nmax", "3", "--t", "2", "--na", "2", "--out", out]) == 3
+    rec = json.loads(capsys.readouterr().err.strip())
+    assert rec["type"] == "ReplicaError" and "above budget" in rec["error"]
 
 
 def test_cli_json_format(tmp_path):

@@ -3,11 +3,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from deeptherm.linalg import haar_moment_operator, permutation_operator, trace_norm
-from deeptherm.permgroup import Permutation, enumerate_sym
+import deeptherm.replica as replica
+from deeptherm.linalg import digit_permute_codes, haar_moment_operator, permutation_operator, trace_norm
+from deeptherm.permgroup import Permutation, conjugacy_classes, enumerate_sym
 from deeptherm.replica import (
     ReplicaError,
     ReplicaSpec,
+    class_diagram_terms,
     deviation_series,
     diagram_term,
     direct_double_sum,
@@ -94,6 +96,48 @@ def test_engine_matches_direct_double_sum(k, n, t, bc, w2):
     engine = replica_moment(sp)
     direct = direct_double_sum(sp, w2)
     assert np.abs(engine - direct).max() <= 1e-12
+
+
+def _dense_class_diagrams(w, m, splits):
+    """Per-class dense evaluation: gather conj K per class, orbit-sum it, build Z, contract."""
+    dA, q = w.data.shape[0], w.data.shape[1]
+    K = replica._build_kfold(w.data, m)
+    Kc = K.conj()
+    orb, weight, n_orbits = replica._orbit_structure(dA, m)
+    ar = np.arange(q**m)
+    out = {split: {} for split in splits}
+    for ct, members in conjugacy_classes(m).items():
+        B = np.zeros((q**m, q**m))
+        for gamma in members:
+            B[digit_permute_codes(gamma.images, q)[ar], ar] += 1.0
+        Kb = np.einsum("Myb,ya->Mab", Kc, B).reshape(dA**m, -1)
+        sagg = np.zeros((n_orbits, Kb.shape[1]), dtype=complex)
+        np.add.at(sagg, orb, Kb)
+        Z = sagg[orb] * weight[:, None]
+        for k, n in splits:
+            shape = (dA**k, dA**n, -1)
+            out[(k, n)][ct] = np.einsum("mcs,ncs->mn", K.reshape(shape), Z.reshape(shape))
+    return out
+
+
+def test_class_diagrams_match_dense_per_class_oracle(w2):
+    splits = [(2, 3), (3, 2), (4, 1)]
+    dense = _dense_class_diagrams(w2, 5, splits)
+    for k, n in splits:
+        engine = class_diagram_terms(2, k, n, G, np.pi / 4, np.pi / 4)
+        assert engine.keys() == dense[(k, n)].keys()
+        for ct, ref in dense[(k, n)].items():
+            assert np.abs(engine[ct] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_engine_refuses_oversized_m_before_building(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("K-fold built for a refused size")
+
+    monkeypatch.setattr(replica, "_build_kfold", fail)
+    assert replica._estimate_engine_bytes(2, 6) <= replica._MEM_BUDGET_BYTES
+    with pytest.raises(ReplicaError, match="above budget"):
+        class_diagram_terms(2, 4, 3, G, np.pi / 4, np.pi / 4)
 
 
 @pytest.mark.parametrize("bc", ["pbc", "obc"])
