@@ -7,7 +7,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-ROW_BLOCK = 4096  # rows per GEMM in moment_accumulate; bounds the k-fold rows held at once
+ROW_BLOCK = 4096  # rows per GEMM in moment_accumulate
+BLOCK_ENTRIES = 2**22  # k-fold entries per block (64 MiB complex); fewer rows at large dim
 
 
 # ---------------------------------------------------------------------------
@@ -17,8 +18,9 @@ ROW_BLOCK = 4096  # rows per GEMM in moment_accumulate; bounds the k-fold rows h
 def moment_accumulate(psi: np.ndarray, weights: np.ndarray, k: int, out: np.ndarray = None):
     """Accumulate sum_b weights[b] * (|psi_b><psi_b|)^{(x)k} into out.
 
-    Per block of ROW_BLOCK rows, build the k-fold product rows v_b = psi_b^{(x)k}
-    and add one GEMM, (v * w).T @ v.conj().
+    Per block of rows, build the k-fold product rows v_b = psi_b^{(x)k} and add
+    one GEMM, (v * w).T @ v.conj().  A block holds ROW_BLOCK rows, or fewer when
+    its k-fold rows would exceed BLOCK_ENTRIES entries (any dim above 1024).
     """
     psi = np.ascontiguousarray(psi, dtype=np.complex128)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
@@ -26,12 +28,13 @@ def moment_accumulate(psi: np.ndarray, weights: np.ndarray, k: int, out: np.ndar
     dim = da**k
     if out is None:
         out = np.zeros((dim, dim), dtype=np.complex128)
-    for lo in range(0, b, ROW_BLOCK):
-        blk = psi[lo : lo + ROW_BLOCK]
+    rows = min(ROW_BLOCK, max(1, BLOCK_ENTRIES // dim))
+    for lo in range(0, b, rows):
+        blk = psi[lo : lo + rows]
         v = blk
         for _ in range(k - 1):
             v = (v[:, :, None] * blk[:, None, :]).reshape(len(blk), -1)
-        out += (v * weights[lo : lo + ROW_BLOCK, None]).T @ v.conj()
+        out += (v * weights[lo : lo + rows, None]).T @ v.conj()
     return out
 
 

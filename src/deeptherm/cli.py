@@ -18,6 +18,7 @@ from . import __version__
 from .dual_tensors import build_w
 from .kim import (
     KimConfig,
+    check_exact_size,
     delta_k,
     dual_unitary_ensemble_check,
     entanglement_entropy,
@@ -71,6 +72,7 @@ def cmd_weingarten(args) -> int:
 def cmd_exact(args) -> int:
     base = KimConfig(n=args.n, n_a=args.na, t=args.t, bc=args.bc, g=args.g,
                      a_offset=args.offset)
+    check_exact_size(base.n, base.n_a, args.k)
     rows = []
     state = plus_state(base.n)
     phases = ising_phase_vector(base)
@@ -358,7 +360,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, RuntimeError, MemoryError) as e:
         sys.stderr.write(json.dumps({"error": str(e), "type": type(e).__name__}) + "\n")
         return EXIT_RUNTIME
 

@@ -23,6 +23,7 @@ import numpy as np
 from . import _kernels
 from .dual_tensors import PI4, bath_side_unitary, kick_matrix, spin_table
 from .linalg import (
+    MEM_BUDGET_BYTES,
     haar_moment_operator,
     kron_all,
     partial_trace,
@@ -88,6 +89,27 @@ class KimConfig:
         """True when t exceeds the pre-recurrence window (n - n_a)/2 - 1."""
         tt = self.t if t is None else t
         return tt > (self.n - self.n_a) / 2 - 1
+
+
+def exact_bytes(n: int, n_a: int, k: int) -> int:
+    """Bytes the exact route holds at once, summed over its largest arrays.
+
+    The state and the phase vector (complex, 2^n each), the spin table
+    (n x 2^n float64, counted twice: its rows are stacked into it), and three
+    complex moment-sized matrices (the moment, its Haar reference and their
+    difference, dimension 2^(n_a k)).
+    """
+    dim = 2 ** (n_a * k)
+    return 2 * 16 * 2**n + 2 * 8 * n * 2**n + 3 * 16 * dim * dim
+
+
+def check_exact_size(n: int, n_a: int, k: int) -> None:
+    """Raise ConfigError, before anything is allocated, above the memory budget."""
+    need = exact_bytes(n, n_a, k)
+    if need > MEM_BUDGET_BYTES:
+        raise ConfigError(
+            f"exact run at n={n}, n_a={n_a}, k={k} needs ~{need / 1e9:.1f} GB, above budget"
+        )
 
 
 def ising_phase_vector(cfg: KimConfig) -> np.ndarray:

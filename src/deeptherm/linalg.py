@@ -13,6 +13,8 @@ import numpy as np
 
 from .permgroup import Permutation
 
+MEM_BUDGET_BYTES = 3_500_000_000  # largest working set a route may allocate; checked up front
+
 
 def digit_permute_codes(images, base: int) -> np.ndarray:
     """Index map for permuting base-`base` digit strings.

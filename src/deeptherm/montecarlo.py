@@ -1,16 +1,22 @@
 """Unbiased Monte Carlo estimators of the limiting projected-ensemble moments.
 
-States are sampled by drawing Haar unitaries on the t temporal qubits
-(counter-based Philox streams keyed by batch index, so the sampled set is
-independent of how work is chunked), forming
+Each sample forms a projected state from Haar-random objects on the t
+temporal qubits,
 
-    pbc:  psi~[s] = Tr(W^s . reduce(U)),
-    obc:  psi~[s] = Tr(W^s . reduce(|U'><U|)),   |U'> = U'|0..0>, <U| = <+..+|U^+,
+    pbc:  psi~[s] = Tr(W^s . reduce(U)),                U Haar unitary,
+    obc:  psi~[s] = Tr(W^s . reduce(|u'><u|)),          |u'> = U'|0..0>, |u> = U|+..+>,
 
-and accumulating weighted k-fold projector powers.  The physical moment uses
-weight <psi~|psi~>^(1-k); the integer-n replica surrogate uses weight
-<psi~|psi~>^n, whose trace normalization is exactly the ratio-estimator
-denominator mean <psi~|psi~>^(k+n).
+and accumulates weighted k-fold projector powers.  For obc, U and U' are
+independent Haar unitaries, so |u'> and |u> are two independent Haar-random
+states; they are drawn directly as normalized complex Gaussian vectors.
+The physical moment uses weight <psi~|psi~>^(1-k); the integer-n replica
+surrogate uses weight <psi~|psi~>^n, whose trace normalization is exactly
+the ratio-estimator denominator mean <psi~|psi~>^(k+n).
+
+Random numbers come from counter-based Philox streams keyed by
+(seed, batch index).  A result is a deterministic function of the seed and
+the batch size; a different batch size splits the samples into different
+streams and so draws a different sample set.
 """
 from __future__ import annotations
 
@@ -108,6 +114,12 @@ def _haar_batch(rng: np.random.Generator, d: int, b: int) -> np.ndarray:
     return _kernels.haar_from_ginibre(z)
 
 
+def _haar_states(rng: np.random.Generator, d: int, b: int) -> np.ndarray:
+    """b Haar-random unit vectors in C^d: normalized complex Gaussian draws."""
+    z = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
 def _reduce_batch(mats: np.ndarray, t: int, t0: int) -> np.ndarray:
     d0, dr = 2**t0, 2 ** (t - t0)
     b = mats.shape[0]
@@ -136,9 +148,9 @@ def _batch_states(cfg: McConfig, w: WTensor, batch_index: int, b: int) -> np.nda
         U = _haar_batch(rng, d, b)
         R = _reduce_batch(U, cfg.t, w.t_legs)
     else:
-        UB = _haar_batch(rng, d, 2 * b)
-        ket = UB[b:, :, 0]  # U'|0>
-        bra = UB[:b] @ np.full(d, 2.0 ** (-cfg.t / 2))  # U|+>
+        # unit norm matters: a sample's weighted contribution scales as <psi~|psi~>
+        states = _haar_states(rng, d, 2 * b)
+        ket, bra = states[:b], states[b:]  # U'|0> and U|+>
         outer = np.einsum("bi,bj->bij", ket, bra.conj())
         R = _reduce_batch(outer, cfg.t, w.t_legs)
     return np.einsum("sxy,byx->bs", w.data, R)

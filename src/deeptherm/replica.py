@@ -36,7 +36,7 @@ from scipy.optimize import OptimizeWarning, curve_fit
 
 from . import _kernels
 from .dual_tensors import WTensor, build_w, min_depth
-from .linalg import digit_permute_codes, haar_moment_operator, trace_norm
+from .linalg import MEM_BUDGET_BYTES, digit_permute_codes, haar_moment_operator, trace_norm
 from .permgroup import (
     Permutation,
     conjugacy_classes,
@@ -46,7 +46,6 @@ from .permgroup import (
 )
 
 MAX_REPLICAS = 8        # hard cap on m = k + n
-_MEM_BUDGET_BYTES = 3_500_000_000
 
 
 class ReplicaError(ValueError):
@@ -171,7 +170,7 @@ def _estimate_engine_bytes(n_a: int, m: int) -> int:
 
 def _check_engine_size(n_a: int, m: int) -> None:
     need = _estimate_engine_bytes(n_a, m)
-    if need > _MEM_BUDGET_BYTES:
+    if need > MEM_BUDGET_BYTES:
         raise ReplicaError(
             f"replica engine at n_a={n_a}, m={m} needs ~{need / 1e9:.1f} GB, above budget"
         )

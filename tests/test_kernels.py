@@ -36,6 +36,21 @@ def test_moment_accumulate_matches_kron_oracle(rng):
         assert np.abs(buf - (start + ref)).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_moment_accumulate_small_block_cap_matches_kron_oracle(rng, monkeypatch):
+    # a cap of 8 k-fold entries gives blocks of 4, 2 and 1 rows for k = 1, 2, 3
+    b = 37
+    psi = rng.standard_normal((b, 2)) + 1j * rng.standard_normal((b, 2))
+    w = rng.random(b)
+    w[[0, 3, 4, b - 1]] = 0.0
+    full = [kernels.moment_accumulate(psi, w, k) for k in (1, 2, 3)]
+    monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 8)
+    for k, ref_full in zip((1, 2, 3), full):
+        ref = _kron_moment(psi, w, k)
+        out = kernels.moment_accumulate(psi, w, k)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(out - ref_full).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_moment_accumulate_skips_zero_weights(rng):
     psi = np.ones((3, 2), dtype=complex)
     w = np.array([1.0, 0.0, 2.0])

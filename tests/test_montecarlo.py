@@ -3,12 +3,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from deeptherm.cli import _checkpoint_stderrs
-from deeptherm.linalg import haar_moment_operator, permutation_operator, trace_norm
+import deeptherm.montecarlo as montecarlo
+from deeptherm.cli import _checkpoint_stderrs, main
+from deeptherm.linalg import haar_moment_operator, kron_all, permutation_operator, trace_norm
 from deeptherm.montecarlo import (
     McConfig,
     McError,
+    _batch_rng,
     _batch_states,
+    _haar_batch,
+    _haar_states,
+    _reduce_batch,
     _run_estimator,
     mc_moment,
     mc_projected_state,
@@ -61,12 +66,71 @@ def test_single_sample_matches_batch_path(w2):
     cfg = McConfig(k=2, t=3, n_a=2, bc="pbc", g=G, samples=4, batch_size=4,
                    checkpoints=(4,), seed=77)
     batch = _batch_states(cfg, w2, 0, 4)
-    from deeptherm.montecarlo import _batch_rng, _haar_batch
-
     U = _haar_batch(_batch_rng(77, 0), 8, 4)
     for i in range(4):
         psi, _ = mc_projected_state(U[i], None, "pbc", w2)
         np.testing.assert_allclose(psi, batch[i], atol=1e-13)
+
+
+def _unitary_with_first_column(v, rng):
+    """A unitary whose column 0 is the unit vector v: QR of [v | Gaussian], phase fixed."""
+    d = len(v)
+    z = np.column_stack([v, rng.standard_normal((d, d - 1)) + 1j * rng.standard_normal((d, d - 1))])
+    q, r = np.linalg.qr(z)
+    q[:, 0] *= r[0, 0]  # q[:, 0] r00 = v and |r00| = |v| = 1
+    return q
+
+
+def test_obc_batch_matches_single_sample_oracle(w2, rng):
+    # the obc batch path draws U'|0> and U|+> as vectors; completing them to
+    # unitaries U', U must reproduce the single-sample path row by row
+    t, b, seed = 3, 6, 77
+    d = 2**t
+    cfg = McConfig(k=2, t=t, n_a=2, bc="obc", g=G, samples=b, batch_size=b,
+                   checkpoints=(b,), seed=seed)
+    batch = _batch_states(cfg, w2, 0, b)
+    states = _haar_states(_batch_rng(seed, 0), d, 2 * b)
+    ket, bra = states[:b], states[b:]
+    hadamard = kron_all([np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)] * t)
+    plus = np.full(d, 2.0 ** (-t / 2))
+    for i in range(b):
+        u_prime = _unitary_with_first_column(ket[i], rng)
+        u = _unitary_with_first_column(bra[i], rng) @ hadamard  # H^t |+> = |0>
+        for m in (u_prime, u):
+            assert np.abs(m.conj().T @ m - np.eye(d)).max() <= 1e-13
+        assert np.abs(u_prime[:, 0] - ket[i]).max() <= 1e-14
+        assert np.abs(u @ plus - bra[i]).max() <= 1e-14
+        psi, _ = mc_projected_state(u, u_prime, "obc", w2)
+        np.testing.assert_allclose(psi, batch[i], atol=1e-13)
+
+
+def test_haar_states_unit_norm_and_moments():
+    # first and second moments of Haar states: I/d and (I + SWAP)/(d(d+1))
+    n, q = 40_000, 3
+    v = _haar_states(_batch_rng(2024, 0), 2**q, n)
+    assert np.abs(np.linalg.norm(v, axis=1) - 1).max() <= 1e-14
+    for k in (1, 2):
+        x = v if k == 1 else np.einsum("bi,bj->bij", v, v).reshape(n, -1)
+        mean = x.T @ x.conj() / n
+        var = (np.abs(x) ** 2).T @ (np.abs(x) ** 2) / n - np.abs(mean) ** 2
+        z = np.abs(mean - haar_moment_operator(q, k)) / np.sqrt(var / n)
+        assert z.max() <= 5.0, (k, z.max())
+
+
+def test_pbc_csv_matches_haar_batch_reference(tmp_path, monkeypatch):
+    # pbc keeps its stream: one Haar unitary batch per Philox batch stream,
+    # reduced as a whole
+    def reference_batch_states(cfg, w, batch_index, b):
+        U = _haar_batch(_batch_rng(cfg.seed, batch_index), 2**cfg.t, b)
+        return np.einsum("sxy,byx->bs", w.data, _reduce_batch(U, cfg.t, w.t_legs))
+
+    args = ["mc", "--k", "2", "--t", "3", "--bc", "pbc", "--na", "2",
+            "--samples", "12000", "--seed", "5"]
+    out, ref = str(tmp_path / "out.csv"), str(tmp_path / "ref.csv")
+    assert main(args + ["--out", out]) == 0
+    monkeypatch.setattr(montecarlo, "_batch_states", reference_batch_states)
+    assert main(args + ["--out", ref]) == 0
+    assert open(out, "rb").read() == open(ref, "rb").read()
 
 
 def test_mc_k1_converges_to_maximally_mixed(w2):

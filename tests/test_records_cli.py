@@ -6,7 +6,10 @@ import os
 import numpy as np
 import pytest
 
+import deeptherm.cli as cli
+import deeptherm.kim as kim
 from deeptherm.cli import main
+from deeptherm.linalg import MEM_BUDGET_BYTES
 from deeptherm.plotting import emit_plot
 from deeptherm.records import (
     RecordError,
@@ -128,7 +131,7 @@ def test_cli_config_file(tmp_path):
     assert len(rows) == 2
 
 
-def test_cli_error_record(tmp_path, capsys):
+def test_cli_error_record(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "x.csv")
     rc = main(["exact", "--n", "4", "--na", "2", "--t", "1", "--g", "0.0", "--out", out])
     assert rc == 3
@@ -147,6 +150,33 @@ def test_cli_error_record(tmp_path, capsys):
     assert main(["replica", "--k", "4", "--nmax", "3", "--t", "2", "--na", "2", "--out", out]) == 3
     rec = json.loads(capsys.readouterr().err.strip())
     assert rec["type"] == "ReplicaError" and "above budget" in rec["error"]
+    # runtime and memory failures inside a subcommand get the same record
+    for exc in (RuntimeError("solver diverged"), MemoryError("array too large")):
+        def fail(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_weingarten", fail)
+        assert main(["weingarten", "--m", "2", "--d", "4", "--out", out]) == 3
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec == {"error": str(exc), "type": type(exc).__name__}
+
+
+def test_cli_exact_refuses_oversized_run_before_allocating(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("allocated for a refused size")
+
+    monkeypatch.setattr(kim, "spin_table", fail)
+    monkeypatch.setattr(cli, "plus_state", fail)
+    monkeypatch.setattr(cli, "moment_from_state", fail)
+    out = str(tmp_path / "x.csv")
+    # n=24: the spin table alone is 3.2 GB; k=7 at n_a=2: 4.3 GB moment matrices
+    for argv in (["--n", "24", "--na", "2", "--t", "1"],
+                 ["--n", "10", "--na", "2", "--t", "1", "--k", "7"]):
+        assert main(["exact", *argv, "--out", out]) == 3
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["type"] == "ConfigError" and "above budget" in rec["error"]
+    assert not os.path.exists(out)
+    assert kim.exact_bytes(23, 2, 3) <= MEM_BUDGET_BYTES  # the largest chain still runs
 
 
 def test_cli_json_format(tmp_path):

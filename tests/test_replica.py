@@ -135,7 +135,7 @@ def test_engine_refuses_oversized_m_before_building(monkeypatch):
         raise AssertionError("K-fold built for a refused size")
 
     monkeypatch.setattr(replica, "_build_kfold", fail)
-    assert replica._estimate_engine_bytes(2, 6) <= replica._MEM_BUDGET_BYTES
+    assert replica._estimate_engine_bytes(2, 6) <= replica.MEM_BUDGET_BYTES
     with pytest.raises(ReplicaError, match="above budget"):
         class_diagram_terms(2, 4, 3, G, np.pi / 4, np.pi / 4)
 
