@@ -52,7 +52,10 @@ def kick_matrix(h: float) -> np.ndarray:
 def spin_table(n: int) -> np.ndarray:
     """spins[i, x] = 1 - 2*bit_i(x) over x in 0..2^n-1, bit 0 most significant."""
     x = np.arange(2**n)
-    return np.stack([1.0 - 2.0 * ((x >> (n - 1 - i)) & 1) for i in range(n)])
+    spins = np.empty((n, 2**n))
+    for i in range(n):
+        spins[i] = 1.0 - 2.0 * ((x >> (n - 1 - i)) & 1)
+    return spins
 
 
 def _apply_kick_all(S: np.ndarray, n_sites: int, K: np.ndarray) -> np.ndarray:

@@ -3,7 +3,10 @@
 The Floquet step is U_F = U_h exp(-i H_Ising) with U_h = exp(-i h sum_i Y_i)
 and H_Ising the nearest-neighbour ZZ chain plus longitudinal field (plus
 boundary fields for open boundaries).  All Ising terms commute, so the
-Ising factor is applied as one exact diagonal phase vector.
+Ising factor is applied as one exact diagonal phase vector.  The kick is the
+same 2x2 matrix K on every site, so U_h = K^{(x)n} factors over groups of up
+to KICK_GROUP neighbouring qubits: each group is one matrix product of
+K^{(x)w} (at most 64 x 64) with a reshape of the state.
 
 At the self-dual point |j| = |h| = pi/4 the reduced state of a bulk block
 of n_a qubits is exactly maximally mixed for every ceil(n_a/2) <= t below
@@ -33,6 +36,7 @@ from .linalg import (
 from .permgroup import enumerate_sym, weingarten_table
 
 P_FLOOR = 1e-14  # outcomes below this Born weight carry a null state
+KICK_GROUP = 6  # qubits per kick GEMM; K^{(x)6} is 64 x 64
 G_GUARD_BAND = 1e-3
 
 
@@ -95,12 +99,12 @@ def exact_bytes(n: int, n_a: int, k: int) -> int:
     """Bytes the exact route holds at once, summed over its largest arrays.
 
     The state and the phase vector (complex, 2^n each), the spin table
-    (n x 2^n float64, counted twice: its rows are stacked into it), and three
-    complex moment-sized matrices (the moment, its Haar reference and their
+    (n x 2^n float64, filled row by row in place), and three complex
+    moment-sized matrices (the moment, its Haar reference and their
     difference, dimension 2^(n_a k)).
     """
     dim = 2 ** (n_a * k)
-    return 2 * 16 * 2**n + 2 * 8 * n * 2**n + 3 * 16 * dim * dim
+    return 2 * 16 * 2**n + 8 * n * 2**n + 3 * 16 * dim * dim
 
 
 def check_exact_size(n: int, n_a: int, k: int) -> None:
@@ -124,20 +128,29 @@ def ising_phase_vector(cfg: KimConfig) -> np.ndarray:
     return np.exp(-1j * energy)
 
 
-def apply_single_qubit(state: np.ndarray, mat: np.ndarray, i: int, n: int) -> np.ndarray:
-    st = np.moveaxis(state.reshape((2,) * n), i, -1)
-    st = st @ mat.T
-    return np.moveaxis(st, -1, i).reshape(-1)
-
-
 def apply_floquet(state: np.ndarray, cfg: KimConfig, phases: np.ndarray | None = None) -> np.ndarray:
+    """One Floquet step U_h exp(-i H_Ising) on a 2^n statevector.
+
+    The Ising phases multiply the state; the kick K^{(x)n} is applied as one
+    matrix product per group of up to KICK_GROUP sites, with site 0 the most
+    significant bit: K^{(x)w} acts on the middle axis of the state reshaped
+    to (2^lo, 2^w, 2^rest) for the group of sites lo..lo+w-1.
+    """
     if phases is None:
         phases = ising_phase_vector(cfg)
     state = state * phases
     K = kick_matrix(cfg.h)
-    for i in range(cfg.n):
-        state = apply_single_qubit(state, K, i, cfg.n)
-    return state
+    n = cfg.n
+    for lo in range(0, n, KICK_GROUP):
+        w = min(KICK_GROUP, n - lo)
+        Kc = kron_all([K] * w)
+        if lo == 0:
+            state = Kc @ state.reshape(2**w, -1)
+        elif lo + w == n:
+            state = state.reshape(-1, 2**w) @ Kc.T
+        else:
+            state = np.matmul(Kc, state.reshape(2**lo, 2**w, -1))
+    return state.reshape(-1)
 
 
 def build_floquet(cfg: KimConfig) -> np.ndarray:
@@ -147,8 +160,9 @@ def build_floquet(cfg: KimConfig) -> np.ndarray:
             f"dense Floquet matrix at n={cfg.n} needs "
             f"~{(2**cfg.n)**2 * 16 / 1e9:.1f} GB; capped at n=14"
         )
-    U_kick = kron_all([kick_matrix(cfg.h)] * cfg.n)
-    return U_kick * ising_phase_vector(cfg)[None, :]
+    U = kron_all([kick_matrix(cfg.h)] * cfg.n)
+    U *= ising_phase_vector(cfg)[None, :]
+    return U
 
 
 def plus_state(n: int) -> np.ndarray:

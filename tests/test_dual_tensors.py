@@ -16,6 +16,7 @@ from deeptherm.dual_tensors import (
     load_wtensor,
     min_depth,
     reduce_temporal_operator,
+    spin_table,
 )
 from deeptherm.kim import KimConfig, evolve
 from deeptherm.permgroup import cycle_count, enumerate_sym
@@ -67,12 +68,21 @@ def test_wprime_shape_and_isometry_any_depth():
         build_wprime(2, 0, G)
 
 
+def test_spin_table_matches_stacked_rows():
+    for n in range(1, 13):
+        x = np.arange(2**n)
+        ref = np.stack([1.0 - 2.0 * ((x >> (n - 1 - i)) & 1) for i in range(n)])
+        got = spin_table(n)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
 def _bath_tensor(cfg: KimConfig, t: int):
     """Bath-region network with bond projectors; oracle helper for W'.
 
     Returns B[z, tau, tau'] with z ordered as (left-bath bits, right-bath bits).
     """
-    from deeptherm.dual_tensors import spin_table, _apply_kick_all
+    from deeptherm.dual_tensors import _apply_kick_all
 
     n, n_a, off = cfg.n, cfg.n_a, cfg.offset
     nb = n - n_a

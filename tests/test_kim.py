@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from deeptherm import kim
+from deeptherm.dual_tensors import kick_matrix
 from deeptherm.kim import (
     ConfigError,
     KimConfig,
@@ -58,13 +60,46 @@ def test_build_floquet_unitary_and_special_cases():
         n=2, n_a=1, t=1, bc="obc", g=0.0, j=0.0, b1=0.0, bn=0.0,
         self_dual=False, g_guard=0.0,
     )
-    from deeptherm.dual_tensors import kick_matrix
-
     np.testing.assert_allclose(
         build_floquet(cfgk),
         np.kron(kick_matrix(np.pi / 4), kick_matrix(np.pi / 4)),
         atol=1e-12,
     )
+
+
+def _per_site_floquet(state, cfg, phases):
+    """Reference Floquet step: the kick as one strided 2x2 matmul per site."""
+    state = state * phases
+    K = kick_matrix(cfg.h)
+    for i in range(cfg.n):
+        st = np.moveaxis(state.reshape((2,) * cfg.n), i, -1) @ K.T
+        state = np.moveaxis(st, -1, i).reshape(-1)
+    return state
+
+
+# below, at and past the kick group width, with and without a remainder;
+# n=13 is the smallest chain with a middle group
+@pytest.mark.parametrize("n", [2, 3, 6, 7, 12, 13])
+@pytest.mark.parametrize("bc", ["pbc", "obc"])
+@pytest.mark.parametrize("h", [np.pi / 4, 0.37], ids=["h_pi4", "h_0.37"])
+def test_grouped_kick_matches_dense_floquet(n, bc, h):
+    cfg = KimConfig(n=n, n_a=1, t=1, bc=bc, g=G, h=h, self_dual=False)
+    rng = np.random.default_rng(n)
+    state = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    state /= np.linalg.norm(state)
+    got = apply_floquet(state, cfg, ising_phase_vector(cfg))
+    assert got.shape == (2**n,)
+    assert np.abs(got - build_floquet(cfg) @ state).max() <= 1e-12
+
+
+def test_delta_series_matches_per_site_kick(monkeypatch):
+    cfg = KimConfig(n=14, n_a=2, t=4, g=G)
+    grouped = delta_series(cfg, 3)
+    monkeypatch.setattr(kim, "apply_floquet", _per_site_floquet)
+    per_site = delta_series(cfg, 3)
+    assert grouped.keys() == per_site.keys() == set(range(5))
+    for t in grouped:
+        assert abs(grouped[t] - per_site[t]) <= 1e-13
 
 
 def test_evolve_basics():
