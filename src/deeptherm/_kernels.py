@@ -5,7 +5,6 @@ Results are deterministic for a given numpy/BLAS build.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 ROW_BLOCK = 4096  # rows per GEMM in moment_accumulate
 BLOCK_ENTRIES = 2**22  # k-fold entries per block (64 MiB complex); fewer rows at large dim
@@ -36,25 +35,6 @@ def moment_accumulate(psi: np.ndarray, weights: np.ndarray, k: int, out: np.ndar
             v = (v[:, :, None] * blk[:, None, :]).reshape(len(blk), -1)
         out += (v * weights[lo : lo + rows, None]).T @ v.conj()
     return out
-
-
-# ---------------------------------------------------------------------------
-# row aggregation by orbit id:  agg[orb[r], :] += src[r, :]
-
-
-def orbit_aggregate(src: np.ndarray, orb: np.ndarray, n_orbits: int) -> np.ndarray:
-    """Sum the rows of src by orbit id, as one sparse indicator matmul.
-
-    Each orbit's rows are added in increasing row order, the order of
-    np.add.at; an orbit id with no rows gives a zero row.
-    """
-    src = np.ascontiguousarray(src, dtype=np.complex128)
-    orb = np.ascontiguousarray(orb, dtype=np.int64)
-    rows = np.arange(len(orb))
-    indicator = sparse.csr_array(
-        (np.ones(len(orb), dtype=src.dtype), (orb, rows)), shape=(n_orbits, len(orb))
-    )
-    return indicator @ src
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .plotting import emit_plot
 from .records import ResultRecord, RunConfig, read_csv, write_record
 from .replica import (
     ReplicaSpec,
+    check_fit_points,
     deviation_series,
     extrapolate_to_physical,
     rate_estimate,
@@ -97,6 +98,7 @@ def _parse_tlist(text: str):
 
 
 def cmd_replica(args) -> int:
+    check_fit_points(args.nmax + 1)
     rows = []
     for t in _parse_tlist(args.t):
         spec = ReplicaSpec(k=args.k, n=0, t=t, n_a=args.na, bc=args.bc, g=args.g)
@@ -174,6 +176,7 @@ def cmd_rates(args) -> int:
 
 
 def cmd_figure3(args) -> int:
+    check_fit_points(7 - args.kmax)  # the largest k sweeps n = 0..6-k
     ts = list(range(2, args.tmax + 1))
     points = []
     rate_rows = []
@@ -360,7 +363,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)
-    except (ValueError, OSError, RuntimeError, MemoryError) as e:
+    except (ValueError, OSError, RuntimeError, MemoryError, AssertionError) as e:
         sys.stderr.write(json.dumps({"error": str(e), "type": type(e).__name__}) + "\n")
         return EXIT_RUNTIME
 

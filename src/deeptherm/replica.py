@@ -16,11 +16,12 @@ replica (ket, bra) pairs closed by maximally-entangled caps.
 The evaluation engine groups the double sum by the conjugacy class of
 s t^-1.  Writing s = c t and using the relabeling identities of the W-fold
 tensor, the inner sum over t collapses onto digit-multiset orbits of the
-replica index.  The engine works in orbit space, once per m: the m-fold W
-product K is summed over orbits a single time; each class's gather matrix
-acts on those small orbit sums; and one GEMM of K against the stacked class
-rows gives a (replica index x class x orbit) tensor P that serves every
-split m = k + n.  A class diagram at (k, n) is then a weighted gather over P.
+replica index.  The engine works in orbit space, once per m, and never
+forms the m-fold W product K: the orbit sums of K are W applied mode by mode
+to the orbit indicator; each class's gather matrix acts on those small orbit
+sums; and W applied on each replica mode of the class rows gives a
+(replica index x class x orbit) tensor P that serves every split m = k + n.
+A class diagram at (k, n) is then a weighted gather over P.
 Class-resolved diagrams are cached and reweighted per (t, bc).
 """
 from __future__ import annotations
@@ -34,7 +35,6 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
-from . import _kernels
 from .dual_tensors import WTensor, build_w, min_depth
 from .linalg import MEM_BUDGET_BYTES, digit_permute_codes, haar_moment_operator, trace_norm
 from .permgroup import (
@@ -161,19 +161,23 @@ def _n_classes(m: int) -> int:
 
 
 def _estimate_engine_bytes(n_a: int, m: int) -> int:
-    """Bytes _sagg_bundle holds at once: K, orbit sums O, class rows S and P."""
+    """Peak bytes of _sagg_bundle: P, and while one class is made, about six
+    orbits x q^{2m} arrays (indicator, O, the class gather, two mode products)."""
     dA, q2m = 2**n_a, 2 ** (2 * m * min_depth(n_a))
     n_orbits = math.comb(dA + m - 1, m)  # digit multisets
-    rows = _n_classes(m) * n_orbits
-    return 16 * (dA**m * q2m + n_orbits * q2m + rows * q2m + dA**m * rows)
+    return 16 * n_orbits * (_n_classes(m) * dA**m + 6 * max(dA**m, q2m))
 
 
-def _check_engine_size(n_a: int, m: int) -> None:
-    need = _estimate_engine_bytes(n_a, m)
+def _check_size(n_a: int, k: int, ns) -> None:
+    """Refuse, before allocating, the moments at k and every n in ns with all results
+    cached: per n the engine (its peak bounds the cached P) and one dA^k x dA^k
+    diagram per class, then about eight such operators for the Kahan sum and checks."""
+    op = 16 * 4 ** (n_a * k)
+    need = 8 * op + sum(_estimate_engine_bytes(n_a, k + n) + op * _n_classes(k + n) for n in ns)
     if need > MEM_BUDGET_BYTES:
-        raise ReplicaError(
-            f"replica engine at n_a={n_a}, m={m} needs ~{need / 1e9:.1f} GB, above budget"
-        )
+        m = k + max(ns, default=0)
+        raise ReplicaError(f"replica sums at n_a={n_a}, k={k}, m up to {m} "
+                           f"need ~{need / 1e9:.1f} GB, above budget")
 
 
 def _orbit_structure(base: int, m: int):
@@ -196,15 +200,18 @@ def _orbit_structure(base: int, m: int):
     return orb, weight, len(uniq)
 
 
-def _build_kfold(wdata: np.ndarray, m: int) -> np.ndarray:
-    """K[mu_vec, a_vec, b_vec] = prod_j W[mu_j, a_j, b_j], replica 0 slowest."""
-    dA, q = wdata.shape[0], wdata.shape[1]
-    K = wdata
-    for jj in range(1, m):
-        K = np.einsum("Mab,nxy->Mnaxby", K, wdata).reshape(
-            dA ** (jj + 1), q ** (jj + 1), q ** (jj + 1)
-        )
-    return K
+def _mode_products(T: np.ndarray, mat: np.ndarray, m: int) -> np.ndarray:
+    """Apply mat (r x c) to each of the m trailing r-modes of T (L, r^m).
+
+    Returns the (c^m, L) array sum_i T[l, i_1..i_m] prod_j mat[i_j, c_j].  Each
+    step is one GEMM on the last mode that writes it as the first, so after m
+    steps the modes are back in order with L last and nothing was transposed
+    in memory.  T is released after the first step unless the caller holds it.
+    """
+    L, r = len(T), mat.shape[0]
+    for _ in range(m):
+        T = mat.T @ T.reshape(-1, r).T
+    return T.reshape(-1, L)
 
 
 @lru_cache(maxsize=8)
@@ -216,28 +223,31 @@ def _sagg_bundle(n_a: int, m: int, g: float, j: float, h: float):
         P[M, c, o] = sum_s K[M, s] * S_c[o, s],
         S_c[o, (a, b)] = sum_y conj(O)[o, y, b] * B_c[y, a],
 
-    where K[M, s] is the m-fold W product, O its sum over the digit-multiset
-    orbit o of the replica index M, B_c the class-c gather matrix on the
-    a-legs and `order` the class order along c.  The orbit sum is linear and
-    commutes with the a-leg gather and with conj, so K is aggregated once and
-    all classes share one GEMM.  P is small (dA^m x classes x orbits); K is
-    dropped on return.
+    where K[M, (a, b)] = prod_j W[mu_j, a_j, b_j] is the m-fold W product, O
+    its sum over the digit-multiset orbit o of the replica index M, B_c the
+    class-c gather matrix on the a-legs and `order` the class order along c.
+    K is never formed (Kolda & Bader, SIAM Rev. 51, 2009, sec. 2.5): O is
+    conj(W) applied on each replica mode of the orbit indicator, and P is W
+    applied on each (a_j b_j) mode of S_c.  P is dA^m x classes x orbits.
     """
-    _check_engine_size(n_a, m)
     w = build_w(n_a, g, j=j, h=h)
     dA, q = 2**n_a, 2 ** w.t_legs
-    K = _build_kfold(w.data, m).reshape(dA**m, q ** (2 * m))
+    wm = w.data.reshape(dA, q * q)
     orb, weight, n_orbits = _orbit_structure(dA, m)
-    O = _kernels.orbit_aggregate(K, orb, n_orbits).conj().reshape(n_orbits, q**m, q**m)
+    ind = np.eye(n_orbits, dtype=np.complex128)[:, orb]  # ind[o, M] = [orb(M) == o]
+    O = _mode_products(ind, wm.conj(), m).reshape((q,) * (2 * m) + (n_orbits,))
+    O = O.transpose(2 * m, *range(0, 2 * m, 2), *range(1, 2 * m, 2)).reshape(n_orbits, q**m, q**m)
     classes = conjugacy_classes(m)
     ar = np.arange(q**m)
-    S = np.empty((len(classes), n_orbits, q**m, q**m), dtype=np.complex128)
+    digits = (n_orbits,) + (q,) * (2 * m)
+    to_pairs = [0] + [1 + i + m * s for i in range(m) for s in (0, 1)]  # (o, a1 b1 .. am bm)
+    P = np.empty((dA**m, len(classes), n_orbits), dtype=np.complex128)
     for i, members in enumerate(classes.values()):
         B = np.zeros((q**m, q**m))
         for gamma in members:
             B[digit_permute_codes(gamma.images, q)[ar], ar] += 1.0
-        S[i] = np.einsum("oyb,ya->oab", O, B, optimize=True)
-    P = (K @ S.reshape(-1, q ** (2 * m)).T).reshape(dA**m, len(classes), n_orbits)
+        S = np.einsum("oyb,ya->oab", O, B, optimize=True).reshape(digits).transpose(to_pairs)
+        P[:, i] = _mode_products(S.reshape(n_orbits, -1), wm.T, m)
     return orb, weight, tuple(classes), P
 
 
@@ -249,6 +259,7 @@ def class_diagram_terms(n_a: int, k: int, n: int, g: float, j: float, h: float):
 
         out_c[m1, n1] = sum_cap weight[(n1, cap)] * P[(m1, cap), c, orb(n1, cap)].
     """
+    _check_size(n_a, k, (n,))
     orb, weight, order, P = _sagg_bundle(n_a, k + n, g, j, h)
     dk, dn = 2 ** (n_a * k), 2 ** (n_a * n)
     P = P.reshape(dk, dn, len(order), -1)
@@ -284,8 +295,7 @@ def replica_moment(spec: ReplicaSpec, w: WTensor | None = None, validate: bool =
     ident = tuple([1] * spec.m)
     # off-diagonal classes first (fixed order), identity class last
     order = sorted((ct for ct in diagrams if ct != ident)) + [ident]
-    terms = [_prefactor_of_type(ct, spec) * diagrams[ct] for ct in order]
-    raw = _kahan_matrix_sum(terms)
+    raw = _kahan_matrix_sum(_prefactor_of_type(ct, spec) * diagrams[ct] for ct in order)
     tr = np.trace(raw).real
     if tr <= 0:
         raise ReplicaError(f"replica sum numerically degenerate (trace {tr:.3e})")
@@ -305,7 +315,7 @@ def deviation_series(spec: ReplicaSpec, n_max: int, w: WTensor | None = None):
     """[(n, ||rho^(k,n) - rho_Haar^(k)||_1) for n = 0..n_max]."""
     if spec.k + n_max > MAX_REPLICAS:
         raise ReplicaError("k + n_max above the replica cap")
-    _check_engine_size(spec.n_a, spec.k + n_max)
+    _check_size(spec.n_a, spec.k, range(n_max + 1))
     haar = haar_moment_operator(spec.n_a, spec.k)
     out = []
     for n in range(n_max + 1):
@@ -328,12 +338,17 @@ class ExtrapolationResult:
 RESIDUAL_THRESHOLD = 0.05  # log2 units
 
 
+def check_fit_points(n_points: int) -> None:
+    """Refuse a series too short for the three-parameter fit of extrapolate_to_physical."""
+    if n_points < 3:
+        raise ReplicaError(f"extrapolation needs at least 3 points in n, got {n_points}")
+
+
 def extrapolate_to_physical(series, k: int) -> ExtrapolationResult:
     """Fit log2(norm) = a + b exp(-c n) and evaluate at n = 1 - k."""
     ns = np.array([float(n) for n, _ in series])
     vals = np.array([v for _, v in series])
-    if len(ns) < 3:
-        raise ReplicaError("extrapolation needs at least 3 points")
+    check_fit_points(len(ns))
     if np.any(vals <= 0):
         raise ReplicaError("deviation series must be positive")
     y = np.log2(vals)

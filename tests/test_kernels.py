@@ -58,20 +58,6 @@ def test_moment_accumulate_skips_zero_weights(rng):
     np.testing.assert_allclose(out, 3.0 * np.ones((2, 2)), atol=1e-14)
 
 
-def test_orbit_aggregate_matches_loop(rng):
-    full = rng.standard_normal((256, 128)) + 1j * rng.standard_normal((256, 128))
-    src = full[:, ::2]  # non-contiguous rows
-    orb = rng.integers(0, 17, 256)
-    orb[orb == 5] = 6  # orbit 5 has no rows
-    ref = np.zeros((17, 64), dtype=complex)
-    for r, o in enumerate(orb):
-        ref[o] += src[r]
-    out = kernels.orbit_aggregate(src, orb, 17)
-    assert out.shape == ref.shape
-    assert np.abs(out - ref).max() <= 1e-12
-    assert not out[5].any()
-
-
 def test_haar_from_ginibre_unitary_canonical_phase(rng):
     z = (rng.standard_normal((50, 8, 8)) + 1j * rng.standard_normal((50, 8, 8))) / np.sqrt(2)
     q = kernels.haar_from_ginibre(z)

@@ -8,6 +8,7 @@ import pytest
 
 import deeptherm.cli as cli
 import deeptherm.kim as kim
+import deeptherm.replica as replica
 from deeptherm.cli import main
 from deeptherm.linalg import MEM_BUDGET_BYTES
 from deeptherm.plotting import emit_plot
@@ -146,12 +147,25 @@ def test_cli_error_record(tmp_path, capsys, monkeypatch):
     # --config without a value is a usage error, not a traceback
     assert main(["weingarten", "--m", "2", "--d", "4", "--out", out, "--config"]) == 2
     assert "--config: expected one argument" in capsys.readouterr().err
-    # a replica sum the engine cannot hold is refused before any allocation
-    assert main(["replica", "--k", "4", "--nmax", "3", "--t", "2", "--na", "2", "--out", out]) == 3
+    def engine_fail(*args, **kwargs):
+        raise AssertionError("replica engine ran for a refused run")
+
+    monkeypatch.setattr(replica, "_sagg_bundle", engine_fail)
+    # a replica sum the engine cannot hold (m = 8) is refused before any allocation
+    assert main(["replica", "--k", "4", "--nmax", "4", "--t", "2", "--na", "2", "--out", out]) == 3
     rec = json.loads(capsys.readouterr().err.strip())
     assert rec["type"] == "ReplicaError" and "above budget" in rec["error"]
-    # runtime and memory failures inside a subcommand get the same record
-    for exc in (RuntimeError("solver diverged"), MemoryError("array too large")):
+    # a fit with fewer than 3 points in n is refused before any replica sum
+    for argv in (["replica", "--k", "2", "--nmax", "0", "--t", "2", "--out", out],
+                 ["replica", "--k", "2", "--nmax", "1", "--t", "2", "--out", out],
+                 ["figure3", "--kmax", "5", "--out", str(tmp_path / "fig")]):
+        assert main(argv) == 3
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["type"] == "ReplicaError" and "at least 3 points" in rec["error"]
+    assert not os.path.exists(out)
+    # runtime, memory and assertion failures inside a subcommand get the same record
+    for exc in (RuntimeError("solver diverged"), MemoryError("array too large"),
+                AssertionError("weingarten table not symmetric")):
         def fail(args, exc=exc):
             raise exc
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,10 +100,21 @@ def test_engine_matches_direct_double_sum(k, n, t, bc, w2):
     assert np.abs(engine - direct).max() <= 1e-12
 
 
+def _build_kfold(wdata, m):
+    """K[mu_vec, a_vec, b_vec] = prod_j W[mu_j, a_j, b_j], replica 0 slowest."""
+    dA, q = wdata.shape[0], wdata.shape[1]
+    K = wdata
+    for jj in range(1, m):
+        K = np.einsum("Mab,nxy->Mnaxby", K, wdata).reshape(
+            dA ** (jj + 1), q ** (jj + 1), q ** (jj + 1)
+        )
+    return K
+
+
 def _dense_class_diagrams(w, m, splits):
     """Per-class dense evaluation: gather conj K per class, orbit-sum it, build Z, contract."""
     dA, q = w.data.shape[0], w.data.shape[1]
-    K = replica._build_kfold(w.data, m)
+    K = _build_kfold(w.data, m)
     Kc = K.conj()
     orb, weight, n_orbits = replica._orbit_structure(dA, m)
     ar = np.arange(q**m)
@@ -132,12 +145,51 @@ def test_class_diagrams_match_dense_per_class_oracle(w2):
 
 def test_engine_refuses_oversized_m_before_building(monkeypatch):
     def fail(*args, **kwargs):
-        raise AssertionError("K-fold built for a refused size")
+        raise AssertionError("engine ran for a refused size")
 
-    monkeypatch.setattr(replica, "_build_kfold", fail)
-    assert replica._estimate_engine_bytes(2, 6) <= replica.MEM_BUDGET_BYTES
+    monkeypatch.setattr(replica, "_mode_products", fail)
+    assert replica._estimate_engine_bytes(2, 7) <= replica.MEM_BUDGET_BYTES
+    # m = 8: P alone is dA^8 x 22 classes x 165 orbits, 3.8 GB
     with pytest.raises(ReplicaError, match="above budget"):
-        class_diagram_terms(2, 4, 3, G, np.pi / 4, np.pi / 4)
+        class_diagram_terms(2, 4, 4, G, np.pi / 4, np.pi / 4)
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_engine_estimate_bounds_traced_peak(m):
+    tracemalloc.start()
+    try:
+        replica._sagg_bundle.__wrapped__(2, m, G, np.pi / 4, np.pi / 4)  # cold, uncached
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert replica._estimate_engine_bytes(2, m) >= peak
+
+
+def test_class_diagrams_at_large_k_refused_before_building(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("engine ran for a refused size")
+
+    monkeypatch.setattr(replica, "_sagg_bundle", fail)
+    # k = 6, n = 0: one 4096 x 4096 complex diagram per class (11 x 268 MB) plus the sums
+    with pytest.raises(ReplicaError, match="above budget"):
+        deviation_series(ReplicaSpec(k=6, n=0, t=2, n_a=2), 0)
+    with pytest.raises(ReplicaError, match="above budget"):
+        replica_moment(ReplicaSpec(k=6, n=0, t=2, n_a=2))
+
+
+def test_k4_fit_over_four_points_reaches_m7():
+    # n = 0..3 reaches m = 7, so the k = 4 fit is overdetermined and its residual is real
+    try:
+        series = deviation_series(spec(4, 0, 3, bc="obc"), 3)
+        assert [n for n, _ in series] == [0, 1, 2, 3]
+        fit = extrapolate_to_physical(series, 4)
+        assert fit.residual > 0 and not fit.flagged
+        three = extrapolate_to_physical(series[:3], 4)
+        assert fit.estimate == pytest.approx(three.estimate, rel=0.01)
+    finally:
+        # the m = 7 bundle holds about 0.5 GB
+        replica._sagg_bundle.cache_clear()
+        class_diagram_terms.cache_clear()
 
 
 @pytest.mark.parametrize("bc", ["pbc", "obc"])
