@@ -66,7 +66,8 @@ def cmd_weingarten(args) -> int:
         rows.append([rank, ct, table.value(p)])
     _record(args, "weingarten", ["perm_rank", "cycle_type", "wg_value"], rows,
             {"m": args.m, "d": args.d, "allow_singular": args.allow_singular,
-             "pseudo": table.pseudo, "cond": table.cond})
+             # a singular table's cond is inf, which JSON cannot hold
+             "pseudo": table.pseudo, "cond": None if table.pseudo else table.cond})
     return EXIT_OK
 
 

@@ -1,21 +1,26 @@
 """Symmetric group enumeration, cycle structure and Weingarten tables.
 
-Weingarten values are obtained numerically by inverting the Gram matrix
-G[s,t] = d^{#(s t^-1)} of vectorized permutation operators.  For d < m the
-Gram matrix is singular (the states are linearly dependent) and the
-pseudo-inverse is used instead; this keeps the unitary-group integration
-formula exact, at the price of the plain orthogonality identity Wg*G = I,
-which only holds in the invertible regime.
+Weingarten values come in closed form from the characters of S_m (Collins &
+Sniady, CMP 264, 2006): chi^lam by the Murnaghan-Nakayama rule, f_lam by the
+hook-length formula and s_lam(1^d) by the hook-content formula.  They are the
+row of the inverse of the Gram matrix G[s,t] = d^{#(s t^-1)} of vectorized
+permutation operators.  For d < m that matrix is singular (the states are
+linearly dependent) and the values are its Moore-Penrose row instead; this
+keeps the unitary-group integration formula exact, at the price of the plain
+orthogonality identity Wg*G = I, which only holds in the invertible regime.
+`gram_matrix` itself is kept as the oracle the tests check the values against.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-MAX_DEGREE = 8  # factorial growth; m! = 40320 already stretches dense inversion
+MAX_DEGREE = 8  # factorial growth: enumerate_sym lists m! = 40320 permutations at m = 8
 
 
 class DegreeError(ValueError):
@@ -23,14 +28,13 @@ class DegreeError(ValueError):
 
 
 class WeingartenConditioningError(ValueError):
-    """Gram matrix singular or ill-conditioned; carries the condition estimate."""
+    """Gram matrix singular (d < m); carries its condition number, inf."""
 
     def __init__(self, m, d, cond):
         self.m, self.d, self.cond = m, d, cond
         super().__init__(
-            f"Gram matrix for S_{m} at d={d} is singular/ill-conditioned "
-            f"(cond ~ {cond:.3e}); pass on_singular='pseudo' to use the "
-            f"pseudo-inverse Weingarten values"
+            f"Gram matrix for S_{m} at d={d} is singular (d < m); pass "
+            f"on_singular='pseudo' to use the pseudo-inverse Weingarten values"
         )
 
 
@@ -136,7 +140,11 @@ def _product_cycle_counts(m: int) -> np.ndarray:
 
 
 def gram_matrix(m: int, d: int) -> np.ndarray:
-    """G[s,t] = d^{#(s t^-1)}; symmetric, diagonal d^m."""
+    """G[s,t] = d^{#(s t^-1)}; symmetric, diagonal d^m.
+
+    The oracle the Weingarten values are tested against; no production path
+    builds it.
+    """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     return np.power(float(d), _product_cycle_counts(m), dtype=np.float64)
@@ -149,8 +157,8 @@ class WeingartenTable:
     m: int
     d: int
     class_values: dict  # cycle type -> float
-    pseudo: bool        # True when the Gram matrix was pseudo-inverted
-    cond: float
+    pseudo: bool        # True when d < m: the Moore-Penrose values of a singular Gram matrix
+    cond: float         # Gram condition number, inf when pseudo
 
     def value(self, p: Permutation) -> float:
         return self.class_values[p.cycle_type()]
@@ -163,32 +171,75 @@ class WeingartenTable:
         return np.array([self.value(p) for p in enumerate_sym(self.m)])
 
 
-_COND_LIMIT = 1e12
+@lru_cache(maxsize=None)
+def partitions(m: int) -> tuple:
+    """Partitions of m as descending tuples (the cycle types of S_m), largest first."""
+
+    def below(n, top):
+        if n == 0:
+            yield ()
+        for part in range(min(n, top), 0, -1):
+            for rest in below(n - part, part):
+                yield (part,) + rest
+
+    return tuple(below(m, m))
+
+
+def _cells(lam: tuple):
+    """(hook length, content) of every cell of the Young diagram of lam."""
+    cols = [sum(row > j for row in lam) for j in range(lam[0])]
+    return [(lam[i] - j + cols[j] - i - 1, j - i) for i in range(len(lam)) for j in range(lam[i])]
+
+
+def irrep_dimension(lam: tuple) -> int:
+    """f_lam = m! / prod(hook lengths), the dimension of the S_m irrep lam."""
+    return math.factorial(sum(lam)) // math.prod(h for h, _ in _cells(lam))
+
+
+@lru_cache(maxsize=None)
+def _border_strips(beads: frozenset, mu: tuple) -> int:
+    """Murnaghan-Nakayama on the beta-set of a partition: removing a border strip
+    of length r moves a bead from b down to a free b - r, with sign
+    (-1)^(beads strictly between)."""
+    if not mu:
+        return 1
+    r, rest = mu[0], mu[1:]
+    total = 0
+    for b in beads:
+        if b >= r and b - r not in beads:
+            sign = -1 if sum(b - r < x < b for x in beads) % 2 else 1
+            total += sign * _border_strips(beads - {b} | {b - r}, rest)
+    return total
+
+
+def character(lam: tuple, mu: tuple) -> int:
+    """chi^lam on the conjugacy class of cycle type mu."""
+    return _border_strips(frozenset(p + len(lam) - 1 - i for i, p in enumerate(lam)), mu)
 
 
 @lru_cache(maxsize=64)
 def _weingarten_cached(m: int, d: int, on_singular: str):
-    G = gram_matrix(m, d)
-    cond = np.linalg.cond(G)
-    pseudo = not (cond < _COND_LIMIT)
-    if pseudo:
-        if on_singular == "error":
-            raise WeingartenConditioningError(m, d, cond)
-        Ginv = np.linalg.pinv(G, rcond=1e-10)
-    else:
-        Ginv = np.linalg.inv(G)
-    row = Ginv[0]  # Wg(p) = (G^-1)[identity, p]; identity is rank 0 lexicographically
-    perms = enumerate_sym(m)
-    class_values: dict = {}
-    for p, v in zip(perms, row):
-        ct = p.cycle_type()
-        if ct in class_values:
-            # class-function invariant; inversion noise stays near machine precision
-            if abs(class_values[ct] - v) > 1e-12 * max(1.0, abs(v)):
-                raise AssertionError(f"Weingarten not constant on class {ct}")
-        else:
-            class_values[ct] = float(v)
-    return WeingartenTable(m=m, d=d, class_values=class_values, pseudo=pseudo, cond=float(cond))
+    """Wg(mu, d) = sum over lam with at most d rows of f_lam^2 chi^lam(mu) / (m!^2 s_lam(1^d)).
+
+    By the hook-content formula f_lam / s_lam(1^d) = m! / P(d) with P(d) the
+    product over cells of (d + content), so each term is f_lam chi^lam(mu) /
+    (m! P(d)), summed here in exact rationals.  The P(d) are the Gram
+    eigenvalues; they vanish exactly for the lam with more than d rows, and
+    dropping those terms gives the Moore-Penrose row (Collins & Matsumoto,
+    ALEA 14, 2017).
+    """
+    lams = partitions(m)
+    eig = {lam: math.prod(d + c for _, c in _cells(lam)) for lam in lams}
+    pseudo = d < m
+    cond = math.inf if pseudo else float(Fraction(max(eig.values()), min(eig.values())))
+    if pseudo and on_singular == "error":
+        raise WeingartenConditioningError(m, d, cond)
+    class_values = {
+        mu: float(sum(Fraction(irrep_dimension(lam) * character(lam, mu), math.factorial(m) * eig[lam])
+                      for lam in lams if eig[lam]))
+        for mu in lams
+    }
+    return WeingartenTable(m=m, d=d, class_values=class_values, pseudo=pseudo, cond=cond)
 
 
 def weingarten_table(m: int, d: int, on_singular: str = "error") -> WeingartenTable:
@@ -199,6 +250,8 @@ def weingarten_table(m: int, d: int, on_singular: str = "error") -> WeingartenTa
     """
     if not 1 <= m <= MAX_DEGREE:
         raise DegreeError(f"degree {m} outside supported range 1..{MAX_DEGREE}")
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
     if on_singular not in ("error", "pseudo"):
         raise ValueError("on_singular must be 'error' or 'pseudo'")
     return _weingarten_cached(m, d, on_singular)

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import math
 import string
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
+from scipy.optimize import brentq
 
 from .dual_tensors import WTensor, build_w, min_depth
 from .linalg import MEM_BUDGET_BYTES, digit_permute_codes, haar_moment_operator, trace_norm
@@ -42,6 +41,7 @@ from .permgroup import (
     conjugacy_classes,
     cycle_count,
     enumerate_sym,
+    partitions,
     weingarten_table,
 )
 
@@ -151,29 +151,20 @@ def diagram_term(sigma: Permutation, tau: Permutation, spec: ReplicaSpec, w: WTe
     return DiagramTerm(sigma=sigma, tau=tau, k=k, n=n, value=val)
 
 
-def _n_classes(m: int) -> int:
-    """Number of conjugacy classes of S_m (integer partitions of m)."""
-    parts = [1] + [0] * m
-    for size in range(1, m + 1):
-        for total in range(size, m + 1):
-            parts[total] += parts[total - size]
-    return parts[m]
-
-
 def _estimate_engine_bytes(n_a: int, m: int) -> int:
     """Peak bytes of _sagg_bundle: P, and while one class is made, about six
     orbits x q^{2m} arrays (indicator, O, the class gather, two mode products)."""
     dA, q2m = 2**n_a, 2 ** (2 * m * min_depth(n_a))
     n_orbits = math.comb(dA + m - 1, m)  # digit multisets
-    return 16 * n_orbits * (_n_classes(m) * dA**m + 6 * max(dA**m, q2m))
+    return 16 * n_orbits * (len(partitions(m)) * dA**m + 6 * max(dA**m, q2m))
 
 
 def _check_size(n_a: int, k: int, ns) -> None:
     """Refuse, before allocating, the moments at k and every n in ns with all results
     cached: per n the engine (its peak bounds the cached P) and one dA^k x dA^k
-    diagram per class, then about eight such operators for the Kahan sum and checks."""
+    diagram per class, then about eight such operators for the sum and checks."""
     op = 16 * 4 ** (n_a * k)
-    need = 8 * op + sum(_estimate_engine_bytes(n_a, k + n) + op * _n_classes(k + n) for n in ns)
+    need = 8 * op + sum(_estimate_engine_bytes(n_a, k + n) + op * len(partitions(k + n)) for n in ns)
     if need > MEM_BUDGET_BYTES:
         m = k + max(ns, default=0)
         raise ReplicaError(f"replica sums at n_a={n_a}, k={k}, m up to {m} "
@@ -271,21 +262,6 @@ def class_diagram_terms(n_a: int, k: int, n: int, g: float, j: float, h: float):
     }
 
 
-def _kahan_matrix_sum(terms):
-    total = None
-    comp = None
-    for x in terms:
-        if total is None:
-            total = x.copy()
-            comp = np.zeros_like(x)
-            continue
-        y = x - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 def replica_moment(spec: ReplicaSpec, w: WTensor | None = None, validate: bool = True) -> np.ndarray:
     """rho^(k,n) for the given boundary condition, normalized to unit trace."""
     if w is not None and (w.n_a != spec.n_a or w.t_legs != spec.t0):
@@ -295,7 +271,7 @@ def replica_moment(spec: ReplicaSpec, w: WTensor | None = None, validate: bool =
     ident = tuple([1] * spec.m)
     # off-diagonal classes first (fixed order), identity class last
     order = sorted((ct for ct in diagrams if ct != ident)) + [ident]
-    raw = _kahan_matrix_sum(_prefactor_of_type(ct, spec) * diagrams[ct] for ct in order)
+    raw = sum(_prefactor_of_type(ct, spec) * diagrams[ct] for ct in order)
     tr = np.trace(raw).real
     if tr <= 0:
         raise ReplicaError(f"replica sum numerically degenerate (trace {tr:.3e})")
@@ -345,7 +321,20 @@ def check_fit_points(n_points: int) -> None:
 
 
 def extrapolate_to_physical(series, k: int) -> ExtrapolationResult:
-    """Fit log2(norm) = a + b exp(-c n) and evaluate at n = 1 - k."""
+    """Fit log2(norm) = a + b exp(-c n) and evaluate at n = 1 - k.
+
+    Variable projection (Golub & Pereyra, Inverse Problems 19, 2003): for a
+    fixed c, (a, b) is a linear least squares, solved in closed form with the
+    constant column projected out, which leaves the residual r.  c > 0 is a
+    root of the derivative of the projected sum of squares,
+    sum_i r_i b n_i exp(-c n_i).  Each sign change from - to + on a log grid of
+    c brackets a minimum; brentq solves it to rounding (a minimum searched
+    directly fixes c only to about sqrt(eps)), and the root with the least
+    residual wins.  At three points the root is the exact interpolant.
+
+    Flagged when no root exists (a series that needs c <= 0, growing with n,
+    has none) or when the RMS residual exceeds RESIDUAL_THRESHOLD.
+    """
     ns = np.array([float(n) for n, _ in series])
     vals = np.array([v for _, v in series])
     check_fit_points(len(ns))
@@ -356,33 +345,34 @@ def extrapolate_to_physical(series, k: int) -> ExtrapolationResult:
     if np.ptp(y) < 1e-9:
         a = float(y.mean())
         return ExtrapolationResult(2.0**a, a, 0.0, 1.0, 0.0, False)
-    # seed c from successive differences of the (geometric) decay
-    d = y[:-1] - y[1:]
-    ratios = d[:-1] / d[1:]
-    pos = ratios[ratios > 0]
-    c0 = float(np.log(pos).mean()) if len(pos) else 0.5
-    c0 = min(max(c0, 1e-3), 10.0)
-    X = np.column_stack([np.ones_like(ns), np.exp(-c0 * ns)])
-    a0, b0 = np.linalg.lstsq(X, y, rcond=None)[0]
+    # centred, so rounding in r scales with the spread of y, not with its size
+    y_c = y - y.mean()
 
-    def model(nn, a, b, c):
-        return a + b * np.exp(-c * nn)
+    def project(c):
+        phi = np.exp(-c * ns)
+        phi_c = phi - phi.mean()
+        b = (phi_c @ y_c) / (phi_c @ phi_c)
+        return y.mean() - b * phi.mean(), b, y_c - b * phi_c
 
-    flagged = False
-    try:
-        with warnings.catch_warnings():
-            # 3 points vs 3 parameters fits exactly; covariance is undefined there
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(model, ns, y, p0=[a0, b0, c0], maxfev=20000)
-        a, b, c = (float(v) for v in popt)
-    except RuntimeError:
-        a, b, c = float(a0), float(b0), c0
-        flagged = True
-    residual = float(np.sqrt(np.mean((model(ns, a, b, c) - y) ** 2)))
-    if c <= 0 or residual > RESIDUAL_THRESHOLD:
-        flagged = True
+    def slope(c):
+        _, b, r = project(c)
+        return b * (r @ (ns * np.exp(-c * ns)))
+
+    def sse(c):
+        r = project(c)[2]
+        return r @ r
+
+    grid = np.geomspace(1e-3, 1e2, 51)
+    slopes = [slope(c) for c in grid]
+    # xtol ~ 0 leaves brentq's relative tolerance of 4 eps: c to a few ulps
+    roots = [brentq(slope, lo, hi, xtol=1e-300)
+             for lo, hi, s_lo, s_hi in zip(grid, grid[1:], slopes, slopes[1:]) if s_lo < 0 <= s_hi]
+    c = float(min(roots or grid, key=sse))
+    a, b, r = project(c)
+    residual = float(np.sqrt(np.mean(r**2)))
+    flagged = not roots or residual > RESIDUAL_THRESHOLD
     estimate = float(2.0 ** (a + b * np.exp(-c * target)))
-    return ExtrapolationResult(estimate, a, b, c, residual, flagged)
+    return ExtrapolationResult(estimate, float(a), float(b), c, residual, flagged)
 
 
 def rate_estimate(values: dict) -> float:

@@ -12,13 +12,22 @@ from deeptherm.permgroup import (
     Permutation,
     WeingartenConditioningError,
     _product_cycle_counts,
+    character,
     conjugacy_classes,
     cycle_count,
     enumerate_sym,
     gram_matrix,
+    irrep_dimension,
+    partitions,
     weingarten_table,
     wg_asymptotic_ratio,
 )
+
+
+def _class_size(mu):
+    """m! / z_mu, z_mu = prod_i i^{a_i} a_i! over the multiplicities a_i of mu."""
+    z = math.prod(i ** mu.count(i) * math.factorial(mu.count(i)) for i in set(mu))
+    return math.factorial(sum(mu)) // z
 
 
 def test_enumerate_sizes_and_order():
@@ -171,3 +180,71 @@ def test_conjugacy_class_sizes():
     sizes = {ct: len(v) for ct, v in conjugacy_classes(4).items()}
     assert sizes == {(1, 1, 1, 1): 1, (2, 1, 1): 6, (2, 2): 3, (3, 1): 8, (4,): 6}
     assert sum(sizes.values()) == math.factorial(4)
+
+
+def test_partitions_are_the_cycle_types():
+    for m in range(1, 7):
+        assert set(partitions(m)) == set(conjugacy_classes(m))
+    assert [len(partitions(m)) for m in range(1, 9)] == [1, 2, 3, 5, 7, 11, 15, 22]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_character_table_sanity(m):
+    lams = partitions(m)
+    ident = tuple([1] * m)
+    # chi^lam(e) = f_lam, and the regular representation holds each irrep f_lam times
+    assert all(character(lam, ident) == irrep_dimension(lam) for lam in lams)
+    assert sum(irrep_dimension(lam) ** 2 for lam in lams) == math.factorial(m)
+    # column orthogonality: sum_lam chi^lam(mu) chi^lam(nu) = delta_{mu nu} z_mu
+    chi = np.array([[character(lam, mu) for mu in lams] for lam in lams], dtype=np.int64)
+    z = [math.factorial(m) // _class_size(mu) for mu in lams]
+    assert np.array_equal(chi.T @ chi, np.diag(z))
+
+
+def test_characters_small_examples():
+    # S_3: trivial, sign and the 2-dimensional standard representation
+    assert [character((3,), mu) for mu in ((1, 1, 1), (2, 1), (3,))] == [1, 1, 1]
+    assert [character((1, 1, 1), mu) for mu in ((1, 1, 1), (2, 1), (3,))] == [1, -1, 1]
+    assert [character((2, 1), mu) for mu in ((1, 1, 1), (2, 1), (3,))] == [2, 0, -1]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_weingarten_matches_gram_inverse_oracle(m):
+    # the Gram route: inv, or pinv when singular (d < m), read off the identity's row
+    perms = enumerate_sym(m)
+    for d in (2, 4, 8, 16, 32):
+        G = gram_matrix(m, d)
+        row = (np.linalg.pinv(G, rcond=1e-10) if d < m else np.linalg.inv(G))[0]
+        ref = {p.cycle_type(): v for p, v in zip(perms, row)}
+        table = weingarten_table(m, d, on_singular="pseudo")
+        assert table.pseudo == (d < m)
+        scale = max(abs(v) for v in ref.values())
+        for ct, v in ref.items():
+            assert abs(table.value_of_type(ct) - v) <= 1e-12 * scale, (m, d, ct)
+        if d >= m:
+            assert table.cond == pytest.approx(np.linalg.cond(G), rel=1e-12)
+
+
+def test_weingarten_error_exactly_when_singular():
+    for m in range(1, 9):
+        for d in range(1, 10):
+            if d < m:
+                with pytest.raises(WeingartenConditioningError):
+                    weingarten_table(m, d)
+                table = weingarten_table(m, d, on_singular="pseudo")
+                assert table.pseudo and table.cond == math.inf
+            else:
+                table = weingarten_table(m, d)
+                assert not table.pseudo and 1 <= table.cond < math.inf
+    with pytest.raises(ValueError):
+        weingarten_table(2, 0)
+
+
+@pytest.mark.parametrize("m", [7, 8])
+@pytest.mark.parametrize("d", [8, 16])
+def test_weingarten_sum_over_group(m, d):
+    # sum_s Wg(s, d) = 1 / (d (d+1) ... (d+m-1)): the identity row of G^-1 against
+    # the all-ones vector, which G maps to d (d+1) ... (d+m-1) times itself
+    table = weingarten_table(m, d)
+    total = sum(_class_size(mu) * table.value_of_type(mu) for mu in partitions(m))
+    assert total == pytest.approx(1 / math.prod(range(d, d + m)), rel=1e-12)

@@ -86,6 +86,18 @@ def test_cli_weingarten_singular_error(tmp_path):
     assert not os.path.exists(out)
     rc = main(["weingarten", "--m", "3", "--d", "2", "--allow-singular", "--out", out])
     assert rc == 0
+    # the Gram matrix is singular: its condition number is recorded as null, not as inf
+    params = json.loads(open(out + ".meta.json").read())["config"]["params"]
+    assert params["pseudo"] is True and params["cond"] is None
+
+
+def test_cli_weingarten_largest_degree(tmp_path):
+    out = str(tmp_path / "wg.csv")
+    assert main(["weingarten", "--m", "8", "--d", "16", "--out", out]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 40320
+    params = json.loads(open(out + ".meta.json").read())["config"]["params"]
+    assert params["pseudo"] is False and params["cond"] > 1
 
 
 def test_cli_exact_row(tmp_path):

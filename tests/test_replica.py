@@ -246,6 +246,26 @@ def test_extrapolation_recovers_synthetic():
     assert not fit.flagged
 
 
+def test_extrapolation_solved_to_rounding():
+    # a 1e-14 change of one point moves the estimate by rounding, not by solver tolerance
+    series = deviation_series(spec(2, 0, 3), 4)
+    base = extrapolate_to_physical(series, 2).estimate
+    for i in range(len(series)):
+        moved = list(series)
+        moved[i] = (moved[i][0], moved[i][1] * (1 + 1e-14))
+        est = extrapolate_to_physical(moved, 2).estimate
+        assert abs(est - base) < 1e-11 * base, i
+
+
+def test_extrapolation_three_points_interpolate():
+    series = deviation_series(spec(4, 0, 3), 2)
+    fit = extrapolate_to_physical(series, 4)
+    y = np.log2([v for _, v in series])
+    assert fit.residual < 1e-14
+    assert fit.c == pytest.approx(-np.log((y[2] - y[1]) / (y[1] - y[0])), abs=1e-12)
+    assert not fit.flagged
+
+
 def test_extrapolation_constant_series():
     series = [(n, 0.125) for n in range(4)]
     fit = extrapolate_to_physical(series, 3)
