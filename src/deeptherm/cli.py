@@ -12,8 +12,6 @@ import json
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
 from .dual_tensors import build_w
 from .kim import (
@@ -27,7 +25,7 @@ from .kim import (
     moment_from_state,
     plus_state,
 )
-from .montecarlo import McConfig, jackknife_delta_se, mc_moment
+from .montecarlo import McConfig, mc_moment
 from .permgroup import enumerate_sym, weingarten_table
 from .plotting import emit_plot
 from .records import ResultRecord, RunConfig, read_csv, write_record
@@ -118,37 +116,16 @@ def cmd_replica(args) -> int:
 
 def cmd_mc(args) -> int:
     cfg = McConfig(k=args.k, t=args.t, n_a=args.na, bc=args.bc, g=args.g,
-                   samples=args.samples, seed=args.seed, batch_size=args.batch)
+                   samples=args.samples, seed=args.seed)
     est = mc_moment(cfg)
-    ses = _checkpoint_stderrs(est, cfg)
     rows = []
-    for (m_i, d_i), se in zip(est.series.points, ses):
+    for (m_i, d_i), se in zip(est.series.points, est.checkpoint_stderrs()):
         rows.append([args.k, args.t, args.bc, m_i, d_i, se, est.series.converged])
     _record(args, "mc",
             ["k", "t", "bc", "M_checkpoint", "delta_k", "stderr", "converged_flag"],
             rows, {"k": args.k, "t": args.t, "bc": args.bc, "na": args.na,
-                   "g": args.g, "samples": args.samples, "seed": args.seed,
-                   "batch": cfg.resolved_batch()})
+                   "g": args.g, "samples": args.samples, "seed": args.seed})
     return EXIT_OK
-
-
-def _checkpoint_stderrs(est, cfg) -> list:
-    """Jackknife SE of delta at each checkpoint, over the batches done by then."""
-    from .kim import haar_moment_operator
-
-    batch = cfg.resolved_batch()
-    haar = haar_moment_operator(cfg.n_a, cfg.k)
-    nums = np.array(est.batch_nums)
-    dens = np.array(est.batch_dens)
-    out = []
-    done = 0
-    nb = 0
-    for m_i, _ in est.series.points:
-        while done < m_i and nb < len(nums):
-            done += min(batch, cfg.samples - done)
-            nb += 1
-        out.append(jackknife_delta_se(nums[:nb], dens[:nb], haar) if nb >= 2 else float("nan"))
-    return out
 
 
 def cmd_rates(args) -> int:
@@ -255,8 +232,15 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end in the JSON error record with exit 2, not in usage text."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, json.dumps({"error": message, "type": "UsageError"}) + "\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="deeptherm", description=__doc__)
+    ap = _Parser(prog="deeptherm", description=__doc__)
     ap.add_argument("--config", help="flat key=value file seeding flag defaults")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -301,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", type=float, default=0.3)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--batch", type=int, default=0)
     common(p)
     p.set_defaults(func=cmd_mc)
 
@@ -335,16 +318,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_defaults(ap: argparse.ArgumentParser, overrides: dict) -> None:
+    known = set()
+
     def walk(parser):
         for action in parser._actions:
             if isinstance(action, argparse._SubParsersAction):
                 for sp in action.choices.values():
                     walk(sp)
-            elif action.dest in overrides:
+                continue
+            known.add(action.dest)
+            if action.dest in overrides:
                 action.default = overrides[action.dest]
                 action.required = False
 
     walk(ap)
+    unknown = sorted(set(overrides) - known)
+    if unknown:
+        ap.error(f"--config: no flag for key(s) {', '.join(unknown)}")
 
 
 def main(argv=None) -> int:

@@ -13,10 +13,10 @@ The physical moment uses weight <psi~|psi~>^(1-k); the integer-n replica
 surrogate uses weight <psi~|psi~>^n, whose trace normalization is exactly
 the ratio-estimator denominator mean <psi~|psi~>^(k+n).
 
-Random numbers come from counter-based Philox streams keyed by
-(seed, batch index).  A result is a deterministic function of the seed and
-the batch size; a different batch size splits the samples into different
-streams and so draws a different sample set.
+Samples are drawn in batches of at most BATCH; a batch ends early at a
+checkpoint, so no batch crosses one.  Random numbers come from counter-based
+Philox streams keyed by (seed, batch index), so a result is a deterministic
+function of the seed, `samples` and the checkpoints.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ from .dual_tensors import WTensor, build_w, min_depth, reduce_temporal_operator
 from .kim import haar_moment_operator
 from .linalg import trace_norm
 
+BATCH = 1000
 DEFAULT_CHECKPOINT_START = 1000
 PLATEAU_SPREAD = 0.10
 
@@ -45,7 +46,6 @@ class McConfig:
     bc: str = "pbc"
     g: float = 0.3
     samples: int = 100_000
-    batch_size: int = 0  # 0 -> auto
     seed: int = 12345
     checkpoints: tuple = ()
 
@@ -57,10 +57,10 @@ class McConfig:
         if self.t < min_depth(self.n_a) or self.t > 10:
             raise McError("need ceil(n_a/2) <= t <= 10")
         cps = self.resolved_checkpoints()
-        if any(b <= a for a, b in zip(cps, cps[1:])):
-            raise McError("checkpoints must be strictly increasing")
-        if self.samples < cps[0]:
-            raise McError("samples below the first checkpoint")
+        if cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
+            raise McError("checkpoints must be positive and strictly increasing")
+        if cps[-1] != self.samples:
+            raise McError("the last checkpoint must equal samples")
 
     def resolved_checkpoints(self) -> tuple:
         if self.checkpoints:
@@ -72,12 +72,6 @@ class McConfig:
             c *= 10
         cps.append(self.samples)
         return tuple(cps)
-
-    def resolved_batch(self) -> int:
-        if self.batch_size:
-            return self.batch_size
-        auto = int(min(100_000, max(1000, self.samples // 100)))
-        return min(auto, self.resolved_checkpoints()[0])
 
 
 @dataclass
@@ -162,6 +156,7 @@ class McEstimate:
     series: ConvergenceSeries
     batch_nums: list
     batch_dens: list
+    checkpoint_batches: list  # batches done at each checkpoint
     k: int
     n_a: int
 
@@ -179,6 +174,14 @@ class McEstimate:
         rhos = (nums.sum(axis=0) - nums) / (dens.sum() - dens)[:, None, None]
         se_entry = np.sqrt((B - 1) / B * (np.abs(rhos - rhos.mean(axis=0)) ** 2).sum(axis=0))
         return se_delta, se_entry
+
+    def checkpoint_stderrs(self) -> list:
+        """Jackknife SE of delta at each checkpoint, over the batches done by then
+        (nan while only one batch is done)."""
+        haar = haar_moment_operator(self.n_a, self.k)
+        nums, dens = np.asarray(self.batch_nums), np.asarray(self.batch_dens)
+        return [jackknife_delta_se(nums[:nb], dens[:nb], haar) if nb >= 2 else float("nan")
+                for nb in self.checkpoint_batches]
 
 
 def jackknife_delta_se(nums: np.ndarray, dens: np.ndarray, haar: np.ndarray) -> float:
@@ -198,45 +201,35 @@ def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstim
     dim = dA**cfg.k
     if dim > 4096:
         raise McError("replicated space too large")
-    batch = cfg.resolved_batch()
-    checkpoints = cfg.resolved_checkpoints()
     num = np.zeros((dim, dim), dtype=complex)
     den = 0.0
-    batch_nums, batch_dens = [], []
+    batch_nums, batch_dens, checkpoint_batches = [], [], []
     series = ConvergenceSeries()
     done = 0
-    bi = 0
-    next_cp = 0
     haar = haar_moment_operator(cfg.n_a, cfg.k)
-    while done < cfg.samples:
-        b = min(batch, cfg.samples - done)
-        psi = _batch_states(cfg, w, bi, b)
-        nrm = np.einsum("bs,bs->b", psi, psi.conj()).real
-        ok = nrm > 1e-280
-        wgt = np.where(ok, nrm, 1.0) ** weight_exponent * ok
-        bnum = _kernels.moment_accumulate(psi, wgt, cfg.k)
-        num += bnum
-        bden = float(np.trace(bnum).real)
-        den += bden
-        batch_nums.append(bnum)
-        batch_dens.append(bden)
-        done += b
-        bi += 1
-        while next_cp < len(checkpoints) and done >= checkpoints[next_cp]:
-            if den <= 0:
-                raise McError("all sampled norms vanished; aborting")
-            rho = num / den
-            series.points.append(
-                (checkpoints[next_cp], 0.5 * trace_norm(rho - haar))
-            )
-            next_cp += 1
-    if den <= 0:
-        raise McError("all sampled norms vanished; aborting")
-    rho = num / den
-    rho = (rho + rho.conj().T) / 2
+    for cp in cfg.resolved_checkpoints():
+        while done < cp:
+            b = min(BATCH, cp - done)
+            psi = _batch_states(cfg, w, len(batch_nums), b)
+            nrm = np.einsum("bs,bs->b", psi, psi.conj()).real
+            ok = nrm > 1e-280
+            wgt = np.where(ok, nrm, 1.0) ** weight_exponent * ok
+            bnum = _kernels.moment_accumulate(psi, wgt, cfg.k)
+            num += bnum
+            bden = float(np.trace(bnum).real)
+            den += bden
+            batch_nums.append(bnum)
+            batch_dens.append(bden)
+            done += b
+        if den <= 0:
+            raise McError("all sampled norms vanished; aborting")
+        rho = num / den
+        series.points.append((cp, 0.5 * trace_norm(rho - haar)))
+        checkpoint_batches.append(len(batch_nums))
+    rho = (rho + rho.conj().T) / 2  # the last checkpoint is at cfg.samples
     return McEstimate(
-        rho=rho, series=series.finalize(), batch_nums=batch_nums,
-        batch_dens=batch_dens, k=cfg.k, n_a=cfg.n_a,
+        rho=rho, series=series.finalize(), batch_nums=batch_nums, batch_dens=batch_dens,
+        checkpoint_batches=checkpoint_batches, k=cfg.k, n_a=cfg.n_a,
     )
 
 

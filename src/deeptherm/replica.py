@@ -206,7 +206,7 @@ def _mode_products(T: np.ndarray, mat: np.ndarray, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _sagg_bundle(n_a: int, m: int, g: float, j: float, h: float):
+def _sagg_bundle(n_a: int, m: int, g: float):
     """Orbit-space diagram halves for every class and every k split of one m.
 
     Returns (orb, weight, order, P) with
@@ -221,7 +221,7 @@ def _sagg_bundle(n_a: int, m: int, g: float, j: float, h: float):
     conj(W) applied on each replica mode of the orbit indicator, and P is W
     applied on each (a_j b_j) mode of S_c.  P is dA^m x classes x orbits.
     """
-    w = build_w(n_a, g, j=j, h=h)
+    w = build_w(n_a, g)
     dA, q = 2**n_a, 2 ** w.t_legs
     wm = w.data.reshape(dA, q * q)
     orb, weight, n_orbits = _orbit_structure(dA, m)
@@ -243,7 +243,7 @@ def _sagg_bundle(n_a: int, m: int, g: float, j: float, h: float):
 
 
 @lru_cache(maxsize=32)
-def class_diagram_terms(n_a: int, k: int, n: int, g: float, j: float, h: float):
+def class_diagram_terms(n_a: int, k: int, n: int, g: float):
     """Capped diagram operators per conjugacy class of s t^-1 (t-independent).
 
     A gather over the bundle's P: with replica index M = (row, cap),
@@ -251,7 +251,7 @@ def class_diagram_terms(n_a: int, k: int, n: int, g: float, j: float, h: float):
         out_c[m1, n1] = sum_cap weight[(n1, cap)] * P[(m1, cap), c, orb(n1, cap)].
     """
     _check_size(n_a, k, (n,))
-    orb, weight, order, P = _sagg_bundle(n_a, k + n, g, j, h)
+    orb, weight, order, P = _sagg_bundle(n_a, k + n, g)
     dk, dn = 2 ** (n_a * k), 2 ** (n_a * n)
     P = P.reshape(dk, dn, len(order), -1)
     caps = np.arange(dn)
@@ -262,12 +262,9 @@ def class_diagram_terms(n_a: int, k: int, n: int, g: float, j: float, h: float):
     }
 
 
-def replica_moment(spec: ReplicaSpec, w: WTensor | None = None, validate: bool = True) -> np.ndarray:
+def replica_moment(spec: ReplicaSpec) -> np.ndarray:
     """rho^(k,n) for the given boundary condition, normalized to unit trace."""
-    if w is not None and (w.n_a != spec.n_a or w.t_legs != spec.t0):
-        raise ReplicaError("supplied W tensor does not match the requested parameters")
-    jj, hh = np.pi / 4, np.pi / 4
-    diagrams = class_diagram_terms(spec.n_a, spec.k, spec.n, spec.g, jj, hh)
+    diagrams = class_diagram_terms(spec.n_a, spec.k, spec.n, spec.g)
     ident = tuple([1] * spec.m)
     # off-diagonal classes first (fixed order), identity class last
     order = sorted((ct for ct in diagrams if ct != ident)) + [ident]
@@ -280,14 +277,13 @@ def replica_moment(spec: ReplicaSpec, w: WTensor | None = None, validate: bool =
     if herm_defect > 1e-9:
         raise ReplicaError(f"replica moment not Hermitian (defect {herm_defect:.2e})")
     rho = (rho + rho.conj().T) / 2
-    if validate:
-        wmin = np.linalg.eigvalsh(rho).min()
-        if wmin < -1e-8:
-            raise ReplicaError(f"replica moment not PSD (min eig {wmin:.2e})")
+    wmin = np.linalg.eigvalsh(rho).min()
+    if wmin < -1e-8:
+        raise ReplicaError(f"replica moment not PSD (min eig {wmin:.2e})")
     return rho
 
 
-def deviation_series(spec: ReplicaSpec, n_max: int, w: WTensor | None = None):
+def deviation_series(spec: ReplicaSpec, n_max: int):
     """[(n, ||rho^(k,n) - rho_Haar^(k)||_1) for n = 0..n_max]."""
     if spec.k + n_max > MAX_REPLICAS:
         raise ReplicaError("k + n_max above the replica cap")
@@ -296,7 +292,7 @@ def deviation_series(spec: ReplicaSpec, n_max: int, w: WTensor | None = None):
     out = []
     for n in range(n_max + 1):
         sp = ReplicaSpec(k=spec.k, n=n, t=spec.t, n_a=spec.n_a, bc=spec.bc, g=spec.g)
-        rho = replica_moment(sp, w)
+        rho = replica_moment(sp)
         out.append((n, trace_norm(rho - haar)))
     return out
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import deeptherm.montecarlo as montecarlo
-from deeptherm.cli import _checkpoint_stderrs, main
+from deeptherm.cli import main
 from deeptherm.linalg import haar_moment_operator, kron_all, permutation_operator, trace_norm
 from deeptherm.montecarlo import (
+    BATCH,
     McConfig,
     McError,
     _batch_rng,
@@ -30,12 +31,21 @@ def test_config_validation():
     with pytest.raises(McError):
         McConfig(k=2, t=2, n_a=2, samples=100, checkpoints=(200,))
     with pytest.raises(McError):
-        McConfig(k=2, t=2, n_a=2, samples=1000, checkpoints=(100, 100))
+        McConfig(k=2, t=2, n_a=2, samples=1000, checkpoints=(100, 100, 1000))
+    with pytest.raises(McError):
+        McConfig(k=2, t=2, n_a=2, samples=1000, checkpoints=(0, 1000))
     with pytest.raises(McError):
         McConfig(k=2, t=0, n_a=2, samples=1000)
     cfg = McConfig(k=2, t=2, n_a=2, samples=250_000)
     assert cfg.resolved_checkpoints() == (1000, 10_000, 100_000, 250_000)
-    assert cfg.resolved_batch() == 1000
+    assert BATCH == 1000
+
+
+def test_checkpoints_must_end_at_samples():
+    # samples after the last checkpoint would get no row; one past samples, no samples
+    for samples, cps in ((1000, (500,)), (2000, (1000, 1500)), (1000, (500, 2000))):
+        with pytest.raises(McError, match="last checkpoint"):
+            McConfig(k=2, t=2, n_a=2, samples=samples, checkpoints=cps)
 
 
 def test_sample_haar_unitary_unitarity(rng):
@@ -63,8 +73,7 @@ def test_mc_projected_state_basics(w2, rng):
 
 
 def test_single_sample_matches_batch_path(w2):
-    cfg = McConfig(k=2, t=3, n_a=2, bc="pbc", g=G, samples=4, batch_size=4,
-                   checkpoints=(4,), seed=77)
+    cfg = McConfig(k=2, t=3, n_a=2, bc="pbc", g=G, samples=4, checkpoints=(4,), seed=77)
     batch = _batch_states(cfg, w2, 0, 4)
     U = _haar_batch(_batch_rng(77, 0), 8, 4)
     for i in range(4):
@@ -86,8 +95,7 @@ def test_obc_batch_matches_single_sample_oracle(w2, rng):
     # unitaries U', U must reproduce the single-sample path row by row
     t, b, seed = 3, 6, 77
     d = 2**t
-    cfg = McConfig(k=2, t=t, n_a=2, bc="obc", g=G, samples=b, batch_size=b,
-                   checkpoints=(b,), seed=seed)
+    cfg = McConfig(k=2, t=t, n_a=2, bc="obc", g=G, samples=b, checkpoints=(b,), seed=seed)
     batch = _batch_states(cfg, w2, 0, b)
     states = _haar_states(_batch_rng(seed, 0), d, 2 * b)
     ket, bra = states[:b], states[b:]
@@ -150,15 +158,28 @@ def test_mc_seed_determinism(w2):
 
 
 def test_checkpoint_stderrs_end_at_jackknife(w2):
-    # the CLI's per-checkpoint SEs and McEstimate.jackknife share one helper;
+    # per-checkpoint SEs and McEstimate.jackknife share one helper;
     # 30_500 samples leave a partial last batch
     cfg = McConfig(k=2, t=2, n_a=2, bc="obc", g=G, samples=30_500, seed=123)
     est = mc_moment(cfg, w2)
-    ses = _checkpoint_stderrs(est, cfg)
+    ses = est.checkpoint_stderrs()
     assert len(ses) == len(est.series.points)
+    assert est.checkpoint_batches == [1, 10, 31]
     assert np.isnan(ses[0])  # one batch at the first checkpoint
     assert est.series.points[-1][0] == cfg.samples
     assert ses[-1] == est.jackknife()[0]
+
+
+def test_checkpoint_row_equals_run_ending_there(w2):
+    # no batch crosses a checkpoint: the M=1500 row holds exactly the first
+    # 1500 samples, bit for bit the final point of a 1500-sample run
+    base = dict(k=2, t=2, n_a=2, bc="obc", g=G, seed=5)
+    long = mc_moment(McConfig(samples=3000, checkpoints=(1000, 1500, 3000), **base), w2)
+    short = mc_moment(McConfig(samples=1500, **base), w2)
+    assert short.series.points[-1][0] == 1500
+    assert long.series.points[1] == short.series.points[-1]
+    np.testing.assert_array_equal(long.checkpoint_stderrs()[:2], short.checkpoint_stderrs())
+    assert long.checkpoint_batches == [1, 2, 4]
 
 
 def test_mc_estimate_symmetric_under_replica_permutation(w2):
@@ -181,9 +202,8 @@ def test_mc_replica_check_n0_identity(w2):
     num = np.zeros((16, 16), dtype=complex)
     den = 0.0
     done, bi = 0, 0
-    batch = cfg.resolved_batch()
     while done < cfg.samples:
-        b_sz = min(batch, cfg.samples - done)
+        b_sz = min(BATCH, cfg.samples - done)
         psi = _batch_states(cfg, w2, bi, b_sz)
         nrm = np.einsum("bs,bs->b", psi, psi.conj()).real
         v = np.einsum("bi,bj->bij", psi, psi).reshape(b_sz, -1)

@@ -158,7 +158,9 @@ def test_cli_error_record(tmp_path, capsys, monkeypatch):
     assert rec["type"] == "FileNotFoundError"
     # --config without a value is a usage error, not a traceback
     assert main(["weingarten", "--m", "2", "--d", "4", "--out", out, "--config"]) == 2
-    assert "--config: expected one argument" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--config: expected one argument" in err
+    assert json.loads(err.strip())["type"] == "UsageError"
     def engine_fail(*args, **kwargs):
         raise AssertionError("replica engine ran for a refused run")
 
@@ -185,6 +187,29 @@ def test_cli_error_record(tmp_path, capsys, monkeypatch):
         assert main(["weingarten", "--m", "2", "--d", "4", "--out", out]) == 3
         rec = json.loads(capsys.readouterr().err.strip())
         assert rec == {"error": str(exc), "type": type(exc).__name__}
+
+
+def test_cli_usage_errors_give_json_record(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("m=2\nbatchsize=7\n")
+    mc = ["mc", "--k", "1", "--t", "2", "--samples", "1000"]
+    for argv, needle in (
+        (mc + ["--batch", "500", "--out", out], "--batch"),  # the batch is not a knob
+        (mc, "--out"),
+        (["weingarten", "--m", "2", "--d", "4", "--bogus", "1", "--out", out], "--bogus"),
+        (["--config", str(cfgfile), "weingarten", "--d", "4", "--out", out], "batchsize"),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        rec = json.loads(err.strip())  # one record, no usage text
+        assert rec["type"] == "UsageError" and needle in rec["error"], argv
+    assert not os.path.exists(out)
+    # help and version still print their text and exit 0
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.strip() == cli.__version__
+    assert main(["mc", "-h"]) == 0
+    assert "--batch" not in capsys.readouterr().out
 
 
 def test_cli_exact_refuses_oversized_run_before_allocating(tmp_path, capsys, monkeypatch):

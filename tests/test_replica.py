@@ -137,7 +137,7 @@ def test_class_diagrams_match_dense_per_class_oracle(w2):
     splits = [(2, 3), (3, 2), (4, 1)]
     dense = _dense_class_diagrams(w2, 5, splits)
     for k, n in splits:
-        engine = class_diagram_terms(2, k, n, G, np.pi / 4, np.pi / 4)
+        engine = class_diagram_terms(2, k, n, G)
         assert engine.keys() == dense[(k, n)].keys()
         for ct, ref in dense[(k, n)].items():
             assert np.abs(engine[ct] - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -151,14 +151,14 @@ def test_engine_refuses_oversized_m_before_building(monkeypatch):
     assert replica._estimate_engine_bytes(2, 7) <= replica.MEM_BUDGET_BYTES
     # m = 8: P alone is dA^8 x 22 classes x 165 orbits, 3.8 GB
     with pytest.raises(ReplicaError, match="above budget"):
-        class_diagram_terms(2, 4, 4, G, np.pi / 4, np.pi / 4)
+        class_diagram_terms(2, 4, 4, G)
 
 
 @pytest.mark.parametrize("m", [5, 6])
 def test_engine_estimate_bounds_traced_peak(m):
     tracemalloc.start()
     try:
-        replica._sagg_bundle.__wrapped__(2, m, G, np.pi / 4, np.pi / 4)  # cold, uncached
+        replica._sagg_bundle.__wrapped__(2, m, G)  # cold, uncached
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -292,10 +292,3 @@ def test_rate_estimate():
     with pytest.raises(ReplicaError):
         rate_estimate({2: 1.0, 3: 0.0, 4: 1.0})
 
-
-def test_replica_moment_rejects_mismatched_w(w2):
-    from deeptherm.dual_tensors import build_w
-
-    w1 = build_w(1, G)
-    with pytest.raises(ReplicaError):
-        replica_moment(spec(2, 0, 2), w1)
