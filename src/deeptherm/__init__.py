@@ -7,85 +7,3 @@ unbiased Monte Carlo over Haar-random temporal unitaries.
 """
 
 __version__ = "0.1.0"
-
-from .dual_tensors import WTensor, build_w, build_wprime, reduce_temporal_operator
-from .kim import (
-    KimConfig,
-    ProjectedEnsemble,
-    build_floquet,
-    delta_k,
-    design_time,
-    dual_unitary_ensemble_check,
-    entanglement_entropy,
-    evolve,
-    moment_operator,
-    projected_ensemble,
-)
-from .linalg import (
-    haar_moment_operator,
-    partial_trace,
-    permutation_vector_state,
-    trace_norm,
-    unitary_conjugation_invariance_check,
-)
-from .montecarlo import McConfig, mc_moment, mc_replica_check, sample_haar_unitary
-from .permgroup import (
-    Permutation,
-    WeingartenTable,
-    cycle_count,
-    enumerate_sym,
-    gram_matrix,
-    weingarten_table,
-    wg_asymptotic_ratio,
-)
-from .replica import (
-    ReplicaSpec,
-    deviation_series,
-    diagram_term,
-    extrapolate_to_physical,
-    prefactor_obc,
-    prefactor_pbc,
-    rate_estimate,
-    replica_moment,
-)
-
-__all__ = [
-    "KimConfig",
-    "McConfig",
-    "Permutation",
-    "ProjectedEnsemble",
-    "ReplicaSpec",
-    "WTensor",
-    "WeingartenTable",
-    "build_floquet",
-    "build_w",
-    "build_wprime",
-    "cycle_count",
-    "delta_k",
-    "design_time",
-    "deviation_series",
-    "diagram_term",
-    "dual_unitary_ensemble_check",
-    "entanglement_entropy",
-    "enumerate_sym",
-    "evolve",
-    "extrapolate_to_physical",
-    "gram_matrix",
-    "haar_moment_operator",
-    "mc_moment",
-    "mc_replica_check",
-    "moment_operator",
-    "partial_trace",
-    "permutation_vector_state",
-    "prefactor_obc",
-    "prefactor_pbc",
-    "projected_ensemble",
-    "rate_estimate",
-    "reduce_temporal_operator",
-    "replica_moment",
-    "sample_haar_unitary",
-    "trace_norm",
-    "unitary_conjugation_invariance_check",
-    "weingarten_table",
-    "wg_asymptotic_ratio",
-]

@@ -11,11 +11,11 @@ BLOCK_ENTRIES = 2**22  # k-fold entries per block (64 MiB complex); fewer rows a
 
 
 # ---------------------------------------------------------------------------
-# weighted sum of k-fold projector powers:  out += sum_b w_b (psi_b psi_b^+)^{(x)k}
+# weighted sum of k-fold projector powers:  sum_b w_b (psi_b psi_b^+)^{(x)k}
 
 
-def moment_accumulate(psi: np.ndarray, weights: np.ndarray, k: int, out: np.ndarray = None):
-    """Accumulate sum_b weights[b] * (|psi_b><psi_b|)^{(x)k} into out.
+def moment_accumulate(psi: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    """Return sum_b weights[b] * (|psi_b><psi_b|)^{(x)k}.
 
     Per block of rows, build the k-fold product rows v_b = psi_b^{(x)k} and add
     one GEMM, (v * w).T @ v.conj().  A block holds ROW_BLOCK rows, or fewer when
@@ -25,8 +25,7 @@ def moment_accumulate(psi: np.ndarray, weights: np.ndarray, k: int, out: np.ndar
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     b, da = psi.shape
     dim = da**k
-    if out is None:
-        out = np.zeros((dim, dim), dtype=np.complex128)
+    out = np.zeros((dim, dim), dtype=np.complex128)
     rows = min(ROW_BLOCK, max(1, BLOCK_ENTRIES // dim))
     for lo in range(0, b, rows):
         blk = psi[lo : lo + rows]

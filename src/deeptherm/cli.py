@@ -26,7 +26,7 @@ from .kim import (
     plus_state,
 )
 from .montecarlo import McConfig, mc_moment
-from .permgroup import enumerate_sym, weingarten_table
+from .permgroup import WeingartenConditioningError, enumerate_sym, weingarten_table
 from .plotting import emit_plot
 from .records import ResultRecord, RunConfig, read_csv, write_record
 from .replica import (
@@ -40,6 +40,7 @@ from .replica import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+FIGURE3_MMAX = 6  # figure3 sweeps k + n <= 6 replicas
 
 
 def _record(args, subcommand: str, columns, rows, params: dict) -> None:
@@ -55,9 +56,9 @@ def _record(args, subcommand: str, columns, rows, params: dict) -> None:
 
 
 def cmd_weingarten(args) -> int:
-    table = weingarten_table(
-        args.m, args.d, on_singular="pseudo" if args.allow_singular else "error"
-    )
+    table = weingarten_table(args.m, args.d)
+    if table.pseudo and not args.allow_singular:
+        raise WeingartenConditioningError(args.m, args.d, table.cond)
     rows = []
     for rank, p in enumerate(enumerate_sym(args.m)):
         ct = "+".join(str(c) for c in p.cycle_type())
@@ -154,13 +155,13 @@ def cmd_rates(args) -> int:
 
 
 def cmd_figure3(args) -> int:
-    check_fit_points(7 - args.kmax)  # the largest k sweeps n = 0..6-k
+    check_fit_points(FIGURE3_MMAX + 1 - args.kmax)  # the largest k sweeps n = 0..FIGURE3_MMAX-k
     ts = list(range(2, args.tmax + 1))
     points = []
     rate_rows = []
     for bc in ("pbc", "obc"):
         for k in range(2, args.kmax + 1):
-            nmax = 6 - k
+            nmax = FIGURE3_MMAX - k
             extrap = {}
             for t in ts:
                 spec = ReplicaSpec(k=k, n=0, t=t, n_a=args.na, bc=bc, g=args.g)

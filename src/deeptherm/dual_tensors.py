@@ -150,15 +150,14 @@ def reduce_temporal_operator(u: np.ndarray, t0: int) -> np.ndarray:
     return np.einsum("irjr->ij", u.reshape(d0, dr, d0, dr))
 
 
-def dual_site_layer(
-    z: int, t: int, g: float, j: float = PI4, h: float = PI4, normalize: bool = True
-) -> np.ndarray:
+def dual_site_layer(z: int, t: int, g: float, j: float = PI4, h: float = PI4) -> np.ndarray:
     """One-site dual transfer matrix T[tau_out, tau_in] for measurement outcome z.
 
     The site column is contracted with |+> at the bottom and <z| at the top;
     the bond toward the incoming side enters as phase gates, the bond toward
     the outgoing side as projectors.  At the self-dual point the result is
-    proportional to a unitary on the t temporal qubits.
+    proportional to a unitary on the t temporal qubits; it is returned
+    rescaled to that unitary.
     """
     T = 2**t
     K = kick_matrix(h)
@@ -175,14 +174,10 @@ def dual_site_layer(
         v = np.where(keep, v, 0.0)
         v = np.einsum("pq,qio->pio", K, v)
     out = v[z].T  # [tau_out, tau_in]
-    if normalize:
-        scale = np.sqrt(np.trace(out.conj().T @ out).real / T)
-        out = out / scale
-        defect = np.abs(out.conj().T @ out - np.eye(T)).max()
-        if defect > 1e-8:
-            raise TensorConventionError(
-                f"dual site layer not unitary (defect {defect:.2e})"
-            )
+    out = out / np.sqrt(np.trace(out.conj().T @ out).real / T)
+    defect = np.abs(out.conj().T @ out - np.eye(T)).max()
+    if defect > 1e-8:
+        raise TensorConventionError(f"dual site layer not unitary (defect {defect:.2e})")
     return out
 
 

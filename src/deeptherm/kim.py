@@ -19,7 +19,7 @@ finite chain tracks the thermodynamic-limit ensemble most closely.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .linalg import (
 )
 from .permgroup import enumerate_sym, weingarten_table
 
-P_FLOOR = 1e-14  # outcomes below this Born weight carry a null state
+P_FLOOR = 1e-14  # outcomes below this Born weight get weight zero
 KICK_GROUP = 6  # qubits per kick GEMM; K^{(x)6} is 64 x 64
 G_GUARD_BAND = 1e-3
 
@@ -178,57 +178,11 @@ def evolve(cfg: KimConfig) -> np.ndarray:
     return state
 
 
-@dataclass
-class ProjectedEnsemble:
-    """Bath-outcome resolved pure states on the subsystem.
-
-    entries[z] = (p(z), normalized state or None when p(z) < P_FLOOR);
-    z runs over bath outcomes with the left-bath bits most significant.
-    """
-
-    n_a: int
-    entries: list = field(default_factory=list)
-
-    def probabilities(self) -> np.ndarray:
-        return np.array([p for p, _ in self.entries])
-
-    def mean_state(self) -> np.ndarray:
-        """sum_z p(z) |psi(z)><psi(z)| = reduced density matrix of the chain."""
-        rho = np.zeros((2**self.n_a, 2**self.n_a), dtype=complex)
-        for p, psi in self.entries:
-            if psi is not None:
-                rho += p * np.outer(psi, psi.conj())
-        return rho
-
-
 def _subsystem_amplitudes(state: np.ndarray, cfg: KimConfig) -> np.ndarray:
     """amps[z, sigma] = <z1 sigma z2|Psi>, z = (z1, z2) with z1 bits leading."""
     off = cfg.offset
     A = state.reshape(2**off, 2**cfg.n_a, 2 ** (cfg.n - cfg.n_a - off))
     return np.transpose(A, (0, 2, 1)).reshape(2**cfg.n_b, 2**cfg.n_a)
-
-
-def projected_ensemble(state: np.ndarray, cfg: KimConfig) -> ProjectedEnsemble:
-    amps = _subsystem_amplitudes(state, cfg)
-    p = np.einsum("zs,zs->z", amps, amps.conj()).real
-    entries = []
-    for z in range(amps.shape[0]):
-        if p[z] < P_FLOOR:
-            entries.append((float(p[z]), None))
-        else:
-            entries.append((float(p[z]), amps[z] / np.sqrt(p[z])))
-    return ProjectedEnsemble(n_a=cfg.n_a, entries=entries)
-
-
-def moment_operator(ens: ProjectedEnsemble, k: int) -> np.ndarray:
-    """rho^(k) = sum_z p(z) (|psi(z)><psi(z)|)^{(x)k}."""
-    if ens.n_a * k > 14:
-        raise ValueError("replicated dimension too large")
-    kept = [(p, psi) for p, psi in ens.entries if psi is not None]
-    psi = np.array([psi for _, psi in kept])
-    w = np.array([p for p, _ in kept])
-    out = _kernels.moment_accumulate(psi, w, k)
-    return out / np.trace(out)
 
 
 def moment_from_state(state: np.ndarray, cfg: KimConfig, k: int) -> np.ndarray:
@@ -293,15 +247,15 @@ def reduced_density_matrix(state: np.ndarray, cfg: KimConfig) -> np.ndarray:
 
 def haar_unitary_moment(t: int, k: int) -> np.ndarray:
     """int dU (U (x) U*)^{(x)k} on t qubits, from the Weingarten table."""
-    table = weingarten_table(k, 2**t, on_singular="pseudo")
+    table = weingarten_table(k, 2**t)
     dim = (2**t) ** (2 * k)
     out = np.zeros((dim, dim), dtype=complex)
     for sig in enumerate_sym(k):
         for tau in enumerate_sym(k):
             wg = table.value(sig.compose(tau.inverse()))
             out += wg * np.outer(
-                permutation_vector_state(tau, t, k),
-                permutation_vector_state(sig, t, k).conj(),
+                permutation_vector_state(tau, t),
+                permutation_vector_state(sig, t).conj(),
             )
     return out
 
@@ -332,15 +286,3 @@ def dual_unitary_ensemble_check(cfg: KimConfig, k: int) -> float:
     acc /= 2**L
     return trace_norm(acc - haar)
 
-
-def delta_series(cfg: KimConfig, k: int, t_max: int | None = None) -> dict:
-    """Delta^(k)(t) for t = 0..t_max along one trajectory."""
-    t_max = cfg.t if t_max is None else t_max
-    out = {}
-    state = plus_state(cfg.n)
-    phases = ising_phase_vector(cfg)
-    for t in range(t_max + 1):
-        if t > 0:
-            state = apply_floquet(state, replace(cfg, t=t), phases)
-        out[t] = delta_k(moment_from_state(state, cfg, k), k)
-    return out

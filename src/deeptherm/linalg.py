@@ -14,6 +14,7 @@ import numpy as np
 from .permgroup import Permutation
 
 MEM_BUDGET_BYTES = 3_500_000_000  # largest working set a route may allocate; checked up front
+HERM_TOL = 1e-8  # trace_norm uses eigvalsh when max|a - a^+| <= HERM_TOL * max(max|a|, 1)
 
 
 def digit_permute_codes(images, base: int) -> np.ndarray:
@@ -40,15 +41,12 @@ def permutation_operator(p: Permutation, d: int) -> np.ndarray:
     return P
 
 
-def permutation_vector_state(p: Permutation, q: int, m: int = None) -> np.ndarray:
-    """Vectorized permutation operator on m copies of a q-qubit space.
+def permutation_vector_state(p: Permutation, q: int) -> np.ndarray:
+    """Vectorized permutation operator on m = p.degree copies of a q-qubit space.
 
     Unnormalized; inner products satisfy <P_q(t)|P_q(s)> = (2^q)^{#(s t^-1)}.
     """
-    if m is None:
-        m = p.degree
-    if p.degree != m:
-        raise ValueError("permutation degree does not match copy count")
+    m = p.degree
     d = 2**q
     v = np.zeros(d ** (2 * m), dtype=complex)
     # index = interleaved digits (i_1, i_{p(1)}, i_2, i_{p(2)}, ...)
@@ -62,7 +60,7 @@ def permutation_vector_state(p: Permutation, q: int, m: int = None) -> np.ndarra
     return v
 
 
-def trace_norm(a: np.ndarray, herm_tol: float = 1e-8) -> float:
+def trace_norm(a: np.ndarray) -> float:
     """Sum of singular values; Hermitian inputs go through eigvalsh."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -70,7 +68,7 @@ def trace_norm(a: np.ndarray, herm_tol: float = 1e-8) -> float:
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entries")
     scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.conj().T).max() <= herm_tol * scale:
+    if np.abs(a - a.conj().T).max() <= HERM_TOL * scale:
         return float(np.abs(np.linalg.eigvalsh((a + a.conj().T) / 2)).sum())
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
@@ -100,8 +98,8 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
-def unitary_conjugation_invariance_check(v: np.ndarray, p: Permutation, m: int = None) -> float:
-    """Defect ||(V (x) V*)^{(x)m} |P(p)> - |P(p)>||.
+def unitary_conjugation_invariance_check(v: np.ndarray, p: Permutation) -> float:
+    """Defect ||(V (x) V*)^{(x)m} |P(p)> - |P(p)>||, m = p.degree.
 
     This identity (zero defect for any unitary V) is what licenses trading
     gauge unitaries on the temporal legs for nothing inside diagram values.
@@ -114,10 +112,8 @@ def unitary_conjugation_invariance_check(v: np.ndarray, p: Permutation, m: int =
     q = int(round(np.log2(d)))
     if 2**q != d:
         raise ValueError("dimension must be a power of two")
-    if m is None:
-        m = p.degree
-    vec = permutation_vector_state(p, q, m)
-    op = kron_all([np.kron(v, v.conj())] * m)
+    vec = permutation_vector_state(p, q)
+    op = kron_all([np.kron(v, v.conj())] * p.degree)
     return float(np.linalg.norm(op @ vec - vec))
 
 

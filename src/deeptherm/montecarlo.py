@@ -89,15 +89,6 @@ class ConvergenceSeries:
         return self
 
 
-def sample_haar_unitary(q: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar unitary on q qubits: Ginibre draw, QR, R-diagonal phases out."""
-    if q > 10:
-        raise McError("q capped at 10 qubits")
-    d = 2**q
-    z = (rng.standard_normal((1, d, d)) + 1j * rng.standard_normal((1, d, d))) / np.sqrt(2)
-    return _kernels.haar_from_ginibre(z)[0]
-
-
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     key = np.array([seed, batch_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -34,7 +34,7 @@ class WeingartenConditioningError(ValueError):
         self.m, self.d, self.cond = m, d, cond
         super().__init__(
             f"Gram matrix for S_{m} at d={d} is singular (d < m); pass "
-            f"on_singular='pseudo' to use the pseudo-inverse Weingarten values"
+            f"--allow-singular to use the pseudo-inverse Weingarten values"
         )
 
 
@@ -166,10 +166,6 @@ class WeingartenTable:
     def value_of_type(self, cycle_type: tuple) -> float:
         return self.class_values[cycle_type]
 
-    def as_array(self) -> np.ndarray:
-        """Values over the lexicographic enumeration of S_m."""
-        return np.array([self.value(p) for p in enumerate_sym(self.m)])
-
 
 @lru_cache(maxsize=None)
 def partitions(m: int) -> tuple:
@@ -218,7 +214,7 @@ def character(lam: tuple, mu: tuple) -> int:
 
 
 @lru_cache(maxsize=64)
-def _weingarten_cached(m: int, d: int, on_singular: str):
+def _weingarten_cached(m: int, d: int):
     """Wg(mu, d) = sum over lam with at most d rows of f_lam^2 chi^lam(mu) / (m!^2 s_lam(1^d)).
 
     By the hook-content formula f_lam / s_lam(1^d) = m! / P(d) with P(d) the
@@ -232,8 +228,6 @@ def _weingarten_cached(m: int, d: int, on_singular: str):
     eig = {lam: math.prod(d + c for _, c in _cells(lam)) for lam in lams}
     pseudo = d < m
     cond = math.inf if pseudo else float(Fraction(max(eig.values()), min(eig.values())))
-    if pseudo and on_singular == "error":
-        raise WeingartenConditioningError(m, d, cond)
     class_values = {
         mu: float(sum(Fraction(irrep_dimension(lam) * character(lam, mu), math.factorial(m) * eig[lam])
                       for lam in lams if eig[lam]))
@@ -242,22 +236,11 @@ def _weingarten_cached(m: int, d: int, on_singular: str):
     return WeingartenTable(m=m, d=d, class_values=class_values, pseudo=pseudo, cond=cond)
 
 
-def weingarten_table(m: int, d: int, on_singular: str = "error") -> WeingartenTable:
-    """Weingarten table for S_m at dimension d.
-
-    on_singular: "error" raises WeingartenConditioningError when the Gram
-    matrix is singular (d < m); "pseudo" falls back to the pseudo-inverse.
-    """
+def weingarten_table(m: int, d: int) -> WeingartenTable:
+    """Weingarten table for S_m at dimension d; pseudo-inverse values (table.pseudo) when d < m."""
     if not 1 <= m <= MAX_DEGREE:
         raise DegreeError(f"degree {m} outside supported range 1..{MAX_DEGREE}")
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if on_singular not in ("error", "pseudo"):
-        raise ValueError("on_singular must be 'error' or 'pseudo'")
-    return _weingarten_cached(m, d, on_singular)
+    return _weingarten_cached(m, d)
 
-
-def wg_asymptotic_ratio(p: Permutation, d: int) -> float:
-    """Leading-order d^{#(p) - 2m} asymptote of Wg(p, d); diagnostics only."""
-    m = p.degree
-    return float(d) ** (cycle_count(p) - 2 * m)

@@ -90,7 +90,7 @@ def _haar_denominator(d: int, m: int) -> float:
 def prefactor_pbc(sigma: Permutation, tau: Permutation, spec: ReplicaSpec) -> float:
     """Wg(s t^-1, 2^t) * (2^(t-t0))^{#(s t^-1)}."""
     gamma = sigma.compose(tau.inverse())
-    table = weingarten_table(spec.m, 2**spec.t, on_singular="pseudo")
+    table = weingarten_table(spec.m, 2**spec.t)
     return table.value(gamma) * (2.0 ** (spec.t - spec.t0)) ** cycle_count(gamma)
 
 
@@ -105,7 +105,7 @@ def _prefactor_of_type(cycle_type: tuple, spec: ReplicaSpec) -> float:
     n_cycles = len(cycle_type)
     loop = (2.0 ** (spec.t - spec.t0)) ** n_cycles
     if spec.bc == "pbc":
-        table = weingarten_table(spec.m, 2**spec.t, on_singular="pseudo")
+        table = weingarten_table(spec.m, 2**spec.t)
         return table.value_of_type(cycle_type) * loop
     return loop / _haar_denominator(2**spec.t, spec.m) ** 2
 

@@ -92,7 +92,7 @@ def test_criterion_2_weingarten_orthogonality():
                 # identities the pseudo table satisfies instead
                 rank = np.linalg.matrix_rank(G_mat)
                 assert rank < len(G_mat)
-                table = weingarten_table(m, d, on_singular="pseudo")
+                table = weingarten_table(m, d)
                 vals = np.array([table.value_of_type(ct) for ct in type_order])
                 W = vals[tab]
                 assert np.abs(G_mat @ W @ G_mat - G_mat).max() <= 1e-8 * np.abs(G_mat).max()

@@ -3,15 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from deeptherm import kim
+import deeptherm.cli as cli
 from deeptherm.dual_tensors import kick_matrix
 from deeptherm.kim import (
+    P_FLOOR,
     ConfigError,
     KimConfig,
     apply_floquet,
     build_floquet,
     delta_k,
-    delta_series,
     design_time,
     design_times,
     dual_unitary_ensemble_check,
@@ -19,13 +19,12 @@ from deeptherm.kim import (
     evolve,
     ising_phase_vector,
     moment_from_state,
-    moment_operator,
     plus_state,
-    projected_ensemble,
     reduced_density_matrix,
 )
-from deeptherm.linalg import haar_moment_operator, partial_trace, permutation_operator, trace_norm
+from deeptherm.linalg import haar_moment_operator, partial_trace, permutation_operator
 from deeptherm.permgroup import enumerate_sym
+from deeptherm.records import read_csv
 
 G = 0.3
 
@@ -92,14 +91,20 @@ def test_grouped_kick_matches_dense_floquet(n, bc, h):
     assert np.abs(got - build_floquet(cfg) @ state).max() <= 1e-12
 
 
-def test_delta_series_matches_per_site_kick(monkeypatch):
-    cfg = KimConfig(n=14, n_a=2, t=4, g=G)
-    grouped = delta_series(cfg, 3)
-    monkeypatch.setattr(kim, "apply_floquet", _per_site_floquet)
-    per_site = delta_series(cfg, 3)
-    assert grouped.keys() == per_site.keys() == set(range(5))
-    for t in grouped:
-        assert abs(grouped[t] - per_site[t]) <= 1e-13
+def test_exact_cli_matches_per_site_kick(tmp_path, monkeypatch):
+    args = ["exact", "--n", "14", "--na", "2", "--t", "4", "--k", "3"]
+    grouped, per_site = str(tmp_path / "grouped.csv"), str(tmp_path / "per_site.csv")
+    assert cli.main(args + ["--out", grouped]) == 0
+    monkeypatch.setattr(cli, "apply_floquet", _per_site_floquet)
+    assert cli.main(args + ["--out", per_site]) == 0
+    cols, rows_g = read_csv(grouped)
+    _, rows_p = read_csv(per_site)
+    t, k, dk = (cols.index(c) for c in ("t", "k", "delta_k"))
+    keys = [(int(r[t]), int(r[k])) for r in rows_g]
+    assert keys == [(int(r[t]), int(r[k])) for r in rows_p]
+    assert keys == [(tt, kk) for tt in range(5) for kk in (1, 2, 3)]
+    for rg, rp in zip(rows_g, rows_p):
+        assert abs(float(rg[dk]) - float(rp[dk])) <= 1e-13
 
 
 def test_evolve_basics():
@@ -116,56 +121,67 @@ def test_evolve_basics():
     np.testing.assert_allclose(amp, 0.25 * np.ones(16), atol=1e-12)
 
 
+def _outcomes(state, cfg):
+    """Brute-force projected ensemble: (p_z, |psi_z>) for every bath outcome z = (z1, z2)."""
+    A = state.reshape(2**cfg.offset, 2**cfg.n_a, 2 ** (cfg.n - cfg.n_a - cfg.offset))
+    out = []
+    for z1 in range(A.shape[0]):
+        for z2 in range(A.shape[2]):
+            amp = A[z1, :, z2]
+            p = float(np.vdot(amp, amp).real)
+            out.append((p, amp / np.sqrt(p) if p >= P_FLOOR else None))
+    return out
+
+
+def _kron_moment(state, cfg, k):
+    """sum_z p_z (|psi_z><psi_z|)^{(x)k}, one explicit k-fold np.kron per outcome."""
+    dim = 2 ** (cfg.n_a * k)
+    rho = np.zeros((dim, dim), dtype=complex)
+    for p, psi in _outcomes(state, cfg):
+        if psi is not None:
+            v = np.ones(1, dtype=complex)
+            for _ in range(k):
+                v = np.kron(v, psi)
+            rho += p * np.outer(v, v.conj())
+    return rho
+
+
 def test_projected_ensemble_product_and_bell():
-    # product state: every projected state identical up to phase
+    # product state: every projected state is the same, so rho_2 is rank 1
     cfg = KimConfig(n=4, n_a=2, t=0, g=G)
-    ens = projected_ensemble(evolve(cfg), cfg)
-    ref = None
-    for p, psi in ens.entries:
-        assert p == pytest.approx(1 / 4)
-        if ref is None:
-            ref = psi
-        else:
-            assert abs(abs(np.vdot(ref, psi)) - 1.0) <= 1e-12
+    evals = np.linalg.eigvalsh(moment_from_state(evolve(cfg), cfg, 2))
+    assert evals[-1] == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(evals[:-1]).max() <= 1e-12
     # Bell pair: outcomes 0/1 with p=1/2 and states |0>, |1>
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     cfgb = KimConfig(n=2, n_a=1, t=0, g=G, a_offset=0)
-    ensb = projected_ensemble(bell, cfgb)
-    assert [p for p, _ in ensb.entries] == pytest.approx([0.5, 0.5])
-    np.testing.assert_allclose(ensb.entries[0][1], [1, 0], atol=1e-14)
-    np.testing.assert_allclose(ensb.entries[1][1], [0, 1], atol=1e-14)
+    np.testing.assert_allclose(moment_from_state(bell, cfgb, 1), np.eye(2) / 2, atol=1e-15)
+    np.testing.assert_allclose(
+        moment_from_state(bell, cfgb, 2), np.diag([0.5, 0.0, 0.0, 0.5]), atol=1e-15
+    )
 
 
 def test_projected_ensemble_completeness_and_mean():
     cfg = KimConfig(n=10, n_a=2, t=3, g=G)
     state = evolve(cfg)
-    ens = projected_ensemble(state, cfg)
-    assert ens.probabilities().sum() == pytest.approx(1.0, abs=1e-10)
-    np.testing.assert_allclose(
-        ens.mean_state(), reduced_density_matrix(state, cfg), atol=1e-12
-    )
+    outcomes = _outcomes(state, cfg)
+    assert sum(p for p, _ in outcomes) == pytest.approx(1.0, abs=1e-10)
+    rdm = reduced_density_matrix(state, cfg)
+    np.testing.assert_allclose(_kron_moment(state, cfg, 1), rdm, atol=1e-12)
+    np.testing.assert_allclose(moment_from_state(state, cfg, 1), rdm, atol=1e-12)
 
 
 def test_moment_operator_identities():
     cfg = KimConfig(n=8, n_a=2, t=2, g=G)
     state = evolve(cfg)
-    ens = projected_ensemble(state, cfg)
-    rho1 = moment_operator(ens, 1)
+    rho1 = moment_from_state(state, cfg, 1)
     np.testing.assert_allclose(rho1, reduced_density_matrix(state, cfg), atol=1e-12)
-    # single pure state: rank-1 projector
-    from deeptherm.kim import ProjectedEnsemble
-
-    psi = np.array([1, 1j, 0, 0]) / np.sqrt(2)
-    single = ProjectedEnsemble(n_a=2, entries=[(1.0, psi)])
-    rho2 = moment_operator(single, 2)
-    evals = np.linalg.eigvalsh(rho2)
-    assert evals[-1] == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(evals[:-1]).max() <= 1e-12
-    # streaming accumulation agrees with the materialized ensemble
-    rho3a = moment_operator(ens, 3)
-    rho3b = moment_from_state(state, cfg, 3)
-    np.testing.assert_allclose(rho3a, rho3b, atol=1e-12)
+    # the streaming GEMM accumulation agrees with one explicit k-fold kron per outcome
+    for k in (1, 2, 3):
+        np.testing.assert_allclose(
+            moment_from_state(state, cfg, k), _kron_moment(state, cfg, k), atol=1e-12
+        )
 
 
 def test_rdm_maximally_mixed_at_t1():
@@ -203,17 +219,22 @@ def test_delta_k_and_monotonicity():
 
 def test_delta_invariant_under_outcome_relabeling():
     cfg = KimConfig(n=8, n_a=2, t=2, g=G)
-    ens = projected_ensemble(evolve(cfg), cfg)
-    rho = moment_operator(ens, 2)
-    rev = type(ens)(n_a=ens.n_a, entries=list(reversed(ens.entries)))
-    np.testing.assert_allclose(moment_operator(rev, 2), rho, atol=1e-13)
+    state = evolve(cfg)
+    # flipping every bath bit reverses the order of the bath outcomes z
+    A = state.reshape(2**cfg.offset, 2**cfg.n_a, -1)
+    flipped = A[::-1, :, ::-1].reshape(-1)
+    np.testing.assert_allclose(
+        moment_from_state(flipped, cfg, 2), moment_from_state(state, cfg, 2), atol=1e-13
+    )
 
 
 def test_design_time():
     assert design_time({0: 0.5, 1: 0.0}, 1e-8) == 1
     assert design_time({0: 0.5, 1: 0.2}, 1e-8) is None
-    cfg = KimConfig(n=10, n_a=2, t=3, g=G)
-    series = delta_series(cfg, 1)
+    series = {}
+    for t in range(4):
+        cfg = KimConfig(n=10, n_a=2, t=t, g=G)
+        series[t] = delta_k(moment_from_state(evolve(cfg), cfg, 1), 1)
     assert design_time(series, 1e-8) == 1  # ceil(n_a/2)
     with pytest.raises(AssertionError):
         design_times({1: {0: 1.0, 1: 0.0}, 2: {0: 0.0, 1: 0.0}}, 1e-8)

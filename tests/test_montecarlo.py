@@ -19,7 +19,6 @@ from deeptherm.montecarlo import (
     mc_moment,
     mc_projected_state,
     mc_replica_check,
-    sample_haar_unitary,
 )
 from deeptherm.permgroup import enumerate_sym
 from deeptherm.replica import ReplicaSpec, replica_moment
@@ -36,6 +35,8 @@ def test_config_validation():
         McConfig(k=2, t=2, n_a=2, samples=1000, checkpoints=(0, 1000))
     with pytest.raises(McError):
         McConfig(k=2, t=0, n_a=2, samples=1000)
+    with pytest.raises(McError):
+        McConfig(k=2, t=11, n_a=2, samples=1000)  # temporal register capped at 10 qubits
     cfg = McConfig(k=2, t=2, n_a=2, samples=250_000)
     assert cfg.resolved_checkpoints() == (1000, 10_000, 100_000, 250_000)
     assert BATCH == 1000
@@ -48,16 +49,8 @@ def test_checkpoints_must_end_at_samples():
             McConfig(k=2, t=2, n_a=2, samples=samples, checkpoints=cps)
 
 
-def test_sample_haar_unitary_unitarity(rng):
-    for _ in range(100):
-        u = sample_haar_unitary(3, rng)
-        assert np.abs(u.conj().T @ u - np.eye(8)).max() <= 1e-12
-    with pytest.raises(McError):
-        sample_haar_unitary(11, rng)
-
-
 def test_mc_projected_state_basics(w2, rng):
-    u = sample_haar_unitary(3, rng)
+    u, u2 = _haar_batch(rng, 8, 2)
     psi, nrm = mc_projected_state(u, None, "pbc", w2)
     assert nrm >= 0
     assert nrm == pytest.approx(np.vdot(psi, psi).real)
@@ -65,7 +58,6 @@ def test_mc_projected_state_basics(w2, rng):
     psi2, nrm2 = mc_projected_state(np.exp(0.7j) * u, None, "pbc", w2)
     assert nrm2 == pytest.approx(nrm, rel=1e-12)
     assert abs(abs(np.vdot(psi, psi2)) - nrm) <= 1e-12 * max(nrm, 1.0)
-    u2 = sample_haar_unitary(3, rng)
     psi_o, nrm_o = mc_projected_state(u, u2, "obc", w2)
     assert nrm_o >= 0
     with pytest.raises(McError):

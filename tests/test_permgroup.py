@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from deeptherm.permgroup import (
     DegreeError,
     Permutation,
-    WeingartenConditioningError,
     _product_cycle_counts,
     character,
     conjugacy_classes,
@@ -20,7 +19,6 @@ from deeptherm.permgroup import (
     irrep_dimension,
     partitions,
     weingarten_table,
-    wg_asymptotic_ratio,
 )
 
 
@@ -109,9 +107,9 @@ def test_weingarten_small_exact():
 def test_weingarten_orthogonality(m, d):
     G = gram_matrix(m, d)
     table = weingarten_table(m, d)
-    vals = table.as_array()
-    # sum_t Wg(p t^-1) d^{#(t s^-1)} = delta_{ps}; rows of Wg-matrix times G
     perms = enumerate_sym(m)
+    vals = [table.value(p) for p in perms]
+    # sum_t Wg(p t^-1) d^{#(t s^-1)} = delta_{ps}; rows of Wg-matrix times G
     idx = {p.images: i for i, p in enumerate(perms)}
     W = np.empty_like(G)
     for a, p in enumerate(perms):
@@ -128,14 +126,12 @@ def test_weingarten_class_function():
         assert max(vals) - min(vals) <= 1e-14 * max(1.0, abs(vals[0]))
 
 
-def test_weingarten_singular_error_and_pseudo():
-    with pytest.raises(WeingartenConditioningError):
-        weingarten_table(3, 2)
-    table = weingarten_table(3, 2, on_singular="pseudo")
+def test_weingarten_singular_pseudo_inverse():
+    table = weingarten_table(3, 2)
     assert table.pseudo
     G = gram_matrix(3, 2)
-    vals = table.as_array()
     perms = enumerate_sym(3)
+    vals = [table.value(p) for p in perms]
     idx = {p.images: i for i, p in enumerate(perms)}
     W = np.empty_like(G)
     for a, p in enumerate(perms):
@@ -161,12 +157,13 @@ def test_offdiagonal_suppression_in_dimension():
 
 
 def test_wg_asymptotic_ratio():
+    # leading order Wg(p, d) ~ d^(#p - 2m)
     p_id = Permutation((0,))
-    assert wg_asymptotic_ratio(p_id, 16) == pytest.approx(1 / 16)
+    assert 16.0 ** (cycle_count(p_id) - 2) == pytest.approx(1 / 16)
     assert weingarten_table(1, 16).value(p_id) == pytest.approx(1 / 16)
-    # m=2: asymptote 1/15 vs exact at d=4 agrees to leading order
+    # m=2: asymptote 1/16 vs exact 1/15 at d=4 agrees to leading order
     e2 = Permutation((0, 1))
-    assert wg_asymptotic_ratio(e2, 4) == pytest.approx(1 / 16)
+    assert 4.0 ** (cycle_count(e2) - 4) == pytest.approx(1 / 16)
     assert weingarten_table(2, 4).value(e2) == pytest.approx(1 / 15)
     # |Wg(swap,d)| / |Wg(e,d)| -> 1/d
     for t in (4, 6, 8):
@@ -216,7 +213,7 @@ def test_weingarten_matches_gram_inverse_oracle(m):
         G = gram_matrix(m, d)
         row = (np.linalg.pinv(G, rcond=1e-10) if d < m else np.linalg.inv(G))[0]
         ref = {p.cycle_type(): v for p, v in zip(perms, row)}
-        table = weingarten_table(m, d, on_singular="pseudo")
+        table = weingarten_table(m, d)
         assert table.pseudo == (d < m)
         scale = max(abs(v) for v in ref.values())
         for ct, v in ref.items():
@@ -225,17 +222,15 @@ def test_weingarten_matches_gram_inverse_oracle(m):
             assert table.cond == pytest.approx(np.linalg.cond(G), rel=1e-12)
 
 
-def test_weingarten_error_exactly_when_singular():
+def test_weingarten_pseudo_exactly_when_singular():
     for m in range(1, 9):
         for d in range(1, 10):
+            table = weingarten_table(m, d)
+            assert table.pseudo == (d < m)
             if d < m:
-                with pytest.raises(WeingartenConditioningError):
-                    weingarten_table(m, d)
-                table = weingarten_table(m, d, on_singular="pseudo")
-                assert table.pseudo and table.cond == math.inf
+                assert table.cond == math.inf
             else:
-                table = weingarten_table(m, d)
-                assert not table.pseudo and 1 <= table.cond < math.inf
+                assert 1 <= table.cond < math.inf
     with pytest.raises(ValueError):
         weingarten_table(2, 0)
 

@@ -79,11 +79,14 @@ def test_cli_weingarten(tmp_path):
     assert meta.config.artifact_version
 
 
-def test_cli_weingarten_singular_error(tmp_path):
+def test_cli_weingarten_singular_error(tmp_path, capsys):
     out = str(tmp_path / "wg.csv")
     rc = main(["weingarten", "--m", "3", "--d", "2", "--out", out])
-    assert rc != 0
+    assert rc == 3
     assert not os.path.exists(out)
+    rec = json.loads(capsys.readouterr().err.strip())
+    assert rec["type"] == "WeingartenConditioningError"
+    assert "--allow-singular" in rec["error"]
     rc = main(["weingarten", "--m", "3", "--d", "2", "--allow-singular", "--out", out])
     assert rc == 0
     # the Gram matrix is singular: its condition number is recorded as null, not as inf
