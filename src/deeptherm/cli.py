@@ -1,6 +1,6 @@
 """Command-line orchestration: reproducible runs, CSV/JSON records, figure data.
 
-Subcommands: weingarten, exact, replica, mc, rates, figure3.  A flat
+Subcommands: weingarten, exact, replica, mc, rates, figure3, designcheck.  A flat
 key=value config file can seed any flags (command line wins).  Errors are
 reported as a machine-readable JSON object on stderr with a nonzero exit
 code.  OMP_NUM_THREADS controls BLAS threading.
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .dual_tensors import build_w
@@ -43,15 +42,9 @@ EXIT_RUNTIME = 3
 FIGURE3_MMAX = 6  # figure3 sweeps k + n <= 6 replicas
 
 
-def _record(args, subcommand: str, columns, rows, params: dict) -> None:
-    cfg = RunConfig(
-        subcommand=subcommand,
-        params=params,
-        seed=getattr(args, "seed", None),
-        out=args.out,
-        fmt=args.format,
-        artifact_version=__version__,
-    )
+def _record(args, subcommand: str, out: str, columns, rows, params: dict) -> None:
+    cfg = RunConfig(subcommand=subcommand, params=params, seed=getattr(args, "seed", None),
+                    out=out, fmt=args.format)
     write_record(ResultRecord(config=cfg, columns=columns, rows=rows))
 
 
@@ -63,7 +56,7 @@ def cmd_weingarten(args) -> int:
     for rank, p in enumerate(enumerate_sym(args.m)):
         ct = "+".join(str(c) for c in p.cycle_type())
         rows.append([rank, ct, table.value(p)])
-    _record(args, "weingarten", ["perm_rank", "cycle_type", "wg_value"], rows,
+    _record(args, "weingarten", args.out, ["perm_rank", "cycle_type", "wg_value"], rows,
             {"m": args.m, "d": args.d, "allow_singular": args.allow_singular,
              # a singular table's cond is inf, which JSON cannot hold
              "pseudo": table.pseudo, "cond": None if table.pseudo else table.cond})
@@ -80,13 +73,12 @@ def cmd_exact(args) -> int:
     for t in range(args.t + 1):
         if t > 0:
             state = apply_floquet(state, base, phases)
-        cfg_t = replace(base, t=t)
         ent = entanglement_entropy(state, base.n, base.offset, base.n_a)
         for k in range(1, args.k + 1):
-            rho = moment_from_state(state, cfg_t, k)
+            rho = moment_from_state(state, base, k)
             rows.append([base.n, base.n_a, t, base.bc, k,
-                         delta_k(rho, k), ent, cfg_t.wraparound()])
-    _record(args, "exact",
+                         delta_k(rho, k), ent, base.wraparound(t)])
+    _record(args, "exact", args.out,
             ["n", "na", "t", "bc", "k", "delta_k", "entropy_bits", "wraparound_flag"],
             rows, {"n": args.n, "na": args.na, "t": args.t, "bc": args.bc,
                    "k": args.k, "g": args.g, "offset": base.offset})
@@ -107,7 +99,7 @@ def cmd_replica(args) -> int:
         for n, dev in series:
             rows.append([args.k, n, t, args.bc, dev, fit.a, fit.b, fit.c,
                          fit.estimate, fit.flagged])
-    _record(args, "replica",
+    _record(args, "replica", args.out,
             ["k", "n", "t", "bc", "deviation_trace_norm", "fit_a", "fit_b",
              "fit_c", "extrapolated_norm", "fit_residual_flag"],
             rows, {"k": args.k, "nmax": args.nmax, "t": args.t, "bc": args.bc,
@@ -122,7 +114,7 @@ def cmd_mc(args) -> int:
     rows = []
     for (m_i, d_i), se in zip(est.series.points, est.checkpoint_stderrs()):
         rows.append([args.k, args.t, args.bc, m_i, d_i, se, est.series.converged])
-    _record(args, "mc",
+    _record(args, "mc", args.out,
             ["k", "t", "bc", "M_checkpoint", "delta_k", "stderr", "converged_flag"],
             rows, {"k": args.k, "t": args.t, "bc": args.bc, "na": args.na,
                    "g": args.g, "samples": args.samples, "seed": args.seed})
@@ -150,7 +142,7 @@ def cmd_rates(args) -> int:
         print(f"k={k} bc={bc} v={v:.2f}")
         out_rows.append([int(k), bc, v])
     if args.out:
-        _record(args, "rates", ["k", "bc", "v"], out_rows, {"infile": args.infile})
+        _record(args, "rates", args.out, ["k", "bc", "v"], out_rows, {"infile": args.infile})
     return EXIT_OK
 
 
@@ -181,16 +173,10 @@ def cmd_figure3(args) -> int:
                 est = mc_moment(cfg, w)
                 points.append([args.mc_k, t, bc, "mc", 2.0 * est.series.converged_value])
     pts_path = args.out + "_points.csv"
-    rates_path = args.out + "_rates.csv"
-    cfg_rec = RunConfig(
-        subcommand="figure3",
-        params={"na": args.na, "kmax": args.kmax, "tmax": args.tmax, "g": args.g,
-                "mc_samples": args.mc_samples, "mc_k": args.mc_k},
-        seed=args.seed, out=pts_path, fmt=args.format, artifact_version=__version__)
-    write_record(ResultRecord(config=cfg_rec, columns=["k", "t", "bc", "method", "value"],
-                              rows=points))
-    write_record(ResultRecord(config=replace(cfg_rec, out=rates_path),
-                              columns=["k", "bc", "v"], rows=rate_rows))
+    params = {"na": args.na, "kmax": args.kmax, "tmax": args.tmax, "g": args.g,
+              "mc_samples": args.mc_samples, "mc_k": args.mc_k}
+    _record(args, "figure3", pts_path, ["k", "t", "bc", "method", "value"], points, params)
+    _record(args, "figure3", args.out + "_rates.csv", ["k", "bc", "v"], rate_rows, params)
     for k, bc, v in rate_rows:
         print(f"k={k} bc={bc} v={v:.3f}")
     if args.plot:
@@ -199,7 +185,8 @@ def cmd_figure3(args) -> int:
 
 
 def cmd_designcheck(args) -> int:
-    # small helper behind figure3: finite-bath Haar emergence distances
+    # per bath length L: trace distance of the k-th moment of the bath temporal
+    # maps U(z), over all 2^L outcomes z, to the Haar unitary moment
     rows = []
     for L in _parse_tlist(args.lengths):
         cfg = KimConfig(n=args.na + L, n_a=args.na, t=args.t, a_offset=0, g=args.g)
@@ -207,7 +194,7 @@ def cmd_designcheck(args) -> int:
     for L, t, d in rows:
         print(f"L={L} t={t} dist={d:.6e}")
     if args.out:
-        _record(args, "designcheck", ["bath_side", "t", "distance"], rows,
+        _record(args, "designcheck", args.out, ["bath_side", "t", "distance"], rows,
                 {"na": args.na, "t": args.t, "k": args.k, "g": args.g})
     return EXIT_OK
 
@@ -246,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
-        p.add_argument("--out", default=None)
+    def common(p, out_required=True):
+        p.add_argument("--out", required=out_required)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("weingarten", help="Weingarten table as CSV")
@@ -291,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rates", help="decay-rate fit from a CSV")
     p.add_argument("--in", dest="infile", required=True)
-    common(p)
+    common(p, out_required=False)
     p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("figure3", help="replica sweep + MC spot checks + rates")
@@ -313,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--g", type=float, default=0.3)
     p.add_argument("--lengths", type=str, default="2,3,4,5,6")
-    common(p)
+    common(p, out_required=False)
     p.set_defaults(func=cmd_designcheck)
     return ap
 
@@ -348,10 +335,6 @@ def main(argv=None) -> int:
                 ap.error("argument --config: expected one argument")
             _apply_config_defaults(ap, _load_config_file(argv[i + 1]))
         args = ap.parse_args(argv)
-        if args.out is None and hasattr(args, "func") and args.func in (
-            cmd_weingarten, cmd_exact, cmd_replica, cmd_mc,
-        ):
-            ap.error("--out is required for this subcommand")
         return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)

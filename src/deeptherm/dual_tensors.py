@@ -35,15 +35,6 @@ def min_depth(n_a: int) -> int:
     return (n_a + 1) // 2
 
 
-def elementary_tensors(g: float) -> dict:
-    """Hadamard and the phased 3-leg Kronecker delta."""
-    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2)
-    delta3 = np.zeros((2, 2, 2), dtype=complex)
-    delta3[0, 0, 0] = np.exp(-1j * g)
-    delta3[1, 1, 1] = np.exp(+1j * g)
-    return {"hadamard": hadamard, "delta3": delta3}
-
-
 def kick_matrix(h: float) -> np.ndarray:
     """exp(-i h sigma_y); equals X @ H at the self-dual point h = pi/4."""
     return np.array([[np.cos(h), -np.sin(h)], [np.sin(h), np.cos(h)]], dtype=complex)
@@ -74,7 +65,6 @@ class WTensor:
     n_a: int
     t_legs: int
     data: np.ndarray
-    iso_constant: float  # isometry constant of the raw (pre-normalization) tensor
 
     def isometry_defect(self) -> float:
         M = self.data.reshape(2**self.n_a, -1)
@@ -120,7 +110,7 @@ def build_wprime(
     c = float(np.mean(np.einsum("ij,ij->i", M, M.conj()).real))
     if normalize:
         S = S / np.sqrt(c)
-    return WTensor(n_a=n_a, t_legs=t, data=S, iso_constant=c)
+    return WTensor(n_a=n_a, t_legs=t, data=S)
 
 
 def build_w(n_a: int, g: float, j: float = PI4, h: float = PI4) -> WTensor:
@@ -207,7 +197,4 @@ def load_wtensor(path) -> WTensor:
             raise ValueError("not a WT1 dump")
         n_a, t_legs = int(header[1]), int(header[2])
         data = np.frombuffer(f.read(), dtype="<c8").astype(np.complex128)
-    data = data.reshape(2**n_a, 2**t_legs, 2**t_legs)
-    M = data.reshape(2**n_a, -1)
-    c = float(np.mean(np.einsum("ij,ij->i", M, M.conj()).real))
-    return WTensor(n_a=n_a, t_legs=t_legs, data=data, iso_constant=c)
+    return WTensor(n_a=n_a, t_legs=t_legs, data=data.reshape(2**n_a, 2**t_legs, 2**t_legs))

@@ -170,7 +170,13 @@ def plus_state(n: int) -> np.ndarray:
 
 
 def evolve(cfg: KimConfig) -> np.ndarray:
-    """|Psi(t)> after t Floquet steps from the x-polarized product state."""
+    """|Psi(t)> after t Floquet steps from the x-polarized product state.
+
+    The exact route's test reference, like build_floquet.  cli.cmd_exact keeps
+    its own loop, because it reads the state at every step and calls
+    plus_state, ising_phase_vector and apply_floquet through the cli module,
+    where they can be timed or replaced per step.
+    """
     state = plus_state(cfg.n)
     phases = ising_phase_vector(cfg)
     for _ in range(cfg.t):

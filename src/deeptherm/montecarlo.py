@@ -151,39 +151,33 @@ class McEstimate:
     k: int
     n_a: int
 
-    def delta(self) -> float:
-        return 0.5 * trace_norm(self.rho - haar_moment_operator(self.n_a, self.k))
-
-    def jackknife(self):
-        """Leave-one-batch-out estimates -> (delta SE, entrywise SE matrix)."""
+    def entry_stderr(self) -> np.ndarray:
+        """Leave-one-batch-out jackknife SE of every entry of rho."""
         B = len(self.batch_nums)
         if B < 2:
             raise McError("jackknife needs at least 2 batches")
         nums = np.asarray(self.batch_nums)
         dens = np.asarray(self.batch_dens)
-        se_delta = jackknife_delta_se(nums, dens, haar_moment_operator(self.n_a, self.k))
         rhos = (nums.sum(axis=0) - nums) / (dens.sum() - dens)[:, None, None]
-        se_entry = np.sqrt((B - 1) / B * (np.abs(rhos - rhos.mean(axis=0)) ** 2).sum(axis=0))
-        return se_delta, se_entry
+        return np.sqrt((B - 1) / B * (np.abs(rhos - rhos.mean(axis=0)) ** 2).sum(axis=0))
 
     def checkpoint_stderrs(self) -> list:
-        """Jackknife SE of delta at each checkpoint, over the batches done by then
-        (nan while only one batch is done)."""
+        """Leave-one-batch-out jackknife SE of delta at each checkpoint, over the
+        batches done by then (nan while only one batch is done)."""
         haar = haar_moment_operator(self.n_a, self.k)
-        nums, dens = np.asarray(self.batch_nums), np.asarray(self.batch_dens)
-        return [jackknife_delta_se(nums[:nb], dens[:nb], haar) if nb >= 2 else float("nan")
-                for nb in self.checkpoint_batches]
-
-
-def jackknife_delta_se(nums: np.ndarray, dens: np.ndarray, haar: np.ndarray) -> float:
-    """Leave-one-batch-out jackknife SE of delta from per-batch partial sums."""
-    B = len(nums)
-    num = nums.sum(axis=0)
-    den = dens.sum()
-    deltas = np.empty(B)
-    for i in range(B):
-        deltas[i] = 0.5 * trace_norm((num - nums[i]) / (den - dens[i]) - haar)
-    return float(np.sqrt((B - 1) / B * ((deltas - deltas.mean()) ** 2).sum()))
+        all_nums, all_dens = np.asarray(self.batch_nums), np.asarray(self.batch_dens)
+        out = []
+        for B in self.checkpoint_batches:
+            if B < 2:
+                out.append(float("nan"))
+                continue
+            nums, dens = all_nums[:B], all_dens[:B]
+            num, den = nums.sum(axis=0), dens.sum()
+            deltas = np.empty(B)
+            for i in range(B):
+                deltas[i] = 0.5 * trace_norm((num - nums[i]) / (den - dens[i]) - haar)
+            out.append(float(np.sqrt((B - 1) / B * ((deltas - deltas.mean()) ** 2).sum())))
+        return out
 
 
 def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstimate:

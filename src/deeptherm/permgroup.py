@@ -85,13 +85,6 @@ class Permutation:
         """Cycle lengths, longest first (conjugacy-class label)."""
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
 
-    def is_identity(self):
-        return all(v == i for i, v in enumerate(self.images))
-
-    @staticmethod
-    def identity(m):
-        return Permutation(tuple(range(m)))
-
 
 def enumerate_sym(m: int) -> list:
     """All m! elements of S_m in lexicographic order of one-line form."""

@@ -15,6 +15,8 @@ import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
+from . import __version__
+
 SCHEMA_VERSION = "1"
 
 
@@ -29,21 +31,10 @@ class RunConfig:
     seed: int | None = None
     out: str | None = None
     fmt: str = "csv"
-    artifact_version: str = "0.1.0"
-    schema_version: str = SCHEMA_VERSION
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(d: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(d) - known
-        if unknown:
-            raise RecordError(f"unknown RunConfig fields: {sorted(unknown)}")
-        if d.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise RecordError(f"unsupported schema version {d.get('schema_version')}")
-        return RunConfig(**d)
+        return {**dataclasses.asdict(self), "artifact_version": __version__,
+                "schema_version": SCHEMA_VERSION}
 
 
 @dataclass
@@ -64,22 +55,6 @@ class ResultRecord:
             },
             indent=2,
             sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "ResultRecord":
-        d = json.loads(text)
-        known = {"schema_version", "config", "columns", "rows", "created_at"}
-        unknown = set(d) - known
-        if unknown:
-            raise RecordError(f"unknown ResultRecord fields: {sorted(unknown)}")
-        if d.get("schema_version") != SCHEMA_VERSION:
-            raise RecordError(f"unsupported schema version {d.get('schema_version')}")
-        return ResultRecord(
-            config=RunConfig.from_dict(d["config"]),
-            columns=list(d["columns"]),
-            rows=[list(r) for r in d["rows"]],
-            created_at=d["created_at"],
         )
 
 

@@ -37,6 +37,7 @@ from scipy.optimize import brentq
 from .dual_tensors import WTensor, build_w, min_depth
 from .linalg import MEM_BUDGET_BYTES, digit_permute_codes, haar_moment_operator, trace_norm
 from .permgroup import (
+    MAX_DEGREE,
     Permutation,
     conjugacy_classes,
     cycle_count,
@@ -44,9 +45,6 @@ from .permgroup import (
     partitions,
     weingarten_table,
 )
-
-MAX_REPLICAS = 8        # hard cap on m = k + n
-
 
 class ReplicaError(ValueError):
     pass
@@ -64,8 +62,8 @@ class ReplicaSpec:
     def __post_init__(self):
         if self.k < 1 or self.n < 0:
             raise ReplicaError("need k >= 1 and n >= 0")
-        if self.m > MAX_REPLICAS:
-            raise ReplicaError(f"m = k+n = {self.m} above hard cap {MAX_REPLICAS}")
+        if self.m > MAX_DEGREE:
+            raise ReplicaError(f"m = k+n = {self.m} above hard cap {MAX_DEGREE}")
         if self.bc not in ("pbc", "obc"):
             raise ReplicaError("bc must be 'pbc' or 'obc'")
         if self.t < min_depth(self.n_a):
@@ -110,19 +108,11 @@ def _prefactor_of_type(cycle_type: tuple, spec: ReplicaSpec) -> float:
     return loop / _haar_denominator(2**spec.t, spec.m) ** 2
 
 
-@dataclass(frozen=True)
-class DiagramTerm:
-    sigma: Permutation
-    tau: Permutation
-    k: int
-    n: int
-    value: np.ndarray  # capped operator on the k-replica space
-
-
-def diagram_term(sigma: Permutation, tau: Permutation, spec: ReplicaSpec, w: WTensor) -> DiagramTerm:
+def diagram_term(sigma: Permutation, tau: Permutation, spec: ReplicaSpec, w: WTensor) -> np.ndarray:
     """Direct contraction of one (sigma, tau) diagram (costly beyond m ~ 4).
 
-    value[mu_vec, nu_vec] = sum over temporal legs and capped replicas of
+    Returns the capped operator on the k-replica space,
+    D[mu_vec, nu_vec] = sum over temporal legs and capped replicas of
     prod_j W[mu_j, a_j, b_j] * conj(W[nu_j, a_sigma(j), b_tau(j)]),
     with replicas j >= k sharing mu_j = nu_j.  No t enters: the diagram is
     time-independent by construction.
@@ -147,8 +137,7 @@ def diagram_term(sigma: Permutation, tau: Permutation, spec: ReplicaSpec, w: WTe
         ops.append(w.data.conj())
     spec_str = ",".join(subs) + "->" + row + col
     dA = 2**spec.n_a
-    val = np.einsum(spec_str, *ops, optimize="greedy").reshape(dA**k, dA**k)
-    return DiagramTerm(sigma=sigma, tau=tau, k=k, n=n, value=val)
+    return np.einsum(spec_str, *ops, optimize="greedy").reshape(dA**k, dA**k)
 
 
 def _estimate_engine_bytes(n_a: int, m: int) -> int:
@@ -285,7 +274,7 @@ def replica_moment(spec: ReplicaSpec) -> np.ndarray:
 
 def deviation_series(spec: ReplicaSpec, n_max: int):
     """[(n, ||rho^(k,n) - rho_Haar^(k)||_1) for n = 0..n_max]."""
-    if spec.k + n_max > MAX_REPLICAS:
+    if spec.k + n_max > MAX_DEGREE:
         raise ReplicaError("k + n_max above the replica cap")
     _check_size(spec.n_a, spec.k, range(n_max + 1))
     haar = haar_moment_operator(spec.n_a, spec.k)
@@ -393,5 +382,5 @@ def direct_double_sum(spec: ReplicaSpec, w: WTensor) -> np.ndarray:
     acc = np.zeros((2 ** (spec.n_a * spec.k),) * 2, dtype=complex)
     for sig in perms:
         for tau in perms:
-            acc += pref(sig, tau, spec) * diagram_term(sig, tau, spec, w).value
+            acc += pref(sig, tau, spec) * diagram_term(sig, tau, spec, w)
     return acc / np.trace(acc)

@@ -232,7 +232,7 @@ def test_criterion_7_integer_n_oracle(k, n, bc):
         rho_rep = replica_moment(ReplicaSpec(k=k, n=n, t=t, n_a=2, bc=bc, g=G))
         cfg = McConfig(k=k, t=t, n_a=2, bc=bc, g=G, samples=500_000, seed=99)
         est = mc_replica_check(cfg, n, w)
-        _, se_entry = est.jackknife()
+        se_entry = est.entry_stderr()
         dist = 0.5 * trace_norm(est.rho - rho_rep)
         bound = 3 * 0.5 * np.sqrt(est.rho.shape[0]) * np.sqrt((se_entry**2).sum())
         assert dist <= bound, (k, n, bc, t, dist, bound)
@@ -240,7 +240,7 @@ def test_criterion_7_integer_n_oracle(k, n, bc):
             haar = haar_moment_operator(2, k)
             d_mc = 0.5 * trace_norm(est.rho - haar)
             d_rep = 0.5 * trace_norm(rho_rep - haar)
-            se_delta, _ = est.jackknife()
+            se_delta = est.checkpoint_stderrs()[-1]
             assert abs(d_mc - d_rep) <= 3 * se_delta + 0.02 * d_rep
     _report(7, f"(k,n)=({k},{n}) {bc}: MC within 3 jackknife SE of replica at t=2,3")
 

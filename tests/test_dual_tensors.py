@@ -11,7 +11,6 @@ from deeptherm.dual_tensors import (
     build_wprime,
     dual_site_layer,
     dump_wtensor,
-    elementary_tensors,
     kick_matrix,
     load_wtensor,
     min_depth,
@@ -22,28 +21,6 @@ from deeptherm.kim import KimConfig, evolve
 from deeptherm.permgroup import cycle_count, enumerate_sym
 
 G = 0.3
-
-
-def test_elementary_tensors():
-    ets = elementary_tensors(G)
-    H = ets["hadamard"]
-    np.testing.assert_allclose(H @ H, np.eye(2), atol=1e-15)
-    d0 = elementary_tensors(0.0)["delta3"]
-    expected = np.zeros((2, 2, 2))
-    expected[0, 0, 0] = expected[1, 1, 1] = 1.0
-    np.testing.assert_allclose(d0, expected, atol=1e-15)
-
-
-def test_delta_fusion_doubles_phase():
-    # contracting two phased deltas over one leg gives a 4-leg delta with
-    # the phase doubled
-    d = elementary_tensors(G)["delta3"]
-    fused = np.einsum("abx,xcd->abcd", d, d)
-    d2 = elementary_tensors(2 * G)["delta3"]
-    expected = np.zeros((2, 2, 2, 2), dtype=complex)
-    expected[0, 0, 0, 0] = d2[0, 0, 0]
-    expected[1, 1, 1, 1] = d2[1, 1, 1]
-    np.testing.assert_allclose(fused, expected, atol=1e-15)
 
 
 def test_kick_matrix_self_dual_form():
@@ -233,7 +210,7 @@ def test_downstream_gauge_invariance_under_scaling(w2):
 
     spec = ReplicaSpec(k=2, n=0, t=2, n_a=2, bc="pbc", g=G)
     base = direct_double_sum(spec, w2)
-    scaled = WTensor(n_a=2, t_legs=1, data=2.7 * w2.data, iso_constant=w2.iso_constant)
+    scaled = WTensor(n_a=2, t_legs=1, data=2.7 * w2.data)
     np.testing.assert_allclose(direct_double_sum(spec, scaled), base, atol=1e-12)
 
 
@@ -261,7 +238,7 @@ def test_build_w_flags_convention_bugs(monkeypatch):
         w = orig(n_a, t, g, j=j, h=h, normalize=normalize)
         bad = w.data.copy()
         bad[0] *= 1.05  # breaks the isometry
-        return dtmod.WTensor(n_a=w.n_a, t_legs=w.t_legs, data=bad, iso_constant=w.iso_constant)
+        return dtmod.WTensor(n_a=w.n_a, t_legs=w.t_legs, data=bad)
 
     monkeypatch.setattr(dtmod, "build_wprime", broken)
     with pytest.raises(TensorConventionError):

@@ -150,7 +150,7 @@ def test_mc_seed_determinism(w2):
 
 
 def test_checkpoint_stderrs_end_at_jackknife(w2):
-    # per-checkpoint SEs and McEstimate.jackknife share one helper;
+    # the last SE is the leave-one-batch-out jackknife over every batch;
     # 30_500 samples leave a partial last batch
     cfg = McConfig(k=2, t=2, n_a=2, bc="obc", g=G, samples=30_500, seed=123)
     est = mc_moment(cfg, w2)
@@ -159,7 +159,12 @@ def test_checkpoint_stderrs_end_at_jackknife(w2):
     assert est.checkpoint_batches == [1, 10, 31]
     assert np.isnan(ses[0])  # one batch at the first checkpoint
     assert est.series.points[-1][0] == cfg.samples
-    assert ses[-1] == est.jackknife()[0]
+    nums, dens = np.asarray(est.batch_nums), np.asarray(est.batch_dens)
+    B = len(nums)
+    haar = haar_moment_operator(2, 2)
+    deltas = np.array([0.5 * trace_norm((nums.sum(axis=0) - nums[i]) / (dens.sum() - dens[i]) - haar)
+                       for i in range(B)])
+    assert ses[-1] == np.sqrt((B - 1) / B * ((deltas - deltas.mean()) ** 2).sum())
 
 
 def test_checkpoint_row_equals_run_ending_there(w2):
@@ -209,7 +214,7 @@ def test_mc_replica_check_n0_identity(w2):
 def test_mc_replica_check_k1_n1_maximally_mixed(w2):
     cfg = McConfig(k=1, t=2, n_a=2, bc="obc", g=G, samples=200_000, seed=31)
     est = mc_replica_check(cfg, 1, w2)
-    se_delta, se_entry = est.jackknife()
+    se_entry = est.entry_stderr()
     assert np.abs(est.rho - np.eye(4) / 4).max() <= 6 * max(se_entry.max(), 1e-4)
 
 
@@ -219,7 +224,7 @@ def test_mc_replica_agreement_small(bc, w2):
     cfg = McConfig(k=2, t=2, n_a=2, bc=bc, g=G, samples=150_000, seed=42)
     est = mc_replica_check(cfg, 1, w2)
     rho_rep = replica_moment(ReplicaSpec(k=2, n=1, t=2, n_a=2, bc=bc, g=G))
-    _, se_entry = est.jackknife()
+    se_entry = est.entry_stderr()
     bound = 3 * 0.5 * np.sqrt(16) * np.sqrt((se_entry**2).sum())
     assert 0.5 * trace_norm(est.rho - rho_rep) <= bound
 

@@ -68,7 +68,7 @@ def test_diagram_term_identity_direction(w2):
     # k=1, n=0, sigma=tau=e: proportional to vec of the identity
     sp = spec(1, 0, 2)
     e1 = Permutation((0,))
-    val = diagram_term(e1, e1, sp, w2).value
+    val = diagram_term(e1, e1, sp, w2)
     np.testing.assert_allclose(val, np.eye(4), atol=1e-12)
 
 
@@ -79,15 +79,15 @@ def test_diagram_term_diagonal_sums_to_haar(w2):
         sp = spec(k, n, 2)
         acc = np.zeros((4**k, 4**k), dtype=complex)
         for s in enumerate_sym(k + n):
-            acc += diagram_term(s, s, sp, w2).value
+            acc += diagram_term(s, s, sp, w2)
         acc /= np.trace(acc)
         np.testing.assert_allclose(acc, haar_moment_operator(2, k), atol=1e-12)
 
 
 def test_diagram_term_time_independent(w2):
     e, swap = enumerate_sym(2)
-    v1 = diagram_term(swap, e, spec(1, 1, 1), w2).value
-    v2 = diagram_term(swap, e, spec(1, 1, 3), w2).value
+    v1 = diagram_term(swap, e, spec(1, 1, 1), w2)
+    v2 = diagram_term(swap, e, spec(1, 1, 3), w2)
     np.testing.assert_array_equal(v1, v2)
 
 
