@@ -27,7 +27,7 @@ import numpy as np
 from . import _kernels
 from .dual_tensors import WTensor, build_w, min_depth, reduce_temporal_operator
 from .kim import haar_moment_operator
-from .linalg import trace_norm
+from .linalg import MEM_BUDGET_BYTES, trace_norm
 
 BATCH = 1000
 DEFAULT_CHECKPOINT_START = 1000
@@ -61,6 +61,15 @@ class McConfig:
             raise McError("checkpoints must be positive and strictly increasing")
         if cps[-1] != self.samples:
             raise McError("the last checkpoint must equal samples")
+        dim = (2**self.n_a) ** self.k
+        if dim > 4096:
+            raise McError("replicated space too large")
+        # _run_estimator keeps one dim x dim complex sum per batch, plus the total
+        batches = sum(-(-(b - a) // BATCH) for a, b in zip((0,) + cps, cps))
+        need = 16 * dim**2 * (batches + 1)
+        if need > MEM_BUDGET_BYTES:
+            raise McError(f"mc at k={self.k}, n_a={self.n_a} keeps {batches} batch sums of "
+                          f"{dim} x {dim}: ~{need / 1e9:.1f} GB, above budget")
 
     def resolved_checkpoints(self) -> tuple:
         if self.checkpoints:
@@ -165,14 +174,19 @@ class McEstimate:
         """Leave-one-batch-out jackknife SE of delta at each checkpoint, over the
         batches done by then (nan while only one batch is done)."""
         haar = haar_moment_operator(self.n_a, self.k)
-        all_nums, all_dens = np.asarray(self.batch_nums), np.asarray(self.batch_dens)
+        all_dens = np.asarray(self.batch_dens)
         out = []
         for B in self.checkpoint_batches:
             if B < 2:
                 out.append(float("nan"))
                 continue
-            nums, dens = all_nums[:B], all_dens[:B]
-            num, den = nums.sum(axis=0), dens.sum()
+            nums, dens = self.batch_nums[:B], all_dens[:B]
+            # summed in place: a stacked copy would double the memory that
+            # McConfig's preflight counts
+            num = nums[0].copy()
+            for x in nums[1:]:
+                num += x
+            den = dens.sum()
             deltas = np.empty(B)
             for i in range(B):
                 deltas[i] = 0.5 * trace_norm((num - nums[i]) / (den - dens[i]) - haar)
@@ -182,10 +196,7 @@ class McEstimate:
 
 def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstimate:
     """Shared accumulation path: weights <psi~|psi~>^weight_exponent."""
-    dA = 2**cfg.n_a
-    dim = dA**cfg.k
-    if dim > 4096:
-        raise McError("replicated space too large")
+    dim = (2**cfg.n_a) ** cfg.k
     num = np.zeros((dim, dim), dtype=complex)
     den = 0.0
     batch_nums, batch_dens, checkpoint_batches = [], [], []

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dual_tensors import WTensor, build_w, min_depth
 from .linalg import MEM_BUDGET_BYTES, digit_permute_codes, haar_moment_operator, trace_norm
@@ -305,6 +304,57 @@ def check_fit_points(n_points: int) -> None:
         raise ReplicaError(f"extrapolation needs at least 3 points in n, got {n_points}")
 
 
+def _brent(f, lo: float, hi: float) -> float:
+    """Root of f in [lo, hi] by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4).
+
+    Takes the steps of the reference C routine brentq (inverse quadratic or
+    secant step when it is short enough, else bisection) with xtol = 1e-300
+    and rtol = 4 eps, so the root is the same float; tests/test_replica.py
+    checks the equality.  Raises ReplicaError when f(lo) and f(hi) have
+    the same sign or when 100 iterations do not converge.
+    """
+    xtol, rtol, maxiter = 1e-300, 4 * math.ulp(1.0), 100
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ReplicaError("root solve: f(lo) and f(hi) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolation step is short enough
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic; a zero denominator (inf in C) bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                if den != 0:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise ReplicaError(f"root solve did not converge in {maxiter} iterations")
+
+
 def extrapolate_to_physical(series, k: int) -> ExtrapolationResult:
     """Fit log2(norm) = a + b exp(-c n) and evaluate at n = 1 - k.
 
@@ -313,9 +363,10 @@ def extrapolate_to_physical(series, k: int) -> ExtrapolationResult:
     constant column projected out, which leaves the residual r.  c > 0 is a
     root of the derivative of the projected sum of squares,
     sum_i r_i b n_i exp(-c n_i).  Each sign change from - to + on a log grid of
-    c brackets a minimum; brentq solves it to rounding (a minimum searched
-    directly fixes c only to about sqrt(eps)), and the root with the least
-    residual wins.  At three points the root is the exact interpolant.
+    c brackets a minimum; _brent solves the bracket to a relative tolerance
+    of 4 eps, which fixes c to a few ulps where a minimum searched directly
+    fixes it only to about sqrt(eps), and the root with the least residual
+    wins.  At three points the root is the exact interpolant.
 
     Flagged when no root exists (a series that needs c <= 0, growing with n,
     has none) or when the RMS residual exceeds RESIDUAL_THRESHOLD.
@@ -349,8 +400,7 @@ def extrapolate_to_physical(series, k: int) -> ExtrapolationResult:
 
     grid = np.geomspace(1e-3, 1e2, 51)
     slopes = [slope(c) for c in grid]
-    # xtol ~ 0 leaves brentq's relative tolerance of 4 eps: c to a few ulps
-    roots = [brentq(slope, lo, hi, xtol=1e-300)
+    roots = [_brent(slope, lo, hi)
              for lo, hi, s_lo, s_hi in zip(grid, grid[1:], slopes, slopes[1:]) if s_lo < 0 <= s_hi]
     c = float(min(roots or grid, key=sse))
     a, b, r = project(c)

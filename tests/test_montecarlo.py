@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,11 @@ def test_config_validation():
         McConfig(k=2, t=0, n_a=2, samples=1000)
     with pytest.raises(McError):
         McConfig(k=2, t=11, n_a=2, samples=1000)  # temporal register capped at 10 qubits
+    with pytest.raises(McError, match="too large"):
+        McConfig(k=7, t=2, n_a=2, samples=1000)  # 16384-dimensional replicated space
+    with pytest.raises(McError, match="above budget"):
+        McConfig(k=6, t=2, n_a=2, samples=20000)  # 20 batch sums of 268 MB each
+    McConfig(k=4, t=2, n_a=2, samples=500_000)  # 500 batch sums of 1 MB each still run
     cfg = McConfig(k=2, t=2, n_a=2, samples=250_000)
     assert cfg.resolved_checkpoints() == (1000, 10_000, 100_000, 250_000)
     assert BATCH == 1000
@@ -165,6 +172,14 @@ def test_checkpoint_stderrs_end_at_jackknife(w2):
     deltas = np.array([0.5 * trace_norm((nums.sum(axis=0) - nums[i]) / (dens.sum() - dens[i]) - haar)
                        for i in range(B)])
     assert ses[-1] == np.sqrt((B - 1) / B * ((deltas - deltas.mean()) ** 2).sum())
+    # no stacked copy of the 31 batch sums: McConfig's preflight counts them once
+    tracemalloc.start()
+    try:
+        est.checkpoint_stderrs()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * nums[0].nbytes
 
 
 def test_checkpoint_row_equals_run_ending_there(w2):

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import deeptherm.cli as cli
 import deeptherm.kim as kim
+import deeptherm.montecarlo as montecarlo
 import deeptherm.replica as replica
 from deeptherm.cli import main
 from deeptherm.linalg import MEM_BUDGET_BYTES
@@ -237,6 +240,31 @@ def test_cli_exact_refuses_oversized_run_before_allocating(tmp_path, capsys, mon
         assert rec["type"] == "ConfigError" and "above budget" in rec["error"]
     assert not os.path.exists(out)
     assert kim.exact_bytes(23, 2, 3) <= MEM_BUDGET_BYTES  # the largest chain still runs
+
+
+def test_cli_mc_refuses_oversized_run_before_allocating(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("allocated for a refused size")
+
+    monkeypatch.setattr(montecarlo, "_run_estimator", fail)
+    out = str(tmp_path / "mc.csv")
+    # k=5 at n_a=2: 300 batch sums of 16 MB each, about 5 GB
+    assert main(["mc", "--k", "5", "--t", "2", "--na", "2", "--samples", "300000",
+                 "--out", out]) == 3
+    rec = json.loads(capsys.readouterr().err.strip())
+    assert rec["type"] == "McError" and "above budget" in rec["error"]
+    assert not os.path.exists(out)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.optimize alone took most of the CLI's start-up time
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, deeptherm.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert res.stdout.strip() == "[]"
 
 
 def test_cli_json_format(tmp_path):

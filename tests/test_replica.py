@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -282,6 +283,40 @@ def test_extrapolation_flags_degenerate():
         extrapolate_to_physical([(0, 1.0), (1, 0.5)], 2)
     with pytest.raises(ReplicaError):
         extrapolate_to_physical([(0, 1.0), (1, 0.5), (2, -0.1)], 2)
+
+
+def test_brent_matches_reference_brentq():
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    cases = [
+        (lambda x: x**3 - 2, 0.0, 3.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.exp(-x) - 0.3, 0.0, 5.0),
+        (lambda x: x * x - 1, -2.0, 0.0),
+        (lambda x: x * x - 1, 0.0, 1.0),  # root at the bracket end
+    ]
+    # the fit's own bracketed slopes, on a series from the engine
+    series = deviation_series(spec(2, 0, 3), 4)
+    ns = np.array([float(n) for n, _ in series])
+    y_c = np.log2([v for _, v in series])
+    y_c = y_c - y_c.mean()
+
+    def slope(c):
+        phi = np.exp(-c * ns)
+        phi_c = phi - phi.mean()
+        b = (phi_c @ y_c) / (phi_c @ phi_c)
+        return b * ((y_c - b * phi_c) @ (ns * phi))
+
+    grid = np.geomspace(1e-3, 1e2, 51)
+    cases += [(slope, lo, hi) for lo, hi in zip(grid, grid[1:])
+              if slope(lo) < 0 <= slope(hi)]
+    assert len(cases) > 5
+    for f, lo, hi in cases:
+        assert replica._brent(f, lo, hi) == brentq(f, lo, hi, xtol=1e-300)
+    # a jump at 0: bisection toward a root at 0 with xtol 1e-300 needs ~1000 steps
+    with pytest.raises(ReplicaError, match="did not converge"):
+        replica._brent(lambda x: -1.0 if x < 0 else 1.0, -1.0, 2.0)
+    with pytest.raises(ReplicaError, match="different signs"):
+        replica._brent(lambda x: x * x + 1, -1.0, 1.0)
 
 
 def test_rate_estimate():
