@@ -27,10 +27,12 @@ from . import _kernels
 from .dual_tensors import PI4, bath_side_unitary, kick_matrix, spin_table
 from .linalg import (
     MEM_BUDGET_BYTES,
-    haar_moment_operator,
     kron_all,
     partial_trace,
     permutation_vector_state,
+    sym_compress,
+    sym_embed,
+    sym_haar_distance,
     trace_norm,
 )
 from .permgroup import enumerate_sym, weingarten_table
@@ -99,9 +101,12 @@ def exact_bytes(n: int, n_a: int, k: int) -> int:
     """Bytes the exact route holds at once, summed over its largest arrays.
 
     The state and the phase vector (complex, 2^n each), the spin table
-    (n x 2^n float64, filled row by row in place), and three complex
-    moment-sized matrices (the moment, its Haar reference and their
-    difference, dimension 2^(n_a k)).
+    (n x 2^n float64, filled row by row in place), and room for three
+    complex matrices of dimension 2^(n_a k).  The moment is accumulated as
+    its D x D Sym^k block (D = C(2^n_a + k - 1, k), at most 2^(n_a k));
+    moment_from_state returns it embedded, and delta_k's leak check holds the
+    embedding, one re-embedded copy and the copy's real absolute values.
+    That is at most 2.5 of the three, so this is an upper bound.
     """
     dim = 2 ** (n_a * k)
     return 2 * 16 * 2**n + 8 * n * 2**n + 3 * 16 * dim * dim
@@ -192,24 +197,29 @@ def _subsystem_amplitudes(state: np.ndarray, cfg: KimConfig) -> np.ndarray:
 
 
 def moment_from_state(state: np.ndarray, cfg: KimConfig, k: int) -> np.ndarray:
-    """Streaming moment accumulation over bath outcomes (never stores states)."""
+    """Streaming moment accumulation over bath outcomes (never stores states).
+
+    The sum runs in Sym^k; the normalized block is embedded once at the end.
+    """
     if cfg.n_a * k > 14:
         raise ValueError("replicated dimension too large")
     amps = _subsystem_amplitudes(state, cfg)
     p = np.einsum("zs,zs->z", amps, amps.conj()).real
     w = np.where(p < P_FLOOR, 0.0, p ** (1 - k))
     out = _kernels.moment_accumulate(amps, w, k)
-    return out / np.trace(out)
+    return sym_embed(out / np.trace(out), 2**cfg.n_a, k)
 
 
 def delta_k(rho: np.ndarray, k: int) -> float:
-    """Half trace distance to the Haar moment of matching order."""
+    """Half trace distance to the Haar moment of matching order.
+
+    Taken on rho's Sym^k block; raises ValueError when rho leaks out of Sym^k.
+    """
     dim = rho.shape[0]
     d = round(dim ** (1.0 / k))
     if d**k != dim:
         raise ValueError(f"dimension {dim} is not a k={k} replica power")
-    n_a = int(round(np.log2(d)))
-    return 0.5 * trace_norm(rho - haar_moment_operator(n_a, k))
+    return 0.5 * sym_haar_distance(sym_compress(rho, d, k))
 
 
 def design_time(series: dict, eps: float):

@@ -5,9 +5,21 @@ Conventions used across the package:
   * replica (copy) index varies slower than the intra-replica index;
   * vectorization interleaves (ket, bra) per copy, so the vectorized
     permutation state on m copies of a q-qubit space reads
-    |P_q(s)> = sum |i_1, i_{s(1)}, i_2, i_{s(2)}, ..., i_m, i_{s(m)}>.
+    |P_q(s)> = sum |i_1, i_{s(1)}, i_2, i_{s(2)}, ..., i_m, i_{s(m)}>;
+  * the symmetric subspace Sym^k(C^d) has the orthonormal basis
+    |alpha> = coef_alpha^-1 sum_{codes in alpha} |code>, one vector per
+    multiset alpha of k digits, in itertools.combinations_with_replacement
+    order, with coef_alpha = sqrt(k!/alpha!) (alpha! = product of the
+    factorials of the digit multiplicities; coef_alpha^2 codes share alpha).
+    An operator rho on (C^d)^{(x)k} supported on Sym^k is held as its
+    D x D block r = <alpha|rho|beta>, D = C(d+k-1, k).  Every moment of the
+    package lives there, and the Haar moment is the identity over D.
 """
 from __future__ import annotations
+
+import itertools
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -15,6 +27,7 @@ from .permgroup import Permutation
 
 MEM_BUDGET_BYTES = 3_500_000_000  # largest working set a route may allocate; checked up front
 HERM_TOL = 1e-8  # trace_norm uses eigvalsh when max|a - a^+| <= HERM_TOL * max(max|a|, 1)
+SYM_LEAK_TOL = 1e-12  # sym_compress raises when max|embed(r) - rho| > SYM_LEAK_TOL * max|rho|
 
 
 def digit_permute_codes(images, base: int) -> np.ndarray:
@@ -73,6 +86,70 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
+class SymBasis(NamedTuple):
+    idx: np.ndarray  # (D, k) digits of each multiset, nondecreasing
+    coef: np.ndarray  # (D,) sqrt(k!/alpha!)
+    orbit: np.ndarray  # (d^k,) multiset id of every code
+    rep: np.ndarray  # (D,) the code of each multiset's sorted digits
+
+
+@lru_cache(maxsize=None)
+def sym_basis(d: int, k: int) -> SymBasis:
+    """The multiset basis of Sym^k(C^d) (see the module docstring)."""
+    idx = np.array(list(itertools.combinations_with_replacement(range(d), k)), dtype=np.intp)
+    place = d ** np.arange(k - 1, -1, -1)
+    # sorted digit tuples in lexicographic order have increasing codes
+    rep = idx @ place
+    digits = (np.arange(d**k)[:, None] // place) % d
+    orbit = np.searchsorted(rep, np.sort(digits, axis=1) @ place)
+    coef = np.sqrt(np.bincount(orbit))  # an orbit holds k!/alpha! codes
+    out = SymBasis(idx, coef, orbit, rep)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def sym_embed(r: np.ndarray, d: int, k: int) -> np.ndarray:
+    """The operator on (C^d)^{(x)k} whose Sym^k block is r; zero off Sym^k.
+
+    A gather, full[i, j] = r[orbit i, orbit j] / (coef coef); it also maps an
+    entrywise statistic of r (a standard error, say) to the full entries.
+    """
+    basis = sym_basis(d, k)
+    scaled = r / (basis.coef[:, None] * basis.coef)
+    return scaled.take(basis.orbit, axis=0).take(basis.orbit, axis=1)
+
+
+def sym_compress(rho: np.ndarray, d: int, k: int) -> np.ndarray:
+    """The Sym^k block r = coef coef rho[rep, rep] of rho.
+
+    Raises ValueError when rho is not supported on, and symmetric within,
+    Sym^k: max|sym_embed(r) - rho| above SYM_LEAK_TOL * max|rho|.
+    """
+    basis = sym_basis(d, k)
+    r = (basis.coef[:, None] * basis.coef) * rho.take(basis.rep, axis=0).take(basis.rep, axis=1)
+    diff = sym_embed(r, d, k)
+    diff -= rho
+    leak, scale = np.abs(diff).max(), np.abs(rho).max()
+    if not leak <= SYM_LEAK_TOL * scale:
+        raise ValueError(f"operator leaks out of Sym^{k}(C^{d}) "
+                         f"(max|embed - rho| = {leak:.2e}, max|rho| = {scale:.2e})")
+    return r
+
+
+def sym_haar_distance(r: np.ndarray) -> float:
+    """||rho - rho_Haar||_1 for the k-th moment rho with Sym^k block r.
+
+    rho_Haar is the projector onto Sym^k over D, so the distance is
+    sum_i |lambda_i(r) - 1/D|: one D x D eigvalsh, no Haar operator.  The
+    difference r - I/D is diagonalized, so each term keeps its relative
+    accuracy when lambda_i is close to 1/D.
+    """
+    dev = (r + r.conj().T) / 2
+    dev[np.diag_indices_from(dev)] -= 1.0 / len(dev)
+    return float(np.abs(np.linalg.eigvalsh(dev)).sum())
+
+
 def partial_trace(a: np.ndarray, dims, keep) -> np.ndarray:
     """Trace out the factors of a = op on (x) H_i not listed in `keep`."""
     dims = list(dims)
@@ -121,7 +198,9 @@ def haar_moment_operator(n_a: int, k: int) -> np.ndarray:
     """k-th moment of Haar-random pure states on n_a qubits.
 
     Equals sum_{s in S_k} P(s) / (d (d+1) ... (d+k-1)) with d = 2^n_a;
-    unit trace, supported on the symmetric subspace.
+    unit trace, supported on the symmetric subspace.  The package's routes
+    use its Sym^k block, the identity over D (sym_haar_distance); this dense
+    form is the tests' oracle.
     """
     from .permgroup import enumerate_sym
 

@@ -13,6 +13,10 @@ The physical moment uses weight <psi~|psi~>^(1-k); the integer-n replica
 surrogate uses weight <psi~|psi~>^n, whose trace normalization is exactly
 the ratio-estimator denominator mean <psi~|psi~>^(k+n).
 
+Moments are accumulated, compared with Haar and jackknifed as their Sym^k
+blocks (linalg.sym_basis); only the final estimate is embedded in the
+full replicated space.
+
 Samples are drawn in batches of at most BATCH; a batch ends early at a
 checkpoint, so no batch crosses one.  Random numbers come from counter-based
 Philox streams keyed by (seed, batch index), so a result is a deterministic
@@ -20,14 +24,14 @@ function of the seed, `samples` and the checkpoints.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
 from .dual_tensors import WTensor, build_w, min_depth, reduce_temporal_operator
-from .kim import haar_moment_operator
-from .linalg import MEM_BUDGET_BYTES, trace_norm
+from .linalg import MEM_BUDGET_BYTES, sym_embed, sym_haar_distance
 
 BATCH = 1000
 DEFAULT_CHECKPOINT_START = 1000
@@ -64,12 +68,15 @@ class McConfig:
         dim = (2**self.n_a) ** self.k
         if dim > 4096:
             raise McError("replicated space too large")
-        # _run_estimator keeps one dim x dim complex sum per batch, plus the total
+        # _run_estimator keeps one D x D complex Sym^k sum per batch, plus the
+        # total; the estimate and its entrywise SE are embedded at dim x dim
+        D = math.comb(2**self.n_a + self.k - 1, self.k)
         batches = sum(-(-(b - a) // BATCH) for a, b in zip((0,) + cps, cps))
-        need = 16 * dim**2 * (batches + 1)
+        need = 16 * D**2 * (batches + 1) + 2 * 16 * dim**2
         if need > MEM_BUDGET_BYTES:
             raise McError(f"mc at k={self.k}, n_a={self.n_a} keeps {batches} batch sums of "
-                          f"{dim} x {dim}: ~{need / 1e9:.1f} GB, above budget")
+                          f"{D} x {D} and a {dim} x {dim} estimate: ~{need / 1e9:.1f} GB, "
+                          "above budget")
 
     def resolved_checkpoints(self) -> tuple:
         if self.checkpoints:
@@ -150,30 +157,60 @@ def _batch_states(cfg: McConfig, w: WTensor, batch_index: int, b: int) -> np.nda
     return np.einsum("sxy,byx->bs", w.data, R)
 
 
+def _leave_one_out_spread(nums: list, dens: list) -> np.ndarray:
+    """sum_i |rho_(i) - mean_j rho_(j)|^2 entrywise, rho_(i) the moment without batch i.
+
+    Two passes over the batches (the mean, then the spread) from one running
+    sum, each leave-one-out moment formed in one reused buffer, so a few
+    batch sums are held, not a stack of them.
+    """
+    num = nums[0].copy()
+    for x in nums[1:]:
+        num += x
+    den = float(np.sum(dens))
+    loo = np.empty_like(num)
+
+    def leave_one_out(i):
+        np.subtract(num, nums[i], out=loo)
+        return np.divide(loo, den - dens[i], out=loo)
+
+    mean = np.zeros_like(num)
+    for i in range(len(nums)):
+        mean += leave_one_out(i)
+    mean /= len(nums)
+    spread, sq = np.zeros(num.shape), np.empty(num.shape)
+    for i in range(len(nums)):
+        np.abs(np.subtract(leave_one_out(i), mean, out=loo), out=sq)
+        sq *= sq
+        spread += sq
+    return spread
+
+
 @dataclass
 class McEstimate:
     rho: np.ndarray
     series: ConvergenceSeries
-    batch_nums: list
+    batch_nums: list  # D x D Sym^k block of each batch's weighted sum
     batch_dens: list
     checkpoint_batches: list  # batches done at each checkpoint
     k: int
     n_a: int
 
     def entry_stderr(self) -> np.ndarray:
-        """Leave-one-batch-out jackknife SE of every entry of rho."""
+        """Leave-one-batch-out jackknife SE of every entry of rho.
+
+        Taken on the Sym^k blocks, then embedded like rho.
+        """
         B = len(self.batch_nums)
         if B < 2:
             raise McError("jackknife needs at least 2 batches")
-        nums = np.asarray(self.batch_nums)
-        dens = np.asarray(self.batch_dens)
-        rhos = (nums.sum(axis=0) - nums) / (dens.sum() - dens)[:, None, None]
-        return np.sqrt((B - 1) / B * (np.abs(rhos - rhos.mean(axis=0)) ** 2).sum(axis=0))
+        var = _leave_one_out_spread(self.batch_nums, self.batch_dens)
+        var *= (B - 1) / B
+        return sym_embed(np.sqrt(var, out=var), 2**self.n_a, self.k)
 
     def checkpoint_stderrs(self) -> list:
         """Leave-one-batch-out jackknife SE of delta at each checkpoint, over the
         batches done by then (nan while only one batch is done)."""
-        haar = haar_moment_operator(self.n_a, self.k)
         all_dens = np.asarray(self.batch_dens)
         out = []
         for B in self.checkpoint_batches:
@@ -189,20 +226,19 @@ class McEstimate:
             den = dens.sum()
             deltas = np.empty(B)
             for i in range(B):
-                deltas[i] = 0.5 * trace_norm((num - nums[i]) / (den - dens[i]) - haar)
+                deltas[i] = 0.5 * sym_haar_distance((num - nums[i]) / (den - dens[i]))
             out.append(float(np.sqrt((B - 1) / B * ((deltas - deltas.mean()) ** 2).sum())))
         return out
 
 
 def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstimate:
     """Shared accumulation path: weights <psi~|psi~>^weight_exponent."""
-    dim = (2**cfg.n_a) ** cfg.k
-    num = np.zeros((dim, dim), dtype=complex)
+    D = math.comb(2**cfg.n_a + cfg.k - 1, cfg.k)
+    num = np.zeros((D, D), dtype=complex)
     den = 0.0
     batch_nums, batch_dens, checkpoint_batches = [], [], []
     series = ConvergenceSeries()
     done = 0
-    haar = haar_moment_operator(cfg.n_a, cfg.k)
     for cp in cfg.resolved_checkpoints():
         while done < cp:
             b = min(BATCH, cp - done)
@@ -220,11 +256,12 @@ def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstim
         if den <= 0:
             raise McError("all sampled norms vanished; aborting")
         rho = num / den
-        series.points.append((cp, 0.5 * trace_norm(rho - haar)))
+        series.points.append((cp, 0.5 * sym_haar_distance(rho)))
         checkpoint_batches.append(len(batch_nums))
     rho = (rho + rho.conj().T) / 2  # the last checkpoint is at cfg.samples
     return McEstimate(
-        rho=rho, series=series.finalize(), batch_nums=batch_nums, batch_dens=batch_dens,
+        rho=sym_embed(rho, 2**cfg.n_a, cfg.k), series=series.finalize(),
+        batch_nums=batch_nums, batch_dens=batch_dens,
         checkpoint_batches=checkpoint_batches, k=cfg.k, n_a=cfg.n_a,
     )
 

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dual_tensors import WTensor, build_w, min_depth
-from .linalg import MEM_BUDGET_BYTES, digit_permute_codes, haar_moment_operator, trace_norm
+from .linalg import MEM_BUDGET_BYTES, digit_permute_codes, sym_compress, sym_haar_distance
 from .permgroup import (
     MAX_DEGREE,
     Permutation,
@@ -250,8 +250,12 @@ def class_diagram_terms(n_a: int, k: int, n: int, g: float):
     }
 
 
-def replica_moment(spec: ReplicaSpec) -> np.ndarray:
-    """rho^(k,n) for the given boundary condition, normalized to unit trace."""
+def _moment_and_block(spec: ReplicaSpec):
+    """rho^(k,n), normalized to unit trace, and its Sym^k block.
+
+    The class diagrams are summed in the full replicated space, so the
+    block's leak check (linalg.sym_compress) tests the engine.
+    """
     diagrams = class_diagram_terms(spec.n_a, spec.k, spec.n, spec.g)
     ident = tuple([1] * spec.m)
     # off-diagonal classes first (fixed order), identity class last
@@ -265,23 +269,27 @@ def replica_moment(spec: ReplicaSpec) -> np.ndarray:
     if herm_defect > 1e-9:
         raise ReplicaError(f"replica moment not Hermitian (defect {herm_defect:.2e})")
     rho = (rho + rho.conj().T) / 2
-    wmin = np.linalg.eigvalsh(rho).min()
+    block = sym_compress(rho, 2**spec.n_a, spec.k)
+    wmin = np.linalg.eigvalsh(block).min()
     if wmin < -1e-8:
         raise ReplicaError(f"replica moment not PSD (min eig {wmin:.2e})")
-    return rho
+    return rho, block
+
+
+def replica_moment(spec: ReplicaSpec) -> np.ndarray:
+    """rho^(k,n) for the given boundary condition, normalized to unit trace."""
+    return _moment_and_block(spec)[0]
 
 
 def deviation_series(spec: ReplicaSpec, n_max: int):
-    """[(n, ||rho^(k,n) - rho_Haar^(k)||_1) for n = 0..n_max]."""
+    """[(n, ||rho^(k,n) - rho_Haar^(k)||_1) for n = 0..n_max], taken in Sym^k."""
     if spec.k + n_max > MAX_DEGREE:
         raise ReplicaError("k + n_max above the replica cap")
     _check_size(spec.n_a, spec.k, range(n_max + 1))
-    haar = haar_moment_operator(spec.n_a, spec.k)
     out = []
     for n in range(n_max + 1):
         sp = ReplicaSpec(k=spec.k, n=n, t=spec.t, n_a=spec.n_a, bc=spec.bc, g=spec.g)
-        rho = replica_moment(sp)
-        out.append((n, trace_norm(rho - haar)))
+        out.append((n, sym_haar_distance(_moment_and_block(sp)[1])))
     return out
 
 
@@ -362,8 +370,11 @@ def extrapolate_to_physical(series, k: int) -> ExtrapolationResult:
     fixed c, (a, b) is a linear least squares, solved in closed form with the
     constant column projected out, which leaves the residual r.  c > 0 is a
     root of the derivative of the projected sum of squares,
-    sum_i r_i b n_i exp(-c n_i).  Each sign change from - to + on a log grid of
-    c brackets a minimum; _brent solves the bracket to a relative tolerance
+    sum_i r_i b n_i exp(-c n_i), with n exp(-c n) taken orthogonal to the
+    constant and to exp(-c n): r is orthogonal to both, so the sum is the
+    same in exact arithmetic, but r's rounding no longer moves the root.
+    Each sign change from - to + on a log grid of c brackets a minimum;
+    _brent solves the bracket to a relative tolerance
     of 4 eps, which fixes c to a few ulps where a minimum searched directly
     fixes it only to about sqrt(eps), and the root with the least residual
     wins.  At three points the root is the exact interpolant.
@@ -391,8 +402,15 @@ def extrapolate_to_physical(series, k: int) -> ExtrapolationResult:
         return y.mean() - b * phi.mean(), b, y_c - b * phi_c
 
     def slope(c):
+        # r is orthogonal to 1 and phi, so only the part of n phi outside
+        # their span counts; dropping the rest keeps r's rounding out of it
         _, b, r = project(c)
-        return b * (r @ (ns * np.exp(-c * ns)))
+        phi = np.exp(-c * ns)
+        phi_c = phi - phi.mean()
+        q = ns * phi
+        q_c = q - q.mean()
+        q_c -= (q_c @ phi_c) / (phi_c @ phi_c) * phi_c
+        return b * (r @ q_c)
 
     def sse(c):
         r = project(c)[2]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 
 import deeptherm._kernels as kernels
+from deeptherm.linalg import sym_basis, sym_compress, sym_embed
 
 
 def _kron_moment(psi, w, k):
@@ -25,24 +26,35 @@ def test_moment_accumulate_matches_kron_oracle(rng):
     w[[0, kernels.ROW_BLOCK - 1, kernels.ROW_BLOCK, b - 1]] = 0.0
     for k in (1, 2, 3):
         ref = _kron_moment(psi, w, k)
-        out = kernels.moment_accumulate(psi, w, k)
+        out = sym_embed(kernels.moment_accumulate(psi, w, k), 2, k)
         assert out.shape == ref.shape
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_moment_accumulate_small_block_cap_matches_kron_oracle(rng, monkeypatch):
-    # a cap of 8 k-fold entries gives blocks of 4, 2 and 1 rows for k = 1, 2, 3
+    # a cap of 8 Sym^k entries gives blocks of 4, 2 and 2 rows for k = 1, 2, 3 (D = 2, 3, 4)
     b = 37
     psi = rng.standard_normal((b, 2)) + 1j * rng.standard_normal((b, 2))
     w = rng.random(b)
     w[[0, 3, 4, b - 1]] = 0.0
-    full = [kernels.moment_accumulate(psi, w, k) for k in (1, 2, 3)]
+    full = [sym_embed(kernels.moment_accumulate(psi, w, k), 2, k) for k in (1, 2, 3)]
     monkeypatch.setattr(kernels, "BLOCK_ENTRIES", 8)
     for k, ref_full in zip((1, 2, 3), full):
         ref = _kron_moment(psi, w, k)
-        out = kernels.moment_accumulate(psi, w, k)
+        out = sym_embed(kernels.moment_accumulate(psi, w, k), 2, k)
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
         assert np.abs(out - ref_full).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_moment_accumulate_returns_sym_block(rng):
+    # the D x D block of the k-fold sum, D = C(dA+k-1, k)
+    psi = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+    w = rng.random(50)
+    for k, D in ((1, 4), (2, 10), (3, 20)):
+        out = kernels.moment_accumulate(psi, w, k)
+        assert out.shape == (D, D) == (len(sym_basis(4, k).coef),) * 2
+        ref = sym_compress(_kron_moment(psi, w, k), 4, k)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_moment_accumulate_skips_zero_weights(rng):

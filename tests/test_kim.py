@@ -23,7 +23,7 @@ from deeptherm.kim import (
     reduced_density_matrix,
 )
 from deeptherm.linalg import haar_moment_operator, partial_trace, permutation_operator
-from deeptherm.permgroup import enumerate_sym
+from deeptherm.permgroup import Permutation, enumerate_sym
 from deeptherm.records import read_csv
 
 G = 0.3
@@ -208,6 +208,10 @@ def test_moment_replica_permutation_symmetry():
 
 def test_delta_k_and_monotonicity():
     assert delta_k(haar_moment_operator(2, 2), 2) <= 1e-12
+    # an antisymmetric part, (I - SWAP)/2 on C^4 (x) C^4, is refused
+    anti = (np.eye(16) - permutation_operator(Permutation((1, 0)), 4)) / 2
+    with pytest.raises(ValueError, match="Sym"):
+        delta_k(0.9 * haar_moment_operator(2, 2) + 0.1 * anti / 6, 2)
     rho = np.diag([1.0, 0.0]).astype(complex)
     assert delta_k(rho, 1) == pytest.approx(0.5)
     cfg = KimConfig(n=10, n_a=2, t=2, g=G)

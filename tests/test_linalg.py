@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,10 @@ from deeptherm.linalg import (
     partial_trace,
     permutation_operator,
     permutation_vector_state,
+    sym_basis,
+    sym_compress,
+    sym_embed,
+    sym_haar_distance,
     trace_norm,
     unitary_conjugation_invariance_check,
 )
@@ -177,3 +183,72 @@ def test_haar_moment_commutes_with_tensor_power_unitaries(rng):
         v = haar_from_ginibre(z)[0]
         vk = kron_all([v] * k)
         assert np.abs(vk @ h - h @ vk).max() <= 1e-12
+
+
+SYM_CASES = [(2, 1), (2, 2), (2, 3), (2, 4), (4, 2), (4, 3), (4, 4), (8, 2)]
+
+
+def _random_sym_block(rng, D):
+    """A random unit-trace PSD D x D block."""
+    g = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+    r = g @ g.conj().T
+    return r / np.trace(r).real
+
+
+@pytest.mark.parametrize("d,k", SYM_CASES)
+def test_sym_basis_orbits(d, k):
+    basis = sym_basis(d, k)
+    D = math.comb(d + k - 1, k)
+    assert basis.idx.shape == (D, k) and basis.coef.shape == basis.rep.shape == (D,)
+    assert np.all(np.diff(basis.idx, axis=1) >= 0)
+    # the orbit of alpha holds k!/alpha! = coef^2 codes, d^k in all
+    multinomial = [math.factorial(k) // math.prod(math.factorial(row.count(c)) for c in set(row))
+                   for row in map(list, basis.idx)]
+    np.testing.assert_array_equal(np.bincount(basis.orbit, minlength=D), multinomial)
+    np.testing.assert_allclose(basis.coef**2, multinomial, rtol=1e-15)
+    assert sum(multinomial) == d**k
+    assert np.array_equal(basis.orbit[basis.rep], np.arange(D))
+    # every code of an orbit is a digit permutation of its representative
+    place = d ** np.arange(k - 1, -1, -1)
+    digits = (np.arange(d**k)[:, None] // place) % d
+    np.testing.assert_array_equal(np.sort(digits, axis=1), basis.idx[basis.orbit])
+
+
+@pytest.mark.parametrize("d,k", SYM_CASES)
+def test_sym_embed_compress_round_trip(d, k, rng):
+    D = len(sym_basis(d, k).coef)
+    r = _random_sym_block(rng, D)
+    full = sym_embed(r, d, k)
+    # a unit-trace isometric image, symmetric under every copy permutation
+    assert np.trace(full).real == pytest.approx(1.0, abs=1e-14)
+    for p in enumerate_sym(k):
+        P = permutation_operator(p, d)
+        assert np.abs(P @ full - full).max() <= 1e-15
+    back = sym_compress(full, d, k)
+    assert np.abs(back - r).max() <= 1e-15 * np.abs(r).max()
+
+
+@pytest.mark.parametrize("d,k", SYM_CASES)
+def test_sym_haar_distance_matches_dense_trace_norm(d, k, rng):
+    haar = haar_moment_operator(int(np.log2(d)), k)
+    D = len(sym_basis(d, k).coef)
+    np.testing.assert_allclose(sym_embed(np.eye(D) / D, d, k), haar, atol=1e-15)
+    for r in (_random_sym_block(rng, D), 0.7 * np.eye(D) / D + 0.3 * _random_sym_block(rng, D)):
+        dense = trace_norm(sym_embed(r, d, k) - haar)
+        assert abs(sym_haar_distance(r) - dense) <= 1e-12
+
+
+def test_sym_compress_refuses_antisymmetric_part():
+    # (I - SWAP)/2 projects onto the antisymmetric square of C^4
+    swap = permutation_operator(Permutation((1, 0)), 4)
+    anti = (np.eye(16) - swap) / 2
+    haar = haar_moment_operator(2, 2)
+    sym_compress(haar, 4, 2)
+    for eps in (0.1, 1e-9):
+        with pytest.raises(ValueError, match="Sym"):
+            sym_compress((1 - eps) * haar + eps * anti / 6, 4, 2)
+    # weight outside the symmetric subspace that is not antisymmetric either
+    leak = np.zeros((16, 16))
+    leak[1, 1] = 1.0  # |01><01| alone, without |10><10|
+    with pytest.raises(ValueError, match="Sym"):
+        sym_compress(0.9 * haar + 0.1 * leak, 4, 2)

@@ -7,7 +7,14 @@ import pytest
 
 import deeptherm.montecarlo as montecarlo
 from deeptherm.cli import main
-from deeptherm.linalg import haar_moment_operator, kron_all, permutation_operator, trace_norm
+from deeptherm.linalg import (
+    haar_moment_operator,
+    kron_all,
+    permutation_operator,
+    sym_embed,
+    sym_haar_distance,
+    trace_norm,
+)
 from deeptherm.montecarlo import (
     BATCH,
     McConfig,
@@ -41,12 +48,23 @@ def test_config_validation():
         McConfig(k=2, t=11, n_a=2, samples=1000)  # temporal register capped at 10 qubits
     with pytest.raises(McError, match="too large"):
         McConfig(k=7, t=2, n_a=2, samples=1000)  # 16384-dimensional replicated space
-    with pytest.raises(McError, match="above budget"):
-        McConfig(k=6, t=2, n_a=2, samples=20000)  # 20 batch sums of 268 MB each
-    McConfig(k=4, t=2, n_a=2, samples=500_000)  # 500 batch sums of 1 MB each still run
+    McConfig(k=6, t=2, n_a=2, samples=20000)  # 21 Sym^6 sums of 84 x 84, a 4096 x 4096 estimate
+    McConfig(k=4, t=2, n_a=2, samples=500_000)  # 501 Sym^4 sums of 35 x 35
     cfg = McConfig(k=2, t=2, n_a=2, samples=250_000)
     assert cfg.resolved_checkpoints() == (1000, 10_000, 100_000, 250_000)
     assert BATCH == 1000
+
+
+def test_preflight_counts_sym_block_batch_sums(monkeypatch):
+    # 301 Sym^5 sums of 56 x 56 and two 1024 x 1024 operators: ~49 MB, where
+    # 301 full 1024 x 1024 sums would be ~5 GB
+    McConfig(k=5, t=3, n_a=2, samples=300_000)
+    need = 16 * 56**2 * 301 + 2 * 16 * 1024**2
+    monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", need - 1)
+    with pytest.raises(McError, match="above budget"):
+        McConfig(k=5, t=3, n_a=2, samples=300_000)
+    monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", need)
+    McConfig(k=5, t=3, n_a=2, samples=300_000)
 
 
 def test_checkpoints_must_end_at_samples():
@@ -168,10 +186,16 @@ def test_checkpoint_stderrs_end_at_jackknife(w2):
     assert est.series.points[-1][0] == cfg.samples
     nums, dens = np.asarray(est.batch_nums), np.asarray(est.batch_dens)
     B = len(nums)
-    haar = haar_moment_operator(2, 2)
-    deltas = np.array([0.5 * trace_norm((nums.sum(axis=0) - nums[i]) / (dens.sum() - dens[i]) - haar)
+    assert nums.shape == (B, 10, 10)  # Sym^2 blocks, D = 10
+    deltas = np.array([0.5 * sym_haar_distance((nums.sum(axis=0) - nums[i]) / (dens.sum() - dens[i]))
                        for i in range(B)])
     assert ses[-1] == np.sqrt((B - 1) / B * ((deltas - deltas.mean()) ** 2).sum())
+    # the same jackknife on the embedded sums against the dense Haar moment
+    full = np.array([sym_embed(x, 4, 2) for x in nums])
+    haar = haar_moment_operator(2, 2)
+    dense = np.array([0.5 * trace_norm((full.sum(axis=0) - full[i]) / (dens.sum() - dens[i]) - haar)
+                      for i in range(B)])
+    assert ses[-1] == pytest.approx(np.sqrt((B - 1) / B * ((dense - dense.mean()) ** 2).sum()), rel=1e-9)
     # no stacked copy of the 31 batch sums: McConfig's preflight counts them once
     tracemalloc.start()
     try:
@@ -180,6 +204,33 @@ def test_checkpoint_stderrs_end_at_jackknife(w2):
     finally:
         tracemalloc.stop()
     assert peak < 12 * nums[0].nbytes
+
+
+def _stacked_entry_stderr(nums, dens):
+    """The jackknife entrywise SE with every leave-one-out moment stacked at once."""
+    B = len(nums)
+    rhos = (nums.sum(axis=0) - nums) / (dens.sum() - dens)[:, None, None]
+    return np.sqrt((B - 1) / B * (np.abs(rhos - rhos.mean(axis=0)) ** 2).sum(axis=0))
+
+
+def test_entry_stderr_matches_stacked_jackknife_in_bounded_memory(w2):
+    cfg = McConfig(k=2, t=2, n_a=2, bc="obc", g=G, samples=30_500, seed=123)
+    est = mc_moment(cfg, w2)
+    assert len(est.batch_nums) == 31
+    se = est.entry_stderr()
+    full = np.array([sym_embed(x, 4, 2) for x in est.batch_nums])
+    ref = _stacked_entry_stderr(full, np.asarray(est.batch_dens))
+    assert se.shape == (16, 16)
+    assert np.abs(se - ref).max() <= 1e-12 * ref.max()
+    # a running sum and one leave-one-out moment at a time: a few batch sums,
+    # not a stack of them
+    tracemalloc.start()
+    try:
+        est.entry_stderr()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * est.batch_nums[0].nbytes
 
 
 def test_checkpoint_row_equals_run_ending_there(w2):

@@ -13,7 +13,8 @@ import deeptherm.kim as kim
 import deeptherm.montecarlo as montecarlo
 import deeptherm.replica as replica
 from deeptherm.cli import main
-from deeptherm.linalg import MEM_BUDGET_BYTES
+from deeptherm.linalg import MEM_BUDGET_BYTES, permutation_operator
+from deeptherm.permgroup import Permutation
 from deeptherm.plotting import emit_plot
 from deeptherm.records import (
     SCHEMA_VERSION,
@@ -248,7 +249,9 @@ def test_cli_mc_refuses_oversized_run_before_allocating(tmp_path, capsys, monkey
 
     monkeypatch.setattr(montecarlo, "_run_estimator", fail)
     out = str(tmp_path / "mc.csv")
-    # k=5 at n_a=2: 300 batch sums of 16 MB each, about 5 GB
+    # k=5 at n_a=2 keeps 301 Sym^5 sums of 56 x 56 and a 1024 x 1024 estimate,
+    # about 49 MB: refused under a 40 MB budget
+    monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", 40_000_000)
     assert main(["mc", "--k", "5", "--t", "2", "--na", "2", "--samples", "300000",
                  "--out", out]) == 3
     rec = json.loads(capsys.readouterr().err.strip())
@@ -330,6 +333,27 @@ def test_cli_replica_multi_t_and_rates(tmp_path, capsys):
     line = capsys.readouterr().out.strip()
     v = float(line.split("v=")[1])
     assert 1.5 < v < 2.5
+
+
+def test_cli_replica_refuses_moment_leaking_out_of_sym(tmp_path, capsys, monkeypatch):
+    # an antisymmetric part, (I - SWAP)/2 on C^4 (x) C^4, added to the
+    # identity-class diagram keeps the moment Hermitian but leaves Sym^2
+    anti = (np.eye(16) - permutation_operator(Permutation((1, 0)), 4)) / 2
+    engine = replica.class_diagram_terms
+
+    def leaky(n_a, k, n, g):
+        terms = dict(engine(n_a, k, n, g))
+        ident = tuple([1] * (k + n))
+        terms[ident] = terms[ident] + 1e-6 * np.abs(terms[ident]).max() * anti
+        return terms
+
+    monkeypatch.setattr(replica, "class_diagram_terms", leaky)
+    out = str(tmp_path / "replica.csv")
+    assert main(["replica", "--k", "2", "--nmax", "2", "--t", "2", "--na", "2",
+                 "--out", out]) == 3
+    rec = json.loads(capsys.readouterr().err.strip())
+    assert rec["type"] == "ValueError" and "Sym^2" in rec["error"]
+    assert not os.path.exists(out)
 
 
 def test_cli_figure3_pipeline(tmp_path):
