@@ -12,7 +12,6 @@ import json
 import sys
 
 from . import __version__
-from .dual_tensors import build_w
 from .kim import (
     KimConfig,
     check_exact_size,
@@ -93,7 +92,7 @@ def cmd_replica(args) -> int:
     check_fit_points(args.nmax + 1)
     rows = []
     for t in _parse_tlist(args.t):
-        spec = ReplicaSpec(k=args.k, n=0, t=t, n_a=args.na, bc=args.bc, g=args.g)
+        spec = ReplicaSpec(k=args.k, n=0, t=t, n_a=args.na, bc=args.bc)
         series = deviation_series(spec, args.nmax)
         fit = extrapolate_to_physical(series, args.k)
         for n, dev in series:
@@ -103,12 +102,12 @@ def cmd_replica(args) -> int:
             ["k", "n", "t", "bc", "deviation_trace_norm", "fit_a", "fit_b",
              "fit_c", "extrapolated_norm", "fit_residual_flag"],
             rows, {"k": args.k, "nmax": args.nmax, "t": args.t, "bc": args.bc,
-                   "na": args.na, "g": args.g})
+                   "na": args.na})
     return EXIT_OK
 
 
 def cmd_mc(args) -> int:
-    cfg = McConfig(k=args.k, t=args.t, n_a=args.na, bc=args.bc, g=args.g,
+    cfg = McConfig(k=args.k, t=args.t, n_a=args.na, bc=args.bc,
                    samples=args.samples, seed=args.seed)
     est = mc_moment(cfg)
     rows = []
@@ -117,7 +116,7 @@ def cmd_mc(args) -> int:
     _record(args, "mc", args.out,
             ["k", "t", "bc", "M_checkpoint", "delta_k", "stderr", "converged_flag"],
             rows, {"k": args.k, "t": args.t, "bc": args.bc, "na": args.na,
-                   "g": args.g, "samples": args.samples, "seed": args.seed})
+                   "samples": args.samples, "seed": args.seed})
     return EXIT_OK
 
 
@@ -129,6 +128,10 @@ def cmd_rates(args) -> int:
         val_col, method_filter = "value", "replica"
     else:
         raise ValueError("rates needs a replica CSV (extrapolated_norm) or points CSV (value)")
+    need = ("k", "t", "bc", "method") if method_filter else ("k", "t", "bc")
+    missing = [c for c in need if c not in columns]
+    if missing:
+        raise ValueError(f"rates: {args.infile} has no column(s) {', '.join(missing)}")
     ix = {c: columns.index(c) for c in columns}
     groups: dict = {}
     for r in rows:
@@ -149,6 +152,9 @@ def cmd_rates(args) -> int:
 def cmd_figure3(args) -> int:
     check_fit_points(FIGURE3_MMAX + 1 - args.kmax)  # the largest k sweeps n = 0..FIGURE3_MMAX-k
     ts = list(range(2, args.tmax + 1))
+    # built first, so a bad --seed or --mc-k is refused before any replica work
+    mc_cfgs = [McConfig(k=args.mc_k, t=t, n_a=args.na, bc=bc, samples=args.mc_samples, seed=args.seed)
+               for bc in ("pbc", "obc") for t in (2, 3) if args.mc_samples > 0 and t <= args.tmax]
     points = []
     rate_rows = []
     for bc in ("pbc", "obc"):
@@ -156,24 +162,17 @@ def cmd_figure3(args) -> int:
             nmax = FIGURE3_MMAX - k
             extrap = {}
             for t in ts:
-                spec = ReplicaSpec(k=k, n=0, t=t, n_a=args.na, bc=bc, g=args.g)
+                spec = ReplicaSpec(k=k, n=0, t=t, n_a=args.na, bc=bc)
                 fit = extrapolate_to_physical(deviation_series(spec, nmax), k)
                 extrap[t] = fit.estimate
                 points.append([k, t, bc, "replica", fit.estimate])
             if len(extrap) >= 3:
                 rate_rows.append([k, bc, rate_estimate(extrap)])
-    if args.mc_samples > 0:
-        w = build_w(args.na, args.g)
-        for bc in ("pbc", "obc"):
-            for t in (2, 3):
-                if t > args.tmax:
-                    continue
-                cfg = McConfig(k=args.mc_k, t=t, n_a=args.na, bc=bc, g=args.g,
-                               samples=args.mc_samples, seed=args.seed)
-                est = mc_moment(cfg, w)
-                points.append([args.mc_k, t, bc, "mc", 2.0 * est.series.converged_value])
+    for cfg in mc_cfgs:
+        est = mc_moment(cfg)
+        points.append([cfg.k, cfg.t, cfg.bc, "mc", 2.0 * est.series.converged_value])
     pts_path = args.out + "_points.csv"
-    params = {"na": args.na, "kmax": args.kmax, "tmax": args.tmax, "g": args.g,
+    params = {"na": args.na, "kmax": args.kmax, "tmax": args.tmax,
               "mc_samples": args.mc_samples, "mc_k": args.mc_k}
     _record(args, "figure3", pts_path, ["k", "t", "bc", "method", "value"], points, params)
     _record(args, "figure3", args.out + "_rates.csv", ["k", "bc", "v"], rate_rows, params)
@@ -261,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=str, required=True, help="time or comma list")
     p.add_argument("--bc", choices=["pbc", "obc"], default="pbc")
     p.add_argument("--na", type=int, default=2)
-    p.add_argument("--g", type=float, default=0.3)
     common(p)
     p.set_defaults(func=cmd_replica)
 
@@ -270,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--bc", choices=["pbc", "obc"], default="pbc")
     p.add_argument("--na", type=int, default=2)
-    p.add_argument("--g", type=float, default=0.3)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=12345)
     common(p)
@@ -285,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--na", type=int, default=2)
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--tmax", type=int, default=5)
-    p.add_argument("--g", type=float, default=0.3)
     p.add_argument("--mc-samples", type=int, default=0, help="0 disables MC spot checks")
     p.add_argument("--mc-k", type=int, default=2)
     p.add_argument("--seed", type=int, default=12345)

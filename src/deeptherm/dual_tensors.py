@@ -113,9 +113,15 @@ def build_wprime(
     return WTensor(n_a=n_a, t_legs=t, data=S)
 
 
-def build_w(n_a: int, g: float, j: float = PI4, h: float = PI4) -> WTensor:
-    """W at minimal depth; raises if the isometry property fails."""
-    w = build_wprime(n_a, min_depth(n_a), g, j=j, h=h, normalize=True)
+# The one coupling g of W: W(g') = V W(g) with V unitary (n_a = 1, 2, 4), so no
+# distance to the unitarily invariant Haar moment depends on g; at n_a = 3 the
+# distances agree though no V exists (tests/test_dual_tensors.py).
+W_COUPLING = 0.3
+
+
+def build_w(n_a: int) -> WTensor:
+    """W at minimal depth and W_COUPLING; raises if the isometry property fails."""
+    w = build_wprime(n_a, min_depth(n_a), W_COUPLING)
     defect = w.isometry_defect()
     if defect > 1e-8:
         raise TensorConventionError(

@@ -11,7 +11,8 @@ independent Haar unitaries, so |u'> and |u> are two independent Haar-random
 states; they are drawn directly as normalized complex Gaussian vectors.
 The physical moment uses weight <psi~|psi~>^(1-k); the integer-n replica
 surrogate uses weight <psi~|psi~>^n, whose trace normalization is exactly
-the ratio-estimator denominator mean <psi~|psi~>^(k+n).
+the ratio-estimator denominator mean <psi~|psi~>^(k+n).  W is built at
+dual_tensors.W_COUPLING; no distance to Haar depends on the coupling.
 
 Moments are accumulated, compared with Haar and jackknifed as their Sym^k
 blocks (linalg.sym_basis); only the final estimate is embedded in the
@@ -48,7 +49,6 @@ class McConfig:
     t: int
     n_a: int
     bc: str = "pbc"
-    g: float = 0.3
     samples: int = 100_000
     seed: int = 12345
     checkpoints: tuple = ()
@@ -58,6 +58,8 @@ class McConfig:
             raise McError("bc must be 'pbc' or 'obc'")
         if self.k < 1 or self.samples < 1:
             raise McError("need k >= 1 and samples >= 1")
+        if not 0 <= self.seed < 2**64:  # a Philox key word is 64 bits
+            raise McError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.t < min_depth(self.n_a) or self.t > 10:
             raise McError("need ceil(n_a/2) <= t <= 10")
         cps = self.resolved_checkpoints()
@@ -266,17 +268,13 @@ def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstim
     )
 
 
-def mc_moment(cfg: McConfig, w: WTensor | None = None) -> McEstimate:
+def mc_moment(cfg: McConfig) -> McEstimate:
     """Physical k-th moment estimator (weight exponent 1 - k)."""
-    if w is None:
-        w = build_w(cfg.n_a, cfg.g)
-    return _run_estimator(cfg, w, 1 - cfg.k)
+    return _run_estimator(cfg, build_w(cfg.n_a), 1 - cfg.k)
 
 
-def mc_replica_check(cfg: McConfig, n: int, w: WTensor | None = None) -> McEstimate:
+def mc_replica_check(cfg: McConfig, n: int) -> McEstimate:
     """Integer-n replica surrogate estimator (weight exponent n)."""
     if n < 0:
         raise McError("replica exponent n must be a non-negative integer")
-    if w is None:
-        w = build_w(cfg.n_a, cfg.g)
-    return _run_estimator(cfg, w, float(n))
+    return _run_estimator(cfg, build_w(cfg.n_a), float(n))

@@ -23,12 +23,14 @@ sums; and W applied on each replica mode of the class rows gives a
 (replica index x class x orbit) tensor P that serves every split m = k + n.
 A class diagram at (k, n) is then a weighted gather over P.
 Class-resolved diagrams are cached and reweighted per (t, bc).
+W is built at dual_tensors.W_COUPLING; no distance to Haar depends on the
+coupling (see there).
 """
 from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -56,7 +58,6 @@ class ReplicaSpec:
     t: int
     n_a: int
     bc: str = "pbc"
-    g: float = 0.3
 
     def __post_init__(self):
         if self.k < 1 or self.n < 0:
@@ -194,7 +195,7 @@ def _mode_products(T: np.ndarray, mat: np.ndarray, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _sagg_bundle(n_a: int, m: int, g: float):
+def _sagg_bundle(n_a: int, m: int):
     """Orbit-space diagram halves for every class and every k split of one m.
 
     Returns (orb, weight, order, P) with
@@ -209,7 +210,7 @@ def _sagg_bundle(n_a: int, m: int, g: float):
     conj(W) applied on each replica mode of the orbit indicator, and P is W
     applied on each (a_j b_j) mode of S_c.  P is dA^m x classes x orbits.
     """
-    w = build_w(n_a, g)
+    w = build_w(n_a)
     dA, q = 2**n_a, 2 ** w.t_legs
     wm = w.data.reshape(dA, q * q)
     orb, weight, n_orbits = _orbit_structure(dA, m)
@@ -231,7 +232,7 @@ def _sagg_bundle(n_a: int, m: int, g: float):
 
 
 @lru_cache(maxsize=32)
-def class_diagram_terms(n_a: int, k: int, n: int, g: float):
+def class_diagram_terms(n_a: int, k: int, n: int):
     """Capped diagram operators per conjugacy class of s t^-1 (t-independent).
 
     A gather over the bundle's P: with replica index M = (row, cap),
@@ -239,7 +240,7 @@ def class_diagram_terms(n_a: int, k: int, n: int, g: float):
         out_c[m1, n1] = sum_cap weight[(n1, cap)] * P[(m1, cap), c, orb(n1, cap)].
     """
     _check_size(n_a, k, (n,))
-    orb, weight, order, P = _sagg_bundle(n_a, k + n, g)
+    orb, weight, order, P = _sagg_bundle(n_a, k + n)
     dk, dn = 2 ** (n_a * k), 2 ** (n_a * n)
     P = P.reshape(dk, dn, len(order), -1)
     caps = np.arange(dn)
@@ -256,7 +257,7 @@ def _moment_and_block(spec: ReplicaSpec):
     The class diagrams are summed in the full replicated space, so the
     block's leak check (linalg.sym_compress) tests the engine.
     """
-    diagrams = class_diagram_terms(spec.n_a, spec.k, spec.n, spec.g)
+    diagrams = class_diagram_terms(spec.n_a, spec.k, spec.n)
     ident = tuple([1] * spec.m)
     # off-diagonal classes first (fixed order), identity class last
     order = sorted((ct for ct in diagrams if ct != ident)) + [ident]
@@ -286,11 +287,8 @@ def deviation_series(spec: ReplicaSpec, n_max: int):
     if spec.k + n_max > MAX_DEGREE:
         raise ReplicaError("k + n_max above the replica cap")
     _check_size(spec.n_a, spec.k, range(n_max + 1))
-    out = []
-    for n in range(n_max + 1):
-        sp = ReplicaSpec(k=spec.k, n=n, t=spec.t, n_a=spec.n_a, bc=spec.bc, g=spec.g)
-        out.append((n, sym_haar_distance(_moment_and_block(sp)[1])))
-    return out
+    return [(n, sym_haar_distance(_moment_and_block(replace(spec, n=n))[1]))
+            for n in range(n_max + 1)]
 
 
 @dataclass(frozen=True)

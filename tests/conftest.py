@@ -8,8 +8,8 @@ from deeptherm.dual_tensors import build_w
 
 @pytest.fixture(scope="session")
 def w2():
-    """Unit-isometry W tensor for the workhorse n_a=2, g=0.3 point."""
-    return build_w(2, 0.3)
+    """Unit-isometry W tensor at the workhorse n_a=2, as the thermodynamic-limit routes build it."""
+    return build_w(2)
 
 
 @pytest.fixture(scope="session")

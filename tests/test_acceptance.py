@@ -109,7 +109,7 @@ def test_criterion_2_weingarten_orthogonality():
 def test_criterion_3_w_isometry():
     defects = {}
     for n_a in (1, 2, 3, 4):
-        defects[n_a] = build_w(n_a, G).isometry_defect()
+        defects[n_a] = build_w(n_a).isometry_defect()
         assert defects[n_a] <= 1e-10
     _report(3, "W isometry defect <= 1e-10 for n_a=1..4 "
                f"(worst {max(defects.values()):.2e})")
@@ -141,7 +141,7 @@ def test_criterion_4_wprime_w_diagram_equivalence():
 
     n_a = 2
     t0 = min_depth(n_a)
-    wb = build_w(n_a, G)
+    wb = build_w(n_a)
     worst = 0.0
     for m in (2, 3, 4):
         perms = enumerate_sym(m)
@@ -168,12 +168,12 @@ def test_criterion_4_wprime_w_diagram_equivalence():
 
 
 @lru_cache(maxsize=4)
-def _replica_extrapolations(bc):
+def _replica_extrapolations(bc, n_a):
     out = {}
     for k in (2, 3, 4):
         nmax = 6 - k
         for t in (2, 3, 4, 5):
-            spec = ReplicaSpec(k=k, n=0, t=t, n_a=2, bc=bc, g=G)
+            spec = ReplicaSpec(k=k, n=0, t=t, n_a=n_a, bc=bc)
             fit = extrapolate_to_physical(deviation_series(spec, nmax), k)
             assert not fit.flagged
             out[(k, t)] = fit.estimate
@@ -182,15 +182,16 @@ def _replica_extrapolations(bc):
 
 def test_criterion_5_decay_rates():
     lines = []
-    for bc, v_target, ratio_target in (("pbc", 2.0, 0.25), ("obc", 1.0, 0.5)):
-        ex = _replica_extrapolations(bc)
-        for k in (2, 3, 4):
-            series = {t: ex[(k, t)] for t in (2, 3, 4, 5)}
-            v = rate_estimate(series)
-            assert abs(v - v_target) <= 0.25, (bc, k, v)
-            r = series[5] / series[4]
-            assert abs(r - ratio_target) <= 0.25 * ratio_target, (bc, k, r)
-            lines.append(f"{bc} k={k}: v={v:.3f} ratio(t4->t5)={r:.3f}")
+    for n_a in (2, 1):
+        for bc, v_target, ratio_target in (("pbc", 2.0, 0.25), ("obc", 1.0, 0.5)):
+            ex = _replica_extrapolations(bc, n_a)
+            for k in (2, 3, 4):
+                series = {t: ex[(k, t)] for t in (2, 3, 4, 5)}
+                v = rate_estimate(series)
+                assert abs(v - v_target) <= 0.25, (n_a, bc, k, v)
+                r = series[5] / series[4]
+                assert abs(r - ratio_target) <= 0.25 * ratio_target, (n_a, bc, k, r)
+                lines.append(f"n_a={n_a} {bc} k={k}: v={v:.3f} ratio(t4->t5)={r:.3f}")
     _report(5, "; ".join(lines))
 
 
@@ -211,8 +212,8 @@ _MC6 = {
 
 @pytest.mark.parametrize("bc,t", [("pbc", 2), ("pbc", 3), ("obc", 2), ("obc", 3)])
 def test_criterion_6_replica_mc_agreement(bc, t):
-    target = 0.5 * _replica_extrapolations(bc)[(2, t)]
-    cfg = McConfig(k=2, t=t, n_a=2, bc=bc, g=G, seed=20240811, **_MC6[(bc, t)])
+    target = 0.5 * _replica_extrapolations(bc, 2)[(2, t)]
+    cfg = McConfig(k=2, t=t, n_a=2, bc=bc, seed=20240811, **_MC6[(bc, t)])
     est = mc_moment(cfg)
     assert est.series.converged, est.series.points
     rel = abs(est.series.converged_value - target) / target
@@ -227,11 +228,10 @@ def test_criterion_6_replica_mc_agreement(bc, t):
 @pytest.mark.parametrize("k,n", [(1, 1), (2, 0), (2, 1)])
 @pytest.mark.parametrize("bc", ["pbc", "obc"])
 def test_criterion_7_integer_n_oracle(k, n, bc):
-    w = build_w(2, G)
     for t in (2, 3):
-        rho_rep = replica_moment(ReplicaSpec(k=k, n=n, t=t, n_a=2, bc=bc, g=G))
-        cfg = McConfig(k=k, t=t, n_a=2, bc=bc, g=G, samples=500_000, seed=99)
-        est = mc_replica_check(cfg, n, w)
+        rho_rep = replica_moment(ReplicaSpec(k=k, n=n, t=t, n_a=2, bc=bc))
+        cfg = McConfig(k=k, t=t, n_a=2, bc=bc, samples=500_000, seed=99)
+        est = mc_replica_check(cfg, n)
         se_entry = est.entry_stderr()
         dist = 0.5 * trace_norm(est.rho - rho_rep)
         bound = 3 * 0.5 * np.sqrt(est.rho.shape[0]) * np.sqrt((se_entry**2).sum())
@@ -263,13 +263,13 @@ def test_criterion_8_finite_bath_haar_emergence():
 
 
 def test_criterion_9_mc_convergence_behavior():
-    cfg1 = McConfig(k=1, t=2, n_a=2, bc="pbc", g=G, samples=1_000_000, seed=4,
+    cfg1 = McConfig(k=1, t=2, n_a=2, bc="pbc", samples=1_000_000, seed=4,
                     checkpoints=(1000, 10_000, 100_000, 1_000_000))
     est1 = mc_moment(cfg1)
     deltas = [d for _, d in est1.series.points]
     assert all(b < a for a, b in zip(deltas, deltas[1:]))
     assert not est1.series.converged  # no plateau for k=1
-    cfg2 = McConfig(k=2, t=2, n_a=2, bc="obc", g=G, samples=1_000_000, seed=4,
+    cfg2 = McConfig(k=2, t=2, n_a=2, bc="obc", samples=1_000_000, seed=4,
                     checkpoints=(1000, 10_000, 100_000, 300_000, 600_000, 1_000_000))
     est2 = mc_moment(cfg2)
     assert est2.series.converged

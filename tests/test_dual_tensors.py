@@ -32,7 +32,7 @@ def test_kick_matrix_self_dual_form():
 
 @pytest.mark.parametrize("n_a", [1, 2, 3, 4])
 def test_w_isometry(n_a):
-    w = build_w(n_a, G)
+    w = build_w(n_a)
     assert w.data.shape == (2**n_a, 2 ** min_depth(n_a), 2 ** min_depth(n_a))
     assert w.isometry_defect() <= 1e-10
 
@@ -145,7 +145,7 @@ def test_wprime_time_factorization(n_a, m):
     # diagram values of W'(t), in the unit-isometry gauge, factor as
     # (2^(t-t0))^(#(s t^-1) - m) times the W(t0) values
     t0 = min_depth(n_a)
-    wb = build_w(n_a, G)
+    wb = build_w(n_a)
     for t in (t0, t0 + 1, t0 + 2):
         wt = build_wprime(n_a, t, G)
         for sigma in enumerate_sym(m):
@@ -192,7 +192,7 @@ def test_reduce_temporal_operator(rng):
     )
     np.testing.assert_allclose(reduce_temporal_operator(np.eye(8), 1), 4 * np.eye(2), atol=1e-15)
     # Tr(W reduce(U)) equals the padded contraction Tr((W x I) U)
-    w = build_w(2, G)
+    w = build_w(2)
     t = 3
     u = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     red = reduce_temporal_operator(u, w.t_legs)
@@ -208,10 +208,36 @@ def test_downstream_gauge_invariance_under_scaling(w2):
     from deeptherm.dual_tensors import WTensor
     from deeptherm.replica import ReplicaSpec, direct_double_sum
 
-    spec = ReplicaSpec(k=2, n=0, t=2, n_a=2, bc="pbc", g=G)
+    spec = ReplicaSpec(k=2, n=0, t=2, n_a=2, bc="pbc")
     base = direct_double_sum(spec, w2)
     scaled = WTensor(n_a=2, t_legs=1, data=2.7 * w2.data)
     np.testing.assert_allclose(direct_double_sum(spec, scaled), base, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_a", [1, 2, 4])
+def test_w_frames_at_two_couplings_related_by_a_unitary(n_a):
+    # W(g') = V W(g) with V unitary: every moment at g' is V^(x)k rho V^(x)k+
+    # of the one at g, so its distance to the invariant Haar moment is the same
+    t0 = min_depth(n_a)
+    dA = 2**n_a
+    w, w_other = (build_wprime(n_a, t0, g).data.reshape(dA, -1) for g in (0.3, 0.9))
+    v = w_other @ np.linalg.pinv(w)
+    assert np.abs(v @ w - w_other).max() <= 1e-12
+    assert np.abs(v.conj().T @ v - np.eye(dA)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bc", ["pbc", "obc"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_replica_distance_equal_at_two_couplings_na3(n, bc):
+    # at n_a = 3, W is 8 x 16 and no V relates the two couplings; the
+    # distances still agree
+    from deeptherm.linalg import sym_compress, sym_haar_distance
+    from deeptherm.replica import ReplicaSpec, direct_double_sum
+
+    spec = ReplicaSpec(k=2, n=n, t=3, n_a=3, bc=bc)
+    d = [sym_haar_distance(sym_compress(direct_double_sum(spec, build_wprime(3, 2, g)), 8, 2))
+         for g in (0.3, 0.9)]
+    assert abs(d[1] - d[0]) <= 1e-12 * d[0]
 
 
 def test_dual_site_layer_unitary():
@@ -242,4 +268,4 @@ def test_build_w_flags_convention_bugs(monkeypatch):
 
     monkeypatch.setattr(dtmod, "build_wprime", broken)
     with pytest.raises(TensorConventionError):
-        dtmod.build_w(2, G)
+        dtmod.build_w(2)

@@ -90,7 +90,7 @@ def test_mc_projected_state_basics(w2, rng):
 
 
 def test_single_sample_matches_batch_path(w2):
-    cfg = McConfig(k=2, t=3, n_a=2, bc="pbc", g=G, samples=4, checkpoints=(4,), seed=77)
+    cfg = McConfig(k=2, t=3, n_a=2, bc="pbc", samples=4, checkpoints=(4,), seed=77)
     batch = _batch_states(cfg, w2, 0, 4)
     U = _haar_batch(_batch_rng(77, 0), 8, 4)
     for i in range(4):
@@ -112,7 +112,7 @@ def test_obc_batch_matches_single_sample_oracle(w2, rng):
     # unitaries U', U must reproduce the single-sample path row by row
     t, b, seed = 3, 6, 77
     d = 2**t
-    cfg = McConfig(k=2, t=t, n_a=2, bc="obc", g=G, samples=b, checkpoints=(b,), seed=seed)
+    cfg = McConfig(k=2, t=t, n_a=2, bc="obc", samples=b, checkpoints=(b,), seed=seed)
     batch = _batch_states(cfg, w2, 0, b)
     states = _haar_states(_batch_rng(seed, 0), d, 2 * b)
     ket, bra = states[:b], states[b:]
@@ -158,27 +158,27 @@ def test_pbc_csv_matches_haar_batch_reference(tmp_path, monkeypatch):
     assert open(out, "rb").read() == open(ref, "rb").read()
 
 
-def test_mc_k1_converges_to_maximally_mixed(w2):
-    cfg = McConfig(k=1, t=2, n_a=2, bc="pbc", g=G, samples=200_000, seed=5)
-    est = mc_moment(cfg, w2)
+def test_mc_k1_converges_to_maximally_mixed():
+    cfg = McConfig(k=1, t=2, n_a=2, bc="pbc", samples=200_000, seed=5)
+    est = mc_moment(cfg)
     assert np.abs(est.rho - np.eye(4) / 4).max() <= 5e-3
     deltas = [d for _, d in est.series.points]
     assert all(b < a for a, b in zip(deltas, deltas[1:]))  # no floor for k=1
 
 
-def test_mc_seed_determinism(w2):
-    cfg = McConfig(k=2, t=2, n_a=2, bc="obc", g=G, samples=30_000, seed=123)
-    e1 = mc_moment(cfg, w2)
-    e2 = mc_moment(cfg, w2)
+def test_mc_seed_determinism():
+    cfg = McConfig(k=2, t=2, n_a=2, bc="obc", samples=30_000, seed=123)
+    e1 = mc_moment(cfg)
+    e2 = mc_moment(cfg)
     assert e1.series.points == e2.series.points
     assert np.array_equal(e1.rho, e2.rho)
 
 
-def test_checkpoint_stderrs_end_at_jackknife(w2):
+def test_checkpoint_stderrs_end_at_jackknife():
     # the last SE is the leave-one-batch-out jackknife over every batch;
     # 30_500 samples leave a partial last batch
-    cfg = McConfig(k=2, t=2, n_a=2, bc="obc", g=G, samples=30_500, seed=123)
-    est = mc_moment(cfg, w2)
+    cfg = McConfig(k=2, t=2, n_a=2, bc="obc", samples=30_500, seed=123)
+    est = mc_moment(cfg)
     ses = est.checkpoint_stderrs()
     assert len(ses) == len(est.series.points)
     assert est.checkpoint_batches == [1, 10, 31]
@@ -213,9 +213,9 @@ def _stacked_entry_stderr(nums, dens):
     return np.sqrt((B - 1) / B * (np.abs(rhos - rhos.mean(axis=0)) ** 2).sum(axis=0))
 
 
-def test_entry_stderr_matches_stacked_jackknife_in_bounded_memory(w2):
-    cfg = McConfig(k=2, t=2, n_a=2, bc="obc", g=G, samples=30_500, seed=123)
-    est = mc_moment(cfg, w2)
+def test_entry_stderr_matches_stacked_jackknife_in_bounded_memory():
+    cfg = McConfig(k=2, t=2, n_a=2, bc="obc", samples=30_500, seed=123)
+    est = mc_moment(cfg)
     assert len(est.batch_nums) == 31
     se = est.entry_stderr()
     full = np.array([sym_embed(x, 4, 2) for x in est.batch_nums])
@@ -233,21 +233,21 @@ def test_entry_stderr_matches_stacked_jackknife_in_bounded_memory(w2):
     assert peak < 6 * est.batch_nums[0].nbytes
 
 
-def test_checkpoint_row_equals_run_ending_there(w2):
+def test_checkpoint_row_equals_run_ending_there():
     # no batch crosses a checkpoint: the M=1500 row holds exactly the first
     # 1500 samples, bit for bit the final point of a 1500-sample run
-    base = dict(k=2, t=2, n_a=2, bc="obc", g=G, seed=5)
-    long = mc_moment(McConfig(samples=3000, checkpoints=(1000, 1500, 3000), **base), w2)
-    short = mc_moment(McConfig(samples=1500, **base), w2)
+    base = dict(k=2, t=2, n_a=2, bc="obc", seed=5)
+    long = mc_moment(McConfig(samples=3000, checkpoints=(1000, 1500, 3000), **base))
+    short = mc_moment(McConfig(samples=1500, **base))
     assert short.series.points[-1][0] == 1500
     assert long.series.points[1] == short.series.points[-1]
     np.testing.assert_array_equal(long.checkpoint_stderrs()[:2], short.checkpoint_stderrs())
     assert long.checkpoint_batches == [1, 2, 4]
 
 
-def test_mc_estimate_symmetric_under_replica_permutation(w2):
-    cfg = McConfig(k=2, t=2, n_a=2, bc="pbc", g=G, samples=50_000, seed=11)
-    est = mc_moment(cfg, w2)
+def test_mc_estimate_symmetric_under_replica_permutation():
+    cfg = McConfig(k=2, t=2, n_a=2, bc="pbc", samples=50_000, seed=11)
+    est = mc_moment(cfg)
     sym = np.zeros_like(est.rho)
     for p in enumerate_sym(2):
         P = permutation_operator(p, 4)
@@ -257,8 +257,8 @@ def test_mc_estimate_symmetric_under_replica_permutation(w2):
 
 
 def test_mc_replica_check_n0_identity(w2):
-    cfg = McConfig(k=2, t=2, n_a=2, bc="pbc", g=G, samples=20_000, seed=9)
-    a = mc_replica_check(cfg, 0, w2)
+    cfg = McConfig(k=2, t=2, n_a=2, bc="pbc", samples=20_000, seed=9)
+    a = mc_replica_check(cfg, 0)
     b = _run_estimator(cfg, w2, 0.0)
     assert np.array_equal(a.rho, b.rho)
     # independent accumulation from the same sampled states
@@ -277,39 +277,39 @@ def test_mc_replica_check_n0_identity(w2):
     np.testing.assert_allclose(a.rho, num / den, atol=1e-12)
 
 
-def test_mc_replica_check_k1_n1_maximally_mixed(w2):
-    cfg = McConfig(k=1, t=2, n_a=2, bc="obc", g=G, samples=200_000, seed=31)
-    est = mc_replica_check(cfg, 1, w2)
+def test_mc_replica_check_k1_n1_maximally_mixed():
+    cfg = McConfig(k=1, t=2, n_a=2, bc="obc", samples=200_000, seed=31)
+    est = mc_replica_check(cfg, 1)
     se_entry = est.entry_stderr()
     assert np.abs(est.rho - np.eye(4) / 4).max() <= 6 * max(se_entry.max(), 1e-4)
 
 
 @pytest.mark.parametrize("bc", ["pbc", "obc"])
-def test_mc_replica_agreement_small(bc, w2):
+def test_mc_replica_agreement_small(bc):
     # quick integer-n oracle: full grid lives in the acceptance suite
-    cfg = McConfig(k=2, t=2, n_a=2, bc=bc, g=G, samples=150_000, seed=42)
-    est = mc_replica_check(cfg, 1, w2)
-    rho_rep = replica_moment(ReplicaSpec(k=2, n=1, t=2, n_a=2, bc=bc, g=G))
+    cfg = McConfig(k=2, t=2, n_a=2, bc=bc, samples=150_000, seed=42)
+    est = mc_replica_check(cfg, 1)
+    rho_rep = replica_moment(ReplicaSpec(k=2, n=1, t=2, n_a=2, bc=bc))
     se_entry = est.entry_stderr()
     bound = 3 * 0.5 * np.sqrt(16) * np.sqrt((se_entry**2).sum())
     assert 0.5 * trace_norm(est.rho - rho_rep) <= bound
 
 
-def test_mc_k2_plateau_flag(w2):
-    cfg = McConfig(k=2, t=2, n_a=2, bc="obc", g=G, samples=400_000, seed=8,
+def test_mc_k2_plateau_flag():
+    cfg = McConfig(k=2, t=2, n_a=2, bc="obc", samples=400_000, seed=8,
                    checkpoints=(1000, 10_000, 50_000, 100_000, 200_000, 400_000))
-    est = mc_moment(cfg, w2)
+    est = mc_moment(cfg)
     assert est.series.converged
     assert est.series.converged_value > 0
 
 
-def test_mc_matches_exact_chain_as_bath_grows(w2):
+def test_mc_matches_exact_chain_as_bath_grows():
     # the exact finite-chain k=2 moment approaches the limiting MC moment as
     # the bath grows; k=1 agrees at the sampling-noise level outright
     from deeptherm.kim import KimConfig, evolve, moment_from_state
 
-    mc2 = mc_moment(McConfig(k=2, t=2, n_a=2, bc="pbc", g=G, samples=400_000, seed=3), w2)
-    mc1 = mc_moment(McConfig(k=1, t=2, n_a=2, bc="pbc", g=G, samples=400_000, seed=3), w2)
+    mc2 = mc_moment(McConfig(k=2, t=2, n_a=2, bc="pbc", samples=400_000, seed=3))
+    mc1 = mc_moment(McConfig(k=1, t=2, n_a=2, bc="pbc", samples=400_000, seed=3))
     dists = {}
     for n in (8, 10, 12):
         cfg = KimConfig(n=n, n_a=2, t=2, bc="pbc", g=G)

@@ -190,6 +190,26 @@ def test_cli_error_record(tmp_path, capsys, monkeypatch):
         rec = json.loads(capsys.readouterr().err.strip())
         assert rec["type"] == "ReplicaError" and "at least 3 points" in rec["error"]
     assert not os.path.exists(out)
+    # a seed that no Philox key holds, or a bad MC k, is refused before any
+    # sampling, and by figure3 before its replica sweep (whose cached results
+    # would hide the engine patch above)
+    monkeypatch.setattr(cli, "deviation_series", engine_fail)
+    fig = ["figure3", "--kmax", "2", "--tmax", "3", "--mc-samples", "1000", "--out", str(tmp_path / "fig")]
+    for argv in (["mc", "--k", "2", "--t", "3", "--samples", "1000", "--seed", "-1", "--out", out],
+                 ["mc", "--k", "2", "--t", "3", "--samples", "1000",
+                  "--seed", "99999999999999999999999", "--out", out],
+                 fig + ["--seed", "-3"],
+                 fig + ["--mc-k", "0"]):
+        assert main(argv) == 3, argv
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["type"] == "McError", argv
+    assert not os.path.exists(out) and not os.path.exists(str(tmp_path / "fig_points.csv"))
+    # a points CSV without the method, k and bc columns is refused by name
+    bad = str(tmp_path / "bad.csv")
+    write_csv(bad, ["value", "t"], [[0.1, 2], [0.05, 3], [0.02, 4]])
+    assert main(["rates", "--in", bad]) == 3
+    rec = json.loads(capsys.readouterr().err.strip())
+    assert rec["type"] == "ValueError" and "k, bc, method" in rec["error"]
     # runtime, memory and assertion failures inside a subcommand get the same record
     for exc in (RuntimeError("solver diverged"), MemoryError("array too large"),
                 AssertionError("weingarten table not symmetric")):
@@ -212,6 +232,10 @@ def test_cli_usage_errors_give_json_record(tmp_path, capsys):
         (mc, "--out"),
         (["weingarten", "--m", "2", "--d", "4", "--bogus", "1", "--out", out], "--bogus"),
         (["--config", str(cfgfile), "weingarten", "--d", "4", "--out", out], "batchsize"),
+        # the coupling enters only the finite chain (exact, designcheck)
+        (["replica", "--k", "2", "--nmax", "2", "--t", "2", "--g", "0.5", "--out", out], "--g"),
+        (mc + ["--g", "0.5", "--out", out], "--g"),
+        (["figure3", "--g", "0.5", "--out", out], "--g"),
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -341,8 +365,8 @@ def test_cli_replica_refuses_moment_leaking_out_of_sym(tmp_path, capsys, monkeyp
     anti = (np.eye(16) - permutation_operator(Permutation((1, 0)), 4)) / 2
     engine = replica.class_diagram_terms
 
-    def leaky(n_a, k, n, g):
-        terms = dict(engine(n_a, k, n, g))
+    def leaky(n_a, k, n):
+        terms = dict(engine(n_a, k, n))
         ident = tuple([1] * (k + n))
         terms[ident] = terms[ident] + 1e-6 * np.abs(terms[ident]).max() * anti
         return terms

@@ -23,11 +23,9 @@ from deeptherm.replica import (
     replica_moment,
 )
 
-G = 0.3
-
 
 def spec(k, n, t, bc="pbc", n_a=2):
-    return ReplicaSpec(k=k, n=n, t=t, n_a=n_a, bc=bc, g=G)
+    return ReplicaSpec(k=k, n=n, t=t, n_a=n_a, bc=bc)
 
 
 def test_spec_validation():
@@ -138,7 +136,7 @@ def test_class_diagrams_match_dense_per_class_oracle(w2):
     splits = [(2, 3), (3, 2), (4, 1)]
     dense = _dense_class_diagrams(w2, 5, splits)
     for k, n in splits:
-        engine = class_diagram_terms(2, k, n, G)
+        engine = class_diagram_terms(2, k, n)
         assert engine.keys() == dense[(k, n)].keys()
         for ct, ref in dense[(k, n)].items():
             assert np.abs(engine[ct] - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -152,14 +150,14 @@ def test_engine_refuses_oversized_m_before_building(monkeypatch):
     assert replica._estimate_engine_bytes(2, 7) <= replica.MEM_BUDGET_BYTES
     # m = 8: P alone is dA^8 x 22 classes x 165 orbits, 3.8 GB
     with pytest.raises(ReplicaError, match="above budget"):
-        class_diagram_terms(2, 4, 4, G)
+        class_diagram_terms(2, 4, 4)
 
 
 @pytest.mark.parametrize("m", [5, 6])
 def test_engine_estimate_bounds_traced_peak(m):
     tracemalloc.start()
     try:
-        replica._sagg_bundle.__wrapped__(2, m, G)  # cold, uncached
+        replica._sagg_bundle.__wrapped__(2, m)  # cold, uncached
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
