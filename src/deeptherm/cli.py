@@ -1,9 +1,10 @@
 """Command-line orchestration: reproducible runs, CSV/JSON records, figure data.
 
 Subcommands: weingarten, exact, replica, mc, rates, figure3, designcheck.  A flat
-key=value config file can seed any flags (command line wins).  Errors are
-reported as a machine-readable JSON object on stderr with a nonzero exit
-code.  OMP_NUM_THREADS controls BLAS threading.
+key=value config file can seed the top-level flags and those of the chosen
+subcommand (command line wins).  Errors are reported as a machine-readable
+JSON object on stderr with a nonzero exit code.  OMP_NUM_THREADS controls
+BLAS threading.
 """
 from __future__ import annotations
 
@@ -301,24 +302,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config_defaults(ap: argparse.ArgumentParser, overrides: dict) -> None:
+def _apply_config_defaults(ap: argparse.ArgumentParser, overrides: dict, argv: list) -> None:
+    """Seed flag defaults from a config file: top-level flags and those of argv's subcommand."""
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    # the subcommand is argv's first word that is neither a flag nor --config's value
+    cmd = next((w for prev, w in zip([None] + argv, argv)
+                if not w.startswith("-") and prev != "--config"), None)
+    if cmd not in sub.choices:
+        return  # parse_args reports the missing or unknown subcommand
     known = set()
-
-    def walk(parser):
+    for parser in (ap, sub.choices[cmd]):
         for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for sp in action.choices.values():
-                    walk(sp)
+            if action is sub:
                 continue
             known.add(action.dest)
             if action.dest in overrides:
                 action.default = overrides[action.dest]
                 action.required = False
-
-    walk(ap)
     unknown = sorted(set(overrides) - known)
     if unknown:
-        ap.error(f"--config: no flag for key(s) {', '.join(unknown)}")
+        ap.error(f"--config: no {cmd} flag for key(s) {', '.join(unknown)}")
 
 
 def main(argv=None) -> int:
@@ -329,7 +332,7 @@ def main(argv=None) -> int:
             i = argv.index("--config")
             if i + 1 == len(argv):
                 ap.error("argument --config: expected one argument")
-            _apply_config_defaults(ap, _load_config_file(argv[i + 1]))
+            _apply_config_defaults(ap, _load_config_file(argv[i + 1]), argv)
         args = ap.parse_args(argv)
         return args.func(args)
     except SystemExit as e:

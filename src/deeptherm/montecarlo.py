@@ -19,13 +19,18 @@ blocks (linalg.sym_basis); only the final estimate is embedded in the
 full replicated space.
 
 Samples are drawn in batches of at most BATCH; a batch ends early at a
-checkpoint, so no batch crosses one.  Random numbers come from counter-based
-Philox streams keyed by (seed, batch index), so a result is a deterministic
-function of the seed, `samples` and the checkpoints.
+checkpoint, so no batch crosses one (batch_plan).  Random numbers come from
+counter-based Philox streams keyed by (seed, batch index).  The batches run
+on a pool of WORKERS threads, one per available CPU (numpy's random fills,
+LAPACK's QR and the GEMMs release the GIL), and their sums are added in
+batch order.  So a result is a deterministic function of the seed, `samples`
+and the checkpoints, whatever the pool's width; the pool adds no option.
 """
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +40,9 @@ from .dual_tensors import WTensor, build_w, min_depth, reduce_temporal_operator
 from .linalg import MEM_BUDGET_BYTES, sym_embed, sym_haar_distance
 
 BATCH = 1000
+# batch threads: the CPUs this process may run on
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+IN_FLIGHT = 2  # batches submitted per worker ahead of the in-order reduction
 DEFAULT_CHECKPOINT_START = 1000
 PLATEAU_SPREAD = 0.10
 
@@ -73,7 +81,7 @@ class McConfig:
         # _run_estimator keeps one D x D complex Sym^k sum per batch, plus the
         # total; the estimate and its entrywise SE are embedded at dim x dim
         D = math.comb(2**self.n_a + self.k - 1, self.k)
-        batches = sum(-(-(b - a) // BATCH) for a, b in zip((0,) + cps, cps))
+        batches = sum(map(len, batch_plan(cps)))
         need = 16 * D**2 * (batches + 1) + 2 * 16 * dim**2
         if need > MEM_BUDGET_BYTES:
             raise McError(f"mc at k={self.k}, n_a={self.n_a} keeps {batches} batch sums of "
@@ -90,6 +98,15 @@ class McConfig:
             c *= 10
         cps.append(self.samples)
         return tuple(cps)
+
+
+def batch_plan(checkpoints: tuple) -> list:
+    """Start offsets of the batches done by each checkpoint, one range per checkpoint.
+
+    Batches hold BATCH samples and end early at a checkpoint, so no batch
+    crosses one: the batch at offset s of range r holds min(BATCH, r.stop - s).
+    """
+    return [range(a, b, BATCH) for a, b in zip((0,) + tuple(checkpoints), checkpoints)]
 
 
 @dataclass
@@ -233,33 +250,59 @@ class McEstimate:
         return out
 
 
+def _batch_sum(cfg: McConfig, w: WTensor, weight_exponent: float, batch_index: int,
+               b: int) -> np.ndarray:
+    """D x D Sym^k block of one batch's weighted sum."""
+    psi = _batch_states(cfg, w, batch_index, b)
+    nrm = np.einsum("bs,bs->b", psi, psi.conj()).real
+    ok = nrm > 1e-280
+    wgt = np.where(ok, nrm, 1.0) ** weight_exponent * ok
+    return _kernels.moment_accumulate(psi, wgt, cfg.k)
+
+
 def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstimate:
-    """Shared accumulation path: weights <psi~|psi~>^weight_exponent."""
+    """Shared accumulation path: weights <psi~|psi~>^weight_exponent.
+
+    Batch sums come from a pool of WORKERS threads, at most IN_FLIGHT per
+    worker ahead of the reduction, and are added here in batch order.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # not at import: cli loads this module
+
+    cps = cfg.resolved_checkpoints()
+    plan = batch_plan(cps)
+    batches = enumerate(min(BATCH, r.stop - s) for r in plan for s in r)
     D = math.comb(2**cfg.n_a + cfg.k - 1, cfg.k)
     num = np.zeros((D, D), dtype=complex)
     den = 0.0
     batch_nums, batch_dens, checkpoint_batches = [], [], []
     series = ConvergenceSeries()
-    done = 0
-    for cp in cfg.resolved_checkpoints():
-        while done < cp:
-            b = min(BATCH, cp - done)
-            psi = _batch_states(cfg, w, len(batch_nums), b)
-            nrm = np.einsum("bs,bs->b", psi, psi.conj()).real
-            ok = nrm > 1e-280
-            wgt = np.where(ok, nrm, 1.0) ** weight_exponent * ok
-            bnum = _kernels.moment_accumulate(psi, wgt, cfg.k)
-            num += bnum
-            bden = float(np.trace(bnum).real)
-            den += bden
-            batch_nums.append(bnum)
-            batch_dens.append(bden)
-            done += b
-        if den <= 0:
-            raise McError("all sampled norms vanished; aborting")
-        rho = num / den
-        series.points.append((cp, 0.5 * sym_haar_distance(rho)))
-        checkpoint_batches.append(len(batch_nums))
+    pool = ThreadPoolExecutor(max_workers=WORKERS)
+    pending = deque()
+
+    def submit():
+        nxt = next(batches, None)
+        if nxt is not None:
+            pending.append(pool.submit(_batch_sum, cfg, w, weight_exponent, *nxt))
+
+    try:
+        for _ in range(IN_FLIGHT * WORKERS):
+            submit()
+        for cp, starts in zip(cps, plan):
+            for _ in starts:
+                bnum = pending.popleft().result()
+                submit()
+                num += bnum
+                bden = float(np.trace(bnum).real)
+                den += bden
+                batch_nums.append(bnum)
+                batch_dens.append(bden)
+            if den <= 0:
+                raise McError("all sampled norms vanished; aborting")
+            rho = num / den
+            series.points.append((cp, 0.5 * sym_haar_distance(rho)))
+            checkpoint_batches.append(len(batch_nums))
+    finally:
+        pool.shutdown(cancel_futures=True)  # after an error, batches not yet started never run
     rho = (rho + rho.conj().T) / 2  # the last checkpoint is at cfg.samples
     return McEstimate(
         rho=sym_embed(rho, 2**cfg.n_a, cfg.k), series=series.finalize(),

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import json
+import os
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -25,6 +29,7 @@ from deeptherm.montecarlo import (
     _haar_states,
     _reduce_batch,
     _run_estimator,
+    batch_plan,
     mc_moment,
     mc_projected_state,
     mc_replica_check,
@@ -65,6 +70,87 @@ def test_preflight_counts_sym_block_batch_sums(monkeypatch):
         McConfig(k=5, t=3, n_a=2, samples=300_000)
     monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", need)
     McConfig(k=5, t=3, n_a=2, samples=300_000)
+
+
+def test_one_batch_plan_for_preflight_and_estimator(monkeypatch):
+    # checkpoints off the BATCH grid: each ends a short batch
+    cps = (1500, 2300, 5000)
+    cfg = McConfig(k=2, t=2, n_a=2, bc="obc", samples=5000, checkpoints=cps, seed=3)
+    plan = batch_plan(cps)
+    assert [list(r) for r in plan] == [[0, 1000], [1500], [2300, 3300, 4300]]
+    sizes = []
+    real = montecarlo._batch_states
+
+    def recording(cfg, w, batch_index, b):
+        sizes.append((batch_index, b))
+        return real(cfg, w, batch_index, b)
+
+    monkeypatch.setattr(montecarlo, "_batch_states", recording)
+    est = mc_moment(cfg)
+    assert sorted(sizes) == list(enumerate([1000, 500, 800, 1000, 1000, 700]))
+    assert len(est.batch_nums) == 6 and est.checkpoint_batches == [2, 3, 6]
+    # the preflight refuses by the same count of batch sums
+    monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", 0)
+    with pytest.raises(McError, match="keeps 6 batch sums"):
+        McConfig(k=2, t=2, n_a=2, bc="obc", samples=5000, checkpoints=cps, seed=3)
+
+
+def _widths(monkeypatch, run):
+    # width 3 is more threads than a 2-core host has; a short switch interval
+    # interleaves them as often as it can
+    out = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for width in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "WORKERS", width)
+            out.append(run())
+    finally:
+        sys.setswitchinterval(interval)
+    return out
+
+
+@pytest.mark.parametrize("route", ["pbc", "obc", "replica_n1"])
+def test_result_independent_of_pool_width(monkeypatch, route):
+    # 21 batches: more than any width's window, so batches finish out of order
+    bc = "obc" if route == "obc" else "pbc"
+    cfg = McConfig(k=2, t=2, n_a=2, bc=bc, samples=20_500, seed=17)
+    estimator = (lambda: mc_replica_check(cfg, 1)) if route == "replica_n1" else (lambda: mc_moment(cfg))
+    ref, *others = _widths(monkeypatch, estimator)
+    assert len(ref.batch_nums) == 21
+    for est in others:
+        assert len(est.batch_nums) == len(ref.batch_nums)
+        for a, b in zip(est.batch_nums, ref.batch_nums):
+            np.testing.assert_array_equal(a, b)
+        assert est.batch_dens == ref.batch_dens
+        assert est.series.points == ref.series.points
+        np.testing.assert_array_equal(est.checkpoint_stderrs(), ref.checkpoint_stderrs())
+        np.testing.assert_array_equal(est.entry_stderr(), ref.entry_stderr())
+        np.testing.assert_array_equal(est.rho, ref.rho)
+
+
+def test_batch_error_stops_the_pool_promptly(tmp_path, capsys, monkeypatch):
+    started = []
+    real = montecarlo._batch_states
+
+    def failing(cfg, w, batch_index, b):
+        started.append(batch_index)
+        if batch_index == 3:
+            time.sleep(0.2)  # time for the other worker to run ahead, were it let
+            raise McError("batch 3 failed")
+        return real(cfg, w, batch_index, b)
+
+    monkeypatch.setattr(montecarlo, "WORKERS", 2)
+    monkeypatch.setattr(montecarlo, "_batch_states", failing)
+    out = str(tmp_path / "mc.csv")
+    assert main(["mc", "--k", "2", "--t", "2", "--samples", "200000", "--out", out]) == 3
+    rec = json.loads(capsys.readouterr().err.strip())
+    assert rec == {"error": "batch 3 failed", "type": "McError"}
+    assert not os.path.exists(out)
+    # batches 0-2 were reduced, each submitting one more: no batch past
+    # 3 + the window ever started
+    window = montecarlo.IN_FLIGHT * montecarlo.WORKERS
+    assert 3 in started and max(started) <= 3 + window - 1
 
 
 def test_checkpoints_must_end_at_samples():

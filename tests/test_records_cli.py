@@ -157,6 +157,28 @@ def test_cli_config_file(tmp_path):
     assert open(cfg_out, "rb").read() == open(out, "rb").read()
 
 
+def test_cli_config_keys_follow_the_subcommand(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    out = str(tmp_path / "x.csv")
+    # a key for another subcommand's flag is refused, not silently dropped
+    for text, argv in (
+        ("g=0.9\n", ["replica", "--k", "2", "--nmax", "2", "--t", "2", "--out", out]),
+        ("samples=1000\n", ["figure3", "--kmax", "2", "--tmax", "2", "--out", out]),
+    ):
+        cfgfile.write_text(text)
+        assert main(["--config", str(cfgfile)] + argv) == 2
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["type"] == "UsageError", argv
+        assert f"no {argv[0]} flag for key(s) {text.split('=')[0]}" in rec["error"]
+    assert not os.path.exists(out) and not os.path.exists(out + "_points.csv")
+    # a key of the chosen subcommand still seeds its default
+    cfgfile.write_text("samples=2000\nseed=4\n")
+    assert main(["--config", str(cfgfile), "mc", "--k", "1", "--t", "2", "--out", out]) == 0
+    with open(out + ".meta.json") as f:
+        params = json.load(f)["config"]["params"]
+    assert params["samples"] == 2000 and params["seed"] == 4
+
+
 def test_cli_error_record(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "x.csv")
     rc = main(["exact", "--n", "4", "--na", "2", "--t", "1", "--g", "0.0", "--out", out])
@@ -284,10 +306,11 @@ def test_cli_mc_refuses_oversized_run_before_allocating(tmp_path, capsys, monkey
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.optimize alone took most of the CLI's start-up time
+    # scipy.optimize alone took most of the CLI's start-up time; the MC
+    # thread pool (concurrent.futures) is imported only by an MC run
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys, deeptherm.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent')))")
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
