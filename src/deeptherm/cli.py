@@ -302,12 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config_defaults(ap: argparse.ArgumentParser, overrides: dict, argv: list) -> None:
-    """Seed flag defaults from a config file: top-level flags and those of argv's subcommand."""
+def _apply_config_defaults(ap: argparse.ArgumentParser, overrides: dict, cmd) -> None:
+    """Seed flag defaults from a config file: top-level flags and those of subcommand cmd."""
     sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
-    # the subcommand is argv's first word that is neither a flag nor --config's value
-    cmd = next((w for prev, w in zip([None] + argv, argv)
-                if not w.startswith("-") and prev != "--config"), None)
     if cmd not in sub.choices:
         return  # parse_args reports the missing or unknown subcommand
     known = set()
@@ -328,11 +325,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
     try:
-        if "--config" in argv:
-            i = argv.index("--config")
-            if i + 1 == len(argv):
-                ap.error("argument --config: expected one argument")
-            _apply_config_defaults(ap, _load_config_file(argv[i + 1]), argv)
+        # --config (either form) and the subcommand, before the full parse
+        pre = _Parser(add_help=False)
+        pre.add_argument("--config")
+        pre.add_argument("cmd", nargs="?")
+        known, _ = pre.parse_known_args(argv)
+        if known.config is not None:
+            _apply_config_defaults(ap, _load_config_file(known.config), known.cmd)
         args = ap.parse_args(argv)
         return args.func(args)
     except SystemExit as e:

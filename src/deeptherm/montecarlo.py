@@ -21,10 +21,12 @@ full replicated space.
 Samples are drawn in batches of at most BATCH; a batch ends early at a
 checkpoint, so no batch crosses one (batch_plan).  Random numbers come from
 counter-based Philox streams keyed by (seed, batch index).  The batches run
-on a pool of WORKERS threads, one per available CPU (numpy's random fills,
-LAPACK's QR and the GEMMs release the GIL), and their sums are added in
-batch order.  So a result is a deterministic function of the seed, `samples`
-and the checkpoints, whatever the pool's width; the pool adds no option.
+on a pool of threads, one per available CPU (WORKERS; numpy's random fills,
+LAPACK's QR and the GEMMs release the GIL), fewer when their working sets
+would not fit in MEM_BUDGET_BYTES beside the kept batch sums (pool_width),
+and their sums are added in batch order.  So a result is a deterministic
+function of the seed, `samples` and the checkpoints, whatever the pool's
+width; the pool adds no option.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -78,15 +81,21 @@ class McConfig:
         dim = (2**self.n_a) ** self.k
         if dim > 4096:
             raise McError("replicated space too large")
-        # _run_estimator keeps one D x D complex Sym^k sum per batch, plus the
-        # total; the estimate and its entrywise SE are embedded at dim x dim
-        D = math.comb(2**self.n_a + self.k - 1, self.k)
-        batches = sum(map(len, batch_plan(cps)))
-        need = 16 * D**2 * (batches + 1) + 2 * 16 * dim**2
+        need = self.kept_bytes()
         if need > MEM_BUDGET_BYTES:
+            D = math.comb(2**self.n_a + self.k - 1, self.k)
+            batches = sum(map(len, batch_plan(cps)))
             raise McError(f"mc at k={self.k}, n_a={self.n_a} keeps {batches} batch sums of "
                           f"{D} x {D} and a {dim} x {dim} estimate: ~{need / 1e9:.1f} GB, "
                           "above budget")
+
+    def kept_bytes(self) -> int:
+        """Bytes _run_estimator keeps: one D x D complex Sym^k sum per batch, plus
+        the total, and the estimate and its entrywise SE embedded at dim x dim."""
+        D = math.comb(2**self.n_a + self.k - 1, self.k)
+        dim = (2**self.n_a) ** self.k
+        batches = sum(map(len, batch_plan(self.resolved_checkpoints())))
+        return 16 * D**2 * (batches + 1) + 2 * 16 * dim**2
 
     def resolved_checkpoints(self) -> tuple:
         if self.checkpoints:
@@ -101,12 +110,25 @@ class McConfig:
 
 
 def batch_plan(checkpoints: tuple) -> list:
-    """Start offsets of the batches done by each checkpoint, one range per checkpoint.
+    """Sizes of the batches done by each checkpoint, one list per checkpoint.
 
     Batches hold BATCH samples and end early at a checkpoint, so no batch
-    crosses one: the batch at offset s of range r holds min(BATCH, r.stop - s).
+    crosses one.  Batch i of the flattened plan draws from Philox stream i.
     """
-    return [range(a, b, BATCH) for a, b in zip((0,) + tuple(checkpoints), checkpoints)]
+    return [[min(BATCH, b - s) for s in range(a, b, BATCH)]
+            for a, b in zip((0,) + tuple(checkpoints), checkpoints)]
+
+
+def pool_width(cfg: McConfig) -> int:
+    """Threads for cfg's batches: WORKERS, fewer if their working sets beside the
+    kept batch sums would exceed MEM_BUDGET_BYTES, and never fewer than one.
+
+    One batch holds about 4 complex BATCH x d x d arrays for pbc (the Ginibre
+    draw, its QR factors, the phased unitaries) and 1 for obc (the outer
+    products), d = 2^t; counted as 5 and 2.
+    """
+    per_batch = (5 if cfg.bc == "pbc" else 2) * 16 * BATCH * 4**cfg.t
+    return min(WORKERS, max(1, (MEM_BUDGET_BYTES - cfg.kept_bytes()) // per_batch))
 
 
 @dataclass
@@ -263,20 +285,21 @@ def _batch_sum(cfg: McConfig, w: WTensor, weight_exponent: float, batch_index: i
 def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstimate:
     """Shared accumulation path: weights <psi~|psi~>^weight_exponent.
 
-    Batch sums come from a pool of WORKERS threads, at most IN_FLIGHT per
-    worker ahead of the reduction, and are added here in batch order.
+    Batch sums come from a pool of pool_width(cfg) threads, at most IN_FLIGHT
+    per worker ahead of the reduction, and are added here in batch order.
     """
     from concurrent.futures import ThreadPoolExecutor  # not at import: cli loads this module
 
     cps = cfg.resolved_checkpoints()
     plan = batch_plan(cps)
-    batches = enumerate(min(BATCH, r.stop - s) for r in plan for s in r)
+    batches = enumerate(chain.from_iterable(plan))
     D = math.comb(2**cfg.n_a + cfg.k - 1, cfg.k)
     num = np.zeros((D, D), dtype=complex)
     den = 0.0
     batch_nums, batch_dens, checkpoint_batches = [], [], []
     series = ConvergenceSeries()
-    pool = ThreadPoolExecutor(max_workers=WORKERS)
+    width = pool_width(cfg)
+    pool = ThreadPoolExecutor(max_workers=width)
     pending = deque()
 
     def submit():
@@ -285,10 +308,10 @@ def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstim
             pending.append(pool.submit(_batch_sum, cfg, w, weight_exponent, *nxt))
 
     try:
-        for _ in range(IN_FLIGHT * WORKERS):
+        for _ in range(IN_FLIGHT * width):
             submit()
-        for cp, starts in zip(cps, plan):
-            for _ in starts:
+        for cp, sizes in zip(cps, plan):
+            for _ in sizes:
                 bnum = pending.popleft().result()
                 submit()
                 num += bnum

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -77,7 +78,7 @@ def test_one_batch_plan_for_preflight_and_estimator(monkeypatch):
     cps = (1500, 2300, 5000)
     cfg = McConfig(k=2, t=2, n_a=2, bc="obc", samples=5000, checkpoints=cps, seed=3)
     plan = batch_plan(cps)
-    assert [list(r) for r in plan] == [[0, 1000], [1500], [2300, 3300, 4300]]
+    assert plan == [[1000, 500], [800], [1000, 1000, 700]]
     sizes = []
     real = montecarlo._batch_states
 
@@ -127,6 +128,46 @@ def test_result_independent_of_pool_width(monkeypatch, route):
         np.testing.assert_array_equal(est.checkpoint_stderrs(), ref.checkpoint_stderrs())
         np.testing.assert_array_equal(est.entry_stderr(), ref.entry_stderr())
         np.testing.assert_array_equal(est.rho, ref.rho)
+
+
+def test_pool_width_capped_by_memory_budget(monkeypatch):
+    # every worker holds one batch: counted as 5 complex 1000 x d x d arrays
+    # for pbc and 2 for obc, so 3.5 GB fits ten pbc batches at t=6 but two at t=7
+    monkeypatch.setattr(montecarlo, "WORKERS", 8)
+    assert montecarlo.pool_width(McConfig(k=1, t=6, n_a=1, samples=1000)) == 8
+    assert montecarlo.pool_width(McConfig(k=1, t=7, n_a=1, samples=1000)) == 2
+    assert montecarlo.pool_width(McConfig(k=1, t=7, n_a=1, bc="obc", samples=1000)) == 6
+    assert montecarlo.pool_width(McConfig(k=1, t=9, n_a=1, samples=1000)) == 1
+    cfg = McConfig(k=1, t=6, n_a=1, samples=1000)
+    per_batch = 5 * 16 * montecarlo.BATCH * 4**6
+    monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", cfg.kept_bytes() + 3 * per_batch)
+    assert montecarlo.pool_width(cfg) == 3
+    monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", cfg.kept_bytes() + per_batch - 1)
+    assert montecarlo.pool_width(cfg) == 1
+    monkeypatch.undo()
+
+    # a budget of one batch runs the batches on one thread, with the same result
+    small = McConfig(k=2, t=2, n_a=2, bc="pbc", samples=6000, seed=9)
+    threads = set()
+    real = montecarlo._batch_states
+
+    def recording(cfg, w, batch_index, b):
+        threads.add(threading.get_ident())
+        return real(cfg, w, batch_index, b)
+
+    monkeypatch.setattr(montecarlo, "_batch_states", recording)
+    monkeypatch.setattr(montecarlo, "WORKERS", 3)
+    wide = mc_moment(small)
+    assert montecarlo.pool_width(small) == 3
+    monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", small.kept_bytes() + 5 * 16 * 1000 * 16)
+    assert montecarlo.pool_width(small) == 1
+    threads.clear()
+    narrow = mc_moment(small)
+    assert len(threads) == 1
+    for a, b in zip(narrow.batch_nums, wide.batch_nums, strict=True):
+        np.testing.assert_array_equal(a, b)
+    assert narrow.series.points == wide.series.points
+    np.testing.assert_array_equal(narrow.rho, wide.rho)
 
 
 def test_batch_error_stops_the_pool_promptly(tmp_path, capsys, monkeypatch):

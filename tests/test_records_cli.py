@@ -177,6 +177,11 @@ def test_cli_config_keys_follow_the_subcommand(tmp_path, capsys):
     with open(out + ".meta.json") as f:
         params = json.load(f)["config"]["params"]
     assert params["samples"] == 2000 and params["seed"] == 4
+    # the --config=FILE form is loaded too
+    cfgfile.write_text("m=2\nd=4\n")
+    assert main([f"--config={cfgfile}", "weingarten", "--out", out]) == 0
+    assert main(["weingarten", "--m", "2", "--d", "4", "--out", out + "2"]) == 0
+    assert open(out, "rb").read() == open(out + "2", "rb").read()
 
 
 def test_cli_error_record(tmp_path, capsys, monkeypatch):
