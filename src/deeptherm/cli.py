@@ -77,7 +77,7 @@ def cmd_exact(args) -> int:
         for k in range(1, args.k + 1):
             rho = moment_from_state(state, base, k)
             rows.append([base.n, base.n_a, t, base.bc, k,
-                         delta_k(rho, k), ent, base.wraparound(t)])
+                         delta_k(rho), ent, base.wraparound(t)])
     _record(args, "exact", args.out,
             ["n", "na", "t", "bc", "k", "delta_k", "entropy_bits", "wraparound_flag"],
             rows, {"n": args.n, "na": args.na, "t": args.t, "bc": args.bc,

@@ -16,9 +16,14 @@ projected ensemble do feel the boundary fields at finite N; the defaults
 b1 = bn = pi/4 complete the end sites' gate structure (a pi/4 field is a
 ZZ coupling to a frozen |0> neighbour) and are the values under which the
 finite chain tracks the thermodynamic-limit ensemble most closely.
+
+Moments are streamed over bath outcomes into their D x D Sym^k blocks
+(linalg.sym_basis) and returned as such; delta_k reads the distance to Haar
+from the block.  Only the tests embed a block in the replicated space.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +35,6 @@ from .linalg import (
     kron_all,
     partial_trace,
     permutation_vector_state,
-    sym_compress,
-    sym_embed,
     sym_haar_distance,
     trace_norm,
 )
@@ -101,19 +104,23 @@ def exact_bytes(n: int, n_a: int, k: int) -> int:
     """Bytes the exact route holds at once, summed over its largest arrays.
 
     The state and the phase vector (complex, 2^n each), the spin table
-    (n x 2^n float64, filled row by row in place), and room for three
-    complex matrices of dimension 2^(n_a k).  The moment is accumulated as
-    its D x D Sym^k block (D = C(2^n_a + k - 1, k), at most 2^(n_a k));
-    moment_from_state returns it embedded, and delta_k's leak check holds the
-    embedding, one re-embedded copy and the copy's real absolute values.
-    That is at most 2.5 of the three, so this is an upper bound.
+    (n x 2^n float64, filled row by row in place), moment_accumulate's row
+    block of at most BLOCK_ENTRIES complex entries with its weighted and
+    conjugated copies, and four D x D complex blocks, D = C(2^n_a + k - 1, k):
+    the sum and its GEMM update, then the normalized moment and delta_k's
+    Hermitian part with eigvalsh's copy of it.  The moment is never embedded
+    in the 2^(n_a k)-dimensional replicated space.
     """
-    dim = 2 ** (n_a * k)
-    return 2 * 16 * 2**n + 8 * n * 2**n + 3 * 16 * dim * dim
+    D = math.comb(2**n_a + k - 1, k)
+    row_block = min(_kernels.ROW_BLOCK * D, max(_kernels.BLOCK_ENTRIES, D))
+    return 2 * 16 * 2**n + 8 * n * 2**n + 3 * 16 * row_block + 4 * 16 * D * D
 
 
 def check_exact_size(n: int, n_a: int, k: int) -> None:
-    """Raise ConfigError, before anything is allocated, above the memory budget."""
+    """Raise ConfigError, before anything is allocated, above the memory budget
+    or above n_a k = 14 (linalg.sym_basis indexes all 2^(n_a k) replica codes)."""
+    if n_a * k > 14:
+        raise ConfigError(f"exact run at n_a={n_a}, k={k}: n_a*k = {n_a * k} above the cap of 14")
     need = exact_bytes(n, n_a, k)
     if need > MEM_BUDGET_BYTES:
         raise ConfigError(
@@ -197,29 +204,18 @@ def _subsystem_amplitudes(state: np.ndarray, cfg: KimConfig) -> np.ndarray:
 
 
 def moment_from_state(state: np.ndarray, cfg: KimConfig, k: int) -> np.ndarray:
-    """Streaming moment accumulation over bath outcomes (never stores states).
-
-    The sum runs in Sym^k; the normalized block is embedded once at the end.
-    """
-    if cfg.n_a * k > 14:
-        raise ValueError("replicated dimension too large")
+    """The k-th moment's D x D Sym^k block (linalg.sym_basis), normalized to unit
+    trace, streamed over bath outcomes (never stores states)."""
     amps = _subsystem_amplitudes(state, cfg)
     p = np.einsum("zs,zs->z", amps, amps.conj()).real
     w = np.where(p < P_FLOOR, 0.0, p ** (1 - k))
     out = _kernels.moment_accumulate(amps, w, k)
-    return sym_embed(out / np.trace(out), 2**cfg.n_a, k)
+    return out / np.trace(out)
 
 
-def delta_k(rho: np.ndarray, k: int) -> float:
-    """Half trace distance to the Haar moment of matching order.
-
-    Taken on rho's Sym^k block; raises ValueError when rho leaks out of Sym^k.
-    """
-    dim = rho.shape[0]
-    d = round(dim ** (1.0 / k))
-    if d**k != dim:
-        raise ValueError(f"dimension {dim} is not a k={k} replica power")
-    return 0.5 * sym_haar_distance(sym_compress(rho, d, k))
+def delta_k(r: np.ndarray) -> float:
+    """Half trace distance to the Haar moment of matching order, from the Sym^k block r."""
+    return 0.5 * sym_haar_distance(r)
 
 
 def design_time(series: dict, eps: float):

@@ -114,6 +114,8 @@ def sym_embed(r: np.ndarray, d: int, k: int) -> np.ndarray:
 
     A gather, full[i, j] = r[orbit i, orbit j] / (coef coef); it also maps an
     entrywise statistic of r (a standard error, say) to the full entries.
+    The routes return blocks; this is sym_compress's leak check and the
+    tests' way back to full-space oracles.
     """
     basis = sym_basis(d, k)
     scaled = r / (basis.coef[:, None] * basis.coef)
@@ -173,25 +175,6 @@ def kron_all(mats) -> np.ndarray:
     for m in mats:
         out = np.kron(out, m)
     return out
-
-
-def unitary_conjugation_invariance_check(v: np.ndarray, p: Permutation) -> float:
-    """Defect ||(V (x) V*)^{(x)m} |P(p)> - |P(p)>||, m = p.degree.
-
-    This identity (zero defect for any unitary V) is what licenses trading
-    gauge unitaries on the temporal legs for nothing inside diagram values.
-    """
-    v = np.asarray(v, dtype=complex)
-    d = v.shape[0]
-    herm_defect = np.abs(v.conj().T @ v - np.eye(d)).max()
-    if herm_defect > 1e-8:
-        raise ValueError(f"input not unitary (defect {herm_defect:.2e})")
-    q = int(round(np.log2(d)))
-    if 2**q != d:
-        raise ValueError("dimension must be a power of two")
-    vec = permutation_vector_state(p, q)
-    op = kron_all([np.kron(v, v.conj())] * p.degree)
-    return float(np.linalg.norm(op @ vec - vec))
 
 
 def haar_moment_operator(n_a: int, k: int) -> np.ndarray:

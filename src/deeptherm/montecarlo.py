@@ -14,9 +14,9 @@ surrogate uses weight <psi~|psi~>^n, whose trace normalization is exactly
 the ratio-estimator denominator mean <psi~|psi~>^(k+n).  W is built at
 dual_tensors.W_COUPLING; no distance to Haar depends on the coupling.
 
-Moments are accumulated, compared with Haar and jackknifed as their Sym^k
-blocks (linalg.sym_basis); only the final estimate is embedded in the
-full replicated space.
+Moments are accumulated, compared with Haar, jackknifed and returned as
+their D x D Sym^k blocks (linalg.sym_basis); only the tests embed them in
+the full replicated space.
 
 Samples are drawn in batches of at most BATCH; a batch ends early at a
 checkpoint, so no batch crosses one (batch_plan).  Random numbers come from
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _kernels
 from .dual_tensors import WTensor, build_w, min_depth, reduce_temporal_operator
-from .linalg import MEM_BUDGET_BYTES, sym_embed, sym_haar_distance
+from .linalg import MEM_BUDGET_BYTES, sym_haar_distance
 
 BATCH = 1000
 # batch threads: the CPUs this process may run on
@@ -78,24 +78,28 @@ class McConfig:
             raise McError("checkpoints must be positive and strictly increasing")
         if cps[-1] != self.samples:
             raise McError("the last checkpoint must equal samples")
-        dim = (2**self.n_a) ** self.k
-        if dim > 4096:
+        if (2**self.n_a) ** self.k > 4096:  # sym_basis indexes every replica code
             raise McError("replicated space too large")
-        need = self.kept_bytes()
+        need = self.kept_bytes() + self.batch_bytes()
         if need > MEM_BUDGET_BYTES:
             D = math.comb(2**self.n_a + self.k - 1, self.k)
             batches = sum(map(len, batch_plan(cps)))
-            raise McError(f"mc at k={self.k}, n_a={self.n_a} keeps {batches} batch sums of "
-                          f"{D} x {D} and a {dim} x {dim} estimate: ~{need / 1e9:.1f} GB, "
-                          "above budget")
+            raise McError(f"mc at k={self.k}, n_a={self.n_a}, t={self.t} keeps {batches} batch "
+                          f"sums of {D} x {D} beside a batch working set of "
+                          f"{self.batch_bytes() / 1e9:.2g} GB: ~{need / 1e9:.1f} GB, above budget")
 
     def kept_bytes(self) -> int:
-        """Bytes _run_estimator keeps: one D x D complex Sym^k sum per batch, plus
-        the total, and the estimate and its entrywise SE embedded at dim x dim."""
+        """Bytes _run_estimator keeps: one D x D complex Sym^k sum per batch, plus the total."""
         D = math.comb(2**self.n_a + self.k - 1, self.k)
-        dim = (2**self.n_a) ** self.k
         batches = sum(map(len, batch_plan(self.resolved_checkpoints())))
-        return 16 * D**2 * (batches + 1) + 2 * 16 * dim**2
+        return 16 * D**2 * (batches + 1)
+
+    def batch_bytes(self) -> int:
+        """Working set of the plan's largest batch of b samples: about 4 complex
+        b x d x d arrays for pbc (the Ginibre draw, its QR factors, the phased
+        unitaries) and 1 for obc (the outer products), d = 2^t; counted as 5 and 2."""
+        b = max(chain.from_iterable(batch_plan(self.resolved_checkpoints())))
+        return (5 if self.bc == "pbc" else 2) * 16 * b * 4**self.t
 
     def resolved_checkpoints(self) -> tuple:
         if self.checkpoints:
@@ -120,15 +124,10 @@ def batch_plan(checkpoints: tuple) -> list:
 
 
 def pool_width(cfg: McConfig) -> int:
-    """Threads for cfg's batches: WORKERS, fewer if their working sets beside the
-    kept batch sums would exceed MEM_BUDGET_BYTES, and never fewer than one.
-
-    One batch holds about 4 complex BATCH x d x d arrays for pbc (the Ginibre
-    draw, its QR factors, the phased unitaries) and 1 for obc (the outer
-    products), d = 2^t; counted as 5 and 2.
-    """
-    per_batch = (5 if cfg.bc == "pbc" else 2) * 16 * BATCH * 4**cfg.t
-    return min(WORKERS, max(1, (MEM_BUDGET_BYTES - cfg.kept_bytes()) // per_batch))
+    """Threads for cfg's batches: WORKERS, fewer if their working sets
+    (McConfig.batch_bytes) beside the kept batch sums would exceed
+    MEM_BUDGET_BYTES, and never fewer than one."""
+    return min(WORKERS, max(1, (MEM_BUDGET_BYTES - cfg.kept_bytes()) // cfg.batch_bytes()))
 
 
 @dataclass
@@ -198,30 +197,31 @@ def _batch_states(cfg: McConfig, w: WTensor, batch_index: int, b: int) -> np.nda
     return np.einsum("sxy,byx->bs", w.data, R)
 
 
-def _leave_one_out_spread(nums: list, dens: list) -> np.ndarray:
-    """sum_i |rho_(i) - mean_j rho_(j)|^2 entrywise, rho_(i) the moment without batch i.
+def _leave_one_out(nums: list, dens: list):
+    """Yield rho_(i), the moment without batch i, for each batch i in turn.
 
-    Two passes over the batches (the mean, then the spread) from one running
-    sum, each leave-one-out moment formed in one reused buffer, so a few
-    batch sums are held, not a stack of them.
+    From one running sum, each in one reused buffer: a few batch sums are
+    held, not a stack of them (McConfig's preflight counts the sums once).
     """
     num = nums[0].copy()
     for x in nums[1:]:
         num += x
     den = float(np.sum(dens))
     loo = np.empty_like(num)
+    for x, d in zip(nums, dens):
+        np.subtract(num, x, out=loo)
+        yield np.divide(loo, den - d, out=loo)
 
-    def leave_one_out(i):
-        np.subtract(num, nums[i], out=loo)
-        return np.divide(loo, den - dens[i], out=loo)
 
-    mean = np.zeros_like(num)
-    for i in range(len(nums)):
-        mean += leave_one_out(i)
+def _leave_one_out_spread(nums: list, dens: list) -> np.ndarray:
+    """sum_i |rho_(i) - mean_j rho_(j)|^2 entrywise: two passes, the mean, then the spread."""
+    mean = np.zeros_like(nums[0])
+    for rho in _leave_one_out(nums, dens):
+        mean += rho
     mean /= len(nums)
-    spread, sq = np.zeros(num.shape), np.empty(num.shape)
-    for i in range(len(nums)):
-        np.abs(np.subtract(leave_one_out(i), mean, out=loo), out=sq)
+    spread, sq = np.zeros(mean.shape), np.empty(mean.shape)
+    for rho in _leave_one_out(nums, dens):
+        np.abs(np.subtract(rho, mean, out=rho), out=sq)
         sq *= sq
         spread += sq
     return spread
@@ -229,45 +229,31 @@ def _leave_one_out_spread(nums: list, dens: list) -> np.ndarray:
 
 @dataclass
 class McEstimate:
-    rho: np.ndarray
+    rho: np.ndarray  # D x D Sym^k block of the estimate
     series: ConvergenceSeries
     batch_nums: list  # D x D Sym^k block of each batch's weighted sum
     batch_dens: list
     checkpoint_batches: list  # batches done at each checkpoint
-    k: int
-    n_a: int
 
     def entry_stderr(self) -> np.ndarray:
-        """Leave-one-batch-out jackknife SE of every entry of rho.
-
-        Taken on the Sym^k blocks, then embedded like rho.
-        """
+        """Leave-one-batch-out jackknife SE of every entry of rho."""
         B = len(self.batch_nums)
         if B < 2:
             raise McError("jackknife needs at least 2 batches")
         var = _leave_one_out_spread(self.batch_nums, self.batch_dens)
         var *= (B - 1) / B
-        return sym_embed(np.sqrt(var, out=var), 2**self.n_a, self.k)
+        return np.sqrt(var, out=var)
 
     def checkpoint_stderrs(self) -> list:
         """Leave-one-batch-out jackknife SE of delta at each checkpoint, over the
         batches done by then (nan while only one batch is done)."""
-        all_dens = np.asarray(self.batch_dens)
         out = []
         for B in self.checkpoint_batches:
             if B < 2:
                 out.append(float("nan"))
                 continue
-            nums, dens = self.batch_nums[:B], all_dens[:B]
-            # summed in place: a stacked copy would double the memory that
-            # McConfig's preflight counts
-            num = nums[0].copy()
-            for x in nums[1:]:
-                num += x
-            den = dens.sum()
-            deltas = np.empty(B)
-            for i in range(B):
-                deltas[i] = 0.5 * sym_haar_distance((num - nums[i]) / (den - dens[i]))
+            deltas = np.array([0.5 * sym_haar_distance(rho) for rho in
+                               _leave_one_out(self.batch_nums[:B], self.batch_dens[:B])])
             out.append(float(np.sqrt((B - 1) / B * ((deltas - deltas.mean()) ** 2).sum())))
         return out
 
@@ -327,11 +313,8 @@ def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstim
     finally:
         pool.shutdown(cancel_futures=True)  # after an error, batches not yet started never run
     rho = (rho + rho.conj().T) / 2  # the last checkpoint is at cfg.samples
-    return McEstimate(
-        rho=sym_embed(rho, 2**cfg.n_a, cfg.k), series=series.finalize(),
-        batch_nums=batch_nums, batch_dens=batch_dens,
-        checkpoint_batches=checkpoint_batches, k=cfg.k, n_a=cfg.n_a,
-    )
+    return McEstimate(rho=rho, series=series.finalize(), batch_nums=batch_nums,
+                      batch_dens=batch_dens, checkpoint_batches=checkpoint_batches)
 
 
 def mc_moment(cfg: McConfig) -> McEstimate:

@@ -22,7 +22,9 @@ to the orbit indicator; each class's gather matrix acts on those small orbit
 sums; and W applied on each replica mode of the class rows gives a
 (replica index x class x orbit) tensor P that serves every split m = k + n.
 A class diagram at (k, n) is then a weighted gather over P.
-Class-resolved diagrams are cached and reweighted per (t, bc).
+Class-resolved diagrams are cached and reweighted per (t, bc).  Their sum is
+checked in the full replicated space and returned as its D x D Sym^k block
+(linalg.sym_basis); only the tests embed it again.
 W is built at dual_tensors.W_COUPLING; no distance to Haar depends on the
 coupling (see there).
 """
@@ -251,8 +253,8 @@ def class_diagram_terms(n_a: int, k: int, n: int):
     }
 
 
-def _moment_and_block(spec: ReplicaSpec):
-    """rho^(k,n), normalized to unit trace, and its Sym^k block.
+def replica_moment(spec: ReplicaSpec) -> np.ndarray:
+    """The D x D Sym^k block of rho^(k,n), normalized to unit trace.
 
     The class diagrams are summed in the full replicated space, so the
     block's leak check (linalg.sym_compress) tests the engine.
@@ -269,17 +271,11 @@ def _moment_and_block(spec: ReplicaSpec):
     herm_defect = np.abs(rho - rho.conj().T).max()
     if herm_defect > 1e-9:
         raise ReplicaError(f"replica moment not Hermitian (defect {herm_defect:.2e})")
-    rho = (rho + rho.conj().T) / 2
-    block = sym_compress(rho, 2**spec.n_a, spec.k)
+    block = sym_compress((rho + rho.conj().T) / 2, 2**spec.n_a, spec.k)
     wmin = np.linalg.eigvalsh(block).min()
     if wmin < -1e-8:
         raise ReplicaError(f"replica moment not PSD (min eig {wmin:.2e})")
-    return rho, block
-
-
-def replica_moment(spec: ReplicaSpec) -> np.ndarray:
-    """rho^(k,n) for the given boundary condition, normalized to unit trace."""
-    return _moment_and_block(spec)[0]
+    return block
 
 
 def deviation_series(spec: ReplicaSpec, n_max: int):
@@ -287,7 +283,7 @@ def deviation_series(spec: ReplicaSpec, n_max: int):
     if spec.k + n_max > MAX_DEGREE:
         raise ReplicaError("k + n_max above the replica cap")
     _check_size(spec.n_a, spec.k, range(n_max + 1))
-    return [(n, sym_haar_distance(_moment_and_block(replace(spec, n=n))[1]))
+    return [(n, sym_haar_distance(replica_moment(replace(spec, n=n))))
             for n in range(n_max + 1)]
 
 

@@ -15,7 +15,7 @@ import pytest
 from deeptherm.cli import main
 from deeptherm.dual_tensors import build_w, build_wprime, min_depth
 from deeptherm.kim import KimConfig, delta_k, dual_unitary_ensemble_check, evolve, moment_from_state
-from deeptherm.linalg import haar_moment_operator, trace_norm
+from deeptherm.linalg import haar_moment_operator, sym_embed, trace_norm
 from deeptherm.montecarlo import McConfig, mc_moment, mc_replica_check
 from deeptherm.permgroup import (
     conjugacy_classes,
@@ -50,7 +50,7 @@ def test_criterion_1_regular_thermalization_exact(n, bc):
         cfg = KimConfig(n=n, n_a=2, t=t, bc=bc, g=G)
         assert not cfg.wraparound()
         rho = moment_from_state(evolve(cfg), cfg, 1)
-        worst = max(worst, delta_k(rho, 1))
+        worst = max(worst, delta_k(rho))
     assert worst <= 1e-8
     _report(1, f"delta_1 <= 1e-8 in the pre-recurrence window (n={n}, {bc}, "
                f"t=1..{t_max}; worst {worst:.2e})")
@@ -229,10 +229,12 @@ def test_criterion_6_replica_mc_agreement(bc, t):
 @pytest.mark.parametrize("bc", ["pbc", "obc"])
 def test_criterion_7_integer_n_oracle(k, n, bc):
     for t in (2, 3):
-        rho_rep = replica_moment(ReplicaSpec(k=k, n=n, t=t, n_a=2, bc=bc))
+        # compared in the full replicated space, where the bound was set
+        rho_rep = sym_embed(replica_moment(ReplicaSpec(k=k, n=n, t=t, n_a=2, bc=bc)), 4, k)
         cfg = McConfig(k=k, t=t, n_a=2, bc=bc, samples=500_000, seed=99)
         est = mc_replica_check(cfg, n)
-        se_entry = est.entry_stderr()
+        est.rho = sym_embed(est.rho, 4, k)
+        se_entry = sym_embed(est.entry_stderr(), 4, k)
         dist = 0.5 * trace_norm(est.rho - rho_rep)
         bound = 3 * 0.5 * np.sqrt(est.rho.shape[0]) * np.sqrt((se_entry**2).sum())
         assert dist <= bound, (k, n, bc, t, dist, bound)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
+from itertools import chain
+
 import numpy as np
 import pytest
 
 import deeptherm.cli as cli
-from deeptherm.dual_tensors import kick_matrix
+from deeptherm.dual_tensors import build_w, kick_matrix
 from deeptherm.kim import (
     P_FLOOR,
     ConfigError,
@@ -22,9 +25,17 @@ from deeptherm.kim import (
     plus_state,
     reduced_density_matrix,
 )
-from deeptherm.linalg import haar_moment_operator, partial_trace, permutation_operator
-from deeptherm.permgroup import Permutation, enumerate_sym
+from deeptherm.linalg import (
+    haar_moment_operator,
+    partial_trace,
+    permutation_operator,
+    sym_compress,
+    sym_embed,
+)
+from deeptherm.montecarlo import McConfig, _batch_states, batch_plan, mc_moment
+from deeptherm.permgroup import enumerate_sym
 from deeptherm.records import read_csv
+from deeptherm.replica import ReplicaSpec, direct_double_sum, replica_moment
 
 G = 0.3
 
@@ -158,7 +169,7 @@ def test_projected_ensemble_product_and_bell():
     cfgb = KimConfig(n=2, n_a=1, t=0, g=G, a_offset=0)
     np.testing.assert_allclose(moment_from_state(bell, cfgb, 1), np.eye(2) / 2, atol=1e-15)
     np.testing.assert_allclose(
-        moment_from_state(bell, cfgb, 2), np.diag([0.5, 0.0, 0.0, 0.5]), atol=1e-15
+        sym_embed(moment_from_state(bell, cfgb, 2), 2, 2), np.diag([0.5, 0.0, 0.0, 0.5]), atol=1e-15
     )
 
 
@@ -180,7 +191,7 @@ def test_moment_operator_identities():
     # the streaming GEMM accumulation agrees with one explicit k-fold kron per outcome
     for k in (1, 2, 3):
         np.testing.assert_allclose(
-            moment_from_state(state, cfg, k), _kron_moment(state, cfg, k), atol=1e-12
+            sym_embed(moment_from_state(state, cfg, k), 4, k), _kron_moment(state, cfg, k), atol=1e-12
         )
 
 
@@ -195,28 +206,24 @@ def test_moment_reduction_across_replicas():
     state = evolve(cfg)
     rho2 = moment_from_state(state, cfg, 2)
     rho1 = moment_from_state(state, cfg, 1)
-    np.testing.assert_allclose(partial_trace(rho2, [4, 4], keep=[0]), rho1, atol=1e-12)
+    np.testing.assert_allclose(partial_trace(sym_embed(rho2, 4, 2), [4, 4], keep=[0]), rho1, atol=1e-12)
 
 
 def test_moment_replica_permutation_symmetry():
     cfg = KimConfig(n=8, n_a=2, t=2, g=G)
-    rho3 = moment_from_state(evolve(cfg), cfg, 3)
+    rho3 = sym_embed(moment_from_state(evolve(cfg), cfg, 3), 4, 3)
     for p in enumerate_sym(3):
         P = permutation_operator(p, 4)
         assert np.abs(P @ rho3 @ P.T - rho3).max() <= 1e-12
 
 
 def test_delta_k_and_monotonicity():
-    assert delta_k(haar_moment_operator(2, 2), 2) <= 1e-12
-    # an antisymmetric part, (I - SWAP)/2 on C^4 (x) C^4, is refused
-    anti = (np.eye(16) - permutation_operator(Permutation((1, 0)), 4)) / 2
-    with pytest.raises(ValueError, match="Sym"):
-        delta_k(0.9 * haar_moment_operator(2, 2) + 0.1 * anti / 6, 2)
+    assert delta_k(sym_compress(haar_moment_operator(2, 2), 4, 2)) <= 1e-12
     rho = np.diag([1.0, 0.0]).astype(complex)
-    assert delta_k(rho, 1) == pytest.approx(0.5)
+    assert delta_k(rho) == pytest.approx(0.5)
     cfg = KimConfig(n=10, n_a=2, t=2, g=G)
     state = evolve(cfg)
-    deltas = [delta_k(moment_from_state(state, cfg, k), k) for k in (1, 2, 3)]
+    deltas = [delta_k(moment_from_state(state, cfg, k)) for k in (1, 2, 3)]
     assert deltas[0] <= deltas[1] <= deltas[2]
     assert deltas[0] <= 1e-10
 
@@ -238,7 +245,7 @@ def test_design_time():
     series = {}
     for t in range(4):
         cfg = KimConfig(n=10, n_a=2, t=t, g=G)
-        series[t] = delta_k(moment_from_state(evolve(cfg), cfg, 1), 1)
+        series[t] = delta_k(moment_from_state(evolve(cfg), cfg, 1))
     assert design_time(series, 1e-8) == 1  # ceil(n_a/2)
     with pytest.raises(AssertionError):
         design_times({1: {0: 1.0, 1: 0.0}, 2: {0: 0.0, 1: 0.0}}, 1e-8)
@@ -278,6 +285,44 @@ def test_rdm_exactness_boundary_field_independent():
     for b in (np.pi / 4, 0.0, 0.5):
         cfg = KimConfig(n=10, n_a=2, t=2, bc="obc", g=G, b1=b, bn=b)
         state = evolve(cfg)
-        assert delta_k(moment_from_state(state, cfg, 1), 1) <= 1e-10
-        d2[b] = delta_k(moment_from_state(state, cfg, 2), 2)
+        assert delta_k(moment_from_state(state, cfg, 1)) <= 1e-10
+        d2[b] = delta_k(moment_from_state(state, cfg, 2))
     assert abs(d2[0.0] - d2[np.pi / 4]) > 1e-3
+
+
+def _exact_route(k):
+    cfg = KimConfig(n=8, n_a=2, t=2, g=G)
+    state = evolve(cfg)
+    return moment_from_state(state, cfg, k), _kron_moment(state, cfg, k)
+
+
+def _replica_route(k):
+    spec = ReplicaSpec(k=k, n=3 - k, t=2, n_a=2, bc="obc")  # m = 3
+    return replica_moment(spec), direct_double_sum(spec, build_w(2))
+
+
+def _mc_route(k):
+    """The estimate against a full-space sum over the same sampled states."""
+    cfg = McConfig(k=k, t=2, n_a=2, bc="pbc", samples=2500, seed=21)
+    w = build_w(2)
+    num = 0
+    for i, b in enumerate(chain.from_iterable(batch_plan(cfg.resolved_checkpoints()))):
+        psi = _batch_states(cfg, w, i, b)
+        nrm = np.einsum("bs,bs->b", psi, psi.conj()).real
+        v = psi
+        for _ in range(k - 1):
+            v = np.einsum("bi,bj->bij", v, psi).reshape(b, -1)
+        num = num + (v * nrm[:, None] ** (1 - k)).T @ v.conj()
+    return mc_moment(cfg).rho, num / np.trace(num)
+
+
+@pytest.mark.parametrize("route,k", [("exact", 1), ("exact", 2), ("exact", 3),
+                                     ("replica", 1), ("replica", 2), ("replica", 3),
+                                     ("mc", 1), ("mc", 2)])
+def test_routes_return_sym_blocks(route, k):
+    # every route returns its moment as the D x D Sym^k block of the full-space oracle
+    block, oracle = {"exact": _exact_route, "replica": _replica_route, "mc": _mc_route}[route](k)
+    D = math.comb(4 + k - 1, k)
+    assert block.shape == (D, D)
+    ref = sym_compress(oracle, 4, k)
+    assert np.abs(block - ref).max() <= 1e-12 * np.abs(ref).max()

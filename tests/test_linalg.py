@@ -18,7 +18,6 @@ from deeptherm.linalg import (
     sym_embed,
     sym_haar_distance,
     trace_norm,
-    unitary_conjugation_invariance_check,
 )
 from deeptherm.permgroup import Permutation, enumerate_sym
 
@@ -101,19 +100,6 @@ def test_permutation_vector_ket_side_composition():
             np.testing.assert_array_equal(
                 moved, permutation_vector_state(target, q).real
             )
-
-
-def test_unitary_invariance_check(rng):
-    e1 = Permutation((0,))
-    assert unitary_conjugation_invariance_check(np.eye(2), e1) == 0.0
-    H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    assert unitary_conjugation_invariance_check(H, e1) <= 1e-12
-    z = (rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4))) / np.sqrt(2)
-    u = haar_from_ginibre(z)[0]
-    swap = Permutation((1, 0))
-    assert unitary_conjugation_invariance_check(u, swap) <= 1e-10
-    with pytest.raises(ValueError):
-        unitary_conjugation_invariance_check(2 * np.eye(2), e1)
 
 
 def test_haar_moment_small():

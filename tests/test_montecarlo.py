@@ -54,7 +54,7 @@ def test_config_validation():
         McConfig(k=2, t=11, n_a=2, samples=1000)  # temporal register capped at 10 qubits
     with pytest.raises(McError, match="too large"):
         McConfig(k=7, t=2, n_a=2, samples=1000)  # 16384-dimensional replicated space
-    McConfig(k=6, t=2, n_a=2, samples=20000)  # 21 Sym^6 sums of 84 x 84, a 4096 x 4096 estimate
+    McConfig(k=6, t=2, n_a=2, samples=20000)  # 21 Sym^6 sums of 84 x 84
     McConfig(k=4, t=2, n_a=2, samples=500_000)  # 501 Sym^4 sums of 35 x 35
     cfg = McConfig(k=2, t=2, n_a=2, samples=250_000)
     assert cfg.resolved_checkpoints() == (1000, 10_000, 100_000, 250_000)
@@ -62,10 +62,10 @@ def test_config_validation():
 
 
 def test_preflight_counts_sym_block_batch_sums(monkeypatch):
-    # 301 Sym^5 sums of 56 x 56 and two 1024 x 1024 operators: ~49 MB, where
-    # 301 full 1024 x 1024 sums would be ~5 GB
+    # 301 Sym^5 sums of 56 x 56 beside one pbc batch of 1000 8 x 8 unitaries:
+    # ~20 MB, where 301 full 1024 x 1024 sums would be ~5 GB
     McConfig(k=5, t=3, n_a=2, samples=300_000)
-    need = 16 * 56**2 * 301 + 2 * 16 * 1024**2
+    need = 16 * 56**2 * 301 + 5 * 16 * 1000 * 8**2
     monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", need - 1)
     with pytest.raises(McError, match="above budget"):
         McConfig(k=5, t=3, n_a=2, samples=300_000)
@@ -137,7 +137,8 @@ def test_pool_width_capped_by_memory_budget(monkeypatch):
     assert montecarlo.pool_width(McConfig(k=1, t=6, n_a=1, samples=1000)) == 8
     assert montecarlo.pool_width(McConfig(k=1, t=7, n_a=1, samples=1000)) == 2
     assert montecarlo.pool_width(McConfig(k=1, t=7, n_a=1, bc="obc", samples=1000)) == 6
-    assert montecarlo.pool_width(McConfig(k=1, t=9, n_a=1, samples=1000)) == 1
+    with pytest.raises(McError, match="above budget"):  # one pbc batch at t=9 is 21 GB
+        McConfig(k=1, t=9, n_a=1, samples=1000)
     cfg = McConfig(k=1, t=6, n_a=1, samples=1000)
     per_batch = 5 * 16 * montecarlo.BATCH * 4**6
     monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", cfg.kept_bytes() + 3 * per_batch)
@@ -168,6 +169,23 @@ def test_pool_width_capped_by_memory_budget(monkeypatch):
         np.testing.assert_array_equal(a, b)
     assert narrow.series.points == wide.series.points
     np.testing.assert_array_equal(narrow.rho, wide.rho)
+
+
+def test_batch_above_budget_refused_before_sampling(tmp_path, capsys, monkeypatch):
+    # one pbc batch at t=8 is counted as 5 complex 1000 x 256 x 256 arrays,
+    # ~5.2 GB: above the 3.5 GB budget alone, so no pool width could run it
+    def fail(*args, **kwargs):
+        raise AssertionError("sampled for a refused size")
+
+    monkeypatch.setattr(montecarlo, "_batch_states", fail)
+    out = str(tmp_path / "mc.csv")
+    assert main(["mc", "--k", "2", "--t", "8", "--bc", "pbc", "--samples", "1000",
+                 "--out", out]) == 3
+    rec = json.loads(capsys.readouterr().err.strip())
+    assert rec["type"] == "McError" and "above budget" in rec["error"]
+    assert not os.path.exists(out)
+    # an obc batch at t=8 is counted as 2 such arrays, ~2.1 GB, and fits
+    McConfig(k=1, t=8, n_a=1, bc="obc", samples=1000)
 
 
 def test_batch_error_stops_the_pool_promptly(tmp_path, capsys, monkeypatch):
@@ -347,8 +365,8 @@ def test_entry_stderr_matches_stacked_jackknife_in_bounded_memory():
     se = est.entry_stderr()
     full = np.array([sym_embed(x, 4, 2) for x in est.batch_nums])
     ref = _stacked_entry_stderr(full, np.asarray(est.batch_dens))
-    assert se.shape == (16, 16)
-    assert np.abs(se - ref).max() <= 1e-12 * ref.max()
+    assert se.shape == (10, 10)  # the Sym^2 block, like rho
+    assert np.abs(sym_embed(se, 4, 2) - ref).max() <= 1e-12 * ref.max()
     # a running sum and one leave-one-out moment at a time: a few batch sums,
     # not a stack of them
     tracemalloc.start()
@@ -374,13 +392,13 @@ def test_checkpoint_row_equals_run_ending_there():
 
 def test_mc_estimate_symmetric_under_replica_permutation():
     cfg = McConfig(k=2, t=2, n_a=2, bc="pbc", samples=50_000, seed=11)
-    est = mc_moment(cfg)
-    sym = np.zeros_like(est.rho)
+    rho = sym_embed(mc_moment(cfg).rho, 4, 2)
+    sym = np.zeros_like(rho)
     for p in enumerate_sym(2):
         P = permutation_operator(p, 4)
-        sym += P @ est.rho @ P.T
+        sym += P @ rho @ P.T
     sym /= 2
-    assert trace_norm(sym - est.rho) <= 1e-12
+    assert trace_norm(sym - rho) <= 1e-12
 
 
 def test_mc_replica_check_n0_identity(w2):
@@ -401,7 +419,7 @@ def test_mc_replica_check_n0_identity(w2):
         den += (nrm**2).sum()
         done += b_sz
         bi += 1
-    np.testing.assert_allclose(a.rho, num / den, atol=1e-12)
+    np.testing.assert_allclose(sym_embed(a.rho, 4, 2), num / den, atol=1e-12)
 
 
 def test_mc_replica_check_k1_n1_maximally_mixed():
@@ -416,10 +434,12 @@ def test_mc_replica_agreement_small(bc):
     # quick integer-n oracle: full grid lives in the acceptance suite
     cfg = McConfig(k=2, t=2, n_a=2, bc=bc, samples=150_000, seed=42)
     est = mc_replica_check(cfg, 1)
-    rho_rep = replica_moment(ReplicaSpec(k=2, n=1, t=2, n_a=2, bc=bc))
-    se_entry = est.entry_stderr()
+    # compared in the full replicated space, where the bound was set
+    rho_mc = sym_embed(est.rho, 4, 2)
+    rho_rep = sym_embed(replica_moment(ReplicaSpec(k=2, n=1, t=2, n_a=2, bc=bc)), 4, 2)
+    se_entry = sym_embed(est.entry_stderr(), 4, 2)
     bound = 3 * 0.5 * np.sqrt(16) * np.sqrt((se_entry**2).sum())
-    assert 0.5 * trace_norm(est.rho - rho_rep) <= bound
+    assert 0.5 * trace_norm(rho_mc - rho_rep) <= bound
 
 
 def test_mc_k2_plateau_flag():

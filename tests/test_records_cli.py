@@ -284,14 +284,23 @@ def test_cli_exact_refuses_oversized_run_before_allocating(tmp_path, capsys, mon
     monkeypatch.setattr(cli, "plus_state", fail)
     monkeypatch.setattr(cli, "moment_from_state", fail)
     out = str(tmp_path / "x.csv")
-    # n=24: the spin table alone is 3.2 GB; k=7 at n_a=2: 4.3 GB moment matrices
-    for argv in (["--n", "24", "--na", "2", "--t", "1"],
-                 ["--n", "10", "--na", "2", "--t", "1", "--k", "7"]):
+    # n=24: the spin table alone is 3.2 GB; k=8 at n_a=2: n_a*k above the cap of 14
+    for argv, msg in ((["--n", "24", "--na", "2", "--t", "1"], "above budget"),
+                      (["--n", "10", "--na", "2", "--t", "1", "--k", "8"], "above the cap")):
         assert main(["exact", *argv, "--out", out]) == 3
         rec = json.loads(capsys.readouterr().err.strip())
-        assert rec["type"] == "ConfigError" and "above budget" in rec["error"]
+        assert rec["type"] == "ConfigError" and msg in rec["error"]
     assert not os.path.exists(out)
     assert kim.exact_bytes(23, 2, 3) <= MEM_BUDGET_BYTES  # the largest chain still runs
+
+
+def test_cli_exact_runs_k7_in_sym_blocks(tmp_path):
+    # k=7 at n_a=2: 120 x 120 Sym^7 blocks; 16384 x 16384 operators would take 4.3 GB
+    out = str(tmp_path / "k7.csv")
+    assert main(["exact", "--n", "10", "--na", "2", "--t", "1", "--k", "7", "--out", out]) == 0
+    cols, rows = read_csv(out)
+    t, k = cols.index("t"), cols.index("k")
+    assert [(int(r[t]), int(r[k])) for r in rows] == [(tt, kk) for tt in (0, 1) for kk in range(1, 8)]
 
 
 def test_cli_mc_refuses_oversized_run_before_allocating(tmp_path, capsys, monkeypatch):
@@ -300,9 +309,9 @@ def test_cli_mc_refuses_oversized_run_before_allocating(tmp_path, capsys, monkey
 
     monkeypatch.setattr(montecarlo, "_run_estimator", fail)
     out = str(tmp_path / "mc.csv")
-    # k=5 at n_a=2 keeps 301 Sym^5 sums of 56 x 56 and a 1024 x 1024 estimate,
-    # about 49 MB: refused under a 40 MB budget
-    monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", 40_000_000)
+    # k=5 at n_a=2 keeps 301 Sym^5 sums of 56 x 56 beside one 1.3 MB pbc batch
+    # at t=2, about 16 MB: refused under a 15 MB budget
+    monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", 15_000_000)
     assert main(["mc", "--k", "5", "--t", "2", "--na", "2", "--samples", "300000",
                  "--out", out]) == 3
     rec = json.loads(capsys.readouterr().err.strip())

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import deeptherm.replica as replica
-from deeptherm.linalg import digit_permute_codes, haar_moment_operator, permutation_operator, trace_norm
+from deeptherm.linalg import (
+    digit_permute_codes,
+    haar_moment_operator,
+    permutation_operator,
+    sym_embed,
+    trace_norm,
+)
 from deeptherm.permgroup import Permutation, conjugacy_classes, enumerate_sym
 from deeptherm.replica import (
     ReplicaError,
@@ -94,7 +100,7 @@ def test_diagram_term_time_independent(w2):
                                       (1, 2, 2, "obc"), (2, 2, 2, "pbc")])
 def test_engine_matches_direct_double_sum(k, n, t, bc, w2):
     sp = spec(k, n, t, bc=bc)
-    engine = replica_moment(sp)
+    engine = sym_embed(replica_moment(sp), 4, k)
     direct = direct_double_sum(sp, w2)
     assert np.abs(engine - direct).max() <= 1e-12
 
@@ -200,7 +206,7 @@ def test_k1_exact_for_all_n(bc):
 
 
 def test_moment_contract_properties():
-    rho = replica_moment(spec(2, 1, 3, bc="obc"))
+    rho = sym_embed(replica_moment(spec(2, 1, 3, bc="obc")), 4, 2)
     assert np.abs(rho - rho.conj().T).max() <= 1e-12
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.eigvalsh(rho).min() >= -1e-8
@@ -214,7 +220,7 @@ def test_deviation_ratio_trends():
     for bc, target in (("pbc", 0.25), ("obc", 0.5)):
         devs = {}
         for t in (3, 4, 5):
-            rho = replica_moment(spec(2, 0, t, bc=bc))
+            rho = sym_embed(replica_moment(spec(2, 0, t, bc=bc)), 4, 2)
             devs[t] = trace_norm(rho - haar_moment_operator(2, 2))
         r45 = devs[5] / devs[4]
         assert r45 == pytest.approx(target, rel=0.1)
