@@ -27,7 +27,6 @@ def moment_accumulate(psi: np.ndarray, weights: np.ndarray, k: int) -> np.ndarra
     them instead of dA^k.  Per block of rows, build v and add one GEMM,
     (v * w).T @ v.conj().  A block holds ROW_BLOCK rows, or fewer when its
     rows would exceed BLOCK_ENTRIES entries (any D above 1024).
-    linalg.sym_embed gives the dA^k x dA^k operator.
     """
     psi = np.ascontiguousarray(psi, dtype=np.complex128)
     weights = np.ascontiguousarray(weights, dtype=np.float64)

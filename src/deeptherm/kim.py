@@ -117,10 +117,8 @@ def exact_bytes(n: int, n_a: int, k: int) -> int:
 
 
 def check_exact_size(n: int, n_a: int, k: int) -> None:
-    """Raise ConfigError, before anything is allocated, above the memory budget
-    or above n_a k = 14 (linalg.sym_basis indexes all 2^(n_a k) replica codes)."""
-    if n_a * k > 14:
-        raise ConfigError(f"exact run at n_a={n_a}, k={k}: n_a*k = {n_a * k} above the cap of 14")
+    """Raise ConfigError, before anything is allocated, when exact_bytes exceeds the
+    memory budget; it bounds both the chain length n and the Sym^k dimension D."""
     need = exact_bytes(n, n_a, k)
     if need > MEM_BUDGET_BYTES:
         raise ConfigError(

@@ -13,11 +13,14 @@ Conventions used across the package:
     factorials of the digit multiplicities; coef_alpha^2 codes share alpha).
     An operator rho on (C^d)^{(x)k} supported on Sym^k is held as its
     D x D block r = <alpha|rho|beta>, D = C(d+k-1, k).  Every moment of the
-    package lives there, and the Haar moment is the identity over D.
+    package lives there, and the Haar moment is the identity over D.  The
+    basis is built from the multisets alone (sym_index, multiset_factorials);
+    no array over the d^k replica codes is formed.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -27,7 +30,6 @@ from .permgroup import Permutation
 
 MEM_BUDGET_BYTES = 3_500_000_000  # largest working set a route may allocate; checked up front
 HERM_TOL = 1e-8  # trace_norm uses eigvalsh when max|a - a^+| <= HERM_TOL * max(max|a|, 1)
-SYM_LEAK_TOL = 1e-12  # sym_compress raises when max|embed(r) - rho| > SYM_LEAK_TOL * max|rho|
 
 
 def digit_permute_codes(images, base: int) -> np.ndarray:
@@ -89,54 +91,33 @@ def trace_norm(a: np.ndarray) -> float:
 class SymBasis(NamedTuple):
     idx: np.ndarray  # (D, k) digits of each multiset, nondecreasing
     coef: np.ndarray  # (D,) sqrt(k!/alpha!)
-    orbit: np.ndarray  # (d^k,) multiset id of every code
-    rep: np.ndarray  # (D,) the code of each multiset's sorted digits
+
+
+def multiset_factorials(digits: np.ndarray, d: int) -> np.ndarray:
+    """alpha! = prod_v (multiplicity of digit v)! for each row of digits (..., k).
+
+    alpha! counts the position permutations that fix a code of the multiset.
+    """
+    counts = (digits[..., None] == np.arange(d)).sum(axis=-2)
+    fact = np.array([math.factorial(i) for i in range(digits.shape[-1] + 1)])
+    return fact[counts].prod(axis=-1)
+
+
+def sym_index(digits: np.ndarray, d: int) -> np.ndarray:
+    """Position in sym_basis(d, k) of the multiset of each row of digits (..., k)."""
+    place = d ** np.arange(digits.shape[-1] - 1, -1, -1)
+    # sorted digit tuples in lexicographic order have increasing codes
+    return np.searchsorted(sym_basis(d, digits.shape[-1]).idx @ place, np.sort(digits, axis=-1) @ place)
 
 
 @lru_cache(maxsize=None)
 def sym_basis(d: int, k: int) -> SymBasis:
     """The multiset basis of Sym^k(C^d) (see the module docstring)."""
     idx = np.array(list(itertools.combinations_with_replacement(range(d), k)), dtype=np.intp)
-    place = d ** np.arange(k - 1, -1, -1)
-    # sorted digit tuples in lexicographic order have increasing codes
-    rep = idx @ place
-    digits = (np.arange(d**k)[:, None] // place) % d
-    orbit = np.searchsorted(rep, np.sort(digits, axis=1) @ place)
-    coef = np.sqrt(np.bincount(orbit))  # an orbit holds k!/alpha! codes
-    out = SymBasis(idx, coef, orbit, rep)
-    for a in out:
+    coef = np.sqrt(math.factorial(k) // multiset_factorials(idx, d))  # k!/alpha! codes per multiset
+    for a in (idx, coef):
         a.setflags(write=False)
-    return out
-
-
-def sym_embed(r: np.ndarray, d: int, k: int) -> np.ndarray:
-    """The operator on (C^d)^{(x)k} whose Sym^k block is r; zero off Sym^k.
-
-    A gather, full[i, j] = r[orbit i, orbit j] / (coef coef); it also maps an
-    entrywise statistic of r (a standard error, say) to the full entries.
-    The routes return blocks; this is sym_compress's leak check and the
-    tests' way back to full-space oracles.
-    """
-    basis = sym_basis(d, k)
-    scaled = r / (basis.coef[:, None] * basis.coef)
-    return scaled.take(basis.orbit, axis=0).take(basis.orbit, axis=1)
-
-
-def sym_compress(rho: np.ndarray, d: int, k: int) -> np.ndarray:
-    """The Sym^k block r = coef coef rho[rep, rep] of rho.
-
-    Raises ValueError when rho is not supported on, and symmetric within,
-    Sym^k: max|sym_embed(r) - rho| above SYM_LEAK_TOL * max|rho|.
-    """
-    basis = sym_basis(d, k)
-    r = (basis.coef[:, None] * basis.coef) * rho.take(basis.rep, axis=0).take(basis.rep, axis=1)
-    diff = sym_embed(r, d, k)
-    diff -= rho
-    leak, scale = np.abs(diff).max(), np.abs(rho).max()
-    if not leak <= SYM_LEAK_TOL * scale:
-        raise ValueError(f"operator leaks out of Sym^{k}(C^{d}) "
-                         f"(max|embed - rho| = {leak:.2e}, max|rho| = {scale:.2e})")
-    return r
+    return SymBasis(idx, coef)
 
 
 def sym_haar_distance(r: np.ndarray) -> float:

@@ -8,7 +8,9 @@ temporal qubits,
 
 and accumulates weighted k-fold projector powers.  For obc, U and U' are
 independent Haar unitaries, so |u'> and |u> are two independent Haar-random
-states; they are drawn directly as normalized complex Gaussian vectors.
+states; they are drawn directly as normalized complex Gaussian vectors, and
+reduce(|u'><u|) is the product of their (kept x traced) reshapes, so no
+d x d operator is formed and a sample costs O(d).
 The physical moment uses weight <psi~|psi~>^(1-k); the integer-n replica
 surrogate uses weight <psi~|psi~>^n, whose trace normalization is exactly
 the ratio-estimator denominator mean <psi~|psi~>^(k+n).  W is built at
@@ -78,8 +80,6 @@ class McConfig:
             raise McError("checkpoints must be positive and strictly increasing")
         if cps[-1] != self.samples:
             raise McError("the last checkpoint must equal samples")
-        if (2**self.n_a) ** self.k > 4096:  # sym_basis indexes every replica code
-            raise McError("replicated space too large")
         need = self.kept_bytes() + self.batch_bytes()
         if need > MEM_BUDGET_BYTES:
             D = math.comb(2**self.n_a + self.k - 1, self.k)
@@ -95,11 +95,14 @@ class McConfig:
         return 16 * D**2 * (batches + 1)
 
     def batch_bytes(self) -> int:
-        """Working set of the plan's largest batch of b samples: about 4 complex
-        b x d x d arrays for pbc (the Ginibre draw, its QR factors, the phased
-        unitaries) and 1 for obc (the outer products), d = 2^t; counted as 5 and 2."""
+        """Working set of the plan's largest batch of b samples, d = 2^t: about 4
+        complex b x d x d arrays for pbc (the Ginibre draw, its QR factors, the
+        phased unitaries), counted as 5; for obc the 2b states and their Gaussian
+        draws, about 4 complex b x d arrays, counted as 8, plus 64 entries per
+        sample for the reduced operators and projected states."""
         b = max(chain.from_iterable(batch_plan(self.resolved_checkpoints())))
-        return (5 if self.bc == "pbc" else 2) * 16 * b * 4**self.t
+        d = 2**self.t
+        return 16 * b * (5 * d * d if self.bc == "pbc" else 8 * d + 64)
 
     def resolved_checkpoints(self) -> tuple:
         if self.checkpoints:
@@ -190,10 +193,9 @@ def _batch_states(cfg: McConfig, w: WTensor, batch_index: int, b: int) -> np.nda
         R = _reduce_batch(U, cfg.t, w.t_legs)
     else:
         # unit norm matters: a sample's weighted contribution scales as <psi~|psi~>
-        states = _haar_states(rng, d, 2 * b)
-        ket, bra = states[:b], states[b:]  # U'|0> and U|+>
-        outer = np.einsum("bi,bj->bij", ket, bra.conj())
-        R = _reduce_batch(outer, cfg.t, w.t_legs)
+        states = _haar_states(rng, d, 2 * b).reshape(2, b, 2**w.t_legs, -1)
+        # U'|0> and U|+> as (kept, traced) legs: R = Tr_traced |ket><bra|
+        R = np.einsum("bir,bcr->bic", states[0], states[1].conj())
     return np.einsum("sxy,byx->bs", w.data, R)
 
 
@@ -284,6 +286,12 @@ def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstim
     den = 0.0
     batch_nums, batch_dens, checkpoint_batches = [], [], []
     series = ConvergenceSeries()
+    # glibc's malloc raises its mmap and heap-trim thresholds to the size of a freed
+    # mapped block up to 32 MB (twice it for trimming).  Freeing one batch-sized block
+    # here keeps each batch's temporaries on the heap, where they would otherwise be
+    # trimmed and faulted back in batch after batch: 5e5 obc samples at t = 3 took
+    # 41k minor page faults without it and 1.4k with it; 3e5 pbc ones 346k and 3.3k.
+    np.empty(min(cfg.batch_bytes(), 2**24), dtype=np.uint8)
     width = pool_width(cfg)
     pool = ThreadPoolExecutor(max_workers=width)
     pending = deque()

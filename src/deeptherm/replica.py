@@ -17,14 +17,14 @@ The evaluation engine groups the double sum by the conjugacy class of
 s t^-1.  Writing s = c t and using the relabeling identities of the W-fold
 tensor, the inner sum over t collapses onto digit-multiset orbits of the
 replica index.  The engine works in orbit space, once per m, and never
-forms the m-fold W product K: the orbit sums of K are W applied mode by mode
-to the orbit indicator; each class's gather matrix acts on those small orbit
-sums; and W applied on each replica mode of the class rows gives a
-(replica index x class x orbit) tensor P that serves every split m = k + n.
-A class diagram at (k, n) is then a weighted gather over P.
-Class-resolved diagrams are cached and reweighted per (t, bc).  Their sum is
-checked in the full replicated space and returned as its D x D Sym^k block
-(linalg.sym_basis); only the tests embed it again.
+forms the m-fold W product K or indexes its dA^m replica codes: the orbit
+sums O of conj(K) grow one replica at a time over digit multisets; one
+member of each class permutes their a-legs; and W contracted mode by mode
+into multiset rows gives an (orbit x class x orbit) tensor P that serves
+every split m = k + n.  A class diagram at (k, n) is a D x D Sym^k block
+(linalg.sym_basis) gathered from P through the orbit of each row and
+column multiset joined with the caps'.  Class-resolved diagrams are cached
+and reweighted per (t, bc); their sum is the moment's block.
 W is built at dual_tensors.W_COUPLING; no distance to Haar depends on the
 coupling (see there).
 """
@@ -34,11 +34,12 @@ import math
 import string
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from .dual_tensors import WTensor, build_w, min_depth
-from .linalg import MEM_BUDGET_BYTES, digit_permute_codes, sym_compress, sym_haar_distance
+from .linalg import MEM_BUDGET_BYTES, multiset_factorials, sym_basis, sym_haar_distance, sym_index
 from .permgroup import (
     MAX_DEGREE,
     Permutation,
@@ -143,56 +144,53 @@ def diagram_term(sigma: Permutation, tau: Permutation, spec: ReplicaSpec, w: WTe
 
 
 def _estimate_engine_bytes(n_a: int, m: int) -> int:
-    """Peak bytes of _sagg_bundle: P, and while one class is made, about six
-    orbits x q^{2m} arrays (indicator, O, the class gather, two mode products)."""
-    dA, q2m = 2**n_a, 2 ** (2 * m * min_depth(n_a))
-    n_orbits = math.comb(dA + m - 1, m)  # digit multisets
-    return 16 * n_orbits * (len(partitions(m)) * dA**m + 6 * max(dA**m, q2m))
+    """Peak bytes of _sagg_bundle: P (orbits x classes x orbits), and while one
+    class is contracted about four orbits x q^{2m} arrays (O, its permuted copy
+    or a mode product, that product's orbit sums, the merge's slices)."""
+    R, q2m = math.comb(2**n_a + m - 1, m), 2 ** (2 * m * min_depth(n_a))
+    return 16 * R * (len(partitions(m)) * R + 4 * q2m)
 
 
 def _check_size(n_a: int, k: int, ns) -> None:
     """Refuse, before allocating, the moments at k and every n in ns with all results
-    cached: per n the engine (its peak bounds the cached P) and one dA^k x dA^k
-    diagram per class, then about eight such operators for the sum and checks."""
-    op = 16 * 4 ** (n_a * k)
-    need = 8 * op + sum(_estimate_engine_bytes(n_a, k + n) + op * len(partitions(k + n)) for n in ns)
+    cached: per n the engine (its peak bounds the cached P), one D x D block per class
+    and the D x D x D_n gather that makes it, then about eight blocks for the sum and checks."""
+    dA = 2**n_a
+    block = 16 * math.comb(dA + k - 1, k) ** 2
+    need = 8 * block + sum(_estimate_engine_bytes(n_a, k + n)
+                           + block * (len(partitions(k + n)) + 2 * math.comb(dA + n - 1, n))
+                           for n in ns)
     if need > MEM_BUDGET_BYTES:
         m = k + max(ns, default=0)
         raise ReplicaError(f"replica sums at n_a={n_a}, k={k}, m up to {m} "
                            f"need ~{need / 1e9:.1f} GB, above budget")
 
 
-def _orbit_structure(base: int, m: int):
-    """Orbit ids and weights of digit strings under position permutations.
+def _unions(d: int, a: int, b: int) -> np.ndarray:
+    """(D_a, D_b, a + b) digits of each a-digit multiset joined with each b-digit one."""
+    x, y = sym_basis(d, a).idx, sym_basis(d, b).idx
+    shape = (len(x), len(y))
+    return np.concatenate([np.broadcast_to(x[:, None], shape + (a,)),
+                           np.broadcast_to(y[None], shape + (b,))], axis=2)
 
-    weight[code] = prod_v (multiplicity of digit v)!  =  #{p in S_m : p fixes code}.
+
+def _orbit_contract(T: np.ndarray, mat: np.ndarray, m: int) -> np.ndarray:
+    """X[o, l] = sum_{M in o} sum_i prod_j mat[M_j, i_j] T[l, i_1..i_m] for mat (d x r),
+    T with L rows of r^m entries (C order of its shape) and o in sym_basis(d, m) order.
+
+    Each step is one GEMM on the last mode that writes its digit first (Kolda &
+    Bader, SIAM Rev. 51, 2009, sec. 2.5), and the digit joins the multiset of
+    those contracted before it, so there are never more rows than multisets.
     """
-    codes = np.arange(base**m)
-    digits = np.stack([(codes // base ** (m - 1 - j)) % base for j in range(m)])
-    sorted_digits = np.sort(digits, axis=0)
-    key = np.zeros(base**m, dtype=np.int64)
+    L, (d, r) = len(T), mat.shape
+    T = T.reshape(1, -1)  # a copy when T is a permuted view, released after one step
     for j in range(m):
-        key = key * base + sorted_digits[j]
-    uniq, orb = np.unique(key, return_inverse=True)
-    counts = np.zeros((base**m, base), dtype=np.int64)
-    for v in range(base):
-        counts[:, v] = (digits == v).sum(axis=0)
-    fact = np.array([math.factorial(i) for i in range(m + 1)])
-    weight = fact[counts].prod(axis=1).astype(np.float64)
-    return orb, weight, len(uniq)
-
-
-def _mode_products(T: np.ndarray, mat: np.ndarray, m: int) -> np.ndarray:
-    """Apply mat (r x c) to each of the m trailing r-modes of T (L, r^m).
-
-    Returns the (c^m, L) array sum_i T[l, i_1..i_m] prod_j mat[i_j, c_j].  Each
-    step is one GEMM on the last mode that writes it as the first, so after m
-    steps the modes are back in order with L last and nothing was transposed
-    in memory.  T is released after the first step unless the caller holds it.
-    """
-    L, r = len(T), mat.shape[0]
-    for _ in range(m):
-        T = mat.T @ T.reshape(-1, r).T
+        Y = (mat @ T.reshape(-1, r).T).reshape(d, len(T), -1)
+        del T
+        T = np.zeros((math.comb(d + j, j + 1), Y.shape[2]), dtype=Y.dtype)
+        for mu, rows in enumerate(sym_index(_unions(d, j, 1), d).T):
+            T[rows] += Y[mu]
+        del Y
     return T.reshape(-1, L)
 
 
@@ -200,55 +198,65 @@ def _mode_products(T: np.ndarray, mat: np.ndarray, m: int) -> np.ndarray:
 def _sagg_bundle(n_a: int, m: int):
     """Orbit-space diagram halves for every class and every k split of one m.
 
-    Returns (orb, weight, order, P) with
+    Returns (order, P) with
 
-        P[M, c, o] = sum_s K[M, s] * S_c[o, s],
-        S_c[o, (a, b)] = sum_y conj(O)[o, y, b] * B_c[y, a],
+        P[r, c, o] = sum_s K[rep_r, s] * S_c[o, s],
+        S_c[o, (a, b)] = sum_{gamma in c} O[o, gamma(a), b],
 
-    where K[M, (a, b)] = prod_j W[mu_j, a_j, b_j] is the m-fold W product, O
-    its sum over the digit-multiset orbit o of the replica index M, B_c the
-    class-c gather matrix on the a-legs and `order` the class order along c.
-    K is never formed (Kolda & Bader, SIAM Rev. 51, 2009, sec. 2.5): O is
-    conj(W) applied on each replica mode of the orbit indicator, and P is W
-    applied on each (a_j b_j) mode of S_c.  P is dA^m x classes x orbits.
+    where K[M, (a, b)] = prod_j W[M_j, a_j, b_j] is the m-fold W product, O
+    the sum of conj(K) over the codes M of the digit multiset o, gamma(a) the
+    a-legs permuted by gamma, rep_r the sorted code of multiset r (r and o in
+    linalg.sym_basis(dA, m) order) and `order` the class order along c.
+    O does not change when its (a_j, b_j) pairs are permuted, so conjugating
+    gamma by pi moves a row M to pi(M); with c closed under conjugation, P's
+    row does not change when the digits of M are permuted, and
+
+        P[r, c, o] = |c| r! / m! * sum_{M in r} sum_s K[M, s] O[o, gamma_c(a), b]
+
+    for any one gamma_c in c (r! the multiset's factorials).  Neither K nor a
+    dA^m index is formed: O grows one replica at a time over digit multisets,
+    and the sum over M is _orbit_contract with W.
     """
     w = build_w(n_a)
     dA, q = 2**n_a, 2 ** w.t_legs
     wm = w.data.reshape(dA, q * q)
-    orb, weight, n_orbits = _orbit_structure(dA, m)
-    ind = np.eye(n_orbits, dtype=np.complex128)[:, orb]  # ind[o, M] = [orb(M) == o]
-    O = _mode_products(ind, wm.conj(), m).reshape((q,) * (2 * m) + (n_orbits,))
-    O = O.transpose(2 * m, *range(0, 2 * m, 2), *range(1, 2 * m, 2)).reshape(n_orbits, q**m, q**m)
+    O = np.ones((1, 1), dtype=np.complex128)  # O[beta, (a_1 b_1 .. a_j b_j)], j = 0
+    for j in range(m):
+        grown = np.zeros((math.comb(dA + j, j + 1), O.shape[1] * q * q), dtype=np.complex128)
+        for mu, rows in enumerate(sym_index(_unions(dA, j, 1), dA).T):
+            grown[rows] += (O[:, :, None] * wm[mu].conj()).reshape(len(O), -1)
+        O = grown
+    R = len(O)
+    legs = O.reshape((R,) + (q,) * (2 * m))
+    scale = multiset_factorials(sym_basis(dA, m).idx, dA) / math.factorial(m)
     classes = conjugacy_classes(m)
-    ar = np.arange(q**m)
-    digits = (n_orbits,) + (q,) * (2 * m)
-    to_pairs = [0] + [1 + i + m * s for i in range(m) for s in (0, 1)]  # (o, a1 b1 .. am bm)
-    P = np.empty((dA**m, len(classes), n_orbits), dtype=np.complex128)
+    P = np.empty((R, len(classes), R), dtype=np.complex128)
     for i, members in enumerate(classes.values()):
-        B = np.zeros((q**m, q**m))
-        for gamma in members:
-            B[digit_permute_codes(gamma.images, q)[ar], ar] += 1.0
-        S = np.einsum("oyb,ya->oab", O, B, optimize=True).reshape(digits).transpose(to_pairs)
-        P[:, i] = _mode_products(S.reshape(n_orbits, -1), wm.T, m)
-    return orb, weight, tuple(classes), P
+        axes = chain.from_iterable((1 + 2 * g, 2 + 2 * j) for j, g in enumerate(members[0].images))
+        P[:, i] = (len(members) * scale)[:, None] * _orbit_contract(legs.transpose(0, *axes), wm, m)
+    return tuple(classes), P
 
 
 @lru_cache(maxsize=32)
 def class_diagram_terms(n_a: int, k: int, n: int):
-    """Capped diagram operators per conjugacy class of s t^-1 (t-independent).
+    """D x D Sym^k blocks of the capped diagram per conjugacy class of s t^-1
+    (t-independent), gathered from the bundle's P.
 
-    A gather over the bundle's P: with replica index M = (row, cap),
+    With alpha, beta k-digit and gamma n-digit multisets (the caps, n!/gamma!
+    codes each) and orb the multiset of a union,
 
-        out_c[m1, n1] = sum_cap weight[(n1, cap)] * P[(m1, cap), c, orb(n1, cap)].
+        r_c[alpha, beta] = coef_alpha coef_beta sum_gamma (n!/gamma!) (beta u gamma)!
+                           P[orb(alpha u gamma), c, orb(beta u gamma)].
     """
     _check_size(n_a, k, (n,))
-    orb, weight, order, P = _sagg_bundle(n_a, k + n)
-    dk, dn = 2 ** (n_a * k), 2 ** (n_a * n)
-    P = P.reshape(dk, dn, len(order), -1)
-    caps = np.arange(dn)
-    orb, weight = orb.reshape(dk, dn), weight.reshape(dk, dn)
+    order, P = _sagg_bundle(n_a, k + n)
+    dA = 2**n_a
+    rows, joint = sym_basis(dA, k), _unions(dA, k, n)
+    orb = sym_index(joint, dA)
+    col = (rows.coef[:, None] * multiset_factorials(joint, dA)
+           * (math.factorial(n) // multiset_factorials(sym_basis(dA, n).idx, dA)))
     return {
-        ct: np.einsum("mnc,nc->mn", P[:, caps, i, orb], weight)
+        ct: rows.coef[:, None] * np.einsum("abg,bg->ab", P[orb[:, None], i, orb[None]], col)
         for i, ct in enumerate(order)
     }
 
@@ -256,8 +264,8 @@ def class_diagram_terms(n_a: int, k: int, n: int):
 def replica_moment(spec: ReplicaSpec) -> np.ndarray:
     """The D x D Sym^k block of rho^(k,n), normalized to unit trace.
 
-    The class diagrams are summed in the full replicated space, so the
-    block's leak check (linalg.sym_compress) tests the engine.
+    The class diagrams are Sym^k blocks, so their sum is one too; the trace,
+    Hermitian and PSD checks act on it.
     """
     diagrams = class_diagram_terms(spec.n_a, spec.k, spec.n)
     ident = tuple([1] * spec.m)
@@ -271,7 +279,7 @@ def replica_moment(spec: ReplicaSpec) -> np.ndarray:
     herm_defect = np.abs(rho - rho.conj().T).max()
     if herm_defect > 1e-9:
         raise ReplicaError(f"replica moment not Hermitian (defect {herm_defect:.2e})")
-    block = sym_compress((rho + rho.conj().T) / 2, 2**spec.n_a, spec.k)
+    block = (rho + rho.conj().T) / 2
     wmin = np.linalg.eigvalsh(block).min()
     if wmin < -1e-8:
         raise ReplicaError(f"replica moment not PSD (min eig {wmin:.2e})")

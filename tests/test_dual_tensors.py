@@ -231,7 +231,8 @@ def test_w_frames_at_two_couplings_related_by_a_unitary(n_a):
 def test_replica_distance_equal_at_two_couplings_na3(n, bc):
     # at n_a = 3, W is 8 x 16 and no V relates the two couplings; the
     # distances still agree
-    from deeptherm.linalg import sym_compress, sym_haar_distance
+    from deeptherm.linalg import sym_haar_distance
+    from fullspace import sym_compress
     from deeptherm.replica import ReplicaSpec, direct_double_sum
 
     spec = ReplicaSpec(k=2, n=n, t=3, n_a=3, bc=bc)

@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 
 import deeptherm._kernels as kernels
-from deeptherm.linalg import sym_basis, sym_compress, sym_embed
+from deeptherm.linalg import sym_basis
+from fullspace import sym_compress, sym_embed
 
 
 def _kron_moment(psi, w, k):

@@ -29,13 +29,12 @@ from deeptherm.linalg import (
     haar_moment_operator,
     partial_trace,
     permutation_operator,
-    sym_compress,
-    sym_embed,
 )
 from deeptherm.montecarlo import McConfig, _batch_states, batch_plan, mc_moment
 from deeptherm.permgroup import enumerate_sym
 from deeptherm.records import read_csv
 from deeptherm.replica import ReplicaSpec, direct_double_sum, replica_moment
+from fullspace import sym_compress, sym_embed
 
 G = 0.3
 

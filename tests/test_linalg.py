@@ -10,16 +10,16 @@ from deeptherm.linalg import (
     digit_permute_codes,
     haar_moment_operator,
     kron_all,
+    multiset_factorials,
     partial_trace,
     permutation_operator,
     permutation_vector_state,
     sym_basis,
-    sym_compress,
-    sym_embed,
     sym_haar_distance,
     trace_norm,
 )
 from deeptherm.permgroup import Permutation, enumerate_sym
+from fullspace import sym_compress, sym_embed, sym_orbit, sym_rep
 
 
 def test_trace_norm_basics():
@@ -181,23 +181,38 @@ def _random_sym_block(rng, D):
     return r / np.trace(r).real
 
 
+def _multinomials(idx, k):
+    """k!/alpha! for each multiset row of idx, from Python's integer factorials."""
+    return [math.factorial(k) // math.prod(math.factorial(row.count(c)) for c in set(row))
+            for row in map(list, idx)]
+
+
 @pytest.mark.parametrize("d,k", SYM_CASES)
 def test_sym_basis_orbits(d, k):
     basis = sym_basis(d, k)
+    orbit, rep = sym_orbit(d, k), sym_rep(d, k)
     D = math.comb(d + k - 1, k)
-    assert basis.idx.shape == (D, k) and basis.coef.shape == basis.rep.shape == (D,)
+    assert basis.idx.shape == (D, k) and basis.coef.shape == rep.shape == (D,)
     assert np.all(np.diff(basis.idx, axis=1) >= 0)
     # the orbit of alpha holds k!/alpha! = coef^2 codes, d^k in all
-    multinomial = [math.factorial(k) // math.prod(math.factorial(row.count(c)) for c in set(row))
-                   for row in map(list, basis.idx)]
-    np.testing.assert_array_equal(np.bincount(basis.orbit, minlength=D), multinomial)
+    multinomial = _multinomials(basis.idx, k)
+    np.testing.assert_array_equal(np.bincount(orbit, minlength=D), multinomial)
     np.testing.assert_allclose(basis.coef**2, multinomial, rtol=1e-15)
     assert sum(multinomial) == d**k
-    assert np.array_equal(basis.orbit[basis.rep], np.arange(D))
+    assert np.array_equal(orbit[rep], np.arange(D))
     # every code of an orbit is a digit permutation of its representative
     place = d ** np.arange(k - 1, -1, -1)
     digits = (np.arange(d**k)[:, None] // place) % d
-    np.testing.assert_array_equal(np.sort(digits, axis=1), basis.idx[basis.orbit])
+    np.testing.assert_array_equal(np.sort(digits, axis=1), basis.idx[orbit])
+
+
+@pytest.mark.parametrize("d,k", SYM_CASES)
+def test_sym_basis_coef_is_sqrt_multinomial(d, k):
+    # coef comes from the multiplicities in idx alone, with no replica code indexed
+    np.testing.assert_array_equal(sym_basis(d, k).coef, np.sqrt(_multinomials(sym_basis(d, k).idx, k)))
+    # and the multiset factorials give alpha! = k!/multinomial
+    assert multiset_factorials(sym_basis(d, k).idx, d).tolist() == [
+        math.factorial(k) // c for c in _multinomials(sym_basis(d, k).idx, k)]
 
 
 @pytest.mark.parametrize("d,k", SYM_CASES)

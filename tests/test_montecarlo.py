@@ -16,7 +16,6 @@ from deeptherm.linalg import (
     haar_moment_operator,
     kron_all,
     permutation_operator,
-    sym_embed,
     sym_haar_distance,
     trace_norm,
 )
@@ -37,6 +36,7 @@ from deeptherm.montecarlo import (
 )
 from deeptherm.permgroup import enumerate_sym
 from deeptherm.replica import ReplicaSpec, replica_moment
+from fullspace import sym_embed
 
 G = 0.3
 
@@ -52,8 +52,9 @@ def test_config_validation():
         McConfig(k=2, t=0, n_a=2, samples=1000)
     with pytest.raises(McError):
         McConfig(k=2, t=11, n_a=2, samples=1000)  # temporal register capped at 10 qubits
-    with pytest.raises(McError, match="too large"):
-        McConfig(k=7, t=2, n_a=2, samples=1000)  # 16384-dimensional replicated space
+    McConfig(k=7, t=2, n_a=2, samples=1000)  # Sym^7 sums of 120 x 120; no replica codes
+    with pytest.raises(McError, match="above budget"):
+        McConfig(k=16, t=2, n_a=2, samples=1_000_000)  # 1001 Sym^16 sums of 969 x 969, 15 GB
     McConfig(k=6, t=2, n_a=2, samples=20000)  # 21 Sym^6 sums of 84 x 84
     McConfig(k=4, t=2, n_a=2, samples=500_000)  # 501 Sym^4 sums of 35 x 35
     cfg = McConfig(k=2, t=2, n_a=2, samples=250_000)
@@ -132,11 +133,12 @@ def test_result_independent_of_pool_width(monkeypatch, route):
 
 def test_pool_width_capped_by_memory_budget(monkeypatch):
     # every worker holds one batch: counted as 5 complex 1000 x d x d arrays
-    # for pbc and 2 for obc, so 3.5 GB fits ten pbc batches at t=6 but two at t=7
+    # for pbc, so 3.5 GB fits ten pbc batches at t=6 but two at t=7; an obc
+    # batch is counted as 8 complex 1000 x d arrays and never caps the pool
     monkeypatch.setattr(montecarlo, "WORKERS", 8)
     assert montecarlo.pool_width(McConfig(k=1, t=6, n_a=1, samples=1000)) == 8
     assert montecarlo.pool_width(McConfig(k=1, t=7, n_a=1, samples=1000)) == 2
-    assert montecarlo.pool_width(McConfig(k=1, t=7, n_a=1, bc="obc", samples=1000)) == 6
+    assert montecarlo.pool_width(McConfig(k=1, t=10, n_a=1, bc="obc", samples=1000)) == 8
     with pytest.raises(McError, match="above budget"):  # one pbc batch at t=9 is 21 GB
         McConfig(k=1, t=9, n_a=1, samples=1000)
     cfg = McConfig(k=1, t=6, n_a=1, samples=1000)
@@ -184,8 +186,9 @@ def test_batch_above_budget_refused_before_sampling(tmp_path, capsys, monkeypatc
     rec = json.loads(capsys.readouterr().err.strip())
     assert rec["type"] == "McError" and "above budget" in rec["error"]
     assert not os.path.exists(out)
-    # an obc batch at t=8 is counted as 2 such arrays, ~2.1 GB, and fits
-    McConfig(k=1, t=8, n_a=1, bc="obc", samples=1000)
+    # an obc batch at t=10 is counted as 8 complex 1000 x 1024 arrays, ~0.13 GB,
+    # and fits: obc forms no d x d operator
+    McConfig(k=1, t=10, n_a=1, bc="obc", samples=1000)
 
 
 def test_batch_error_stops_the_pool_promptly(tmp_path, capsys, monkeypatch):

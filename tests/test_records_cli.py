@@ -13,8 +13,7 @@ import deeptherm.kim as kim
 import deeptherm.montecarlo as montecarlo
 import deeptherm.replica as replica
 from deeptherm.cli import main
-from deeptherm.linalg import MEM_BUDGET_BYTES, permutation_operator
-from deeptherm.permgroup import Permutation
+from deeptherm.linalg import MEM_BUDGET_BYTES
 from deeptherm.plotting import emit_plot
 from deeptherm.records import (
     SCHEMA_VERSION,
@@ -205,8 +204,8 @@ def test_cli_error_record(tmp_path, capsys, monkeypatch):
         raise AssertionError("replica engine ran for a refused run")
 
     monkeypatch.setattr(replica, "_sagg_bundle", engine_fail)
-    # a replica sum the engine cannot hold (m = 8) is refused before any allocation
-    assert main(["replica", "--k", "4", "--nmax", "4", "--t", "2", "--na", "2", "--out", out]) == 3
+    # a replica sum the engine cannot hold (m = 5 at N_A = 3) is refused before any allocation
+    assert main(["replica", "--k", "2", "--nmax", "3", "--t", "2", "--na", "3", "--out", out]) == 3
     rec = json.loads(capsys.readouterr().err.strip())
     assert rec["type"] == "ReplicaError" and "above budget" in rec["error"]
     # a fit with fewer than 3 points in n is refused before any replica sum
@@ -284,12 +283,11 @@ def test_cli_exact_refuses_oversized_run_before_allocating(tmp_path, capsys, mon
     monkeypatch.setattr(cli, "plus_state", fail)
     monkeypatch.setattr(cli, "moment_from_state", fail)
     out = str(tmp_path / "x.csv")
-    # n=24: the spin table alone is 3.2 GB; k=8 at n_a=2: n_a*k above the cap of 14
-    for argv, msg in ((["--n", "24", "--na", "2", "--t", "1"], "above budget"),
-                      (["--n", "10", "--na", "2", "--t", "1", "--k", "8"], "above the cap")):
+    # n=24: the spin table alone is 3.2 GB; k=34 at n_a=2: four 7770 x 7770 Sym^34 blocks, 3.9 GB
+    for argv in (["--n", "24", "--na", "2", "--t", "1"], ["--n", "10", "--na", "2", "--t", "1", "--k", "34"]):
         assert main(["exact", *argv, "--out", out]) == 3
         rec = json.loads(capsys.readouterr().err.strip())
-        assert rec["type"] == "ConfigError" and msg in rec["error"]
+        assert rec["type"] == "ConfigError" and "above budget" in rec["error"]
     assert not os.path.exists(out)
     assert kim.exact_bytes(23, 2, 3) <= MEM_BUDGET_BYTES  # the largest chain still runs
 
@@ -301,6 +299,26 @@ def test_cli_exact_runs_k7_in_sym_blocks(tmp_path):
     cols, rows = read_csv(out)
     t, k = cols.index("t"), cols.index("k")
     assert [(int(r[t]), int(r[k])) for r in rows] == [(tt, kk) for tt in (0, 1) for kk in range(1, 8)]
+
+
+def test_cli_exact_and_mc_run_k8_in_sym_blocks(tmp_path, monkeypatch):
+    # k=8 at n_a=2: D = 165, where 4^8 = 65536 replica codes were once indexed
+    shapes = []
+
+    def recording(fn, block):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            shapes.append(block(out).shape)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(cli, "moment_from_state", recording(cli.moment_from_state, lambda r: r))
+    monkeypatch.setattr(cli, "mc_moment", recording(cli.mc_moment, lambda est: est.rho))
+    out = str(tmp_path / "k8.csv")
+    assert main(["exact", "--n", "12", "--na", "2", "--t", "2", "--k", "8", "--out", out]) == 0
+    assert len(read_csv(out)[1]) == 3 * 8 and shapes[-1] == (165, 165)
+    assert main(["mc", "--k", "8", "--na", "2", "--t", "3", "--samples", "2000", "--out", out]) == 0
+    assert len(read_csv(out)[1]) == 2 and shapes[-1] == (165, 165)
 
 
 def test_cli_mc_refuses_oversized_run_before_allocating(tmp_path, capsys, monkeypatch):
@@ -396,24 +414,25 @@ def test_cli_replica_multi_t_and_rates(tmp_path, capsys):
     assert 1.5 < v < 2.5
 
 
-def test_cli_replica_refuses_moment_leaking_out_of_sym(tmp_path, capsys, monkeypatch):
-    # an antisymmetric part, (I - SWAP)/2 on C^4 (x) C^4, added to the
-    # identity-class diagram keeps the moment Hermitian but leaves Sym^2
-    anti = (np.eye(16) - permutation_operator(Permutation((1, 0)), 4)) / 2
+def test_cli_replica_refuses_non_hermitian_moment(tmp_path, capsys, monkeypatch):
+    # an anti-Hermitian part added to the identity-class block: the sum is
+    # still a Sym^2 block, but replica_moment's Hermitian check must fire
     engine = replica.class_diagram_terms
 
-    def leaky(n_a, k, n):
+    def skewed(n_a, k, n):
         terms = dict(engine(n_a, k, n))
         ident = tuple([1] * (k + n))
-        terms[ident] = terms[ident] + 1e-6 * np.abs(terms[ident]).max() * anti
+        skew = np.zeros(terms[ident].shape)
+        skew[0, 1], skew[1, 0] = 1.0, -1.0
+        terms[ident] = terms[ident] + 1e-6 * np.abs(terms[ident]).max() * skew
         return terms
 
-    monkeypatch.setattr(replica, "class_diagram_terms", leaky)
+    monkeypatch.setattr(replica, "class_diagram_terms", skewed)
     out = str(tmp_path / "replica.csv")
     assert main(["replica", "--k", "2", "--nmax", "2", "--t", "2", "--na", "2",
                  "--out", out]) == 3
     rec = json.loads(capsys.readouterr().err.strip())
-    assert rec["type"] == "ValueError" and "Sym^2" in rec["error"]
+    assert rec["type"] == "ReplicaError" and "not Hermitian" in rec["error"]
     assert not os.path.exists(out)
 
 

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import deeptherm.replica as replica
+from deeptherm.dual_tensors import build_w
 from deeptherm.linalg import (
     digit_permute_codes,
     haar_moment_operator,
     permutation_operator,
-    sym_embed,
     trace_norm,
 )
 from deeptherm.permgroup import Permutation, conjugacy_classes, enumerate_sym
@@ -28,6 +28,7 @@ from deeptherm.replica import (
     rate_estimate,
     replica_moment,
 )
+from fullspace import sym_compress, sym_embed
 
 
 def spec(k, n, t, bc="pbc", n_a=2):
@@ -116,19 +117,45 @@ def _build_kfold(wdata, m):
     return K
 
 
+def _orbit_structure(base, m):
+    """Orbit ids (linalg.sym_basis order) and weights of digit strings under position
+    permutations, over all base^m codes.
+
+    weight[code] = prod_v (multiplicity of digit v)!  =  #{p in S_m : p fixes code}.
+    """
+    codes = np.arange(base**m)
+    digits = np.stack([(codes // base ** (m - 1 - j)) % base for j in range(m)])
+    sorted_digits = np.sort(digits, axis=0)
+    key = np.zeros(base**m, dtype=np.int64)
+    for j in range(m):
+        key = key * base + sorted_digits[j]
+    uniq, orb = np.unique(key, return_inverse=True)
+    counts = np.zeros((base**m, base), dtype=np.int64)
+    for v in range(base):
+        counts[:, v] = (digits == v).sum(axis=0)
+    fact = np.array([math.factorial(i) for i in range(m + 1)])
+    weight = fact[counts].prod(axis=1).astype(np.float64)
+    return orb, weight, len(uniq)
+
+
+def _class_gather(members, q, m):
+    """B[y, a] = #{gamma in the class : y = gamma(a)} on the a-legs, one member at a time."""
+    ar = np.arange(q**m)
+    B = np.zeros((q**m, q**m))
+    for gamma in members:
+        B[digit_permute_codes(gamma.images, q)[ar], ar] += 1.0
+    return B
+
+
 def _dense_class_diagrams(w, m, splits):
     """Per-class dense evaluation: gather conj K per class, orbit-sum it, build Z, contract."""
     dA, q = w.data.shape[0], w.data.shape[1]
     K = _build_kfold(w.data, m)
     Kc = K.conj()
-    orb, weight, n_orbits = replica._orbit_structure(dA, m)
-    ar = np.arange(q**m)
+    orb, weight, n_orbits = _orbit_structure(dA, m)
     out = {split: {} for split in splits}
     for ct, members in conjugacy_classes(m).items():
-        B = np.zeros((q**m, q**m))
-        for gamma in members:
-            B[digit_permute_codes(gamma.images, q)[ar], ar] += 1.0
-        Kb = np.einsum("Myb,ya->Mab", Kc, B).reshape(dA**m, -1)
+        Kb = np.einsum("Myb,ya->Mab", Kc, _class_gather(members, q, m)).reshape(dA**m, -1)
         sagg = np.zeros((n_orbits, Kb.shape[1]), dtype=complex)
         np.add.at(sagg, orb, Kb)
         Z = sagg[orb] * weight[:, None]
@@ -145,21 +172,44 @@ def test_class_diagrams_match_dense_per_class_oracle(w2):
         engine = class_diagram_terms(2, k, n)
         assert engine.keys() == dense[(k, n)].keys()
         for ct, ref in dense[(k, n)].items():
+            # each dense diagram lies in Sym^k, or sym_compress raises
+            ref = sym_compress(ref, 4, k)
             assert np.abs(engine[ct] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n_a,m", [(1, 5), (2, 4)])
+def test_orbit_row_bundle_matches_full_rows(n_a, m):
+    # P from the dense m-fold K, on every replica code M and with each class's full
+    # gather, equals the bundle's row of M's multiset: P is the same at every digit
+    # permutation of M, and one class member stands for the class
+    w = build_w(n_a)
+    dA, q = w.data.shape[0], w.data.shape[1]
+    K = _build_kfold(w.data, m)
+    orb, _, n_orbits = _orbit_structure(dA, m)
+    O = np.zeros((n_orbits, q**m, q**m), dtype=complex)
+    np.add.at(O, orb, K.conj())
+    order, P = replica._sagg_bundle(n_a, m)
+    assert P.shape == (n_orbits, len(order), n_orbits)
+    for i, members in enumerate(conjugacy_classes(m).values()):
+        S = np.einsum("oyb,ya->oab", O, _class_gather(members, q, m))
+        full = K.reshape(dA**m, -1) @ S.reshape(n_orbits, -1).T
+        assert np.abs(P[orb, i] - full).max() <= 1e-12 * np.abs(full).max()
 
 
 def test_engine_refuses_oversized_m_before_building(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("engine ran for a refused size")
 
-    monkeypatch.setattr(replica, "_mode_products", fail)
-    assert replica._estimate_engine_bytes(2, 7) <= replica.MEM_BUDGET_BYTES
-    # m = 8: P alone is dA^8 x 22 classes x 165 orbits, 3.8 GB
+    monkeypatch.setattr(replica, "build_w", fail)
+    # m = 8 at N_A = 2 passes: P is 165 orbits x 22 classes x 165 orbits
+    assert replica._estimate_engine_bytes(2, 8) <= replica.MEM_BUDGET_BYTES
+    replica._check_size(2, 4, (4,))
+    # m = 5 at N_A = 3: 792 orbits x 4^10 temporal entries per array, ~53 GB
     with pytest.raises(ReplicaError, match="above budget"):
-        class_diagram_terms(2, 4, 4)
+        class_diagram_terms(3, 2, 3)
 
 
-@pytest.mark.parametrize("m", [5, 6])
+@pytest.mark.parametrize("m", [5, 6, 7])
 def test_engine_estimate_bounds_traced_peak(m):
     tracemalloc.start()
     try:
@@ -175,26 +225,23 @@ def test_class_diagrams_at_large_k_refused_before_building(monkeypatch):
         raise AssertionError("engine ran for a refused size")
 
     monkeypatch.setattr(replica, "_sagg_bundle", fail)
-    # k = 6, n = 0: one 4096 x 4096 complex diagram per class (11 x 268 MB) plus the sums
+    # k = 6, n = 0 at N_A = 2 passes: 11 class blocks of 84 x 84
+    replica._check_size(2, 6, (0,))
+    # k = 5, n = 0 at N_A = 3: the m = 5 engine alone needs ~53 GB
     with pytest.raises(ReplicaError, match="above budget"):
-        deviation_series(ReplicaSpec(k=6, n=0, t=2, n_a=2), 0)
+        deviation_series(ReplicaSpec(k=5, n=0, t=2, n_a=3), 0)
     with pytest.raises(ReplicaError, match="above budget"):
-        replica_moment(ReplicaSpec(k=6, n=0, t=2, n_a=2))
+        replica_moment(ReplicaSpec(k=5, n=0, t=2, n_a=3))
 
 
 def test_k4_fit_over_four_points_reaches_m7():
     # n = 0..3 reaches m = 7, so the k = 4 fit is overdetermined and its residual is real
-    try:
-        series = deviation_series(spec(4, 0, 3, bc="obc"), 3)
-        assert [n for n, _ in series] == [0, 1, 2, 3]
-        fit = extrapolate_to_physical(series, 4)
-        assert fit.residual > 0 and not fit.flagged
-        three = extrapolate_to_physical(series[:3], 4)
-        assert fit.estimate == pytest.approx(three.estimate, rel=0.01)
-    finally:
-        # the m = 7 bundle holds about 0.5 GB
-        replica._sagg_bundle.cache_clear()
-        class_diagram_terms.cache_clear()
+    series = deviation_series(spec(4, 0, 3, bc="obc"), 3)
+    assert [n for n, _ in series] == [0, 1, 2, 3]
+    fit = extrapolate_to_physical(series, 4)
+    assert fit.residual > 0 and not fit.flagged
+    three = extrapolate_to_physical(series[:3], 4)
+    assert fit.estimate == pytest.approx(three.estimate, rel=0.01)
 
 
 @pytest.mark.parametrize("bc", ["pbc", "obc"])
