@@ -21,7 +21,7 @@ from .kim import (
     entanglement_entropy,
     ising_phase_vector,
     apply_floquet,
-    moment_from_state,
+    moments_from_state,
     plus_state,
 )
 from .montecarlo import McConfig, mc_moment
@@ -74,8 +74,7 @@ def cmd_exact(args) -> int:
         if t > 0:
             state = apply_floquet(state, base, phases)
         ent = entanglement_entropy(state, base.n, base.offset, base.n_a)
-        for k in range(1, args.k + 1):
-            rho = moment_from_state(state, base, k)
+        for k, rho in enumerate(moments_from_state(state, base, args.k), start=1):
             rows.append([base.n, base.n_a, t, base.bc, k,
                          delta_k(rho), ent, base.wraparound(t)])
     _record(args, "exact", args.out,

@@ -17,9 +17,20 @@ b1 = bn = pi/4 complete the end sites' gate structure (a pi/4 field is a
 ZZ coupling to a frozen |0> neighbour) and are the values under which the
 finite chain tracks the thermodynamic-limit ensemble most closely.
 
-Moments are streamed over bath outcomes into their D x D Sym^k blocks
-(linalg.sym_basis) and returned as such; delta_k reads the distance to Haar
-from the block.  Only the tests embed a block in the replicated space.
+The Ising phases are read from the bits of the basis index (the field term
+from the popcount, each bond from the XOR of neighbouring bits), so no
+n x 2^n spin table is formed.
+
+After each step one pass over the bath outcomes gives the moments of every
+order 1..K (moments_from_state): the amplitudes and Born weights are
+computed once, and _kernels.moment_accumulate grows each outcome's Sym^k
+rows order by order, each from the rows of order k - 1, with one GEMM per
+order per block of outcomes.  The moments are returned as their D x D
+Sym^k blocks (linalg.sym_basis); delta_k reads the distance to Haar from
+the block.  Only the tests embed a block in the replicated space.  The
+entanglement entropy comes from the eigenvalues of the block's reduced
+state, a 2^len x 2^len Gram matrix, not from an SVD of the 2^len x 2^rest
+amplitude matrix.
 """
 from __future__ import annotations
 
@@ -29,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dual_tensors import PI4, bath_side_unitary, kick_matrix, spin_table
+from .dual_tensors import PI4, bath_side_unitary, kick_matrix
 from .linalg import (
     MEM_BUDGET_BYTES,
     kron_all,
@@ -103,17 +114,26 @@ class KimConfig:
 def exact_bytes(n: int, n_a: int, k: int) -> int:
     """Bytes the exact route holds at once, summed over its largest arrays.
 
-    The state and the phase vector (complex, 2^n each), the spin table
-    (n x 2^n float64, filled row by row in place), moment_accumulate's row
-    block of at most BLOCK_ENTRIES complex entries with its weighted and
-    conjugated copies, and four D x D complex blocks, D = C(2^n_a + k - 1, k):
-    the sum and its GEMM update, then the normalized moment and delta_k's
-    Hermitian part with eigvalsh's copy of it.  The moment is never embedded
-    in the 2^(n_a k)-dimensional replicated space.
+    The state and the phase vector (complex, 2^n each) live throughout.  Beside
+    them, apply_floquet holds two more state-sized arrays (the product with
+    the phases and one kick group's result), entanglement_entropy two (the
+    block-major copy and its conjugate) and ising_phase_vector less.  The
+    moment pass holds instead the block-major amplitudes (2^n complex), one
+    weight row per order (2^(n - n_a) float64 each), moment_accumulate's
+    rows of one block at the top level (the product, the scaled and the
+    weighted rows and the conjugate, D_k x rows complex each) and, per order
+    j, the D_j x D_j sum, D_j = C(2^n_a + j - 1, j), with the GEMM update and
+    delta_k's Hermitian part and eigvalsh copy at D_k.  One MiB more covers
+    the kick matrices (64 x 64), the CSV rows and the interpreter's own
+    objects.  No moment is embedded in the 2^(n_a k)-dimensional replicated
+    space, and no spin table is formed.
     """
-    D = math.comb(2**n_a + k - 1, k)
-    row_block = min(_kernels.ROW_BLOCK * D, max(_kernels.BLOCK_ENTRIES, D))
-    return 2 * 16 * 2**n + 8 * n * 2**n + 3 * 16 * row_block + 4 * 16 * D * D
+    state = 16 * 2**n
+    dims = [math.comb(2**n_a + j - 1, j) for j in range(1, k + 1)]
+    rows = min(_kernels.ROW_BLOCK, max(1, _kernels.BLOCK_ENTRIES // dims[-1]), 2 ** (n - n_a))
+    moments = (state + 8 * k * 2 ** (n - n_a) + 4 * 16 * dims[-1] * rows
+               + 16 * sum(d * d for d in dims) + 3 * 16 * dims[-1] ** 2)
+    return 2 * state + max(2 * state, moments) + 2**20
 
 
 def check_exact_size(n: int, n_a: int, k: int) -> None:
@@ -127,15 +147,26 @@ def check_exact_size(n: int, n_a: int, k: int) -> None:
 
 
 def ising_phase_vector(cfg: KimConfig) -> np.ndarray:
-    """Diagonal of exp(-i H_Ising) in the computational basis."""
-    spins = spin_table(cfg.n)
-    energy = cfg.g * spins.sum(axis=0)
-    n_bonds = cfg.n if cfg.bc == "pbc" else cfg.n - 1
+    """Diagonal of exp(-i H_Ising) in the computational basis.
+
+    The spins are read from the bits of the basis index x (site 0 the most
+    significant): the field term is g (n - 2 popcount(x)), and bond (i, i+1)
+    adds j or -j as the two bits agree or differ, bond by bond.  The energy is
+    summed in the order field, bonds 0..n-1, boundary fields.
+    """
+    n = cfg.n
+    x = np.arange(2**n)
+    energy = cfg.g * (n - 2 * np.bitwise_count(x).astype(int))
+    # bit of site i+1 (cyclically) in `differ` is set when sites i and i+1 disagree
+    differ = x ^ ((x >> 1) | ((x & 1) << (n - 1)))
+    n_bonds = n if cfg.bc == "pbc" else n - 1
     for i in range(n_bonds):
-        energy = energy + cfg.j * spins[i] * spins[(i + 1) % cfg.n]
+        energy += np.where((differ >> (n - 1 - (i + 1) % n)) & 1, -cfg.j, cfg.j)
     if cfg.bc == "obc":
-        energy = energy + cfg.b1 * spins[0] + cfg.bn * spins[cfg.n - 1]
-    return np.exp(-1j * energy)
+        energy += np.where(x >> (n - 1), -cfg.b1, cfg.b1)
+        energy += np.where(x & 1, -cfg.bn, cfg.bn)
+    out = np.multiply(energy, -1j)
+    return np.exp(out, out=out)
 
 
 def apply_floquet(state: np.ndarray, cfg: KimConfig, phases: np.ndarray | None = None) -> np.ndarray:
@@ -184,8 +215,8 @@ def evolve(cfg: KimConfig) -> np.ndarray:
 
     The exact route's test reference, like build_floquet.  cli.cmd_exact keeps
     its own loop, because it reads the state at every step and calls
-    plus_state, ising_phase_vector and apply_floquet through the cli module,
-    where they can be timed or replaced per step.
+    plus_state, ising_phase_vector, apply_floquet and moments_from_state
+    through the cli module, where they can be timed or replaced per step.
     """
     state = plus_state(cfg.n)
     phases = ising_phase_vector(cfg)
@@ -195,20 +226,40 @@ def evolve(cfg: KimConfig) -> np.ndarray:
 
 
 def _subsystem_amplitudes(state: np.ndarray, cfg: KimConfig) -> np.ndarray:
-    """amps[z, sigma] = <z1 sigma z2|Psi>, z = (z1, z2) with z1 bits leading."""
+    """amps[sigma, z] = <z1 sigma z2|Psi>, z = (z1, z2) with z1 bits leading."""
     off = cfg.offset
     A = state.reshape(2**off, 2**cfg.n_a, 2 ** (cfg.n - cfg.n_a - off))
-    return np.transpose(A, (0, 2, 1)).reshape(2**cfg.n_b, 2**cfg.n_a)
+    return np.transpose(A, (1, 0, 2)).reshape(2**cfg.n_a, 2**cfg.n_b)
+
+
+def _outcome_weights(amps: np.ndarray, k: int) -> np.ndarray:
+    """w[j - 1, z] = p_z^(1-j) for the Born weights p_z of the bath outcomes, and
+    zero where p_z < P_FLOOR (no power of a vanishing p is taken)."""
+    p = np.einsum("sz,sz->z", amps, amps.conj()).real
+    kept = p >= P_FLOOR
+    w = np.zeros((k, len(p)))
+    for j in range(1, k + 1):
+        w[j - 1, kept] = p[kept] ** (1 - j)
+    return w
+
+
+def moments_from_state(state: np.ndarray, cfg: KimConfig, k: int) -> list:
+    """The moments of orders 1..k as their Sym^j blocks (linalg.sym_basis),
+    each normalized to unit trace, from one pass over the bath outcomes.
+
+    The amplitudes and Born weights are computed once, and one
+    moment_accumulate call grows the Sym^j rows of every order from them.
+    """
+    amps = _subsystem_amplitudes(state, cfg)
+    blocks = _kernels.moment_accumulate(amps.T, _outcome_weights(amps, k), k)
+    for r in blocks:
+        r /= np.trace(r)
+    return blocks
 
 
 def moment_from_state(state: np.ndarray, cfg: KimConfig, k: int) -> np.ndarray:
-    """The k-th moment's D x D Sym^k block (linalg.sym_basis), normalized to unit
-    trace, streamed over bath outcomes (never stores states)."""
-    amps = _subsystem_amplitudes(state, cfg)
-    p = np.einsum("zs,zs->z", amps, amps.conj()).real
-    w = np.where(p < P_FLOOR, 0.0, p ** (1 - k))
-    out = _kernels.moment_accumulate(amps, w, k)
-    return out / np.trace(out)
+    """The k-th moment's D x D Sym^k block: the last block of moments_from_state."""
+    return moments_from_state(state, cfg, k)[-1]
 
 
 def delta_k(r: np.ndarray) -> float:
@@ -238,13 +289,18 @@ def design_times(series_by_k: dict, eps: float) -> dict:
 
 
 def entanglement_entropy(state: np.ndarray, n: int, block_start: int, block_len: int) -> float:
-    """Von Neumann entropy (bits) of a contiguous block."""
+    """Von Neumann entropy (bits) of a contiguous block.
+
+    The eigenvalues of the block's reduced state M M^+ (M the state with the
+    block's qubits as rows) are the squared Schmidt coefficients; the other
+    side's M^+ M has the same nonzero ones and is taken when it is smaller.
+    """
     pre = block_start
     post = n - block_start - block_len
     M = state.reshape(2**pre, 2**block_len, 2**post)
     M = np.transpose(M, (1, 0, 2)).reshape(2**block_len, -1)
-    s = np.linalg.svd(M, compute_uv=False)
-    p = s**2
+    gram = M @ M.conj().T if M.shape[0] <= M.shape[1] else M.conj().T @ M
+    p = np.linalg.eigvalsh(gram)
     p = p[p > 1e-14]
     return float(-(p * np.log2(p)).sum())
 

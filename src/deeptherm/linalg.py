@@ -32,30 +32,6 @@ MEM_BUDGET_BYTES = 3_500_000_000  # largest working set a route may allocate; ch
 HERM_TOL = 1e-8  # trace_norm uses eigvalsh when max|a - a^+| <= HERM_TOL * max(max|a|, 1)
 
 
-def digit_permute_codes(images, base: int) -> np.ndarray:
-    """Index map for permuting base-`base` digit strings.
-
-    Returns IDX with IDX[code] = code', where digit j of code' equals digit
-    images[j] of code (digit 0 most significant).
-    """
-    m = len(images)
-    codes = np.arange(base**m)
-    out = np.zeros_like(codes)
-    for j, src in enumerate(images):
-        dig = (codes // base ** (m - 1 - src)) % base
-        out += dig * base ** (m - 1 - j)
-    return out
-
-
-def permutation_operator(p: Permutation, d: int) -> np.ndarray:
-    """P(p) on m copies of C^d: P(p)|y_1..y_m> = |y_{p(1)}..y_{p(m)}>."""
-    dim = d ** p.degree
-    rows = digit_permute_codes(p.images, d)
-    P = np.zeros((dim, dim))
-    P[rows, np.arange(dim)] = 1.0
-    return P
-
-
 def permutation_vector_state(p: Permutation, q: int) -> np.ndarray:
     """Vectorized permutation operator on m = p.degree copies of a q-qubit space.
 
@@ -156,25 +132,3 @@ def kron_all(mats) -> np.ndarray:
     for m in mats:
         out = np.kron(out, m)
     return out
-
-
-def haar_moment_operator(n_a: int, k: int) -> np.ndarray:
-    """k-th moment of Haar-random pure states on n_a qubits.
-
-    Equals sum_{s in S_k} P(s) / (d (d+1) ... (d+k-1)) with d = 2^n_a;
-    unit trace, supported on the symmetric subspace.  The package's routes
-    use its Sym^k block, the identity over D (sym_haar_distance); this dense
-    form is the tests' oracle.
-    """
-    from .permgroup import enumerate_sym
-
-    if n_a * k > 14:
-        raise ValueError("2^(n_a*k) too large for dense construction")
-    d = 2**n_a
-    denom = 1.0
-    for j in range(k):
-        denom *= d + j
-    out = np.zeros((d**k, d**k))
-    for p in enumerate_sym(k):
-        out += permutation_operator(p, d)
-    return (out / denom).astype(complex)

@@ -15,7 +15,7 @@ import pytest
 from deeptherm.cli import main
 from deeptherm.dual_tensors import build_w, build_wprime, min_depth
 from deeptherm.kim import KimConfig, delta_k, dual_unitary_ensemble_check, evolve, moment_from_state
-from deeptherm.linalg import haar_moment_operator, trace_norm
+from deeptherm.linalg import trace_norm
 from deeptherm.montecarlo import McConfig, mc_moment, mc_replica_check
 from deeptherm.permgroup import (
     conjugacy_classes,
@@ -30,7 +30,7 @@ from deeptherm.replica import (
     rate_estimate,
     replica_moment,
 )
-from fullspace import sym_embed
+from fullspace import haar_moment_operator, sym_embed
 
 G = 0.3
 

@@ -32,6 +32,34 @@ def test_moment_accumulate_matches_kron_oracle(rng):
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def _direct_sym_blocks(psi, w, k):
+    """sum_b w_b v_b v_b^+ per ROW_BLOCK rows, v_b[alpha] = coef_alpha prod_i psi_b[idx[alpha, i]]
+    built row by row from the digits, D-major as the kernel holds them."""
+    basis = sym_basis(psi.shape[1], k)
+    D = len(basis.coef)
+    out = np.zeros((D, D), dtype=complex)
+    rows = min(kernels.ROW_BLOCK, max(1, kernels.BLOCK_ENTRIES // D))
+    for lo in range(0, len(psi), rows):
+        blk = psi[lo : lo + rows].T
+        v = blk[basis.idx[:, 0]]
+        for j in range(1, k):
+            v *= blk[basis.idx[:, j]]
+        v *= basis.coef[:, None]
+        out += (v * w[lo : lo + rows]) @ v.conj().T
+    return out
+
+
+def test_level_grown_rows_match_direct_products_bitwise(rng):
+    b = 2 * kernels.ROW_BLOCK + 5
+    psi = rng.standard_normal((b, 3)) + 1j * rng.standard_normal((b, 3))
+    w = rng.random((4, b))
+    every = kernels.moment_accumulate(psi, w, 4)
+    for k in (1, 2, 3, 4):
+        ref = _direct_sym_blocks(psi, w[k - 1], k)
+        assert every[k - 1].tobytes() == ref.tobytes()
+        assert kernels.moment_accumulate(psi, w[k - 1], k).tobytes() == ref.tobytes()
+
+
 def test_moment_accumulate_small_block_cap_matches_kron_oracle(rng, monkeypatch):
     # a cap of 8 Sym^k entries gives blocks of 4, 2 and 2 rows for k = 1, 2, 3 (D = 2, 3, 4)
     b = 37

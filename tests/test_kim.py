@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+import warnings
 from itertools import chain
 
 import numpy as np
 import pytest
 
 import deeptherm.cli as cli
-from deeptherm.dual_tensors import build_w, kick_matrix
+from deeptherm.dual_tensors import build_w, kick_matrix, spin_table
 from deeptherm.kim import (
     P_FLOOR,
     ConfigError,
@@ -20,21 +22,19 @@ from deeptherm.kim import (
     dual_unitary_ensemble_check,
     entanglement_entropy,
     evolve,
+    exact_bytes,
     ising_phase_vector,
     moment_from_state,
+    moments_from_state,
     plus_state,
     reduced_density_matrix,
 )
-from deeptherm.linalg import (
-    haar_moment_operator,
-    partial_trace,
-    permutation_operator,
-)
+from deeptherm.linalg import partial_trace
 from deeptherm.montecarlo import McConfig, _batch_states, batch_plan, mc_moment
 from deeptherm.permgroup import enumerate_sym
 from deeptherm.records import read_csv
 from deeptherm.replica import ReplicaSpec, direct_double_sum, replica_moment
-from fullspace import sym_compress, sym_embed
+from fullspace import haar_moment_operator, permutation_operator, sym_compress, sym_embed
 
 G = 0.3
 
@@ -117,6 +117,27 @@ def test_exact_cli_matches_per_site_kick(tmp_path, monkeypatch):
         assert abs(float(rg[dk]) - float(rp[dk])) <= 1e-13
 
 
+def _spin_table_phases(cfg):
+    """exp(-i H_Ising) from the n x 2^n table of spins, summed in the route's order."""
+    spins = spin_table(cfg.n)
+    energy = cfg.g * spins.sum(axis=0)
+    n_bonds = cfg.n if cfg.bc == "pbc" else cfg.n - 1
+    for i in range(n_bonds):
+        energy = energy + cfg.j * spins[i] * spins[(i + 1) % cfg.n]
+    if cfg.bc == "obc":
+        energy = energy + cfg.b1 * spins[0] + cfg.bn * spins[cfg.n - 1]
+    return np.exp(-1j * energy)
+
+
+@pytest.mark.parametrize("bc", ["pbc", "obc"])
+def test_ising_phases_from_bits_match_spin_table_bitwise(bc):
+    for n in range(2, 13):
+        for cfg in (KimConfig(n=n, n_a=1, t=1, bc=bc, g=G),
+                    KimConfig(n=n, n_a=1, t=1, bc=bc, g=0.7, j=0.41, h=0.2, b1=-0.33, bn=1.1,
+                              self_dual=False)):
+            assert ising_phase_vector(cfg).tobytes() == _spin_table_phases(cfg).tobytes(), (n, cfg)
+
+
 def test_evolve_basics():
     cfg = KimConfig(n=6, n_a=2, t=0, g=G)
     np.testing.assert_allclose(evolve(cfg), np.full(64, 2.0 ** (-3)), atol=1e-14)
@@ -194,6 +215,44 @@ def test_moment_operator_identities():
         )
 
 
+def test_one_pass_gives_each_order_of_moment_from_state():
+    cfg = KimConfig(n=10, n_a=2, t=3, bc="obc", g=G)
+    state = evolve(cfg)
+    blocks = moments_from_state(state, cfg, 4)
+    assert [b.shape for b in blocks] == [(4, 4), (10, 10), (20, 20), (35, 35)]
+    for k, block in enumerate(blocks, start=1):
+        assert block.tobytes() == moment_from_state(state, cfg, k).tobytes()
+
+
+def test_zero_probability_outcomes_raise_no_warning():
+    # |0...0>: every bath outcome but one has Born weight exactly 0
+    cfg = KimConfig(n=6, n_a=2, t=0, g=G)
+    state = np.zeros(2**6, dtype=complex)
+    state[0] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (2, 3):
+            rho = moment_from_state(state, cfg, k)
+            assert rho[0, 0] == pytest.approx(1.0) and np.abs(rho).sum() == pytest.approx(1.0)
+        moments_from_state(state, cfg, 3)
+
+
+def test_exact_bytes_bounds_traced_peak(tmp_path):
+    def run(n):
+        args = cli.build_parser().parse_args(
+            ["exact", "--n", str(n), "--na", "2", "--t", "2", "--k", "3", "--out", str(tmp_path / "x.csv")])
+        tracemalloc.start()
+        try:
+            assert args.func(args) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run(6)  # first-use caches and imports stay out of the measured run
+    peak = run(16)
+    assert peak <= exact_bytes(16, 2, 3) <= 1.5 * peak
+
+
 def test_rdm_maximally_mixed_at_t1():
     cfg = KimConfig(n=10, n_a=2, t=1, g=G)
     rho = moment_from_state(evolve(cfg), cfg, 1)
@@ -256,6 +315,22 @@ def test_entanglement_entropy():
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     assert entanglement_entropy(bell, 2, 0, 1) == pytest.approx(1.0)
+
+
+def _svd_entropy(state, n, block_start, block_len):
+    M = state.reshape(2**block_start, 2**block_len, -1).transpose(1, 0, 2).reshape(2**block_len, -1)
+    p = np.linalg.svd(M, compute_uv=False) ** 2
+    p = p[p > 1e-14]
+    return float(-(p * np.log2(p)).sum())
+
+
+def test_entanglement_entropy_from_gram_matches_svd():
+    rng = np.random.default_rng(5)
+    for n, start, length in ((8, 3, 2), (8, 0, 5), (9, 2, 6), (10, 4, 1), (10, 0, 9)):
+        state = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        state /= np.linalg.norm(state)
+        ref = _svd_entropy(state, n, start, length)
+        assert abs(entanglement_entropy(state, n, start, length) - ref) <= 1e-12
 
 
 def test_entanglement_growth_and_saturation():

@@ -7,19 +7,24 @@ import pytest
 
 from deeptherm._kernels import haar_from_ginibre
 from deeptherm.linalg import (
-    digit_permute_codes,
-    haar_moment_operator,
     kron_all,
     multiset_factorials,
     partial_trace,
-    permutation_operator,
     permutation_vector_state,
     sym_basis,
     sym_haar_distance,
     trace_norm,
 )
 from deeptherm.permgroup import Permutation, enumerate_sym
-from fullspace import sym_compress, sym_embed, sym_orbit, sym_rep
+from fullspace import (
+    digit_permute_codes,
+    haar_moment_operator,
+    permutation_operator,
+    sym_compress,
+    sym_embed,
+    sym_orbit,
+    sym_rep,
+)
 
 
 def test_trace_norm_basics():

@@ -12,13 +12,7 @@ import pytest
 
 import deeptherm.montecarlo as montecarlo
 from deeptherm.cli import main
-from deeptherm.linalg import (
-    haar_moment_operator,
-    kron_all,
-    permutation_operator,
-    sym_haar_distance,
-    trace_norm,
-)
+from deeptherm.linalg import kron_all, sym_haar_distance, trace_norm
 from deeptherm.montecarlo import (
     BATCH,
     McConfig,
@@ -36,7 +30,7 @@ from deeptherm.montecarlo import (
 )
 from deeptherm.permgroup import enumerate_sym
 from deeptherm.replica import ReplicaSpec, replica_moment
-from fullspace import sym_embed
+from fullspace import haar_moment_operator, permutation_operator, sym_embed
 
 G = 0.3
 

@@ -279,17 +279,18 @@ def test_cli_exact_refuses_oversized_run_before_allocating(tmp_path, capsys, mon
     def fail(*args, **kwargs):
         raise AssertionError("allocated for a refused size")
 
-    monkeypatch.setattr(kim, "spin_table", fail)
+    monkeypatch.setattr(cli, "ising_phase_vector", fail)
     monkeypatch.setattr(cli, "plus_state", fail)
-    monkeypatch.setattr(cli, "moment_from_state", fail)
+    monkeypatch.setattr(cli, "moments_from_state", fail)
     out = str(tmp_path / "x.csv")
-    # n=24: the spin table alone is 3.2 GB; k=34 at n_a=2: four 7770 x 7770 Sym^34 blocks, 3.9 GB
-    for argv in (["--n", "24", "--na", "2", "--t", "1"], ["--n", "10", "--na", "2", "--t", "1", "--k", "34"]):
+    # n=26: four state-sized arrays during a Floquet step, 4.3 GB; k=34 at n_a=2:
+    # the sums of every order up to 7770 x 7770 (Sym^34), 8.5 GB
+    for argv in (["--n", "26", "--na", "2", "--t", "1"], ["--n", "10", "--na", "2", "--t", "1", "--k", "34"]):
         assert main(["exact", *argv, "--out", out]) == 3
         rec = json.loads(capsys.readouterr().err.strip())
         assert rec["type"] == "ConfigError" and "above budget" in rec["error"]
     assert not os.path.exists(out)
-    assert kim.exact_bytes(23, 2, 3) <= MEM_BUDGET_BYTES  # the largest chain still runs
+    assert kim.exact_bytes(25, 2, 3) <= MEM_BUDGET_BYTES  # the largest chain still runs
 
 
 def test_cli_exact_runs_k7_in_sym_blocks(tmp_path):
@@ -312,7 +313,7 @@ def test_cli_exact_and_mc_run_k8_in_sym_blocks(tmp_path, monkeypatch):
             return out
         return wrapped
 
-    monkeypatch.setattr(cli, "moment_from_state", recording(cli.moment_from_state, lambda r: r))
+    monkeypatch.setattr(cli, "moments_from_state", recording(cli.moments_from_state, lambda r: r[-1]))
     monkeypatch.setattr(cli, "mc_moment", recording(cli.mc_moment, lambda est: est.rho))
     out = str(tmp_path / "k8.csv")
     assert main(["exact", "--n", "12", "--na", "2", "--t", "2", "--k", "8", "--out", out]) == 0

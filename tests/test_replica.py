@@ -8,12 +8,7 @@ import pytest
 
 import deeptherm.replica as replica
 from deeptherm.dual_tensors import build_w
-from deeptherm.linalg import (
-    digit_permute_codes,
-    haar_moment_operator,
-    permutation_operator,
-    trace_norm,
-)
+from deeptherm.linalg import trace_norm
 from deeptherm.permgroup import Permutation, conjugacy_classes, enumerate_sym
 from deeptherm.replica import (
     ReplicaError,
@@ -28,7 +23,13 @@ from deeptherm.replica import (
     rate_estimate,
     replica_moment,
 )
-from fullspace import sym_compress, sym_embed
+from fullspace import (
+    digit_permute_codes,
+    haar_moment_operator,
+    permutation_operator,
+    sym_compress,
+    sym_embed,
+)
 
 
 def spec(k, n, t, bc="pbc", n_a=2):
