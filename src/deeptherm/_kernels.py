@@ -31,6 +31,13 @@ def _parent_rows(d: int, k: int) -> np.ndarray:
     return out
 
 
+def block_rows(d: int) -> int:
+    """Rows per block of moment_accumulate when its top level has d Sym^k rows:
+    ROW_BLOCK, or fewer when the block would exceed BLOCK_ENTRIES entries (any d
+    above 1024)."""
+    return min(ROW_BLOCK, max(1, BLOCK_ENTRIES // d))
+
+
 def moment_accumulate(psi: np.ndarray, weights: np.ndarray, k: int):
     """Sym^j blocks (linalg.sym_basis) of sum_b w_b (|psi_b><psi_b|)^{(x)j}.
 
@@ -44,9 +51,8 @@ def moment_accumulate(psi: np.ndarray, weights: np.ndarray, k: int):
 
     weights of shape (b,) weight level k alone, and the D_k x D_k block is
     returned.  Weights of shape (k, b) weight level j by weights[j - 1], and
-    the list of the k blocks, levels 1..k, is returned.  A block holds
-    ROW_BLOCK rows, or fewer when its level-k rows would exceed BLOCK_ENTRIES
-    entries (any D_k above 1024).
+    the list of the k blocks, levels 1..k, is returned.  Rows are taken
+    block_rows(D_k) at a time.
     """
     psi_t = np.ascontiguousarray(np.asarray(psi, dtype=np.complex128).T)
     weights = np.asarray(weights, dtype=np.float64)
@@ -54,7 +60,7 @@ def moment_accumulate(psi: np.ndarray, weights: np.ndarray, k: int):
     level_weights = {k: weights} if weights.ndim == 1 else dict(enumerate(weights, start=1))
     coefs = [sym_basis(da, j).coef[:, None] for j in range(1, k + 1)]
     out = {j: np.zeros((len(coefs[j - 1]),) * 2, dtype=np.complex128) for j in level_weights}
-    rows = min(ROW_BLOCK, max(1, BLOCK_ENTRIES // len(coefs[-1])))
+    rows = block_rows(len(coefs[-1]))
     for lo in range(0, b, rows):
         col = psi_t[:, lo : lo + rows]
         prod = col  # level 1: one row per digit

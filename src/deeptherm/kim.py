@@ -130,7 +130,7 @@ def exact_bytes(n: int, n_a: int, k: int) -> int:
     """
     state = 16 * 2**n
     dims = [math.comb(2**n_a + j - 1, j) for j in range(1, k + 1)]
-    rows = min(_kernels.ROW_BLOCK, max(1, _kernels.BLOCK_ENTRIES // dims[-1]), 2 ** (n - n_a))
+    rows = min(_kernels.block_rows(dims[-1]), 2 ** (n - n_a))
     moments = (state + 8 * k * 2 ** (n - n_a) + 4 * 16 * dims[-1] * rows
                + 16 * sum(d * d for d in dims) + 3 * 16 * dims[-1] ** 2)
     return 2 * state + max(2 * state, moments) + 2**20

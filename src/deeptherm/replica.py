@@ -314,79 +314,32 @@ def check_fit_points(n_points: int) -> None:
         raise ReplicaError(f"extrapolation needs at least 3 points in n, got {n_points}")
 
 
-def _brent(f, lo: float, hi: float) -> float:
-    """Root of f in [lo, hi] by Brent's method (Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 4).
-
-    Takes the steps of the reference C routine brentq (inverse quadratic or
-    secant step when it is short enough, else bisection) with xtol = 1e-300
-    and rtol = 4 eps, so the root is the same float; tests/test_replica.py
-    checks the equality.  Raises ReplicaError when f(lo) and f(hi) have
-    the same sign or when 100 iterations do not converge.
-    """
-    xtol, rtol, maxiter = 1e-300, 4 * math.ulp(1.0), 100
-    xpre, xcur = float(lo), float(hi)
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ReplicaError("root solve: f(lo) and f(hi) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect unless an interpolation step is short enough
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic; a zero denominator (inf in C) bisects
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                if den != 0:
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / den
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise ReplicaError(f"root solve did not converge in {maxiter} iterations")
-
-
 def extrapolate_to_physical(series, k: int) -> ExtrapolationResult:
     """Fit log2(norm) = a + b exp(-c n) and evaluate at n = 1 - k.
 
     Variable projection (Golub & Pereyra, Inverse Problems 19, 2003): for a
     fixed c, (a, b) is a linear least squares, solved in closed form with the
-    constant column projected out, which leaves the residual r.  c > 0 is a
-    root of the derivative of the projected sum of squares,
-    sum_i r_i b n_i exp(-c n_i), with n exp(-c n) taken orthogonal to the
-    constant and to exp(-c n): r is orthogonal to both, so the sum is the
-    same in exact arithmetic, but r's rounding no longer moves the root.
-    Each sign change from - to + on a log grid of c brackets a minimum;
-    _brent solves the bracket to a relative tolerance
-    of 4 eps, which fixes c to a few ulps where a minimum searched directly
-    fixes it only to about sqrt(eps), and the root with the least residual
-    wins.  At three points the root is the exact interpolant.
+    constant column projected out.  The n are integers in 0..MAX_DEGREE, so
+    with x = exp(-c), y_c the centred log2 values and N points,
 
-    Flagged when no root exists (a series that needs c <= 0, growing with n,
-    has none) or when the RMS residual exceeds RESIDUAL_THRESHOLD.
+        A(x) = sum_i y_c,i x^n_i,   B(x) = sum_i x^(2 n_i) - (sum_i x^n_i)^2 / N,
+
+    the projected sum of squares is |y_c|^2 - A^2 / B, and its stationary
+    points are the roots of the polynomial Q = 2 A' B - A B' (A and B taken
+    with their zeros at x = 1 divided out).  A real root with
+    exp(-100) < x < exp(-0.001) is a minimum when A Q' < 0.  np.roots fixes
+    a root to about 1e-12; two Newton steps on `slope`, which equals
+    x A Q / (2 B^2), fix c to a few ulps, and the minimum with the least
+    residual wins.  At three points it is the exact interpolant.
+
+    Flagged when no minimum exists (a series that needs c <= 0, growing with
+    n, has none) or when the RMS residual exceeds RESIDUAL_THRESHOLD.
     """
     ns = np.array([float(n) for n, _ in series])
     vals = np.array([v for _, v in series])
     check_fit_points(len(ns))
+    if np.any(ns != np.round(ns)) or ns.min() < 0 or ns.max() > MAX_DEGREE:
+        raise ReplicaError(f"extrapolation needs integer n in 0..{MAX_DEGREE}")
     if np.any(vals <= 0):
         raise ReplicaError("deviation series must be positive")
     y = np.log2(vals)
@@ -418,11 +371,31 @@ def extrapolate_to_physical(series, k: int) -> ExtrapolationResult:
         r = project(c)[2]
         return r @ r
 
-    grid = np.geomspace(1e-3, 1e2, 51)
-    slopes = [slope(c) for c in grid]
-    roots = [_brent(slope, lo, hi)
-             for lo, hi, s_lo, s_hi in zip(grid, grid[1:], slopes, slopes[1:]) if s_lo < 0 <= s_hi]
-    c = float(min(roots or grid, key=sse))
+    # A, the sums of x^n and x^2n, B and Q in the power basis, highest power first
+    deg, pos = int(ns.max()), ns.astype(int)
+    A, S1, S2 = np.zeros(deg + 1), np.zeros(deg + 1), np.zeros(2 * deg + 1)
+    np.add.at(A, deg - pos, y_c)
+    np.add.at(S1, deg - pos, 1.0)
+    np.add.at(S2, 2 * (deg - pos), 1.0)
+    B = S2 - np.polymul(S1, S1) / len(ns)
+    # A has a zero at x = 1 and B a double one.  Dividing them out leaves A^2 / B
+    # as it is and keeps a triple root at 1 out of Q, whose rounding would spread
+    # it into the window; p(x) / (x - 1) is the running sum of p's coefficients
+    A, B = np.cumsum(A)[:-1], np.cumsum(np.cumsum(B)[:-1])[:-1]
+    Q = 2 * np.polymul(np.polyder(A), B) - np.polymul(A, np.polyder(B))
+    dQ = np.polyder(Q)
+
+    def polish(c):
+        for _ in range(2):
+            x = math.exp(-c)
+            c += 2 * np.polyval(B, x) ** 2 * slope(c) / (x * x * np.polyval(A, x) * np.polyval(dQ, x))
+        return c
+
+    xs = np.roots(Q)
+    xs = xs[xs.imag == 0].real
+    xs = xs[(math.exp(-100) < xs) & (xs < math.exp(-1e-3))]
+    roots = [polish(-math.log(x)) for x in xs[np.polyval(A, xs) * np.polyval(dQ, xs) < 0]]
+    c = float(min(roots or np.geomspace(1e-3, 1e2, 51), key=sse))
     a, b, r = project(c)
     residual = float(np.sqrt(np.mean(r**2)))
     flagged = not roots or residual > RESIDUAL_THRESHOLD

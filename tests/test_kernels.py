@@ -33,12 +33,12 @@ def test_moment_accumulate_matches_kron_oracle(rng):
 
 
 def _direct_sym_blocks(psi, w, k):
-    """sum_b w_b v_b v_b^+ per ROW_BLOCK rows, v_b[alpha] = coef_alpha prod_i psi_b[idx[alpha, i]]
+    """sum_b w_b v_b v_b^+ per block_rows(D) rows, v_b[alpha] = coef_alpha prod_i psi_b[idx[alpha, i]]
     built row by row from the digits, D-major as the kernel holds them."""
     basis = sym_basis(psi.shape[1], k)
     D = len(basis.coef)
     out = np.zeros((D, D), dtype=complex)
-    rows = min(kernels.ROW_BLOCK, max(1, kernels.BLOCK_ENTRIES // D))
+    rows = kernels.block_rows(D)
     for lo in range(0, len(psi), rows):
         blk = psi[lo : lo + rows].T
         v = blk[basis.idx[:, 0]]

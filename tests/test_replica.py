@@ -337,38 +337,58 @@ def test_extrapolation_flags_degenerate():
         extrapolate_to_physical([(0, 1.0), (1, 0.5), (2, -0.1)], 2)
 
 
-def test_brent_matches_reference_brentq():
-    brentq = pytest.importorskip("scipy.optimize").brentq
-    cases = [
-        (lambda x: x**3 - 2, 0.0, 3.0),
-        (lambda x: math.cos(x) - x, 0.0, 1.0),
-        (lambda x: math.exp(-x) - 0.3, 0.0, 5.0),
-        (lambda x: x * x - 1, -2.0, 0.0),
-        (lambda x: x * x - 1, 0.0, 1.0),  # root at the bracket end
-    ]
-    # the fit's own bracketed slopes, on a series from the engine
-    series = deviation_series(spec(2, 0, 3), 4)
+def test_extrapolation_refuses_non_integer_n():
+    # the fit's polynomial in x = exp(-c) needs integer n in 0..MAX_DEGREE
+    for bad in (0.5, -1, 9):
+        series = [(0, 1.0), (1, 0.5), (2, 0.3), (bad, 0.2)]
+        with pytest.raises(ReplicaError, match="integer n"):
+            extrapolate_to_physical(series, 2)
+
+
+def _sse_on(series, cs):
+    """Least-squares residual of log2(norm) = a + b exp(-c n) at each c in cs."""
     ns = np.array([float(n) for n, _ in series])
-    y_c = np.log2([v for _, v in series])
-    y_c = y_c - y_c.mean()
+    y = np.log2([v for _, v in series])
+    y_c = y - y.mean()
+    phi = np.exp(-np.outer(cs, ns))
+    phi_c = phi - phi.mean(axis=1, keepdims=True)
+    b = (phi_c @ y_c) / np.einsum("ij,ij->i", phi_c, phi_c)
+    r = y_c - b[:, None] * phi_c
+    return np.einsum("ij,ij->i", r, r), y_c @ y_c
 
-    def slope(c):
-        phi = np.exp(-c * ns)
-        phi_c = phi - phi.mean()
-        b = (phi_c @ y_c) / (phi_c @ phi_c)
-        return b * ((y_c - b * phi_c) @ (ns * phi))
 
-    grid = np.geomspace(1e-3, 1e2, 51)
-    cases += [(slope, lo, hi) for lo, hi in zip(grid, grid[1:])
-              if slope(lo) < 0 <= slope(hi)]
-    assert len(cases) > 5
-    for f, lo, hi in cases:
-        assert replica._brent(f, lo, hi) == brentq(f, lo, hi, xtol=1e-300)
-    # a jump at 0: bisection toward a root at 0 with xtol 1e-300 needs ~1000 steps
-    with pytest.raises(ReplicaError, match="did not converge"):
-        replica._brent(lambda x: -1.0 if x < 0 else 1.0, -1.0, 2.0)
-    with pytest.raises(ReplicaError, match="different signs"):
-        replica._brent(lambda x: x * x + 1, -1.0, 1.0)
+def test_extrapolation_reaches_least_minimum():
+    # every unflagged fit sits at a minimum, and no dip of the residual on a dense
+    # c grid over the fit's window is lower, so no minimum is lost (say, to a
+    # near-double root of the fit's polynomial that comes out complex).  A dip is
+    # a grid minimum that lies clearly below the points ten steps to either side:
+    # far out in c the residual flattens toward that of fitting n = 0 alone, and
+    # its rounding makes minima there that no fit may take
+    grid = np.geomspace(1e-3, 1e2, 20001)
+    cases = [(k, deviation_series(spec(k, 0, t, bc=bc), 6 - k))
+             for bc in ("pbc", "obc") for k in (2, 3, 4) for t in (2, 3, 4, 5)]
+    # noisy synthetic series, fitted at k = 1 so the estimate stays finite at any c
+    rng = np.random.default_rng(2024)
+    for _ in range(1000):
+        ns = np.arange(rng.integers(2, 8) + 1)
+        c = np.exp(rng.uniform(np.log(0.02), np.log(20)))
+        b = rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(-3, 2))
+        noise = 10 ** rng.uniform(-6, -0.5)
+        y = rng.normal(0, 3) + b * np.exp(-c * ns) + rng.normal(0, noise, ns.size)
+        cases.append((1, [(int(n), float(2.0**v)) for n, v in zip(ns, y)]))
+    unflagged = 0
+    for k, series in cases:
+        fit = extrapolate_to_physical(series, k)
+        if fit.flagged:
+            continue
+        unflagged += 1
+        sse, scale = _sse_on(series, grid)
+        at_fit, *beside = _sse_on(series, [fit.c, fit.c * (1 - 1e-3), fit.c * (1 + 1e-3)])[0]
+        mid, lo, hi = sse[10:-10], sse[:-20], sse[20:]
+        dips = mid[(mid <= sse[9:-11]) & (mid <= sse[11:-9]) & (mid < np.minimum(lo, hi) - 1e-12 * scale)]
+        assert at_fit <= min(beside) + 1e-15 * scale, (series, fit.c)
+        assert at_fit <= dips.min(initial=np.inf) * (1 + 1e-9) + 1e-15 * scale, (series, fit.c)
+    assert unflagged > 800
 
 
 def test_rate_estimate():
