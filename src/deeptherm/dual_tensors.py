@@ -1,15 +1,19 @@
 """Space-time-dual tensors of the self-dual kicked Ising circuit.
 
-The three-index tensor W[sigma, tau, tau'] maps two temporal bond registers
-to the spatial subsystem register.  It is built operationally: simulate the
-subsystem columns of the circuit for t steps with the straddling ZZ gates
-cut open.  A diagonal two-site gate splits exactly as
+Each site column of the circuit, read sideways with its ZZ gates cut open,
+is a map on the t temporal qubits.  A diagonal two-site gate splits as
 
-    exp(-i J Z (x) Z) = sum_b |b><b|_bath (x) exp(-i J (1-2b) Z)_subsystem,
+    exp(-i J Z (x) Z) = sum_b |b><b|_left (x) exp(-i J (1-2b) Z)_right,
 
-so the subsystem side collects bond-indexed phase gates (one per step and
-side) while the bath side collects projectors; contracting the two halves
-reproduces exact projected amplitudes with no leftover scalar.
+so a column with |+> at the bottom and <z| at the top is its dual site layer
+T(z)[tau_out, tau_in]: the bond toward tau_in enters as phase gates, the bond
+toward tau_out as projectors.  At the self-dual point each layer is
+proportional to a unitary.  A bath segment's temporal map U(z) is the product
+of its sites' layers.  The three-index tensor W[sigma, tau_left, tau_right],
+from two temporal bond registers to the subsystem register, is the same
+product over the subsystem sites for the bits of sigma, transposed to
+(tau_left, s) and closed on the right bond by its ZZ phases
+F[s, tau_right] = exp(-i j (t - 2 popcount(s xor tau_right))).
 
 W at the minimal depth t0 = ceil(n_a/2) plays the role of the reduced
 tensor: every consumer contracts it between objects invariant under unitary
@@ -40,24 +44,6 @@ def kick_matrix(h: float) -> np.ndarray:
     return np.array([[np.cos(h), -np.sin(h)], [np.sin(h), np.cos(h)]], dtype=complex)
 
 
-def spin_table(n: int) -> np.ndarray:
-    """spins[i, x] = 1 - 2*bit_i(x) over x in 0..2^n-1, bit 0 most significant."""
-    x = np.arange(2**n)
-    spins = np.empty((n, 2**n))
-    for i in range(n):
-        spins[i] = 1.0 - 2.0 * ((x >> (n - 1 - i)) & 1)
-    return spins
-
-
-def _apply_kick_all(S: np.ndarray, n_sites: int, K: np.ndarray) -> np.ndarray:
-    """Kick every site axis of S, whose leading axes are n_sites qubit axes."""
-    for i in range(n_sites):
-        S = np.moveaxis(S, i, -1)
-        S = S @ K.T
-        S = np.moveaxis(S, -1, i)
-    return S
-
-
 @dataclass(frozen=True)
 class WTensor:
     """data[sigma, tau_left, tau_right] with sigma on 2^n_a, tau on 2^t_legs."""
@@ -73,44 +59,20 @@ class WTensor:
         return float(np.abs(G - c * np.eye(2**self.n_a)).max())
 
 
-def build_wprime(
-    n_a: int,
-    t: int,
-    g: float,
-    j: float = PI4,
-    h: float = PI4,
-    normalize: bool = True,
-) -> WTensor:
-    """Contract the subsystem-column network for t steps, bond legs open.
-
-    Bottom legs are fixed to |+>^n_a, top legs read out <sigma|; the t left
-    and t right bond legs stay open.  With normalize=True the tensor is
-    rescaled so its isometry constant is 1.
-    """
+def build_wprime(n_a: int, t: int, g: float, j: float = PI4, h: float = PI4) -> WTensor:
+    """W at depth t from the dual layers (module docstring), site 0 the most
+    significant bit of sigma, rescaled so its isometry constant is 1."""
     if n_a < 1 or t < min_depth(n_a):
         raise ValueError(f"need n_a >= 1 and t >= ceil(n_a/2), got n_a={n_a}, t={t}")
     if n_a > 4 or t > 6:
-        raise ValueError("dense contraction limited to n_a <= 4, t <= 6")
-    dA, T = 2**n_a, 2**t
-    S = np.full((dA, T, T), 2.0 ** (-n_a / 2), dtype=complex)
-    spins = spin_table(n_a)
-    energy = g * spins.sum(axis=0)
-    for i in range(n_a - 1):
-        energy = energy + j * spins[i] * spins[i + 1]
-    interior_phase = np.exp(-1j * energy)
-    K = kick_matrix(h)
-    tau = np.arange(T)
-    for step in range(t):
-        bond_spin = 1.0 - 2.0 * ((tau >> (t - 1 - step)) & 1)  # step 0 = MSB of tau
-        S *= interior_phase[:, None, None]
-        S *= np.exp(-1j * j * spins[0][:, None, None] * bond_spin[None, :, None])
-        S *= np.exp(-1j * j * spins[n_a - 1][:, None, None] * bond_spin[None, None, :])
-        S = _apply_kick_all(S.reshape((2,) * n_a + (T, T)), n_a, K).reshape(dA, T, T)
-    M = S.reshape(dA, -1)
-    c = float(np.mean(np.einsum("ij,ij->i", M, M.conj()).real))
-    if normalize:
-        S = S / np.sqrt(c)
-    return WTensor(n_a=n_a, t_legs=t, data=S)
+        raise ValueError("W limited to n_a <= 4, t <= 6")
+    sigma, tau = np.arange(2**n_a), np.arange(2**t)
+    M = bath_side_unitary((sigma[:, None] >> np.arange(n_a - 1, -1, -1)) & 1, t, g, j=j, h=h)
+    # popcount is uint8: subtracting it from t in integers would wrap
+    S = np.swapaxes(M, 1, 2) @ np.exp(-1j * j * (t - 2.0 * np.bitwise_count(tau[:, None] ^ tau)))
+    rows = S.reshape(2**n_a, -1)
+    c = float(np.mean(np.einsum("ij,ij->i", rows, rows.conj()).real))
+    return WTensor(n_a=n_a, t_legs=t, data=S / np.sqrt(c))
 
 
 # The one coupling g of W: W(g') = V W(g) with V unitary (n_a = 1, 2, 4), so no
@@ -178,11 +140,13 @@ def dual_site_layer(z: int, t: int, g: float, j: float = PI4, h: float = PI4) ->
 
 
 def bath_side_unitary(zs, t: int, g: float, j: float = PI4, h: float = PI4) -> np.ndarray:
-    """Temporal map U(z) of a bath segment: product of per-site dual layers."""
-    layers = {b: dual_site_layer(b, t, g, j=j, h=h) for b in (0, 1)}
-    U = np.eye(2**t, dtype=complex)
-    for z in zs:
-        U = layers[z] @ U
+    """Temporal maps U(z) = T(z_{L-1}) ... T(z_0) of L site columns, batched over
+    the leading axes of zs (outcome bits in its last axis)."""
+    layers = np.stack([dual_site_layer(b, t, g, j=j, h=h) for b in (0, 1)])
+    zs = np.asarray(zs)
+    U = np.broadcast_to(np.eye(2**t, dtype=complex), zs.shape[:-1] + (2**t, 2**t))
+    for i in range(zs.shape[-1]):
+        U = layers[zs[..., i]] @ U
     return U
 
 

@@ -5,8 +5,9 @@ and H_Ising the nearest-neighbour ZZ chain plus longitudinal field (plus
 boundary fields for open boundaries).  All Ising terms commute, so the
 Ising factor is applied as one exact diagonal phase vector.  The kick is the
 same 2x2 matrix K on every site, so U_h = K^{(x)n} factors over groups of up
-to KICK_GROUP neighbouring qubits: each group is one matrix product of
-K^{(x)w} (at most 64 x 64) with a reshape of the state.
+to KICK_GROUP neighbouring qubits: each group is one matrix product of a
+reshape of the state with K^{(x)w} (at most 64 x 64), which moves the group's
+bits to the end of the basis index.
 
 At the self-dual point |j| = |h| = pi/4 the reduced state of a bulk block
 of n_a qubits is exactly maximally mixed for every ceil(n_a/2) <= t below
@@ -172,25 +173,18 @@ def ising_phase_vector(cfg: KimConfig) -> np.ndarray:
 def apply_floquet(state: np.ndarray, cfg: KimConfig, phases: np.ndarray | None = None) -> np.ndarray:
     """One Floquet step U_h exp(-i H_Ising) on a 2^n statevector.
 
-    The Ising phases multiply the state; the kick K^{(x)n} is applied as one
-    matrix product per group of up to KICK_GROUP sites, with site 0 the most
-    significant bit: K^{(x)w} acts on the middle axis of the state reshaped
-    to (2^lo, 2^w, 2^rest) for the group of sites lo..lo+w-1.
+    The Ising phases multiply the state; the kick K^{(x)n} is one matrix
+    product per group of up to KICK_GROUP sites, which kicks the w leading
+    bits of the index and moves them to the end.  The widths sum to n, so
+    site 0 ends as the most significant bit again.
     """
     if phases is None:
         phases = ising_phase_vector(cfg)
     state = state * phases
     K = kick_matrix(cfg.h)
-    n = cfg.n
-    for lo in range(0, n, KICK_GROUP):
-        w = min(KICK_GROUP, n - lo)
-        Kc = kron_all([K] * w)
-        if lo == 0:
-            state = Kc @ state.reshape(2**w, -1)
-        elif lo + w == n:
-            state = state.reshape(-1, 2**w) @ Kc.T
-        else:
-            state = np.matmul(Kc, state.reshape(2**lo, 2**w, -1))
+    for lo in range(0, cfg.n, KICK_GROUP):
+        w = min(KICK_GROUP, cfg.n - lo)
+        state = state.reshape(2**w, -1).T @ kron_all([K] * w).T
     return state.reshape(-1)
 
 
@@ -330,23 +324,28 @@ def dual_unitary_ensemble_check(cfg: KimConfig, k: int) -> float:
     """Trace distance of the one-sided bath temporal-map ensemble to Haar.
 
     Builds U(z) for every outcome z of the bath segment to the right of the
-    subsystem, checks each is unitary, and returns
+    subsystem in one batched call, and returns
     || 2^-L sum_z (U(z) (x) U(z)*)^{(x)k} - int dU (U (x) U*)^{(x)k} ||_1.
+    A run above the memory budget raises ConfigError before allocating.
     """
     if k == 0:
         return 0.0
     L = cfg.n - cfg.n_a - cfg.offset
     if L < 1:
         raise ConfigError("bath side length must be >= 1")
-    if cfg.t > 6:
-        raise ConfigError("temporal register capped at t <= 6")
-    if 2 * cfg.t * k > 14:
-        raise ConfigError("replicated temporal space too large")
+    # with dim = 4^(t k), building the Haar moment peaks near five dim x dim
+    # complex arrays and the trace norm near six; the 2^L temporal maps, a
+    # gathered layer and a product each, and two 2^L x L bit arrays come on top
+    dim = 4 ** (cfg.t * k)
+    need = 16 * (7 * dim**2 + 3 * 2**L * 4**cfg.t + L * 2**L) + 2**20
+    if need > MEM_BUDGET_BYTES:
+        raise ConfigError(
+            f"designcheck at t={cfg.t}, k={k}, L={L} needs ~{need / 1e9:.1f} GB, above budget"
+        )
     haar = haar_unitary_moment(cfg.t, k)
     acc = np.zeros_like(haar)
-    for code in range(2**L):
-        zs = [(code >> (L - 1 - i)) & 1 for i in range(L)]
-        U = bath_side_unitary(zs, cfg.t, cfg.g, j=cfg.j, h=cfg.h)
+    zs = (np.arange(2**L)[:, None] >> np.arange(L - 1, -1, -1)) & 1
+    for U in bath_side_unitary(zs, cfg.t, cfg.g, j=cfg.j, h=cfg.h):
         M = np.kron(U, U.conj())
         acc += kron_all([M] * k)
     acc /= 2**L

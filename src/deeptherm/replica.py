@@ -309,9 +309,10 @@ RESIDUAL_THRESHOLD = 0.05  # log2 units
 
 
 def check_fit_points(n_points: int) -> None:
-    """Refuse a series too short for the three-parameter fit of extrapolate_to_physical."""
+    """Refuse a series with too few distinct n for the three-parameter fit of
+    extrapolate_to_physical."""
     if n_points < 3:
-        raise ReplicaError(f"extrapolation needs at least 3 points in n, got {n_points}")
+        raise ReplicaError(f"extrapolation needs at least 3 points in n, got {n_points} distinct n")
 
 
 def extrapolate_to_physical(series, k: int) -> ExtrapolationResult:
@@ -333,11 +334,12 @@ def extrapolate_to_physical(series, k: int) -> ExtrapolationResult:
     residual wins.  At three points it is the exact interpolant.
 
     Flagged when no minimum exists (a series that needs c <= 0, growing with
-    n, has none) or when the RMS residual exceeds RESIDUAL_THRESHOLD.
+    n, has none), when the RMS residual exceeds RESIDUAL_THRESHOLD, or when
+    the estimate leaves float range (0.0 or inf).
     """
     ns = np.array([float(n) for n, _ in series])
     vals = np.array([v for _, v in series])
-    check_fit_points(len(ns))
+    check_fit_points(len(np.unique(ns)))
     if np.any(ns != np.round(ns)) or ns.min() < 0 or ns.max() > MAX_DEGREE:
         raise ReplicaError(f"extrapolation needs integer n in 0..{MAX_DEGREE}")
     if np.any(vals <= 0):
@@ -398,8 +400,8 @@ def extrapolate_to_physical(series, k: int) -> ExtrapolationResult:
     c = float(min(roots or np.geomspace(1e-3, 1e2, 51), key=sse))
     a, b, r = project(c)
     residual = float(np.sqrt(np.mean(r**2)))
-    flagged = not roots or residual > RESIDUAL_THRESHOLD
     estimate = float(2.0 ** (a + b * np.exp(-c * target)))
+    flagged = not roots or residual > RESIDUAL_THRESHOLD or not 0.0 < estimate < math.inf
     return ExtrapolationResult(estimate, float(a), float(b), c, residual, flagged)
 
 

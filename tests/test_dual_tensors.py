@@ -15,10 +15,10 @@ from deeptherm.dual_tensors import (
     load_wtensor,
     min_depth,
     reduce_temporal_operator,
-    spin_table,
 )
 from deeptherm.kim import KimConfig, evolve
 from deeptherm.permgroup import cycle_count, enumerate_sym
+from dense_circuit import kick_all, spin_table
 
 G = 0.3
 
@@ -45,6 +45,51 @@ def test_wprime_shape_and_isometry_any_depth():
         build_wprime(2, 0, G)
 
 
+def _dense_wprime(n_a: int, t: int, g: float) -> np.ndarray:
+    """The subsystem columns contracted for t steps on a table of spins,
+    bond legs open, rescaled to isometry constant 1; oracle for build_wprime.
+
+    Bottom legs are fixed to |+>^n_a, top legs read out <sigma|; the left and
+    right straddling gates enter as phases of the bond spins.
+    """
+    j = np.pi / 4
+    dA, T = 2**n_a, 2**t
+    S = np.full((dA, T, T), 2.0 ** (-n_a / 2), dtype=complex)
+    spins = spin_table(n_a)
+    energy = g * spins.sum(axis=0)
+    for i in range(n_a - 1):
+        energy = energy + j * spins[i] * spins[i + 1]
+    interior_phase = np.exp(-1j * energy)
+    K = kick_matrix(np.pi / 4)
+    tau = np.arange(T)
+    for step in range(t):
+        bond_spin = 1.0 - 2.0 * ((tau >> (t - 1 - step)) & 1)  # step 0 = MSB of tau
+        S *= interior_phase[:, None, None]
+        S *= np.exp(-1j * j * spins[0][:, None, None] * bond_spin[None, :, None])
+        S *= np.exp(-1j * j * spins[n_a - 1][:, None, None] * bond_spin[None, None, :])
+        S = kick_all(S.reshape((2,) * n_a + (T, T)), n_a, K).reshape(dA, T, T)
+    M = S.reshape(dA, -1)
+    return S / np.sqrt(np.mean(np.einsum("ij,ij->i", M, M.conj()).real))
+
+
+@pytest.mark.parametrize("g", [0.3, 0.7])
+@pytest.mark.parametrize("n_a", [1, 2, 3, 4])
+def test_wprime_matches_dense_contraction(n_a, g):
+    # W from the dual site layers closed by the right bond's phases F; an F
+    # computed as t - 2 popcount in the popcount's uint8 wraps and fails here
+    for t in range(min_depth(n_a), 7):
+        assert np.abs(build_wprime(n_a, t, g).data - _dense_wprime(n_a, t, g)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n_a", [1, 2, 3, 4])
+def test_w_slices_proportional_to_unitaries(n_a):
+    # each W[sigma] is a product of dual layers and F, all unitary up to scale
+    for t in range(min_depth(n_a), min_depth(n_a) + 3):
+        T = 2**t
+        for ws in build_wprime(n_a, t, G).data:
+            assert np.abs(ws @ ws.conj().T - np.eye(T) / T).max() <= 1e-14
+
+
 def test_spin_table_matches_stacked_rows():
     for n in range(1, 13):
         x = np.arange(2**n)
@@ -59,8 +104,6 @@ def _bath_tensor(cfg: KimConfig, t: int):
 
     Returns B[z, tau, tau'] with z ordered as (left-bath bits, right-bath bits).
     """
-    from deeptherm.dual_tensors import _apply_kick_all
-
     n, n_a, off = cfg.n, cfg.n_a, cfg.offset
     nb = n - n_a
     T = 2**t
@@ -93,7 +136,7 @@ def _bath_tensor(cfg: KimConfig, t: int):
         B *= phases[:, None, None]
         B *= bits_left[:, None, None] == tl[None, :, None]
         B *= bits_right[:, None, None] == tl[None, None, :]
-        B = _apply_kick_all(B.reshape((2,) * nb + (T, T)), nb, K).reshape(2**nb, T, T)
+        B = kick_all(B.reshape((2,) * nb + (T, T)), nb, K).reshape(2**nb, T, T)
     # outcome bits back to physical (z1, z2) ordering
     phys = list(range(off)) + list(range(off + n_a, n))
     codes = np.zeros(2**nb, dtype=np.int64)
@@ -158,10 +201,12 @@ def test_wprime_time_factorization(n_a, m):
 
 
 def test_wprime_association_order_independent():
-    # batched tensor contraction vs per-bond-configuration scalar evolution
+    # batched tensor contraction vs per-bond-configuration scalar evolution,
+    # rescaled to isometry constant 1
     n_a, t = 2, 2
-    w = build_wprime(n_a, t, G, normalize=False)
+    w = build_wprime(n_a, t, G)
     K = kick_matrix(np.pi / 4)
+    scalar = np.empty_like(w.data)
     for tl, tr in it.product(range(2**t), repeat=2):
         v = np.full(4, 0.5, dtype=complex)
         spins = np.array([[1, 1, -1, -1], [1, -1, 1, -1]], dtype=float)
@@ -179,7 +224,9 @@ def test_wprime_association_order_independent():
             )
             v = v * phase
             v = (np.kron(K, K) @ v.reshape(4, 1)).ravel()
-        assert np.abs(v - w.data[:, tl, tr]).max() <= 1e-12
+        scalar[:, tl, tr] = v
+    scalar /= np.sqrt(np.sum(np.abs(scalar) ** 2) / 2**n_a)
+    assert np.abs(scalar - w.data).max() <= 1e-12
 
 
 def test_reduce_temporal_operator(rng):
@@ -248,6 +295,13 @@ def test_dual_site_layer_unitary():
             assert np.abs(u.conj().T @ u - np.eye(2**t)).max() <= 1e-12
 
 
+@pytest.mark.parametrize("coupling", [{"j": 0.5}, {"h": 0.5}])
+def test_wprime_refused_off_self_dual_point(coupling):
+    # away from |j| = |h| = pi/4 the dual layers are not unitary
+    with pytest.raises(TensorConventionError, match="dual site layer"):
+        build_wprime(2, 2, G, **coupling)
+
+
 def test_wtensor_dump_roundtrip(tmp_path, w2):
     path = tmp_path / "w.bin"
     dump_wtensor(w2, path)
@@ -261,8 +315,8 @@ def test_build_w_flags_convention_bugs(monkeypatch):
 
     orig = dtmod.build_wprime
 
-    def broken(n_a, t, g, j=np.pi / 4, h=np.pi / 4, normalize=True):
-        w = orig(n_a, t, g, j=j, h=h, normalize=normalize)
+    def broken(n_a, t, g, j=np.pi / 4, h=np.pi / 4):
+        w = orig(n_a, t, g, j=j, h=h)
         bad = w.data.copy()
         bad[0] *= 1.05  # breaks the isometry
         return dtmod.WTensor(n_a=w.n_a, t_legs=w.t_legs, data=bad)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import deeptherm.cli as cli
-from deeptherm.dual_tensors import build_w, kick_matrix, spin_table
+import deeptherm.kim as kim
+from deeptherm.dual_tensors import build_w, kick_matrix
 from deeptherm.kim import (
     P_FLOOR,
     ConfigError,
@@ -34,6 +35,7 @@ from deeptherm.montecarlo import McConfig, _batch_states, batch_plan, mc_moment
 from deeptherm.permgroup import enumerate_sym
 from deeptherm.records import read_csv
 from deeptherm.replica import ReplicaSpec, direct_double_sum, replica_moment
+from dense_circuit import kick_all, spin_table
 from fullspace import haar_moment_operator, permutation_operator, sym_compress, sym_embed
 
 G = 0.3
@@ -79,11 +81,7 @@ def test_build_floquet_unitary_and_special_cases():
 def _per_site_floquet(state, cfg, phases):
     """Reference Floquet step: the kick as one strided 2x2 matmul per site."""
     state = state * phases
-    K = kick_matrix(cfg.h)
-    for i in range(cfg.n):
-        st = np.moveaxis(state.reshape((2,) * cfg.n), i, -1) @ K.T
-        state = np.moveaxis(st, -1, i).reshape(-1)
-    return state
+    return kick_all(state.reshape((2,) * cfg.n), cfg.n, kick_matrix(cfg.h)).reshape(-1)
 
 
 # below, at and past the kick group width, with and without a remainder;
@@ -349,6 +347,23 @@ def test_dual_unitary_ensemble_check():
     d2 = dual_unitary_ensemble_check(KimConfig(n=4, n_a=2, t=2, a_offset=0, g=G), 1)
     d6 = dual_unitary_ensemble_check(KimConfig(n=8, n_a=2, t=2, a_offset=0, g=G), 1)
     assert d6 < d2
+
+
+# k=2: building the Haar moment peaks; k=1: the final trace norm does
+@pytest.mark.parametrize("t,k", [(2, 2), (5, 1)])
+def test_designcheck_byte_count_bounds_traced_peak(t, k, monkeypatch):
+    dual_unitary_ensemble_check(KimConfig(n=4, n_a=2, t=1, a_offset=0, g=G), k)  # first-use caches
+    cfg = KimConfig(n=6, n_a=2, t=t, a_offset=0, g=G)
+    tracemalloc.start()
+    try:
+        dual_unitary_ensemble_check(cfg, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the count is at least the peak: a budget one byte below it refuses the run
+    monkeypatch.setattr(kim, "MEM_BUDGET_BYTES", peak - 1)
+    with pytest.raises(ConfigError, match="above budget"):
+        dual_unitary_ensemble_check(cfg, k)
 
 
 def test_rdm_exactness_boundary_field_independent():

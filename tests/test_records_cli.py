@@ -403,6 +403,23 @@ def test_cli_designcheck(tmp_path, capsys):
     assert d[4] < d[2]
 
 
+def test_cli_designcheck_refuses_oversized_run_before_allocating(tmp_path, capsys, monkeypatch):
+    def admitted(*args, **kwargs):
+        raise AssertionError("passed the preflight")
+
+    monkeypatch.setattr(kim, "haar_unitary_moment", admitted)
+    out = str(tmp_path / "dc.csv")
+    # t=1, k=7: the Haar moment is 16384 x 16384 complex, 4.3 GB per array
+    assert main(["designcheck", "--t", "1", "--k", "7", "--out", out]) == 3
+    rec = json.loads(capsys.readouterr().err.strip())
+    assert rec["type"] == "ConfigError" and "above budget" in rec["error"]
+    assert not os.path.exists(out)
+    # the largest replicated temporal spaces still run, 4^(t k) = 4096
+    for t, k in ((1, 6), (2, 3), (3, 2), (6, 1)):
+        assert main(["designcheck", "--t", str(t), "--k", str(k), "--lengths", "6"]) == 3
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "passed the preflight"
+
+
 def test_cli_replica_multi_t_and_rates(tmp_path, capsys):
     out = str(tmp_path / "replica.csv")
     assert main(["replica", "--k", "2", "--nmax", "2", "--t", "2,3,4",

@@ -345,6 +345,24 @@ def test_extrapolation_refuses_non_integer_n():
             extrapolate_to_physical(series, 2)
 
 
+def test_extrapolation_refuses_fewer_than_three_distinct_n():
+    # three points, but one or two distinct n: no three-parameter fit exists
+    for series in ([(0, 1.0), (0, 2.0), (0, 3.0)], [(0, 1.0), (1, 2.0), (1, 3.0)]):
+        with pytest.raises(ReplicaError, match="got [12] distinct n"):
+            extrapolate_to_physical(series, 2)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_extrapolation_flags_estimate_out_of_float_range(sign):
+    # an exact series with c = 9.06: b e^(c (k-1)) puts the estimate at 2^(+-14886)
+    series = [(n, 2.0 ** (-3 + sign * 1.73 * np.exp(-9.06 * n))) for n in range(5)]
+    with np.errstate(over="ignore"):
+        fit = extrapolate_to_physical(series, 2)
+    assert fit.residual <= 1e-12
+    assert fit.estimate == (math.inf if sign > 0 else 0.0)
+    assert fit.flagged
+
+
 def _sse_on(series, cs):
     """Least-squares residual of log2(norm) = a + b exp(-c n) at each c in cs."""
     ns = np.array([float(n) for n, _ in series])
