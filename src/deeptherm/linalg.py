@@ -104,8 +104,9 @@ def sym_haar_distance(r: np.ndarray) -> float:
     difference r - I/D is diagonalized, so each term keeps its relative
     accuracy when lambda_i is close to 1/D.
     """
+    D = len(r)
     dev = (r + r.conj().T) / 2
-    dev[np.diag_indices_from(dev)] -= 1.0 / len(dev)
+    dev.flat[:: D + 1] -= 1.0 / D  # the diagonal of the fresh C-ordered array
     return float(np.abs(np.linalg.eigvalsh(dev)).sum())
 
 

@@ -8,9 +8,11 @@ temporal qubits,
 
 and accumulates weighted k-fold projector powers.  For obc, U and U' are
 independent Haar unitaries, so |u'> and |u> are two independent Haar-random
-states; they are drawn directly as normalized complex Gaussian vectors, and
-reduce(|u'><u|) is the product of their (kept x traced) reshapes, so no
-d x d operator is formed and a sample costs O(d).
+states: complex Gaussian vectors, normalized.  They are drawn as Gaussian
+vectors and left unnormalized; reduce(|u'><u|) is the product of their
+(kept x traced) reshapes, and psi~ is scaled by the inverse of their norms
+afterwards, so no normalized copy and no d x d operator is formed and a
+sample costs O(d).
 The physical moment uses weight <psi~|psi~>^(1-k); the integer-n replica
 surrogate uses weight <psi~|psi~>^n, whose trace normalization is exactly
 the ratio-estimator denominator mean <psi~|psi~>^(k+n).  W is built at
@@ -95,14 +97,25 @@ class McConfig:
         return 16 * D**2 * (batches + 1)
 
     def batch_bytes(self) -> int:
-        """Working set of the plan's largest batch of b samples, d = 2^t: about 4
-        complex b x d x d arrays for pbc (the Ginibre draw, its QR factors, the
-        phased unitaries), counted as 5; for obc the 2b states and their Gaussian
-        draws, about 4 complex b x d arrays, counted as 8, plus 64 entries per
-        sample for the reduced operators and projected states."""
+        """Working set of the plan's largest batch of b samples, d = 2^t.
+
+        Drawing the states: about 4 complex b x d x d arrays for pbc (the
+        Ginibre draw, its QR factors, the phased unitaries), counted as 5; for
+        obc the two real 2b x d Gaussian draws, their complex copy z, the
+        conjugated bra half of z (b x d), R (b x 4^t0) and psi~ (b x dA), all
+        complex but the draws.  Accumulating them: moment_accumulate's four
+        D x rows complex arrays at the top level, rows = min(block_rows(D), b),
+        as kim.exact_bytes counts them, and two D x D ones, the batch's sum
+        (kept_bytes counts it too) and the GEMM's product.
+        """
         b = max(chain.from_iterable(batch_plan(self.resolved_checkpoints())))
-        d = 2**self.t
-        return 16 * b * (5 * d * d if self.bc == "pbc" else 8 * d + 64)
+        d, da = 2**self.t, 2**self.n_a
+        D = math.comb(da + self.k - 1, self.k)
+        if self.bc == "pbc":
+            states = 5 * d * d
+        else:  # the draws and z 2d each, the conjugated bras d, R and psi~
+            states = 5 * d + 4 ** min_depth(self.n_a) + da
+        return 16 * b * states + 4 * 16 * D * min(_kernels.block_rows(D), b) + 2 * 16 * D * D
 
     def resolved_checkpoints(self) -> tuple:
         if self.checkpoints:
@@ -158,12 +171,6 @@ def _haar_batch(rng: np.random.Generator, d: int, b: int) -> np.ndarray:
     return _kernels.haar_from_ginibre(z)
 
 
-def _haar_states(rng: np.random.Generator, d: int, b: int) -> np.ndarray:
-    """b Haar-random unit vectors in C^d: normalized complex Gaussian draws."""
-    z = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
-
-
 def _reduce_batch(mats: np.ndarray, t: int, t0: int) -> np.ndarray:
     d0, dr = 2**t0, 2 ** (t - t0)
     b = mats.shape[0]
@@ -186,17 +193,33 @@ def mc_projected_state(u: np.ndarray, u_prime: np.ndarray | None, bc: str, w: WT
 
 
 def _batch_states(cfg: McConfig, w: WTensor, batch_index: int, b: int) -> np.ndarray:
+    """The b projected states psi~ of batch batch_index, shape (b, dA).
+
+    obc draws 2b complex Gaussian vectors in C^d, the kets U'|0> then the
+    bras U|+>, real parts first; they are Haar states once normalized.  They
+    are kept unnormalized, batch last, and psi~ is scaled by 1/(|ket||bra|)
+    instead, which matters: a sample's weighted contribution scales as
+    <psi~|psi~>.  The result is a view of a (dA, b) array, the layout
+    moment_accumulate reads.
+    """
     rng = _batch_rng(cfg.seed, batch_index)
     d = 2**cfg.t
     if cfg.bc == "pbc":
         U = _haar_batch(rng, d, b)
-        R = _reduce_batch(U, cfg.t, w.t_legs)
-    else:
-        # unit norm matters: a sample's weighted contribution scales as <psi~|psi~>
-        states = _haar_states(rng, d, 2 * b).reshape(2, b, 2**w.t_legs, -1)
-        # U'|0> and U|+> as (kept, traced) legs: R = Tr_traced |ket><bra|
-        R = np.einsum("bir,bcr->bic", states[0], states[1].conj())
-    return np.einsum("sxy,byx->bs", w.data, R)
+        return np.einsum("sxy,byx->bs", w.data, _reduce_batch(U, cfg.t, w.t_legs))
+    re = rng.standard_normal((2 * b, d))
+    im = rng.standard_normal((2 * b, d))
+    nrm2 = np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
+    z = np.empty((d, 2 * b), dtype=complex)
+    z.real = re.T
+    z.imag = im.T
+    p = 2**w.t_legs
+    # kets and bras as (kept, traced, sample): R = Tr_traced |ket><bra|
+    kb = z.reshape(p, d // p, 2 * b)
+    R = np.einsum("irb,crb->icb", kb[:, :, :b], kb[:, :, b:].conj())
+    psi = w.data.transpose(0, 2, 1).reshape(len(w.data), p * p) @ R.reshape(p * p, b)
+    psi /= np.sqrt(nrm2[:b] * nrm2[b:])
+    return psi.T
 
 
 def _leave_one_out(nums: list, dens: list):

@@ -12,6 +12,7 @@ import pytest
 
 import deeptherm.montecarlo as montecarlo
 from deeptherm.cli import main
+from deeptherm.dual_tensors import build_w, min_depth
 from deeptherm.linalg import kron_all, sym_haar_distance, trace_norm
 from deeptherm.montecarlo import (
     BATCH,
@@ -19,8 +20,8 @@ from deeptherm.montecarlo import (
     McError,
     _batch_rng,
     _batch_states,
+    _batch_sum,
     _haar_batch,
-    _haar_states,
     _reduce_batch,
     _run_estimator,
     batch_plan,
@@ -29,10 +30,26 @@ from deeptherm.montecarlo import (
     mc_replica_check,
 )
 from deeptherm.permgroup import enumerate_sym
+from deeptherm.records import read_csv
 from deeptherm.replica import ReplicaSpec, replica_moment
 from fullspace import haar_moment_operator, permutation_operator, sym_embed
 
 G = 0.3
+
+
+def _haar_states(rng: np.random.Generator, d: int, b: int) -> np.ndarray:
+    """b Haar-random unit vectors in C^d: normalized complex Gaussian draws,
+    from the same two draws as _batch_states' obc branch."""
+    z = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _normalized_obc_batch_states(cfg, w, batch_index, b):
+    """obc projected states from normalized copies of the kets and bras."""
+    states = _haar_states(_batch_rng(cfg.seed, batch_index), 2**cfg.t, 2 * b)
+    states = states.reshape(2, b, 2**w.t_legs, -1)
+    R = np.einsum("bir,bcr->bic", states[0], states[1].conj())
+    return np.einsum("sxy,byx->bs", w.data, R)
 
 
 def test_config_validation():
@@ -57,10 +74,11 @@ def test_config_validation():
 
 
 def test_preflight_counts_sym_block_batch_sums(monkeypatch):
-    # 301 Sym^5 sums of 56 x 56 beside one pbc batch of 1000 8 x 8 unitaries:
-    # ~20 MB, where 301 full 1024 x 1024 sums would be ~5 GB
+    # 301 Sym^5 sums of 56 x 56 beside one pbc batch of 1000 8 x 8 unitaries
+    # and its 56 x 1000 accumulation rows: ~24 MB, where 301 full 1024 x 1024
+    # sums would be ~5 GB
     McConfig(k=5, t=3, n_a=2, samples=300_000)
-    need = 16 * 56**2 * 301 + 5 * 16 * 1000 * 8**2
+    need = 16 * 56**2 * 301 + 5 * 16 * 1000 * 8**2 + 4 * 16 * 56 * 1000 + 2 * 16 * 56**2
     monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", need - 1)
     with pytest.raises(McError, match="above budget"):
         McConfig(k=5, t=3, n_a=2, samples=300_000)
@@ -128,7 +146,7 @@ def test_result_independent_of_pool_width(monkeypatch, route):
 def test_pool_width_capped_by_memory_budget(monkeypatch):
     # every worker holds one batch: counted as 5 complex 1000 x d x d arrays
     # for pbc, so 3.5 GB fits ten pbc batches at t=6 but two at t=7; an obc
-    # batch is counted as 8 complex 1000 x d arrays and never caps the pool
+    # batch is counted as about 5 complex 1000 x d arrays and never caps the pool
     monkeypatch.setattr(montecarlo, "WORKERS", 8)
     assert montecarlo.pool_width(McConfig(k=1, t=6, n_a=1, samples=1000)) == 8
     assert montecarlo.pool_width(McConfig(k=1, t=7, n_a=1, samples=1000)) == 2
@@ -136,7 +154,8 @@ def test_pool_width_capped_by_memory_budget(monkeypatch):
     with pytest.raises(McError, match="above budget"):  # one pbc batch at t=9 is 21 GB
         McConfig(k=1, t=9, n_a=1, samples=1000)
     cfg = McConfig(k=1, t=6, n_a=1, samples=1000)
-    per_batch = 5 * 16 * montecarlo.BATCH * 4**6
+    # and beside the states, the accumulation rows and sums of Sym^1, D = 2
+    per_batch = 5 * 16 * montecarlo.BATCH * 4**6 + 4 * 16 * 2 * montecarlo.BATCH + 2 * 16 * 2**2
     monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", cfg.kept_bytes() + 3 * per_batch)
     assert montecarlo.pool_width(cfg) == 3
     monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", cfg.kept_bytes() + per_batch - 1)
@@ -167,6 +186,22 @@ def test_pool_width_capped_by_memory_budget(monkeypatch):
     np.testing.assert_array_equal(narrow.rho, wide.rho)
 
 
+@pytest.mark.parametrize("n_a,k,t,bc", [(3, 4, 2, "obc"), (2, 8, 1, "obc"), (2, 8, 2, "pbc"),
+                                        (2, 2, 3, "obc"), (2, 2, 3, "pbc")])
+def test_batch_bytes_bounds_traced_batch_peak(n_a, k, t, bc):
+    # at large D the accumulation rows, not the states, dominate a batch
+    cfg = McConfig(k=k, t=t, n_a=n_a, bc=bc, samples=BATCH, seed=3)
+    w = build_w(n_a)
+    _batch_sum(cfg, w, 1 - k, 0, BATCH)  # the basis caches are built once per process
+    tracemalloc.start()
+    try:
+        _batch_sum(cfg, w, 1 - k, 1, BATCH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cfg.batch_bytes() <= 2 * peak
+
+
 def test_batch_above_budget_refused_before_sampling(tmp_path, capsys, monkeypatch):
     # one pbc batch at t=8 is counted as 5 complex 1000 x 256 x 256 arrays,
     # ~5.2 GB: above the 3.5 GB budget alone, so no pool width could run it
@@ -180,8 +215,8 @@ def test_batch_above_budget_refused_before_sampling(tmp_path, capsys, monkeypatc
     rec = json.loads(capsys.readouterr().err.strip())
     assert rec["type"] == "McError" and "above budget" in rec["error"]
     assert not os.path.exists(out)
-    # an obc batch at t=10 is counted as 8 complex 1000 x 1024 arrays, ~0.13 GB,
-    # and fits: obc forms no d x d operator
+    # an obc batch at t=10 is counted as about 5 complex 1000 x 1024 arrays,
+    # ~0.08 GB, and fits: obc forms no d x d operator
     McConfig(k=1, t=10, n_a=1, bc="obc", samples=1000)
 
 
@@ -269,6 +304,39 @@ def test_obc_batch_matches_single_sample_oracle(w2, rng):
         assert np.abs(u @ plus - bra[i]).max() <= 1e-14
         psi, _ = mc_projected_state(u, u_prime, "obc", w2)
         np.testing.assert_allclose(psi, batch[i], atol=1e-13)
+
+
+@pytest.mark.parametrize("n_a", [1, 2, 3, 4])
+def test_obc_batch_matches_normalized_state_oracle(n_a):
+    # psi~ scaled by the draws' norms equals psi~ of the normalized states
+    w = build_w(n_a)
+    for t in range(min_depth(n_a), 9):
+        cfg = McConfig(k=2, t=t, n_a=n_a, bc="obc", samples=300, seed=41)
+        psi = _batch_states(cfg, w, 2, 300)
+        ref = _normalized_obc_batch_states(cfg, w, 2, 300)
+        assert psi.shape == ref.shape == (300, 2**n_a)
+        err = np.linalg.norm(psi - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert err.max() <= 1e-13, (t, err.max())
+
+
+def test_obc_csv_matches_normalized_state_reference(tmp_path, monkeypatch):
+    # obc keeps its stream: the same draws, in the same order, as the
+    # normalized-state path; only rounding differs
+    args = ["mc", "--k", "2", "--t", "3", "--bc", "obc", "--na", "2",
+            "--samples", "12000", "--seed", "5"]
+    out, ref = str(tmp_path / "out.csv"), str(tmp_path / "ref.csv")
+    assert main(args + ["--out", out]) == 0
+    monkeypatch.setattr(montecarlo, "_batch_states", _normalized_obc_batch_states)
+    assert main(args + ["--out", ref]) == 0
+    cols, rows = read_csv(out)
+    ref_cols, ref_rows = read_csv(ref)
+    assert cols == ref_cols and len(rows) == len(ref_rows) == 3
+    for row, ref_row in zip(rows, ref_rows):
+        for c in ("k", "t", "bc", "M_checkpoint", "converged_flag"):
+            assert row[cols.index(c)] == ref_row[cols.index(c)]
+        for c, rel in (("delta_k", 1e-12), ("stderr", 1e-9)):
+            a, b = (float(r[cols.index(c)]) for r in (row, ref_row))
+            assert a == pytest.approx(b, rel=rel, nan_ok=True), c
 
 
 def test_haar_states_unit_norm_and_moments():
