@@ -49,11 +49,12 @@ def _record(args, subcommand: str, out: str, columns, rows, params: dict) -> Non
 
 
 def cmd_weingarten(args) -> int:
+    perms = enumerate_sym(args.m)  # the CSV lists every permutation: m <= 8
     table = weingarten_table(args.m, args.d)
     if table.pseudo and not args.allow_singular:
         raise WeingartenConditioningError(args.m, args.d, table.cond)
     rows = []
-    for rank, p in enumerate(enumerate_sym(args.m)):
+    for rank, p in enumerate(perms):
         ct = "+".join(str(c) for c in p.cycle_type())
         rows.append([rank, ct, table.value(p)])
     _record(args, "weingarten", args.out, ["perm_rank", "cycle_type", "wg_value"], rows,

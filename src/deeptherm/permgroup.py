@@ -20,7 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-MAX_DEGREE = 8  # factorial growth: enumerate_sym lists m! = 40320 permutations at m = 8
+MAX_DEGREE = 14  # largest m of the replica sums and the Weingarten tables (135 classes at m = 14)
+MAX_ENUM_DEGREE = 8  # factorial growth: enumerate_sym lists m! = 40320 permutations at m = 8
 
 
 class DegreeError(ValueError):
@@ -88,8 +89,8 @@ class Permutation:
 
 def enumerate_sym(m: int) -> list:
     """All m! elements of S_m in lexicographic order of one-line form."""
-    if not 1 <= m <= MAX_DEGREE:
-        raise DegreeError(f"degree {m} outside supported range 1..{MAX_DEGREE}")
+    if not 1 <= m <= MAX_ENUM_DEGREE:
+        raise DegreeError(f"degree {m} outside supported range 1..{MAX_ENUM_DEGREE}")
     return [Permutation(p) for p in itertools.permutations(range(m))]
 
 
@@ -178,6 +179,13 @@ def _cells(lam: tuple):
     """(hook length, content) of every cell of the Young diagram of lam."""
     cols = [sum(row > j for row in lam) for j in range(lam[0])]
     return [(lam[i] - j + cols[j] - i - 1, j - i) for i in range(len(lam)) for j in range(lam[i])]
+
+
+def class_size(mu: tuple) -> int:
+    """|c| = m! / z_mu, the number of permutations of cycle type mu, with
+    z_mu = prod_i i^{a_i} a_i! over the multiplicities a_i of mu."""
+    z = math.prod(i ** mu.count(i) * math.factorial(mu.count(i)) for i in set(mu))
+    return math.factorial(sum(mu)) // z
 
 
 def irrep_dimension(lam: tuple) -> int:

@@ -13,18 +13,25 @@ and D(s, t) is a t-independent diagram: m copies of (W (x) W*) contracted
 between vectorized permutation states on the temporal legs, with the last n
 replica (ket, bra) pairs closed by maximally-entangled caps.
 
-The evaluation engine groups the double sum by the conjugacy class of
-s t^-1.  Writing s = c t and using the relabeling identities of the W-fold
-tensor, the inner sum over t collapses onto digit-multiset orbits of the
-replica index.  The engine works in orbit space, once per m, and never
-forms the m-fold W product K or indexes its dA^m replica codes: the orbit
-sums O of conj(K) grow one replica at a time over digit multisets; one
-member of each class permutes their a-legs; and W contracted mode by mode
-into multiset rows gives an (orbit x class x orbit) tensor P that serves
-every split m = k + n.  A class diagram at (k, n) is a D x D Sym^k block
-(linalg.sym_basis) gathered from P through the orbit of each row and
-column multiset joined with the caps'.  Class-resolved diagrams are cached
-and reweighted per (t, bc); their sum is the moment's block.
+The engine works in the boson Fock space of the q^2 temporal modes
+(q = 2^t0; mode v = a q + b pairs one a-leg with one b-leg).  Writing
+s = c t, the sum over t of the diagrams with s t^-1 in the class c is a
+class sum of a-leg permutations between the m-fold W product and its
+conjugate, both symmetric under permuting whole replicas.  On the symmetric
+subspace Sym^m(C^q (x) C^q) that class sum acts on the lam-isotypic part,
+lam a partition of m with at most q rows, as |c| chi_lam(c) / f_lam
+(Schur-Weyl duality; Collins & Sniady, CMP 264, 2006).  So the engine keeps
+one block per lam, floor(m/2) + 1 of them at N_A <= 2, not one per class.
+Sym^m(F), with F the (q^2 x dA) matrix of W, grows one digit at a time; the
+a-leg U(q) Casimir, block-diagonal in the a- and b-weights, gives the
+isotypic projectors Pi_lam by its eigenvalues; and the (orbit x orbit)
+blocks X_lam = Sym^m(F)^T Pi_lam Sym^m(conj F) serve every split m = k + n.
+A diagram at (k, n) is a D x D Sym^k block (linalg.sym_basis) gathered from
+X_lam through the multiset of each row and column joined with the caps'.
+The blocks are cached and weighted per (t, bc) by
+w_lam = sum_c f_bc(c) |c| chi_lam(c) / f_lam; their sum is the moment's
+block.  No element of S_m is enumerated, except by the oracle
+direct_double_sum.
 W is built at dual_tensors.W_COUPLING; no distance to Haar depends on the
 coupling (see there).
 """
@@ -34,18 +41,21 @@ import math
 import string
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import chain
+from itertools import combinations
 
 import numpy as np
 
+from ._kernels import _parent_rows
 from .dual_tensors import WTensor, build_w, min_depth
 from .linalg import MEM_BUDGET_BYTES, multiset_factorials, sym_basis, sym_haar_distance, sym_index
 from .permgroup import (
     MAX_DEGREE,
     Permutation,
-    conjugacy_classes,
+    character,
+    class_size,
     cycle_count,
     enumerate_sym,
+    irrep_dimension,
     partitions,
     weingarten_table,
 )
@@ -143,22 +153,48 @@ def diagram_term(sigma: Permutation, tau: Permutation, spec: ReplicaSpec, w: WTe
     return np.einsum(spec_str, *ops, optimize="greedy").reshape(dA**k, dA**k)
 
 
+def _isotypic_labels(q: int, m: int) -> dict:
+    """Casimir eigenvalue -> lam for the partitions lam of m with at most q rows.
+
+    The a-leg U(q) Casimir is sum_i lam_i (lam_i + q + 1 - 2i) on the lam
+    isotypic part; two lam with one value cannot be told apart by it, so
+    that (q, m) is refused (first at q = 4, m = 6: (3,1,1,1) and (2,2,2)).
+    """
+    out = {}
+    for lam in partitions(m):
+        if len(lam) > q:
+            continue
+        val = sum(p * (p + q + 1 - 2 * i) for i, p in enumerate(lam, start=1))
+        if val in out:
+            raise ReplicaError(f"at q={q}, m={m} the a-leg Casimir cannot separate "
+                               f"{out[val]} and {lam}: both have eigenvalue {val}")
+        out[val] = lam
+    return out
+
+
+def _n_isotypic(q: int, m: int) -> int:
+    return sum(len(lam) <= q for lam in partitions(m))
+
+
 def _estimate_engine_bytes(n_a: int, m: int) -> int:
-    """Peak bytes of _sagg_bundle: P (orbits x classes x orbits), and while one
-    class is contracted about four orbits x q^{2m} arrays (O, its permuted copy
-    or a mode product, that product's orbit sums, the merge's slices)."""
-    R, q2m = math.comb(2**n_a + m - 1, m), 2 ** (2 * m * min_depth(n_a))
-    return 16 * R * (len(partitions(m)) * R + 4 * q2m)
+    """Peak bytes of _sagg_bundle: about four Fock rows x orbits arrays (Sym^m(F)
+    while it grows, then with one size group's gather, eigenbasis rows and their
+    rows of one lam) and one orbits x orbits block per lam, plus the Casimir's
+    index arrays, about 8 m^2 integers per Fock row."""
+    q, R = 2 ** min_depth(n_a), math.comb(2**n_a + m - 1, m)
+    fock = math.comb(q * q + m - 1, m)
+    return 16 * (4 * fock * R + _n_isotypic(q, m) * R * R) + 64 * fock * m * m
 
 
 def _check_size(n_a: int, k: int, ns) -> None:
     """Refuse, before allocating, the moments at k and every n in ns with all results
-    cached: per n the engine (its peak bounds the cached P), one D x D block per class
-    and the D x D x D_n gather that makes it, then about eight blocks for the sum and checks."""
-    dA = 2**n_a
+    cached: per n the engine (its peak bounds the cached blocks), one D x D block per
+    lam and the D x D x D_n gather that makes it, then about eight blocks for the sum
+    and checks."""
+    dA, q = 2**n_a, 2 ** min_depth(n_a)
     block = 16 * math.comb(dA + k - 1, k) ** 2
     need = 8 * block + sum(_estimate_engine_bytes(n_a, k + n)
-                           + block * (len(partitions(k + n)) + 2 * math.comb(dA + n - 1, n))
+                           + block * (_n_isotypic(q, k + n) + 2 * math.comb(dA + n - 1, n))
                            for n in ns)
     if need > MEM_BUDGET_BYTES:
         m = k + max(ns, default=0)
@@ -174,104 +210,169 @@ def _unions(d: int, a: int, b: int) -> np.ndarray:
                            np.broadcast_to(y[None], shape + (b,))], axis=2)
 
 
-def _orbit_contract(T: np.ndarray, mat: np.ndarray, m: int) -> np.ndarray:
-    """X[o, l] = sum_{M in o} sum_i prod_j mat[M_j, i_j] T[l, i_1..i_m] for mat (d x r),
-    T with L rows of r^m entries (C order of its shape) and o in sym_basis(d, m) order.
+def _sym_power(F: np.ndarray, m: int) -> np.ndarray:
+    """Sym^m(F)[beta, alpha] = perm(F[beta, alpha]) / sqrt(alpha! beta!) for F (v x d),
+    rows sym_basis(v, m), columns sym_basis(d, m): F^(x)m in the orthonormal
+    multiset bases.
 
-    Each step is one GEMM on the last mode that writes its digit first (Kolda &
-    Bader, SIAM Rev. 51, 2009, sec. 2.5), and the digit joins the multiset of
-    those contracted before it, so there are never more rows than multisets.
+    Column alpha holds the coefficients of the polynomial prod_i L_{alpha_i}(x),
+    L_mu(x) = sum_v F[v, mu] x_v, whose x^beta coefficient is perm / beta!.  A
+    column is its parent's (alpha without its last digit, _kernels._parent_rows)
+    times the linear form of the last digit: x^beta times x_v lands on beta + v.
     """
-    L, (d, r) = len(T), mat.shape
-    T = T.reshape(1, -1)  # a copy when T is a permuted view, released after one step
-    for j in range(m):
-        Y = (mat @ T.reshape(-1, r).T).reshape(d, len(T), -1)
-        del T
-        T = np.zeros((math.comb(d + j, j + 1), Y.shape[2]), dtype=Y.dtype)
-        for mu, rows in enumerate(sym_index(_unions(d, j, 1), d).T):
-            T[rows] += Y[mu]
-        del Y
-    return T.reshape(-1, L)
+    v, d = F.shape
+    S = np.ones((1, 1), dtype=np.complex128)
+    for j in range(1, m + 1):
+        par = S[:, _parent_rows(d, j)]
+        del S
+        last = sym_basis(d, j).idx[:, -1]
+        S = np.zeros((math.comb(v + j - 1, j), len(last)), dtype=np.complex128)
+        for mode, rows in enumerate(sym_index(_unions(v, j - 1, 1), v).T):
+            S[rows] += par * F[mode, last]
+        del par
+    return S * np.sqrt(multiset_factorials(sym_basis(v, m).idx, v)[:, None]
+                       / multiset_factorials(sym_basis(d, m).idx, d))
+
+
+def _a_leg_casimir(q: int, m: int):
+    """Entries (rows, cols, vals) of C = q m 1 + 2 T on sym_basis(q*q, m), mode
+    v = a q + b, where T is the sum over position pairs of the a-leg transposition.
+
+    C is the U(q) Casimir sum_xy E_xy E_yx with E_xy = sum_b a+_(x,b) a_(y,b).
+    T commutes with the symmetrizer, so T|beta> = sum_{i<j} coef_beta / coef_gamma
+    |gamma>, gamma the multiset of beta's sorted code with the a-legs of positions
+    i and j swapped.  Entries of one (gamma, beta) add up.
+    """
+    basis = sym_basis(q * q, m)
+    a, b = np.divmod(basis.idx, q)
+    ar = np.arange(len(a))
+    rows, cols, vals = [ar], [ar], [np.full(len(a), float(q * m))]
+    for i, j in combinations(range(m), 2):
+        swapped = basis.idx.copy()
+        swapped[:, i], swapped[:, j] = a[:, j] * q + b[:, i], a[:, i] * q + b[:, j]
+        gamma = sym_index(swapped, q * q)
+        rows.append(gamma)
+        cols.append(ar)
+        vals.append(2 * basis.coef / basis.coef[gamma])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _casimir_blocks(q: int, m: int):
+    """C's blocks: the rows of sym_basis(q*q, m) with one multiset of a digits and
+    one of b digits, which C preserves.
+
+    Yields (rows, C_b) per block size s: rows (n_s, s) and the (n_s, s, s) blocks.
+    """
+    a, b = np.divmod(sym_basis(q * q, m).idx, q)
+    key = sym_index(a, q) * math.comb(q + m - 1, m) + sym_index(b, q)
+    order = np.argsort(key, kind="stable")
+    new = np.diff(key[order], prepend=-1) != 0
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.append(starts, len(order)))
+    block, local = np.empty_like(order), np.empty_like(order)
+    block[order] = np.cumsum(new) - 1
+    local[order] = np.arange(len(order)) - starts[block[order]]
+    rows, cols, vals = _a_leg_casimir(q, m)
+    for s in sorted(set(sizes.tolist())):
+        members = np.flatnonzero(sizes == s)
+        slot = np.full(len(sizes), -1)
+        slot[members] = np.arange(len(members))
+        at = slot[block[cols]]
+        keep = at >= 0
+        flat = (at[keep] * s + local[rows[keep]]) * s + local[cols[keep]]
+        C = np.bincount(flat, vals[keep], minlength=len(members) * s * s).reshape(-1, s, s)
+        yield order[starts[members][:, None] + np.arange(s)], C
 
 
 @lru_cache(maxsize=8)
 def _sagg_bundle(n_a: int, m: int):
-    """Orbit-space diagram halves for every class and every k split of one m.
+    """Diagram halves for every isotypic part and every k split of one m, in the
+    boson Fock space of the q^2 temporal modes.
 
-    Returns (order, P) with
+    Returns (order, X), X[l, r, o] the block of lam = order[l] on digit
+    multisets r, o (linalg.sym_basis(dA, m)):
 
-        P[r, c, o] = sum_s K[rep_r, s] * S_c[o, s],
-        S_c[o, (a, b)] = sum_{gamma in c} O[o, gamma(a), b],
+        X_lam = sqrt(|o| / |r|) [Sym^m(F)^T Pi_lam Sym^m(conj F)][r, o],
 
-    where K[M, (a, b)] = prod_j W[M_j, a_j, b_j] is the m-fold W product, O
-    the sum of conj(K) over the codes M of the digit multiset o, gamma(a) the
-    a-legs permuted by gamma, rep_r the sorted code of multiset r (r and o in
-    linalg.sym_basis(dA, m) order) and `order` the class order along c.
-    O does not change when its (a_j, b_j) pairs are permuted, so conjugating
-    gamma by pi moves a row M to pi(M); with c closed under conjugation, P's
-    row does not change when the digits of M are permuted, and
+    with F = W reshaped to (q^2 modes v = a q + b) x dA, |r| = m!/r! the codes
+    of r, and Pi_lam the spectral projector of the a-leg Casimir
+    (_a_leg_casimir) at lam's eigenvalue.  A class sum c of a-leg
+    permutations acts on lam's part as |c| chi_lam(c) / f_lam, so the
+    class-resolved halves of the permutation sum are
 
-        P[r, c, o] = |c| r! / m! * sum_{M in r} sum_s K[M, s] O[o, gamma_c(a), b]
+        P[r, c, o] = sum_lam |c| chi_lam(c) / f_lam X_lam[r, o],
 
-    for any one gamma_c in c (r! the multiset's factorials).  Neither K nor a
-    dA^m index is formed: O grows one replica at a time over digit multisets,
-    and the sum over M is _orbit_contract with W.
+    and replica_moment folds the class sum into one weight per lam.  C is
+    diagonalized block by block; its eigenvectors are real.
     """
+    q = 2 ** min_depth(n_a)
+    labels = _isotypic_labels(q, m)  # refuses an ambiguous Casimir before anything is built
+    order = tuple(sorted(labels.values()))
+    position = {val: order.index(lam) for val, lam in labels.items()}
     w = build_w(n_a)
-    dA, q = 2**n_a, 2 ** w.t_legs
-    wm = w.data.reshape(dA, q * q)
-    O = np.ones((1, 1), dtype=np.complex128)  # O[beta, (a_1 b_1 .. a_j b_j)], j = 0
-    for j in range(m):
-        grown = np.zeros((math.comb(dA + j, j + 1), O.shape[1] * q * q), dtype=np.complex128)
-        for mu, rows in enumerate(sym_index(_unions(dA, j, 1), dA).T):
-            grown[rows] += (O[:, :, None] * wm[mu].conj()).reshape(len(O), -1)
-        O = grown
-    R = len(O)
-    legs = O.reshape((R,) + (q,) * (2 * m))
-    scale = multiset_factorials(sym_basis(dA, m).idx, dA) / math.factorial(m)
-    classes = conjugacy_classes(m)
-    P = np.empty((R, len(classes), R), dtype=np.complex128)
-    for i, members in enumerate(classes.values()):
-        axes = chain.from_iterable((1 + 2 * g, 2 + 2 * j) for j, g in enumerate(members[0].images))
-        P[:, i] = (len(members) * scale)[:, None] * _orbit_contract(legs.transpose(0, *axes), wm, m)
-    return tuple(classes), P
+    dA = 2**n_a
+    G = _sym_power(w.data.reshape(dA, q * q).T, m)
+    coef = sym_basis(dA, m).coef
+    X = np.zeros((len(order), len(coef), len(coef)), dtype=np.complex128)
+    for rows, C in _casimir_blocks(q, m):
+        ev, V = np.linalg.eigh(C)
+        val = np.rint(ev)
+        if np.abs(ev - val).max() > 1e-6:
+            raise ReplicaError(f"a-leg Casimir at q={q}, m={m} has a non-integer eigenvalue")
+        lab = np.array([position[int(x)] for x in val.ravel()])
+        Y = (V.transpose(0, 2, 1) @ G[rows]).reshape(rows.size, -1)  # eigenbasis rows
+        for l in set(lab.tolist()):
+            part = Y[lab == l]
+            X[l] += part.T @ part.conj()
+    X *= coef / coef[:, None]
+    return order, X
 
 
 @lru_cache(maxsize=32)
 def class_diagram_terms(n_a: int, k: int, n: int):
-    """D x D Sym^k blocks of the capped diagram per conjugacy class of s t^-1
-    (t-independent), gathered from the bundle's P.
+    """D x D Sym^k blocks of the capped diagram per isotypic part lam of the
+    bundle (t-independent), gathered from its X.
 
     With alpha, beta k-digit and gamma n-digit multisets (the caps, n!/gamma!
     codes each) and orb the multiset of a union,
 
-        r_c[alpha, beta] = coef_alpha coef_beta sum_gamma (n!/gamma!) (beta u gamma)!
-                           P[orb(alpha u gamma), c, orb(beta u gamma)].
+        r_lam[alpha, beta] = coef_alpha coef_beta sum_gamma (n!/gamma!) (beta u gamma)!
+                             X_lam[orb(alpha u gamma), orb(beta u gamma)].
     """
     _check_size(n_a, k, (n,))
-    order, P = _sagg_bundle(n_a, k + n)
+    order, X = _sagg_bundle(n_a, k + n)
     dA = 2**n_a
     rows, joint = sym_basis(dA, k), _unions(dA, k, n)
     orb = sym_index(joint, dA)
     col = (rows.coef[:, None] * multiset_factorials(joint, dA)
            * (math.factorial(n) // multiset_factorials(sym_basis(dA, n).idx, dA)))
     return {
-        ct: rows.coef[:, None] * np.einsum("abg,bg->ab", P[orb[:, None], i, orb[None]], col)
-        for i, ct in enumerate(order)
+        lam: rows.coef[:, None] * np.einsum("abg,bg->ab", X[i][orb[:, None], orb[None]], col)
+        for i, lam in enumerate(order)
     }
+
+
+@lru_cache(maxsize=None)
+def _class_sum_eigenvalues(lam: tuple) -> tuple:
+    """(mu, |c| chi_lam(c) / f_lam) per class c of cycle type mu: the class sum of c
+    on lam's isotypic part."""
+    f = irrep_dimension(lam)
+    return tuple((mu, class_size(mu) * character(lam, mu) / f) for mu in partitions(sum(lam)))
+
+
+def _isotypic_weight(lam: tuple, spec: ReplicaSpec) -> float:
+    """w_lam = sum over classes c of prefactor(c) |c| chi_lam(c) / f_lam."""
+    return math.fsum(_prefactor_of_type(mu, spec) * x for mu, x in _class_sum_eigenvalues(lam))
 
 
 def replica_moment(spec: ReplicaSpec) -> np.ndarray:
     """The D x D Sym^k block of rho^(k,n), normalized to unit trace.
 
-    The class diagrams are Sym^k blocks, so their sum is one too; the trace,
-    Hermitian and PSD checks act on it.
+    The isotypic diagrams are Sym^k blocks, so their weighted sum is one too;
+    the trace, Hermitian and PSD checks act on it.
     """
     diagrams = class_diagram_terms(spec.n_a, spec.k, spec.n)
-    ident = tuple([1] * spec.m)
-    # off-diagonal classes first (fixed order), identity class last
-    order = sorted((ct for ct in diagrams if ct != ident)) + [ident]
-    raw = sum(_prefactor_of_type(ct, spec) * diagrams[ct] for ct in order)
+    raw = sum(_isotypic_weight(lam, spec) * diagrams[lam] for lam in sorted(diagrams))
     tr = np.trace(raw).real
     if tr <= 0:
         raise ReplicaError(f"replica sum numerically degenerate (trace {tr:.3e})")
@@ -339,7 +440,7 @@ def extrapolate_to_physical(series, k: int) -> ExtrapolationResult:
     """
     ns = np.array([float(n) for n, _ in series])
     vals = np.array([v for _, v in series])
-    check_fit_points(len(np.unique(ns)))
+    check_fit_points(len(set(ns.tolist())))
     if np.any(ns != np.round(ns)) or ns.min() < 0 or ns.max() > MAX_DEGREE:
         raise ReplicaError(f"extrapolation needs integer n in 0..{MAX_DEGREE}")
     if np.any(vals <= 0):

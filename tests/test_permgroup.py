@@ -12,6 +12,7 @@ from deeptherm.permgroup import (
     Permutation,
     _product_cycle_counts,
     character,
+    class_size,
     conjugacy_classes,
     cycle_count,
     enumerate_sym,
@@ -20,12 +21,6 @@ from deeptherm.permgroup import (
     partitions,
     weingarten_table,
 )
-
-
-def _class_size(mu):
-    """m! / z_mu, z_mu = prod_i i^{a_i} a_i! over the multiplicities a_i of mu."""
-    z = math.prod(i ** mu.count(i) * math.factorial(mu.count(i)) for i in set(mu))
-    return math.factorial(sum(mu)) // z
 
 
 def test_enumerate_sizes_and_order():
@@ -182,6 +177,8 @@ def test_conjugacy_class_sizes():
 def test_partitions_are_the_cycle_types():
     for m in range(1, 7):
         assert set(partitions(m)) == set(conjugacy_classes(m))
+        assert {mu: class_size(mu) for mu in partitions(m)} == {
+            ct: len(members) for ct, members in conjugacy_classes(m).items()}
     assert [len(partitions(m)) for m in range(1, 9)] == [1, 2, 3, 5, 7, 11, 15, 22]
 
 
@@ -194,7 +191,7 @@ def test_character_table_sanity(m):
     assert sum(irrep_dimension(lam) ** 2 for lam in lams) == math.factorial(m)
     # column orthogonality: sum_lam chi^lam(mu) chi^lam(nu) = delta_{mu nu} z_mu
     chi = np.array([[character(lam, mu) for mu in lams] for lam in lams], dtype=np.int64)
-    z = [math.factorial(m) // _class_size(mu) for mu in lams]
+    z = [math.factorial(m) // class_size(mu) for mu in lams]
     assert np.array_equal(chi.T @ chi, np.diag(z))
 
 
@@ -241,5 +238,5 @@ def test_weingarten_sum_over_group(m, d):
     # sum_s Wg(s, d) = 1 / (d (d+1) ... (d+m-1)): the identity row of G^-1 against
     # the all-ones vector, which G maps to d (d+1) ... (d+m-1) times itself
     table = weingarten_table(m, d)
-    total = sum(_class_size(mu) * table.value_of_type(mu) for mu in partitions(m))
+    total = sum(class_size(mu) * table.value_of_type(mu) for mu in partitions(m))
     assert total == pytest.approx(1 / math.prod(range(d, d + m)), rel=1e-12)

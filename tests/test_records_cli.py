@@ -204,8 +204,8 @@ def test_cli_error_record(tmp_path, capsys, monkeypatch):
         raise AssertionError("replica engine ran for a refused run")
 
     monkeypatch.setattr(replica, "_sagg_bundle", engine_fail)
-    # a replica sum the engine cannot hold (m = 5 at N_A = 3) is refused before any allocation
-    assert main(["replica", "--k", "2", "--nmax", "3", "--t", "2", "--na", "3", "--out", out]) == 3
+    # a replica sum the engine cannot hold (m = 6 at N_A = 3) is refused before any allocation
+    assert main(["replica", "--k", "2", "--nmax", "4", "--t", "2", "--na", "3", "--out", out]) == 3
     rec = json.loads(capsys.readouterr().err.strip())
     assert rec["type"] == "ReplicaError" and "above budget" in rec["error"]
     # a fit with fewer than 3 points in n is refused before any replica sum
@@ -433,16 +433,16 @@ def test_cli_replica_multi_t_and_rates(tmp_path, capsys):
 
 
 def test_cli_replica_refuses_non_hermitian_moment(tmp_path, capsys, monkeypatch):
-    # an anti-Hermitian part added to the identity-class block: the sum is
+    # an anti-Hermitian part added to the symmetric (m,) block: the sum is
     # still a Sym^2 block, but replica_moment's Hermitian check must fire
     engine = replica.class_diagram_terms
 
     def skewed(n_a, k, n):
         terms = dict(engine(n_a, k, n))
-        ident = tuple([1] * (k + n))
-        skew = np.zeros(terms[ident].shape)
+        sym = (k + n,)
+        skew = np.zeros(terms[sym].shape)
         skew[0, 1], skew[1, 0] = 1.0, -1.0
-        terms[ident] = terms[ident] + 1e-6 * np.abs(terms[ident]).max() * skew
+        terms[sym] = terms[sym] + 1e-6 * np.abs(terms[sym]).max() * skew
         return terms
 
     monkeypatch.setattr(replica, "class_diagram_terms", skewed)

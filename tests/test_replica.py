@@ -8,7 +8,7 @@ import pytest
 
 import deeptherm.replica as replica
 from deeptherm.dual_tensors import build_w
-from deeptherm.linalg import trace_norm
+from deeptherm.linalg import kron_all, partial_trace, sym_basis, trace_norm
 from deeptherm.permgroup import Permutation, conjugacy_classes, enumerate_sym
 from deeptherm.replica import (
     ReplicaError,
@@ -30,6 +30,7 @@ from fullspace import (
     sym_compress,
     sym_embed,
 )
+from orbit_bundle import orbit_bundle, per_class
 
 
 def spec(k, n, t, bc="pbc", n_a=2):
@@ -40,7 +41,7 @@ def test_spec_validation():
     with pytest.raises(ReplicaError):
         ReplicaSpec(k=0, n=1, t=2, n_a=2)
     with pytest.raises(ReplicaError):
-        ReplicaSpec(k=5, n=4, t=2, n_a=2)  # above hard cap
+        ReplicaSpec(k=5, n=10, t=2, n_a=2)  # above hard cap
     with pytest.raises(ReplicaError):
         ReplicaSpec(k=2, n=0, t=1, n_a=3)  # t below ceil(n_a/2)
 
@@ -171,30 +172,105 @@ def test_class_diagrams_match_dense_per_class_oracle(w2):
     dense = _dense_class_diagrams(w2, 5, splits)
     for k, n in splits:
         engine = class_diagram_terms(2, k, n)
-        assert engine.keys() == dense[(k, n)].keys()
         for ct, ref in dense[(k, n)].items():
             # each dense diagram lies in Sym^k, or sym_compress raises
             ref = sym_compress(ref, 4, k)
-            assert np.abs(engine[ct] - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.abs(per_class(engine, ct) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("n_a,m", [(1, 5), (2, 4)])
 def test_orbit_row_bundle_matches_full_rows(n_a, m):
     # P from the dense m-fold K, on every replica code M and with each class's full
-    # gather, equals the bundle's row of M's multiset: P is the same at every digit
-    # permutation of M, and one class member stands for the class
+    # gather, equals the class's block rebuilt from the isotypic blocks at the row of
+    # M's multiset: P is the same at every digit permutation of M
     w = build_w(n_a)
     dA, q = w.data.shape[0], w.data.shape[1]
     K = _build_kfold(w.data, m)
     orb, _, n_orbits = _orbit_structure(dA, m)
     O = np.zeros((n_orbits, q**m, q**m), dtype=complex)
     np.add.at(O, orb, K.conj())
-    order, P = replica._sagg_bundle(n_a, m)
-    assert P.shape == (n_orbits, len(order), n_orbits)
-    for i, members in enumerate(conjugacy_classes(m).values()):
+    order, X = replica._sagg_bundle(n_a, m)
+    assert X.shape == (len(order), n_orbits, n_orbits)
+    blocks = dict(zip(order, X))
+    for ct, members in conjugacy_classes(m).items():
         S = np.einsum("oyb,ya->oab", O, _class_gather(members, q, m))
         full = K.reshape(dA**m, -1) @ S.reshape(n_orbits, -1).T
-        assert np.abs(P[orb, i] - full).max() <= 1e-12 * np.abs(full).max()
+        assert np.abs(per_class(blocks, ct)[orb] - full).max() <= 1e-12 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("n_a,m", [(1, m) for m in range(1, 8)] + [(2, m) for m in range(1, 8)] + [(3, 4)])
+def test_isotypic_bundle_matches_orbit_engine(n_a, m):
+    # the Fock-space blocks, rebuilt per class, give the orbit engine's P
+    order, X = replica._sagg_bundle(n_a, m)
+    classes, P = orbit_bundle(n_a, m)
+    blocks = dict(zip(order, X))
+    for i, ct in enumerate(classes):
+        assert np.abs(per_class(blocks, ct) - P[:, i]).max() <= 1e-13 * np.abs(P).max()
+
+
+def _dense_casimir(q, m):
+    """sum_xy E_xy E_yx on (C^q x C^q)^(x)m, mode a q + b, E_xy = e_xy on every a-leg."""
+    one = np.eye(q * q)
+
+    def on_a_legs(x, y):
+        e = np.zeros((q, q))
+        e[x, y] = 1.0
+        site = np.kron(e, np.eye(q))
+        return sum(kron_all([site if j == i else one for j in range(m)]).real for i in range(m))
+
+    return sum(on_a_legs(x, y) @ on_a_legs(y, x) for x in range(q) for y in range(q))
+
+
+@pytest.mark.parametrize("q,m", [(2, 2), (2, 3), (2, 4), (4, 2)])
+def test_a_leg_casimir_matches_dense_first_quantized(q, m):
+    rows, cols, vals = replica._a_leg_casimir(q, m)
+    D = len(sym_basis(q * q, m).idx)
+    C = np.zeros((D, D))
+    np.add.at(C, (rows, cols), vals)
+    # C commutes with the symmetrizer, so its Sym^m block is that of sym C sym
+    sym = sum(permutation_operator(p, q * q) for p in enumerate_sym(m)) / math.factorial(m)
+    ref = sym_compress(sym @ _dense_casimir(q, m) @ sym, q * q, m)
+    assert np.abs(C - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the blocks hold every entry, and each eigenvalue is a lam's
+    blocks = np.zeros((D, D))
+    for idx, Cb in replica._casimir_blocks(q, m):
+        blocks[idx[:, :, None], idx[:, None, :]] = Cb
+        ev = np.linalg.eigvalsh(Cb).ravel()
+        assert set(np.rint(ev).astype(int)) <= set(replica._isotypic_labels(q, m))
+    assert np.array_equal(blocks, C)
+
+
+@pytest.mark.parametrize("m,t", [(2, 2), (3, 3), (4, 2), (5, 4), (6, 3)])
+def test_obc_isotypic_weight_is_hook_content(m, t):
+    # sum_c Q^#c |c| chi_lam(c) / f_lam = m! s_lam(1^Q) / f_lam = prod_cells (Q + content)
+    sp = spec(1, m - 1, t, bc="obc")
+    Q, den = 2 ** (t - 1), np.prod([2.0**t + j for j in range(m)])
+    for lam in replica._isotypic_labels(2, m).values():
+        hook = np.prod([Q + j - i for i in range(len(lam)) for j in range(lam[i])]) / den**2
+        assert replica._isotypic_weight(lam, sp) == pytest.approx(hook, rel=1e-13)
+
+
+def test_ambiguous_casimir_refused_before_building(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("engine ran for a refused size")
+
+    monkeypatch.setattr(replica, "build_w", fail)
+    monkeypatch.setattr(replica, "_sym_power", fail)
+    # q = 4 (N_A = 3), m = 6: (3,1,1,1) and (2,2,2) share the Casimir eigenvalue 30
+    with pytest.raises(ReplicaError, match="cannot separate"):
+        replica._sagg_bundle.__wrapped__(3, 6)
+    assert len(replica._isotypic_labels(4, 5)) == 6
+    assert len(replica._isotypic_labels(2, 14)) == 8
+
+
+@pytest.mark.parametrize("bc", ["pbc", "obc"])
+@pytest.mark.parametrize("k,n,t", [(1, 3, 3), (2, 1, 2), (2, 2, 3), (3, 1, 2)])
+def test_marginal_of_one_more_open_replica(k, n, t, bc):
+    # rho^(k+1, n) traced over its last replica is rho^(k, n+1): both are the same
+    # (k+n+1)-replica sum with one more replica capped
+    wide = sym_embed(replica_moment(spec(k + 1, n, t, bc=bc)), 4, k + 1)
+    traced = sym_compress(partial_trace(wide, [4] * (k + 1), range(k)), 4, k)
+    assert np.abs(traced - replica_moment(spec(k, n + 1, t, bc=bc))).max() <= 1e-12
 
 
 def test_engine_refuses_oversized_m_before_building(monkeypatch):
@@ -202,12 +278,14 @@ def test_engine_refuses_oversized_m_before_building(monkeypatch):
         raise AssertionError("engine ran for a refused size")
 
     monkeypatch.setattr(replica, "build_w", fail)
-    # m = 8 at N_A = 2 passes: P is 165 orbits x 22 classes x 165 orbits
-    assert replica._estimate_engine_bytes(2, 8) <= replica.MEM_BUDGET_BYTES
-    replica._check_size(2, 4, (4,))
-    # m = 5 at N_A = 3: 792 orbits x 4^10 temporal entries per array, ~53 GB
+    # m = 14 at N_A = 2 passes: Sym^14(F) is 680 x 680, with 8 isotypic blocks of 680 x 680
+    assert replica._estimate_engine_bytes(2, 14) <= replica.MEM_BUDGET_BYTES
+    replica._check_size(2, 4, (10,))
+    # m = 5 at N_A = 3 passes (15504 Fock rows x 792 orbits, ~0.9 GB)
+    replica._check_size(3, 2, (3,))
+    # m = 6 at N_A = 3: 54264 Fock rows x 1716 orbits per array, ~6 GB
     with pytest.raises(ReplicaError, match="above budget"):
-        class_diagram_terms(3, 2, 3)
+        class_diagram_terms(3, 2, 4)
 
 
 @pytest.mark.parametrize("m", [5, 6, 7])
@@ -226,13 +304,15 @@ def test_class_diagrams_at_large_k_refused_before_building(monkeypatch):
         raise AssertionError("engine ran for a refused size")
 
     monkeypatch.setattr(replica, "_sagg_bundle", fail)
-    # k = 6, n = 0 at N_A = 2 passes: 11 class blocks of 84 x 84
+    # k = 6, n = 0 at N_A = 2 passes: 4 isotypic blocks of 84 x 84
     replica._check_size(2, 6, (0,))
-    # k = 5, n = 0 at N_A = 3: the m = 5 engine alone needs ~53 GB
+    # k = 5, n = 0 at N_A = 3 passes
+    replica._check_size(3, 5, (0,))
+    # k = 6, n = 0 at N_A = 3: the m = 6 engine alone needs ~6 GB
     with pytest.raises(ReplicaError, match="above budget"):
-        deviation_series(ReplicaSpec(k=5, n=0, t=2, n_a=3), 0)
+        deviation_series(ReplicaSpec(k=6, n=0, t=2, n_a=3), 0)
     with pytest.raises(ReplicaError, match="above budget"):
-        replica_moment(ReplicaSpec(k=5, n=0, t=2, n_a=3))
+        replica_moment(ReplicaSpec(k=6, n=0, t=2, n_a=3))
 
 
 def test_k4_fit_over_four_points_reaches_m7():
@@ -339,7 +419,7 @@ def test_extrapolation_flags_degenerate():
 
 def test_extrapolation_refuses_non_integer_n():
     # the fit's polynomial in x = exp(-c) needs integer n in 0..MAX_DEGREE
-    for bad in (0.5, -1, 9):
+    for bad in (0.5, -1, 15):
         series = [(0, 1.0), (1, 0.5), (2, 0.3), (bad, 0.2)]
         with pytest.raises(ReplicaError, match="integer n"):
             extrapolate_to_physical(series, 2)
