@@ -185,12 +185,11 @@ def cmd_figure3(args) -> int:
 
 
 def cmd_designcheck(args) -> int:
-    # per bath length L: trace distance of the k-th moment of the bath temporal
-    # maps U(z), over all 2^L outcomes z, to the Haar unitary moment
-    rows = []
-    for L in _parse_tlist(args.lengths):
-        cfg = KimConfig(n=args.na + L, n_a=args.na, t=args.t, a_offset=0, g=args.g)
-        rows.append([L, args.t, dual_unitary_ensemble_check(cfg, args.k)])
+    # the distances depend on t, k, g and the lengths; the chain only validates na, g
+    lengths = _parse_tlist(args.lengths)
+    cfg = KimConfig(n=args.na + 1, n_a=args.na, t=args.t, a_offset=0, g=args.g)
+    dists = dual_unitary_ensemble_check(cfg, args.k, lengths)
+    rows = [[L, args.t, d] for L, d in zip(lengths, dists)]
     for L, t, d in rows:
         print(f"L={L} t={t} dist={d:.6e}")
     if args.out:

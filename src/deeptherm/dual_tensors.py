@@ -67,7 +67,10 @@ def build_wprime(n_a: int, t: int, g: float, j: float = PI4, h: float = PI4) -> 
     if n_a > 4 or t > 6:
         raise ValueError("W limited to n_a <= 4, t <= 6")
     sigma, tau = np.arange(2**n_a), np.arange(2**t)
-    M = bath_side_unitary((sigma[:, None] >> np.arange(n_a - 1, -1, -1)) & 1, t, g, j=j, h=h)
+    layers = np.stack([dual_site_layer(b, t, g, j=j, h=h) for b in (0, 1)])
+    M = np.eye(2**t, dtype=complex)
+    for i in range(n_a):  # M[sigma] = T(s_{n_a-1}) ... T(s_0), s_i the bit of site i
+        M = layers[(sigma >> (n_a - 1 - i)) & 1] @ M
     # popcount is uint8: subtracting it from t in integers would wrap
     S = np.swapaxes(M, 1, 2) @ np.exp(-1j * j * (t - 2.0 * np.bitwise_count(tau[:, None] ^ tau)))
     rows = S.reshape(2**n_a, -1)
@@ -137,17 +140,6 @@ def dual_site_layer(z: int, t: int, g: float, j: float = PI4, h: float = PI4) ->
     if defect > 1e-8:
         raise TensorConventionError(f"dual site layer not unitary (defect {defect:.2e})")
     return out
-
-
-def bath_side_unitary(zs, t: int, g: float, j: float = PI4, h: float = PI4) -> np.ndarray:
-    """Temporal maps U(z) = T(z_{L-1}) ... T(z_0) of L site columns, batched over
-    the leading axes of zs (outcome bits in its last axis)."""
-    layers = np.stack([dual_site_layer(b, t, g, j=j, h=h) for b in (0, 1)])
-    zs = np.asarray(zs)
-    U = np.broadcast_to(np.eye(2**t, dtype=complex), zs.shape[:-1] + (2**t, 2**t))
-    for i in range(zs.shape[-1]):
-        U = layers[zs[..., i]] @ U
-    return U
 
 
 def dump_wtensor(w: WTensor, path) -> None:

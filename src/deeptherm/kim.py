@@ -32,6 +32,16 @@ the block.  Only the tests embed a block in the replicated space.  The
 entanglement entropy comes from the eigenvalues of the block's reduced
 state, a 2^len x 2^len Gram matrix, not from an SVD of the 2^len x 2^rest
 amplitude matrix.
+
+The finite-bath check (dual_unitary_ensemble_check) compares the k-th moment
+of a bath segment's temporal maps U(z) = T(z_{L-1}) ... T(z_0) over its 2^L
+outcomes with the Haar moment Phi.  The bits z_i are independent, so that
+moment is S^L with S = 1/2 sum_b (T_b (x) T_b*)^{(x)k}.  Phi = V Wg V^+, with
+the k! permutation states as the columns of V and Wg[tau, sigma] =
+Wg(sigma tau^-1) (Moore-Penrose values when 2^t < k; Phi is still the
+projector onto their span).  Each layer fixes every permutation state, so
+S Phi = Phi S = Phi^2 = Phi and S^L - Phi = (S - Phi)^L: one GEMM and one
+trace norm per length.
 """
 from __future__ import annotations
 
@@ -41,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .dual_tensors import PI4, bath_side_unitary, kick_matrix
+from .dual_tensors import PI4, dual_site_layer, kick_matrix
 from .linalg import (
     MEM_BUDGET_BYTES,
     kron_all,
@@ -306,48 +316,43 @@ def reduced_density_matrix(state: np.ndarray, cfg: KimConfig) -> np.ndarray:
 
 
 def haar_unitary_moment(t: int, k: int) -> np.ndarray:
-    """int dU (U (x) U*)^{(x)k} on t qubits, from the Weingarten table."""
+    """Phi = int dU (U (x) U*)^{(x)k} on t qubits as V Wg V^+ (module docstring)."""
+    perms = enumerate_sym(k)
     table = weingarten_table(k, 2**t)
-    dim = (2**t) ** (2 * k)
-    out = np.zeros((dim, dim), dtype=complex)
-    for sig in enumerate_sym(k):
-        for tau in enumerate_sym(k):
-            wg = table.value(sig.compose(tau.inverse()))
-            out += wg * np.outer(
-                permutation_vector_state(tau, t),
-                permutation_vector_state(sig, t).conj(),
-            )
-    return out
+    V = np.stack([permutation_vector_state(p, t) for p in perms], axis=1)
+    wg = np.array([[table.value(sig.compose(tau.inverse())) for sig in perms] for tau in perms])
+    return (V @ wg) @ V.conj().T
 
 
-def dual_unitary_ensemble_check(cfg: KimConfig, k: int) -> float:
-    """Trace distance of the one-sided bath temporal-map ensemble to Haar.
+def bath_transfer_operator(t: int, k: int, g: float, j: float = PI4, h: float = PI4) -> np.ndarray:
+    """S = 1/2 sum_b (T_b (x) T_b*)^{(x)k} over the dual site layers T_b (module docstring)."""
+    layers = [dual_site_layer(b, t, g, j=j, h=h) for b in (0, 1)]
+    return sum(kron_all([np.kron(T, T.conj())] * k) for T in layers) / 2
 
-    Builds U(z) for every outcome z of the bath segment to the right of the
-    subsystem in one batched call, and returns
-    || 2^-L sum_z (U(z) (x) U(z)*)^{(x)k} - int dU (U (x) U*)^{(x)k} ||_1.
-    A run above the memory budget raises ConfigError before allocating.
-    """
-    if k == 0:
-        return 0.0
-    L = cfg.n - cfg.n_a - cfg.offset
-    if L < 1:
+
+def dual_unitary_ensemble_check(cfg: KimConfig, k: int, lengths) -> list[float]:
+    """|| S^L - Phi ||_1 = || (S - Phi)^L ||_1 per bath length L, in lengths order
+    (module docstring); only cfg.t, cfg.g, cfg.j and cfg.h enter.  A run above
+    the memory budget raises ConfigError before allocating."""
+    lengths = list(lengths)
+    if any(L < 1 for L in lengths):
         raise ConfigError("bath side length must be >= 1")
-    # with dim = 4^(t k), building the Haar moment peaks near five dim x dim
-    # complex arrays and the trace norm near six; the 2^L temporal maps, a
-    # gathered layer and a product each, and two 2^L x L bit arrays come on top
+    if k == 0 or not lengths:
+        return [0.0] * len(lengths)
+    # dim = 4^(t k): S - Phi and S while they are built, then S - Phi, the power
+    # and its successor or trace_norm's three temporaries; V, V Wg, V^+ are dim x k!
     dim = 4 ** (cfg.t * k)
-    need = 16 * (7 * dim**2 + 3 * 2**L * 4**cfg.t + L * 2**L) + 2**20
+    need = 16 * (5 * dim**2 + 3 * math.factorial(k) * dim) + 2**20
     if need > MEM_BUDGET_BYTES:
         raise ConfigError(
-            f"designcheck at t={cfg.t}, k={k}, L={L} needs ~{need / 1e9:.1f} GB, above budget"
+            f"designcheck at t={cfg.t}, k={k} needs ~{need / 1e9:.1f} GB, above budget"
         )
-    haar = haar_unitary_moment(cfg.t, k)
-    acc = np.zeros_like(haar)
-    zs = (np.arange(2**L)[:, None] >> np.arange(L - 1, -1, -1)) & 1
-    for U in bath_side_unitary(zs, cfg.t, cfg.g, j=cfg.j, h=cfg.h):
-        M = np.kron(U, U.conj())
-        acc += kron_all([M] * k)
-    acc /= 2**L
-    return trace_norm(acc - haar)
-
+    D = -haar_unitary_moment(cfg.t, k)
+    D += bath_transfer_operator(cfg.t, k, cfg.g, j=cfg.j, h=cfg.h)
+    A, power, dist = D, 1, {}
+    for L in sorted(set(lengths)):
+        for _ in range(L - power):
+            A = D @ A
+        power = L
+        dist[L] = trace_norm(A)
+    return [dist[L] for L in lengths]

@@ -213,6 +213,7 @@ def _batch_states(cfg: McConfig, w: WTensor, batch_index: int, b: int) -> np.nda
     z = np.empty((d, 2 * b), dtype=complex)
     z.real = re.T
     z.imag = im.T
+    del re, im
     p = 2**w.t_legs
     # kets and bras as (kept, traced, sample): R = Tr_traced |ket><bra|
     kb = z.reshape(p, d // p, 2 * b)

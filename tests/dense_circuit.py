@@ -1,13 +1,21 @@
 """Test helpers: the kicked Ising circuit on a table of spins and per-site kicks.
 
 The package reads the Ising phases from the bits of the basis index, kicks
-groups of sites with one GEMM each, and builds W and the bath's temporal maps
+groups of sites with one GEMM each, and builds W and the bath's transfer operator
 from the dual site layers.  The tests' dense oracles keep the plain forms: an
-n x 2^n table of spins and one 2x2 kick per site axis.
+n x 2^n table of spins and one 2x2 kick per site axis, the finite bath's
+moment as a sum over its 2^L outcomes, and the Haar unitary moment as a sum
+over pairs of permutations.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+
+from deeptherm.dual_tensors import dual_site_layer
+from deeptherm.linalg import kron_all, permutation_vector_state
+from deeptherm.permgroup import enumerate_sym, weingarten_table
 
 
 def spin_table(n: int) -> np.ndarray:
@@ -26,3 +34,32 @@ def kick_all(S: np.ndarray, n_sites: int, K: np.ndarray) -> np.ndarray:
         S = S @ K.T
         S = np.moveaxis(S, -1, i)
     return S
+
+
+def bath_moment_by_outcomes(t: int, k: int, g: float, L: int) -> np.ndarray:
+    """2^-L sum_z (U(z) (x) U(z)*)^{(x)k} with U(z) = T(z_{L-1}) ... T(z_0), one
+    temporal map and one k-fold Kronecker product per outcome z."""
+    layers = [dual_site_layer(b, t, g) for b in (0, 1)]
+    acc = 0
+    for z in itertools.product((0, 1), repeat=L):
+        U = np.eye(2**t, dtype=complex)
+        for b in z:
+            U = layers[b] @ U
+        acc = acc + kron_all([np.kron(U, U.conj())] * k)
+    return acc / 2**L
+
+
+def haar_unitary_moment_by_pairs(t: int, k: int) -> np.ndarray:
+    """int dU (U (x) U*)^{(x)k} on t qubits as
+    sum_{sigma, tau} Wg(sigma tau^-1) |P_t(tau)><P_t(sigma)|, one outer product per pair."""
+    table = weingarten_table(k, 2**t)
+    dim = (2**t) ** (2 * k)
+    out = np.zeros((dim, dim), dtype=complex)
+    for sig in enumerate_sym(k):
+        for tau in enumerate_sym(k):
+            wg = table.value(sig.compose(tau.inverse()))
+            out += wg * np.outer(
+                permutation_vector_state(tau, t),
+                permutation_vector_state(sig, t).conj(),
+            )
+    return out

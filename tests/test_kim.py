@@ -16,6 +16,7 @@ from deeptherm.kim import (
     ConfigError,
     KimConfig,
     apply_floquet,
+    bath_transfer_operator,
     build_floquet,
     delta_k,
     design_time,
@@ -24,18 +25,19 @@ from deeptherm.kim import (
     entanglement_entropy,
     evolve,
     exact_bytes,
+    haar_unitary_moment,
     ising_phase_vector,
     moment_from_state,
     moments_from_state,
     plus_state,
     reduced_density_matrix,
 )
-from deeptherm.linalg import partial_trace
+from deeptherm.linalg import partial_trace, trace_norm
 from deeptherm.montecarlo import McConfig, _batch_states, batch_plan, mc_moment
 from deeptherm.permgroup import enumerate_sym
 from deeptherm.records import read_csv
 from deeptherm.replica import ReplicaSpec, direct_double_sum, replica_moment
-from dense_circuit import kick_all, spin_table
+from dense_circuit import bath_moment_by_outcomes, haar_unitary_moment_by_pairs, kick_all, spin_table
 from fullspace import haar_moment_operator, permutation_operator, sym_compress, sym_embed
 
 G = 0.3
@@ -343,27 +345,54 @@ def test_entanglement_growth_and_saturation():
 
 def test_dual_unitary_ensemble_check():
     cfg = KimConfig(n=6, n_a=2, t=2, a_offset=0, g=G)
-    assert dual_unitary_ensemble_check(cfg, 0) == 0.0
-    d2 = dual_unitary_ensemble_check(KimConfig(n=4, n_a=2, t=2, a_offset=0, g=G), 1)
-    d6 = dual_unitary_ensemble_check(KimConfig(n=8, n_a=2, t=2, a_offset=0, g=G), 1)
+    assert dual_unitary_ensemble_check(cfg, 0, [4]) == [0.0]
+    d2, d6 = dual_unitary_ensemble_check(cfg, 1, [2, 6])
     assert d6 < d2
+    with pytest.raises(ConfigError, match="bath side length"):
+        dual_unitary_ensemble_check(cfg, 1, [2, 0])
 
 
-# k=2: building the Haar moment peaks; k=1: the final trace norm does
+@pytest.mark.parametrize("t,k", [(2, 1), (2, 2), (1, 3)])  # (1, 3): 2^t < k, pseudo-inverse Wg
+def test_ensemble_check_matches_outcome_enumeration(t, k):
+    lengths = range(1, 7)
+    dists = dual_unitary_ensemble_check(KimConfig(n=3, n_a=2, t=t, a_offset=0, g=G), k, lengths)
+    haar = haar_unitary_moment_by_pairs(t, k)
+    for L, d in zip(lengths, dists):
+        ref = trace_norm(bath_moment_by_outcomes(t, k, G, L) - haar)
+        assert abs(d - ref) <= max(1e-12 * abs(ref), 1e-13), (L, d, ref)
+
+
+@pytest.mark.parametrize("t,k", [(1, 2), (2, 2), (1, 3)])
+def test_haar_unitary_moment_is_the_transfer_operators_fixed_projector(t, k):
+    phi = haar_unitary_moment(t, k)
+    assert np.abs(phi - haar_unitary_moment_by_pairs(t, k)).max() <= 1e-13
+    S = bath_transfer_operator(t, k, G)
+    for lhs in (phi @ phi, S @ phi, phi @ S):
+        assert np.abs(lhs - phi).max() <= 1e-12
+
+
+def test_ensemble_check_reaches_long_baths_in_one_call():
+    # 2^24 outcomes at L = 24, out of the enumeration's reach; here 23 GEMMs by S - Phi
+    d = dual_unitary_ensemble_check(KimConfig(n=3, n_a=2, t=2, a_offset=0, g=G), 2, range(1, 25))
+    assert all(b <= a + 1e-9 for a, b in zip(d, d[1:]))
+    assert d[23] < d[5] / 10
+
+
+# the peak is about four dim x dim arrays, while S is built or in a trace norm; k=2 adds V
 @pytest.mark.parametrize("t,k", [(2, 2), (5, 1)])
 def test_designcheck_byte_count_bounds_traced_peak(t, k, monkeypatch):
-    dual_unitary_ensemble_check(KimConfig(n=4, n_a=2, t=1, a_offset=0, g=G), k)  # first-use caches
+    dual_unitary_ensemble_check(KimConfig(n=4, n_a=2, t=1, a_offset=0, g=G), k, [2])  # first-use caches
     cfg = KimConfig(n=6, n_a=2, t=t, a_offset=0, g=G)
     tracemalloc.start()
     try:
-        dual_unitary_ensemble_check(cfg, k)
+        dual_unitary_ensemble_check(cfg, k, [4])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the count is at least the peak: a budget one byte below it refuses the run
     monkeypatch.setattr(kim, "MEM_BUDGET_BYTES", peak - 1)
     with pytest.raises(ConfigError, match="above budget"):
-        dual_unitary_ensemble_check(cfg, k)
+        dual_unitary_ensemble_check(cfg, k, [4])
 
 
 def test_rdm_exactness_boundary_field_independent():

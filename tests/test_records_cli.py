@@ -403,6 +403,25 @@ def test_cli_designcheck(tmp_path, capsys):
     assert d[4] < d[2]
 
 
+@pytest.mark.parametrize("flag,value,match", [("--lengths", "0", "bath side length"),
+                                              ("--g", "0.0", "guard band")])
+def test_cli_designcheck_refuses_bad_length_or_coupling(tmp_path, capsys, flag, value, match):
+    out = str(tmp_path / "dc.csv")
+    assert main(["designcheck", flag, value, "--out", out]) == 3
+    rec = json.loads(capsys.readouterr().err.strip())
+    assert rec["type"] == "ConfigError" and match in rec["error"]
+    assert not os.path.exists(out)
+
+
+def test_cli_designcheck_keeps_repeated_unsorted_lengths(tmp_path, capsys):
+    out = str(tmp_path / "dc.csv")
+    assert main(["designcheck", "--lengths", "4,2,4", "--out", out]) == 0
+    cols, rows = read_csv(out)
+    assert [int(r[0]) for r in rows] == [4, 2, 4]
+    d = [float(r[2]) for r in rows]
+    assert d[0] == d[2] < d[1]
+
+
 def test_cli_designcheck_refuses_oversized_run_before_allocating(tmp_path, capsys, monkeypatch):
     def admitted(*args, **kwargs):
         raise AssertionError("passed the preflight")
