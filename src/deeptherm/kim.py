@@ -5,9 +5,10 @@ and H_Ising the nearest-neighbour ZZ chain plus longitudinal field (plus
 boundary fields for open boundaries).  All Ising terms commute, so the
 Ising factor is applied as one exact diagonal phase vector.  The kick is the
 same 2x2 matrix K on every site, so U_h = K^{(x)n} factors over groups of up
-to KICK_GROUP neighbouring qubits: each group is one matrix product of a
-reshape of the state with K^{(x)w} (at most 64 x 64), which moves the group's
-bits to the end of the basis index.
+to KICK_GROUP neighbouring qubits, the remainder group first.  Each group's
+K^{(x)w} (at most 64 x 64) is applied in place on the fixed (pre, 2^w, post)
+view of the state, one chunk of about CHUNK entries at a time through a
+reused buffer; no bits are rotated between groups.
 
 At the self-dual point |j| = |h| = pi/4 the reduced state of a bulk block
 of n_a qubits is exactly maximally mixed for every ceil(n_a/2) <= t below
@@ -19,19 +20,22 @@ ZZ coupling to a frozen |0> neighbour) and are the values under which the
 finite chain tracks the thermodynamic-limit ensemble most closely.
 
 The Ising phases are read from the bits of the basis index (the field term
-from the popcount, each bond from the XOR of neighbouring bits), so no
-n x 2^n spin table is formed.
+from the popcount, each bond from the XOR of neighbouring bits), chunk by
+chunk into the output, so no n x 2^n spin table is formed.
 
 After each step one pass over the bath outcomes gives the moments of every
-order 1..K (moments_from_state): the amplitudes and Born weights are
-computed once, and _kernels.moment_accumulate grows each outcome's Sym^k
-rows order by order, each from the rows of order k - 1, with one GEMM per
-order per block of outcomes.  The moments are returned as their D x D
-Sym^k blocks (linalg.sym_basis); delta_k reads the distance to Haar from
-the block.  Only the tests embed a block in the replicated space.  The
+order 1..K (moments_from_state).  It reads the state block by block: one
+block's amplitudes are copied into a reused buffer, their Born weights
+taken, and _kernels.accumulate_blocks grows each outcome's Sym^k rows order
+by order, each from the rows of order k - 1, in reused work arrays, and adds
+them to the running sums with one GEMM per order.  The moments are returned as their
+D x D Sym^k blocks (linalg.sym_basis); delta_k reads the distance to Haar
+from the block.  Only the tests embed a block in the replicated space.  The
 entanglement entropy comes from the eigenvalues of the block's reduced
-state, a 2^len x 2^len Gram matrix, not from an SVD of the 2^len x 2^rest
-amplitude matrix.
+state, a 2^len x 2^len Gram matrix summed over chunks of the state's
+contiguous (2^len, 2^post) slabs, not from an SVD of the 2^len x 2^rest
+amplitude matrix.  So the exact route's only state-sized arrays are the
+state, the phase vector and, during a Floquet step, its output.
 
 The finite-bath check (dual_unitary_ensemble_check) compares the k-th moment
 of a bath segment's temporal maps U(z) = T(z_{L-1}) ... T(z_0) over its 2^L
@@ -64,6 +68,7 @@ from .permgroup import enumerate_sym, weingarten_table
 
 P_FLOOR = 1e-14  # outcomes below this Born weight get weight zero
 KICK_GROUP = 6  # qubits per kick GEMM; K^{(x)6} is 64 x 64
+CHUNK = 2**14  # entries per chunk of the phase build, the kicks and the entropy (256 KiB complex)
 G_GUARD_BAND = 1e-3
 
 
@@ -125,26 +130,27 @@ class KimConfig:
 def exact_bytes(n: int, n_a: int, k: int) -> int:
     """Bytes the exact route holds at once, summed over its largest arrays.
 
-    The state and the phase vector (complex, 2^n each) live throughout.  Beside
-    them, apply_floquet holds two more state-sized arrays (the product with
-    the phases and one kick group's result), entanglement_entropy two (the
-    block-major copy and its conjugate) and ising_phase_vector less.  The
-    moment pass holds instead the block-major amplitudes (2^n complex), one
-    weight row per order (2^(n - n_a) float64 each), moment_accumulate's
-    rows of one block at the top level (the product, the scaled and the
-    weighted rows and the conjugate, D_k x rows complex each) and, per order
-    j, the D_j x D_j sum, D_j = C(2^n_a + j - 1, j), with the GEMM update and
-    delta_k's Hermitian part and eigvalsh copy at D_k.  One MiB more covers
-    the kick matrices (64 x 64), the CSV rows and the interpreter's own
-    objects.  No moment is embedded in the 2^(n_a k)-dimensional replicated
-    space, and no spin table is formed.
+    The state and the phase vector (complex, 2^n each) live throughout.
+    Beside them, a Floquet step holds its output (one more state) and the
+    kicks' chunk buffer of CHUNK entries; the phase build holds less (the
+    output and one chunk's integer and float temporaries), and so does the
+    entropy pass (one chunk's conjugate and a 2^n_a x 2^n_a Gram matrix).
+    The moment pass holds instead one block of outcomes, rows =
+    min(block_rows(D_k), 2^(n - n_a)): its amplitudes and their conjugate
+    (2^n_a x rows complex each), the Born weights and one weight row per
+    order (rows float64 each), accumulate_blocks' three work arrays (D_k x
+    rows complex each) and, per order j, the D_j x D_j running sum, D_j =
+    C(2^n_a + j - 1, j), with the GEMM update and delta_k's Hermitian part and
+    eigvalsh copy at D_k.  One MiB more covers the kick matrices (64 x 64),
+    the CSV rows and the interpreter's own objects.  No moment is embedded in
+    the 2^(n_a k)-dimensional replicated space, and no spin table is formed.
     """
     state = 16 * 2**n
     dims = [math.comb(2**n_a + j - 1, j) for j in range(1, k + 1)]
     rows = min(_kernels.block_rows(dims[-1]), 2 ** (n - n_a))
-    moments = (state + 8 * k * 2 ** (n - n_a) + 4 * 16 * dims[-1] * rows
+    moments = (2 * 16 * 2**n_a * rows + 8 * (k + 1) * rows + 3 * 16 * dims[-1] * rows
                + 16 * sum(d * d for d in dims) + 3 * 16 * dims[-1] ** 2)
-    return 2 * state + max(2 * state, moments) + 2**20
+    return 2 * state + max(state + 16 * CHUNK, moments) + 2**20
 
 
 def check_exact_size(n: int, n_a: int, k: int) -> None:
@@ -163,39 +169,66 @@ def ising_phase_vector(cfg: KimConfig) -> np.ndarray:
     The spins are read from the bits of the basis index x (site 0 the most
     significant): the field term is g (n - 2 popcount(x)), and bond (i, i+1)
     adds j or -j as the two bits agree or differ, bond by bond.  The energy is
-    summed in the order field, bonds 0..n-1, boundary fields.
+    summed in the order field, bonds 0..n-1, boundary fields, CHUNK indices
+    at a time, each chunk's phases written straight into the output.
     """
     n = cfg.n
-    x = np.arange(2**n)
-    energy = cfg.g * (n - 2 * np.bitwise_count(x).astype(int))
-    # bit of site i+1 (cyclically) in `differ` is set when sites i and i+1 disagree
-    differ = x ^ ((x >> 1) | ((x & 1) << (n - 1)))
     n_bonds = n if cfg.bc == "pbc" else n - 1
-    for i in range(n_bonds):
-        energy += np.where((differ >> (n - 1 - (i + 1) % n)) & 1, -cfg.j, cfg.j)
-    if cfg.bc == "obc":
-        energy += np.where(x >> (n - 1), -cfg.b1, cfg.b1)
-        energy += np.where(x & 1, -cfg.bn, cfg.bn)
-    out = np.multiply(energy, -1j)
-    return np.exp(out, out=out)
+    out = np.empty(2**n, dtype=complex)
+    for lo in range(0, 2**n, CHUNK):
+        x = np.arange(lo, min(lo + CHUNK, 2**n))
+        energy = cfg.g * (n - 2 * np.bitwise_count(x).astype(int))
+        # bit of site i+1 (cyclically) in `differ` is set when sites i and i+1 disagree
+        differ = x ^ ((x >> 1) | ((x & 1) << (n - 1)))
+        for i in range(n_bonds):
+            energy += np.where((differ >> (n - 1 - (i + 1) % n)) & 1, -cfg.j, cfg.j)
+        if cfg.bc == "obc":
+            energy += np.where(x >> (n - 1), -cfg.b1, cfg.b1)
+            energy += np.where(x & 1, -cfg.bn, cfg.bn)
+        seg = np.multiply(energy, -1j, out=out[lo : lo + len(x)])
+        np.exp(seg, out=seg)
+    return out
+
+
+def _kick_group(view: np.ndarray, kw: np.ndarray, buf: np.ndarray) -> None:
+    """Apply kw on the middle axis of view (pre, m, post), in place, one chunk
+    of at most len(buf) entries at a time: each chunk's product goes to buf and
+    is copied back.  The group of the last sites (post == 1) is a product of
+    row blocks with kw^T."""
+    pre, m, post = view.shape
+    if post == 1:
+        rows, step = view.reshape(pre, m), len(buf) // m
+        for r in range(0, pre, step):
+            blk = rows[r : r + step]
+            blk[...] = np.matmul(blk, kw.T, out=buf[: blk.size].reshape(blk.shape))
+        return
+    cols = min(post, len(buf) // m)
+    step = max(1, len(buf) // (m * post))
+    for p in range(0, pre, step):
+        for c in range(0, post, cols):
+            blk = view[p : p + step, :, c : c + cols]
+            blk[...] = np.matmul(kw, blk, out=buf[: blk.size].reshape(blk.shape))
 
 
 def apply_floquet(state: np.ndarray, cfg: KimConfig, phases: np.ndarray | None = None) -> np.ndarray:
-    """One Floquet step U_h exp(-i H_Ising) on a 2^n statevector.
+    """One Floquet step U_h exp(-i H_Ising) on a 2^n statevector; state is not modified.
 
-    The Ising phases multiply the state; the kick K^{(x)n} is one matrix
-    product per group of up to KICK_GROUP sites, which kicks the w leading
-    bits of the index and moves them to the end.  The widths sum to n, so
-    site 0 ends as the most significant bit again.
+    The Ising phases multiply the state into a new array; the kick K^{(x)n}
+    is then applied on it in place, one group of up to KICK_GROUP sites at a
+    time (the remainder group first, so every other group has at least 2^6
+    indices after it), through one reused chunk buffer.
     """
     if phases is None:
         phases = ising_phase_vector(cfg)
-    state = state * phases
+    out = state * phases
     K = kick_matrix(cfg.h)
-    for lo in range(0, cfg.n, KICK_GROUP):
-        w = min(KICK_GROUP, cfg.n - lo)
-        state = state.reshape(2**w, -1).T @ kron_all([K] * w).T
-    return state.reshape(-1)
+    buf = np.empty(CHUNK, dtype=complex)
+    lo = 0
+    for w in [cfg.n % KICK_GROUP] + [KICK_GROUP] * (cfg.n // KICK_GROUP):
+        if w:
+            _kick_group(out.reshape(2**lo, 2**w, -1), kron_all([K] * w), buf)
+            lo += w
+    return out
 
 
 def build_floquet(cfg: KimConfig) -> np.ndarray:
@@ -229,16 +262,10 @@ def evolve(cfg: KimConfig) -> np.ndarray:
     return state
 
 
-def _subsystem_amplitudes(state: np.ndarray, cfg: KimConfig) -> np.ndarray:
-    """amps[sigma, z] = <z1 sigma z2|Psi>, z = (z1, z2) with z1 bits leading."""
-    off = cfg.offset
-    A = state.reshape(2**off, 2**cfg.n_a, 2 ** (cfg.n - cfg.n_a - off))
-    return np.transpose(A, (1, 0, 2)).reshape(2**cfg.n_a, 2**cfg.n_b)
-
-
 def _outcome_weights(amps: np.ndarray, k: int) -> np.ndarray:
-    """w[j - 1, z] = p_z^(1-j) for the Born weights p_z of the bath outcomes, and
-    zero where p_z < P_FLOOR (no power of a vanishing p is taken)."""
+    """w[j - 1, z] = p_z^(1-j) for the Born weights p_z of the bath outcomes
+    (the columns of amps), and zero where p_z < P_FLOOR (no power of a
+    vanishing p is taken)."""
     p = np.einsum("sz,sz->z", amps, amps.conj()).real
     kept = p >= P_FLOOR
     w = np.zeros((k, len(p)))
@@ -251,11 +278,31 @@ def moments_from_state(state: np.ndarray, cfg: KimConfig, k: int) -> list:
     """The moments of orders 1..k as their Sym^j blocks (linalg.sym_basis),
     each normalized to unit trace, from one pass over the bath outcomes.
 
-    The amplitudes and Born weights are computed once, and one
-    moment_accumulate call grows the Sym^j rows of every order from them.
+    Outcome z = (z1, z2), z1 the bits before the subsystem, leads with z1.
+    The outcomes are read in blocks of a power of two rows, at most
+    block_rows(D_k), so each block lies in one z1 slab or spans whole ones:
+    its amplitudes amps[sigma, z] = <z1 sigma z2|Psi> are copied into one
+    buffer, and _kernels.accumulate_blocks grows the Sym^j rows of every
+    order from them and adds them to the running sums in block order.  While
+    block_rows(D_k) is a power of two (D_k <= 4096), that is bit for bit
+    moment_accumulate on all the outcomes at once.
     """
-    amps = _subsystem_amplitudes(state, cfg)
-    blocks = _kernels.moment_accumulate(amps.T, _outcome_weights(amps, k), k)
+    da, n_out = 2**cfg.n_a, 2**cfg.n_b
+    amps = state.reshape(2**cfg.offset, da, -1).transpose(1, 0, 2)  # (sigma, z1, z2), a view
+    z2 = amps.shape[2]
+    rows = 1 << (min(_kernels.block_rows(math.comb(da + k - 1, k)), n_out).bit_length() - 1)
+
+    def gathered():
+        buf = np.empty((da, rows), dtype=complex)
+        for lo in range(0, n_out, rows):
+            if rows <= z2:
+                z1, c = divmod(lo, z2)
+                buf[...] = amps[:, z1, c : c + rows]
+            else:
+                buf.reshape(da, -1, z2)[...] = amps[:, lo // z2 : (lo + rows) // z2]
+            yield buf, _outcome_weights(buf, k)
+
+    blocks = _kernels.accumulate_blocks(gathered(), da, k)
     for r in blocks:
         r /= np.trace(r)
     return blocks
@@ -296,14 +343,29 @@ def entanglement_entropy(state: np.ndarray, n: int, block_start: int, block_len:
     """Von Neumann entropy (bits) of a contiguous block.
 
     The eigenvalues of the block's reduced state M M^+ (M the state with the
-    block's qubits as rows) are the squared Schmidt coefficients; the other
-    side's M^+ M has the same nonzero ones and is taken when it is smaller.
+    block's qubits as rows) are the squared Schmidt coefficients.  M's columns
+    are the state's contiguous (2^len, 2^post) slabs side by side, so the Gram
+    matrix is summed over chunks of CHUNK entries of those slabs.  The other
+    side's M^+ M has the same nonzero eigenvalues and is taken, summed over
+    chunks of M's rows, when it is smaller.
     """
-    pre = block_start
-    post = n - block_start - block_len
-    M = state.reshape(2**pre, 2**block_len, 2**post)
-    M = np.transpose(M, (1, 0, 2)).reshape(2**block_len, -1)
-    gram = M @ M.conj().T if M.shape[0] <= M.shape[1] else M.conj().T @ M
+    L = 2**block_len
+    A = state.reshape(2**block_start, L, -1)
+    if L * L <= len(state):
+        gram = np.zeros((L, L), dtype=complex)
+        cols = max(1, min(A.shape[2], CHUNK // L))
+        conj = np.empty(L * cols, dtype=complex)  # one chunk's conjugate, reused
+        for slab in A:
+            for c in range(0, slab.shape[1], cols):
+                m = slab[:, c : c + cols]
+                gram += m @ np.conj(m, out=conj[: m.size].reshape(m.shape)).T
+    else:
+        C = len(state) // L
+        gram = np.zeros((C, C), dtype=complex)
+        step = max(1, CHUNK // C)
+        for s in range(0, L, step):
+            m = A[:, s : s + step].transpose(1, 0, 2).reshape(-1, C)  # M's rows s.. s+step
+            gram += m.conj().T @ m
     p = np.linalg.eigvalsh(gram)
     p = p[p > 1e-14]
     return float(-(p * np.log2(p)).sum())
@@ -339,10 +401,11 @@ def dual_unitary_ensemble_check(cfg: KimConfig, k: int, lengths) -> list[float]:
         raise ConfigError("bath side length must be >= 1")
     if k == 0 or not lengths:
         return [0.0] * len(lengths)
-    # dim = 4^(t k): S - Phi and S while they are built, then S - Phi, the power
-    # and its successor or trace_norm's three temporaries; V, V Wg, V^+ are dim x k!
+    # dim = 4^(t k): -Phi, S's two Kronecker terms and their running sum while S
+    # is built; then S - Phi, the power and its successor, or the power and
+    # trace_norm's Hermitian part and LAPACK copy; V, V Wg, V^+ are dim x k!
     dim = 4 ** (cfg.t * k)
-    need = 16 * (5 * dim**2 + 3 * math.factorial(k) * dim) + 2**20
+    need = 16 * (4 * dim**2 + 3 * math.factorial(k) * dim) + 2**20
     if need > MEM_BUDGET_BYTES:
         raise ConfigError(
             f"designcheck at t={cfg.t}, k={k} needs ~{need / 1e9:.1f} GB, above budget"

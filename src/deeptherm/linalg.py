@@ -30,6 +30,7 @@ from .permgroup import Permutation
 
 MEM_BUDGET_BYTES = 3_500_000_000  # largest working set a route may allocate; checked up front
 HERM_TOL = 1e-8  # trace_norm uses eigvalsh when max|a - a^+| <= HERM_TOL * max(max|a|, 1)
+HERM_CHECK_ENTRIES = 2**16  # entries per row block of trace_norm's input checks
 
 
 def permutation_vector_state(p: Permutation, q: int) -> np.ndarray:
@@ -52,14 +53,21 @@ def permutation_vector_state(p: Permutation, q: int) -> np.ndarray:
 
 
 def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values; Hermitian inputs go through eigvalsh."""
+    """Sum of singular values; Hermitian inputs go through eigvalsh.
+
+    The finiteness and Hermiticity tests read a in blocks of rows, each
+    against the matching block of columns, so they hold no dim x dim
+    temporary; their maxima are exact, whatever the blocks.
+    """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("trace_norm expects a square matrix")
-    if not np.all(np.isfinite(a)):
+    rows = max(1, HERM_CHECK_ENTRIES // max(len(a), 1))
+    blocks = [slice(lo, lo + rows) for lo in range(0, len(a), rows)]
+    if not all(np.isfinite(a[s]).all() for s in blocks):
         raise ValueError("non-finite entries")
-    scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.conj().T).max() <= HERM_TOL * scale:
+    scale = max(max(np.abs(a[s]).max() for s in blocks), 1.0)
+    if max(np.abs(a[s] - a[:, s].conj().T).max() for s in blocks) <= HERM_TOL * scale:
         return float(np.abs(np.linalg.eigvalsh((a + a.conj().T) / 2)).sum())
     return float(np.linalg.svd(a, compute_uv=False).sum())
 

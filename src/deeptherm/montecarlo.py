@@ -100,21 +100,22 @@ class McConfig:
         """Working set of the plan's largest batch of b samples, d = 2^t.
 
         Drawing the states: about 4 complex b x d x d arrays for pbc (the
-        Ginibre draw, its QR factors, the phased unitaries), counted as 5; for
-        obc the two real 2b x d Gaussian draws, their complex copy z, the
-        conjugated bra half of z (b x d), R (b x 4^t0) and psi~ (b x dA), all
-        complex but the draws.  Accumulating them: moment_accumulate's four
-        D x rows complex arrays at the top level, rows = min(block_rows(D), b),
-        as kim.exact_bytes counts them, and two D x D ones, the batch's sum
-        (kept_bytes counts it too) and the GEMM's product.
+        Ginibre draw, its QR factors, the phased unitaries), counted as 5.
+        For obc, the larger of two phases: filling z (the two real 2b x d
+        Gaussian draws and their complex copy z), then reducing it once the
+        draws are freed (z, the conjugated bra half of z (b x d), R
+        (b x 4^t0) and psi~ (b x dA), all complex).  Accumulating them:
+        moment_accumulate's three D x rows complex work arrays, rows =
+        min(block_rows(D), b), counted as four, and two D x D ones, the
+        batch's sum (kept_bytes counts it too) and the GEMM's product.
         """
         b = max(chain.from_iterable(batch_plan(self.resolved_checkpoints())))
         d, da = 2**self.t, 2**self.n_a
         D = math.comb(da + self.k - 1, self.k)
         if self.bc == "pbc":
             states = 5 * d * d
-        else:  # the draws and z 2d each, the conjugated bras d, R and psi~
-            states = 5 * d + 4 ** min_depth(self.n_a) + da
+        else:  # fill: the draws and z, 2d each; reduce: z, the conjugated bras, R and psi~
+            states = max(4 * d, 3 * d + 4 ** min_depth(self.n_a) + da)
         return 16 * b * states + 4 * 16 * D * min(_kernels.block_rows(D), b) + 2 * 16 * D * D
 
     def resolved_checkpoints(self) -> tuple:

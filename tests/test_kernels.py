@@ -60,6 +60,27 @@ def test_level_grown_rows_match_direct_products_bitwise(rng):
         assert kernels.moment_accumulate(psi, w[k - 1], k).tobytes() == ref.tobytes()
 
 
+def test_blocks_refilled_into_one_buffer_match_one_call_bitwise(rng):
+    # kim.moments_from_state copies each block of outcomes into the same buffer
+    b = 2 * kernels.ROW_BLOCK + 5
+    psi = rng.standard_normal((b, 4)) + 1j * rng.standard_normal((b, 4))
+    w = rng.random((3, b))
+    rows = kernels.block_rows(20)
+
+    def refilled(weights):
+        buf = np.empty((4, rows), dtype=complex)
+        for lo in range(0, b, rows):
+            n = min(rows, b - lo)
+            buf[:, :n] = psi[lo : lo + n].T
+            yield buf[:, :n], weights[..., lo : lo + n]
+
+    every = kernels.accumulate_blocks(refilled(w), 4, 3)
+    for got, ref in zip(every, kernels.moment_accumulate(psi, w, 3)):
+        assert got.tobytes() == ref.tobytes()
+    top = kernels.accumulate_blocks(refilled(w[1]), 4, 2, top_only=True)
+    assert top.tobytes() == kernels.moment_accumulate(psi, w[1], 2).tobytes()
+
+
 def test_moment_accumulate_small_block_cap_matches_kron_oracle(rng, monkeypatch):
     # a cap of 8 Sym^k entries gives blocks of 4, 2 and 2 rows for k = 1, 2, 3 (D = 2, 3, 4)
     b = 37

@@ -10,6 +10,7 @@ import pytest
 
 import deeptherm.cli as cli
 import deeptherm.kim as kim
+from deeptherm._kernels import moment_accumulate
 from deeptherm.dual_tensors import build_w, kick_matrix
 from deeptherm.kim import (
     P_FLOOR,
@@ -138,6 +139,25 @@ def test_ising_phases_from_bits_match_spin_table_bitwise(bc):
             assert ising_phase_vector(cfg).tobytes() == _spin_table_phases(cfg).tobytes(), (n, cfg)
 
 
+@pytest.mark.parametrize("bc", ["pbc", "obc"])
+def test_chunk_loops_match_references_at_n16(bc):
+    # at n=16 the phase build, each kick group and the entropy run over several chunks
+    n = 16
+    cfg = KimConfig(n=n, n_a=2, t=1, bc=bc, g=0.7, j=0.41, h=0.37, b1=-0.33, bn=1.1, self_dual=False)
+    phases = ising_phase_vector(cfg)
+    assert phases.tobytes() == _spin_table_phases(cfg).tobytes()
+    rng = np.random.default_rng(16)
+    state = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    state /= np.linalg.norm(state)
+    before = state.copy()
+    got = apply_floquet(state, cfg, phases)
+    assert state.tobytes() == before.tobytes()
+    assert np.abs(got - _per_site_floquet(state, cfg, phases)).max() <= 1e-12
+    for start, length in ((0, 2), (7, 2), (0, 14), (3, 12)):
+        ref = _svd_entropy(got, n, start, length)
+        assert abs(entanglement_entropy(got, n, start, length) - ref) <= 1e-12
+
+
 def test_evolve_basics():
     cfg = KimConfig(n=6, n_a=2, t=0, g=G)
     np.testing.assert_allclose(evolve(cfg), np.full(64, 2.0 ** (-3)), atol=1e-14)
@@ -224,6 +244,17 @@ def test_one_pass_gives_each_order_of_moment_from_state():
         assert block.tobytes() == moment_from_state(state, cfg, k).tobytes()
 
 
+@pytest.mark.parametrize("offset", [0, 6, 12])  # 4096, 64 and 1 outcomes z2 per value of z1
+def test_blockwise_moments_match_one_pass_over_all_outcomes_bitwise(offset):
+    cfg = KimConfig(n=14, n_a=2, t=3, bc="obc", g=G, a_offset=offset)
+    state = evolve(cfg)
+    amps = state.reshape(2**offset, 4, -1).transpose(1, 0, 2).reshape(4, -1)  # (sigma, z)
+    ref = moment_accumulate(amps.T, kim._outcome_weights(amps, 3), 3)
+    got = moments_from_state(state, cfg, 3)
+    for r, g in zip(ref, got):
+        assert (r / np.trace(r)).tobytes() == g.tobytes()
+
+
 def test_zero_probability_outcomes_raise_no_warning():
     # |0...0>: every bath outcome but one has Born weight exactly 0
     cfg = KimConfig(n=6, n_a=2, t=0, g=G)
@@ -251,6 +282,34 @@ def test_exact_bytes_bounds_traced_peak(tmp_path):
     run(6)  # first-use caches and imports stay out of the measured run
     peak = run(16)
     assert peak <= exact_bytes(16, 2, 3) <= 1.5 * peak
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# at n=16 a state is 1 MiB: beside the state and the phases, already live, a
+# stage may hold what it returns and about one chunk or block of outcomes more
+@pytest.mark.parametrize("stage", ["phases", "floquet", "moments", "entropy"])
+def test_exact_stage_holds_no_state_sized_temporary(stage):
+    n, mib = 16, 2**20
+    small = KimConfig(n=8, n_a=2, t=1, g=G)
+    moments_from_state(evolve(small), small, 3)  # first-use caches
+    cfg = KimConfig(n=n, n_a=2, t=2, g=G)
+    phases = ising_phase_vector(cfg)
+    state = apply_floquet(apply_floquet(plus_state(n), cfg, phases), cfg, phases)
+    f, args, bound = {
+        "phases": (ising_phase_vector, (cfg,), phases.nbytes + mib),
+        "floquet": (apply_floquet, (state, cfg, phases), state.nbytes + mib),
+        "moments": (moments_from_state, (state, cfg, 3), 1.5 * mib),
+        "entropy": (entanglement_entropy, (state, n, cfg.offset, 2), 1.5 * mib),
+    }[stage]
+    assert _traced_peak(f, *args) <= bound
 
 
 def test_rdm_maximally_mixed_at_t1():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,25 @@ def test_trace_norm_adjoint_and_triangle(rng):
         b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         assert trace_norm(a) == pytest.approx(trace_norm(a.conj().T), rel=1e-10)
         assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-9
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_norm_checks_hold_no_dim_squared_temporary(rng):
+    # a non-Hermitian input goes to the SVD; the finiteness and Hermiticity
+    # tests before it may add row blocks, not a dim x dim conjugate or difference
+    dim = 512
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    trace_norm(a[:8, :8])  # first-use imports
+    svd_peak = _traced_peak(np.linalg.svd, a, False, False)
+    assert _traced_peak(trace_norm, a) <= svd_peak + 16 * dim * dim
 
 
 def test_partial_trace_bell_and_product(rng):

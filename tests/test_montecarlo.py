@@ -187,9 +187,10 @@ def test_pool_width_capped_by_memory_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("n_a,k,t,bc", [(3, 4, 2, "obc"), (2, 8, 1, "obc"), (2, 8, 2, "pbc"),
-                                        (2, 2, 3, "obc"), (2, 2, 3, "pbc")])
+                                        (2, 2, 3, "obc"), (2, 2, 3, "pbc"), (2, 2, 10, "obc")])
 def test_batch_bytes_bounds_traced_batch_peak(n_a, k, t, bc):
-    # at large D the accumulation rows, not the states, dominate a batch
+    # at large D the accumulation rows, not the states, dominate a batch; at
+    # obc t=10 the fill of z does, and the reduce phase is not added to it
     cfg = McConfig(k=k, t=t, n_a=n_a, bc=bc, samples=BATCH, seed=3)
     w = build_w(n_a)
     _batch_sum(cfg, w, 1 - k, 0, BATCH)  # the basis caches are built once per process
