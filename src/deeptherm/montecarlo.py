@@ -7,12 +7,24 @@ temporal qubits,
     obc:  psi~[s] = Tr(W^s . reduce(|u'><u|)),          |u'> = U'|0..0>, |u> = U|+..+>,
 
 and accumulates weighted k-fold projector powers.  For obc, U and U' are
-independent Haar unitaries, so |u'> and |u> are two independent Haar-random
-states: complex Gaussian vectors, normalized.  They are drawn as Gaussian
-vectors and left unnormalized; reduce(|u'><u|) is the product of their
-(kept x traced) reshapes, and psi~ is scaled by the inverse of their norms
-afterwards, so no normalized copy and no d x d operator is formed and a
-sample costs O(d).
+independent Haar unitaries, so |u'> and |u> are independent Haar-random
+states, normalized complex Gaussian vectors.  Reshaped as p x N matrices,
+p = 2^t0 kept and N = 2^(t - t0) traced, their Gaussian matrices K (the
+ket) and B (the bra) give reduce(|u'><u|) = R = K B^+ / (|K| |B|).  R's law
+needs O(p^2) numbers at any t (Zyczkowski & Sommers, J. Phys. A 33, 2045,
+2000).  With r = min(p, N):
+
+  - K = L Q (LQ): L is p x r lower trapezoidal with |L_ii|^2 ~ Gamma(N - i)
+    and CN(0, 1) entries below the diagonal (Bartlett), independent of the
+    r x N isometry Q, and |K| = |L|;
+  - given Q, G = B Q^+ is a p x r Ginibre matrix and the rest of B,
+    B (1 - Q^+ Q), is independent of it with |.|^2 = gamma ~ Gamma(p (N - r));
+  - so K B^+ = L G^+ and R = L G^+ / (|L| sqrt(|G|^2 + gamma)).
+
+One formula covers N < p, N = p and N > p.  A sample draws 2 p r - r(r+1)/2
+complex normals and r + 1 gammas (10 normals and 3 gammas at p = 2, N >= 2)
+and forms no d-vector, so obc runs to t = 30.  pbc reduces whole unitaries,
+O(d^2) per sample, and stops at t = 10.
 The physical moment uses weight <psi~|psi~>^(1-k); the integer-n replica
 surrogate uses weight <psi~|psi~>^n, whose trace normalization is exactly
 the ratio-estimator denominator mean <psi~|psi~>^(k+n).  W is built at
@@ -24,13 +36,20 @@ the full replicated space.
 
 Samples are drawn in batches of at most BATCH; a batch ends early at a
 checkpoint, so no batch crosses one (batch_plan).  Random numbers come from
-counter-based Philox streams keyed by (seed, batch index).  The batches run
-on a pool of threads, one per available CPU (WORKERS; numpy's random fills,
-LAPACK's QR and the GEMMs release the GIL), fewer when their working sets
-would not fit in MEM_BUDGET_BYTES beside the kept batch sums (pool_width),
-and their sums are added in batch order.  So a result is a deterministic
-function of the seed, `samples` and the checkpoints, whatever the pool's
-width; the pool adds no option.
+counter-based Philox streams keyed by (seed, batch index), and each batch
+keeps its own D x D sum for the jackknife.  A pool task takes a run of
+consecutive batches of the plan, as many as fit TASK_BYTES of working set
+(McConfig.task_batches), and forms their states, norms and weights in one
+pass: numpy calls on one 1000-sample batch hold the GIL for much of their
+time, and the threads overlap better when each call covers several batches.
+Each batch still draws its own stream and is summed alone, so the run
+changes no bit of a batch's sum.  The tasks run on a pool of threads, one
+per available CPU (WORKERS; numpy's random fills, LAPACK's QR and the GEMMs
+release the GIL), fewer when their working sets would not fit in
+MEM_BUDGET_BYTES beside the kept batch sums (pool_width), and their batch
+sums are added in batch order.  So a result is a deterministic function of
+the seed, `samples` and the checkpoints, whatever the pool's width; the
+pool adds no option.
 """
 from __future__ import annotations
 
@@ -38,6 +57,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -49,7 +69,9 @@ from .linalg import MEM_BUDGET_BYTES, sym_haar_distance
 BATCH = 1000
 # batch threads: the CPUs this process may run on
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-IN_FLIGHT = 2  # batches submitted per worker ahead of the in-order reduction
+IN_FLIGHT = 2  # tasks submitted per worker ahead of the in-order reduction
+TASK_BYTES = 2**21  # working set of one pool task: one core's L2 cache
+MAX_DEPTH = {"pbc": 10, "obc": 30}  # pbc's batch holds b unitaries of 4^t entries
 DEFAULT_CHECKPOINT_START = 1000
 PLATEAU_SPREAD = 0.10
 
@@ -75,8 +97,8 @@ class McConfig:
             raise McError("need k >= 1 and samples >= 1")
         if not 0 <= self.seed < 2**64:  # a Philox key word is 64 bits
             raise McError(f"seed must be in [0, 2^64), got {self.seed}")
-        if self.t < min_depth(self.n_a) or self.t > 10:
-            raise McError("need ceil(n_a/2) <= t <= 10")
+        if self.t < min_depth(self.n_a) or self.t > MAX_DEPTH[self.bc]:
+            raise McError("need ceil(n_a/2) <= t <= 10 for pbc, t <= 30 for obc")
         cps = self.resolved_checkpoints()
         if cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
             raise McError("checkpoints must be positive and strictly increasing")
@@ -87,7 +109,7 @@ class McConfig:
             D = math.comb(2**self.n_a + self.k - 1, self.k)
             batches = sum(map(len, batch_plan(cps)))
             raise McError(f"mc at k={self.k}, n_a={self.n_a}, t={self.t} keeps {batches} batch "
-                          f"sums of {D} x {D} beside a batch working set of "
+                          f"sums of {D} x {D} beside a task working set of "
                           f"{self.batch_bytes() / 1e9:.2g} GB: ~{need / 1e9:.1f} GB, above budget")
 
     def kept_bytes(self) -> int:
@@ -96,27 +118,40 @@ class McConfig:
         batches = sum(map(len, batch_plan(self.resolved_checkpoints())))
         return 16 * D**2 * (batches + 1)
 
-    def batch_bytes(self) -> int:
-        """Working set of the plan's largest batch of b samples, d = 2^t.
+    def task_batches(self) -> int:
+        """Batches per pool task: as many as fit in TASK_BYTES of working set
+        (batch_bytes), at least one and at most the plan's."""
+        batches = sum(map(len, batch_plan(self.resolved_checkpoints())))
+        fixed, per_batch = self._task_bytes()
+        return max(1, min(batches, (TASK_BYTES - fixed) // per_batch))
 
-        Drawing the states: about 4 complex b x d x d arrays for pbc (the
-        Ginibre draw, its QR factors, the phased unitaries), counted as 5.
-        For obc, the larger of two phases: filling z (the two real 2b x d
-        Gaussian draws and their complex copy z), then reducing it once the
-        draws are freed (z, the conjugated bra half of z (b x d), R
-        (b x 4^t0) and psi~ (b x dA), all complex).  Accumulating them:
-        moment_accumulate's three D x rows complex work arrays, rows =
-        min(block_rows(D), b), counted as four, and two D x D ones, the
-        batch's sum (kept_bytes counts it too) and the GEMM's product.
+    def batch_bytes(self) -> int:
+        """Working set of one pool task: task_batches() of the plan's largest batch."""
+        fixed, per_batch = self._task_bytes()
+        return fixed + self.task_batches() * per_batch
+
+    def _task_bytes(self) -> tuple:
+        """A task's working set as (fixed bytes, bytes per batch of b samples), b the
+        plan's largest batch, d = 2^t, p = 2^t0, r = min(p, d / p).
+
+        Per batch, drawing and reducing the states: about 4 complex b x d x d
+        arrays for pbc (the Ginibre draw, its QR factors, the phased unitaries),
+        counted as 5.  For obc, per sample at _run_states' product loop, the
+        2 p r - r (r + 1) / 2 complex normals, L (p r), R and one product
+        (p^2 each), the r + 1 gammas and the norms.  Fixed, accumulating one
+        batch at a time: moment_accumulate's three D x rows complex work
+        arrays, rows = min(block_rows(D), b), counted as four, and two D x D
+        ones, the batch's sum (kept_bytes counts it too) and the GEMM's product.
         """
         b = max(chain.from_iterable(batch_plan(self.resolved_checkpoints())))
-        d, da = 2**self.t, 2**self.n_a
-        D = math.comb(da + self.k - 1, self.k)
+        D = math.comb(2**self.n_a + self.k - 1, self.k)
         if self.bc == "pbc":
-            states = 5 * d * d
-        else:  # fill: the draws and z, 2d each; reduce: z, the conjugated bras, R and psi~
-            states = max(4 * d, 3 * d + 4 ** min_depth(self.n_a) + da)
-        return 16 * b * states + 4 * 16 * D * min(_kernels.block_rows(D), b) + 2 * 16 * D * D
+            per_sample = 16 * 5 * 4**self.t
+        else:
+            p = 2 ** min_depth(self.n_a)
+            r = min(p, 2**self.t // p)
+            per_sample = 16 * (2 * p * r - r * (r + 1) // 2 + p * r + 2 * p * p) + 8 * (r + 2)
+        return 4 * 16 * D * min(_kernels.block_rows(D), b) + 2 * 16 * D * D, b * per_sample
 
     def resolved_checkpoints(self) -> tuple:
         if self.checkpoints:
@@ -167,6 +202,17 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _restart(rng: np.random.Generator, seed: int, batch_index: int) -> np.random.Generator:
+    """rng, a _batch_rng generator, set to the start of stream (seed, batch_index):
+    the draws of _batch_rng(seed, batch_index), without the OS entropy read that
+    every new Philox makes for a seed sequence it does not use."""
+    zero = np.zeros(4, dtype=np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        "state": {"counter": zero, "key": np.array([seed, batch_index], dtype=np.uint64)}}
+    return rng
+
+
 def _haar_batch(rng: np.random.Generator, d: int, b: int) -> np.ndarray:
     z = (rng.standard_normal((b, d, d)) + 1j * rng.standard_normal((b, d, d))) / np.sqrt(2)
     return _kernels.haar_from_ginibre(z)
@@ -193,35 +239,97 @@ def mc_projected_state(u: np.ndarray, u_prime: np.ndarray | None, bc: str, w: WT
     return psi, float(np.vdot(psi, psi).real)
 
 
+@lru_cache(maxsize=None)
+def _below_diagonal(p: int, r: int) -> tuple:
+    """Indices of the entries strictly below the diagonal of a p x r matrix, row by row."""
+    below = np.tril_indices(p, -1, r)
+    for a in below:
+        a.setflags(write=False)
+    return below
+
+
+def _obc_factors(cfg: McConfig, first: int, sizes) -> tuple:
+    """L, G and gamma of the obc batches first, first + 1, ... of the given sizes.
+
+    L (p, r, S) is the Bartlett factor: the square roots of Gamma(N), ...,
+    Gamma(N - r + 1) on its diagonal, complex normals strictly below it and
+    zeros above it.  G (p, r, S) holds complex normals and gamma (S,) is
+    Gamma(p (N - r)).  S = sum(sizes), samples last.  Batch i draws its
+    samples from its own Philox stream: first all the normals, component by
+    component (L's below its diagonal row by row, then G's), each sample's
+    real and imaginary parts side by side, then each of the r + 1 gammas in
+    the order above.  The normals have E|z|^2 = 2, so the gammas are doubled
+    into the same units.
+    """
+    p = 2 ** min_depth(cfg.n_a)
+    n = 2**cfg.t // p
+    r = min(p, n)
+    below = _below_diagonal(p, r)
+    S = sum(sizes)
+    z = np.empty((len(below[0]) + p * r, S), dtype=complex)
+    g = np.empty((r + 1, S))
+    shapes = [n - j for j in range(r)] + [p * (n - r)]
+    zf, lo = z.view(float), 0
+    rng = _batch_rng(cfg.seed, first)
+    for i, b in enumerate(sizes, start=first):
+        _restart(rng, cfg.seed, i)
+        zf[:, 2 * lo : 2 * (lo + b)] = rng.standard_normal((len(z), 2 * b))
+        for row, shape in zip(g, shapes):
+            rng.standard_gamma(shape, out=row[lo : lo + b])
+        lo += b
+    g *= 2
+    L = np.zeros((p, r, S), dtype=complex)
+    L[below] = z[: len(below[0])]
+    np.sqrt(g[:r], out=L.reshape(p * r, S)[: r * r : r + 1].real)  # L[j, j], j < r
+    return L, z[len(below[0]) :].reshape(p, r, S), g[r]
+
+
+def _run_states(cfg: McConfig, w: WTensor, first: int, sizes) -> np.ndarray:
+    """The projected states psi~ of the batches first, first + 1, ... of the
+    given sizes, stacked in batch order: shape (sum(sizes), dA).
+
+    pbc reduces each batch's unitaries alone (_batch_states).  obc forms every
+    step once over the run: R = L G^+ / (|L| sqrt(|G|^2 + gamma)) from
+    _obc_factors, then psi~ = W . R, one small GEMM per batch.  Each sample's
+    arithmetic is the same whatever run holds it, so the run changes no bit of
+    a batch's states.  The obc result is a view of a (dA, S) array.
+    """
+    if cfg.bc == "pbc":
+        return np.concatenate([_batch_states(cfg, w, i, b) for i, b in enumerate(sizes, start=first)])
+    L, G, gamma = _obc_factors(cfg, first, sizes)
+    p, r, S = L.shape
+    # |L|^2 (|G|^2 + gamma); einsum sums each sample's squares in one order for any S
+    nrm2 = gamma + np.einsum("ijs,ijs->s", G.real, G.real) + np.einsum("ijs,ijs->s", G.imag, G.imag)
+    nrm2 *= np.einsum("ijs,ijs->s", L.real, L.real) + np.einsum("ijs,ijs->s", L.imag, L.imag)
+    np.conjugate(G, out=G)
+    R = L[:, 0, None, :] * G[None, :, 0, :]  # R[i, c] = sum_j L[i, j] conj(G[c, j])
+    for j in range(1, r):
+        R += L[:, j, None, :] * G[None, :, j, :]
+    del L, G, gamma
+    R = R.reshape(p * p, S)
+    # psi~[s] = sum_(i, c) W[s, c, i] R[i, c], one GEMM per batch: a GEMM's
+    # rounding may depend on its width, so the run's width must not reach it
+    wr = w.data.transpose(0, 2, 1).reshape(len(w.data), p * p)
+    psi = np.empty((len(w.data), S), dtype=complex)
+    lo = 0
+    for b in sizes:
+        np.matmul(wr, R[:, lo : lo + b], out=psi[:, lo : lo + b])
+        lo += b
+    psi *= np.divide(1.0, np.sqrt(nrm2, out=nrm2), out=nrm2)
+    return psi.T
+
+
 def _batch_states(cfg: McConfig, w: WTensor, batch_index: int, b: int) -> np.ndarray:
     """The b projected states psi~ of batch batch_index, shape (b, dA).
 
-    obc draws 2b complex Gaussian vectors in C^d, the kets U'|0> then the
-    bras U|+>, real parts first; they are Haar states once normalized.  They
-    are kept unnormalized, batch last, and psi~ is scaled by 1/(|ket||bra|)
-    instead, which matters: a sample's weighted contribution scales as
-    <psi~|psi~>.  The result is a view of a (dA, b) array, the layout
-    moment_accumulate reads.
+    pbc draws b Haar unitaries (QR of Ginibre matrices) and reduces them.
+    obc is the run of this one batch (_run_states): its b samples cost
+    O(p^2) each at any depth t.
     """
-    rng = _batch_rng(cfg.seed, batch_index)
-    d = 2**cfg.t
-    if cfg.bc == "pbc":
-        U = _haar_batch(rng, d, b)
-        return np.einsum("sxy,byx->bs", w.data, _reduce_batch(U, cfg.t, w.t_legs))
-    re = rng.standard_normal((2 * b, d))
-    im = rng.standard_normal((2 * b, d))
-    nrm2 = np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
-    z = np.empty((d, 2 * b), dtype=complex)
-    z.real = re.T
-    z.imag = im.T
-    del re, im
-    p = 2**w.t_legs
-    # kets and bras as (kept, traced, sample): R = Tr_traced |ket><bra|
-    kb = z.reshape(p, d // p, 2 * b)
-    R = np.einsum("irb,crb->icb", kb[:, :, :b], kb[:, :, b:].conj())
-    psi = w.data.transpose(0, 2, 1).reshape(len(w.data), p * p) @ R.reshape(p * p, b)
-    psi /= np.sqrt(nrm2[:b] * nrm2[b:])
-    return psi.T
+    if cfg.bc == "obc":
+        return _run_states(cfg, w, batch_index, (b,))
+    U = _haar_batch(_batch_rng(cfg.seed, batch_index), 2**cfg.t, b)
+    return np.einsum("sxy,byx->bs", w.data, _reduce_batch(U, cfg.t, w.t_legs))
 
 
 def _leave_one_out(nums: list, dens: list):
@@ -285,54 +393,67 @@ class McEstimate:
         return out
 
 
-def _batch_sum(cfg: McConfig, w: WTensor, weight_exponent: float, batch_index: int,
-               b: int) -> np.ndarray:
-    """D x D Sym^k block of one batch's weighted sum."""
-    psi = _batch_states(cfg, w, batch_index, b)
+def _run_sums(cfg: McConfig, w: WTensor, weight_exponent: float, first: int, sizes) -> list:
+    """D x D Sym^k blocks of the weighted sums of the batches first, first + 1,
+    ... of the given sizes, one per batch in batch order: one pool task.
+
+    The states, their norms and weights are formed once over the run; each
+    batch's rows are then accumulated alone.
+    """
+    psi = _run_states(cfg, w, first, sizes)
     nrm = np.einsum("bs,bs->b", psi, psi.conj()).real
     ok = nrm > 1e-280
     wgt = np.where(ok, nrm, 1.0) ** weight_exponent * ok
-    return _kernels.moment_accumulate(psi, wgt, cfg.k)
+    ends = np.cumsum(sizes)
+    return [_kernels.moment_accumulate(psi[hi - b : hi], wgt[hi - b : hi], cfg.k)
+            for b, hi in zip(sizes, ends)]
 
 
 def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstimate:
     """Shared accumulation path: weights <psi~|psi~>^weight_exponent.
 
-    Batch sums come from a pool of pool_width(cfg) threads, at most IN_FLIGHT
-    per worker ahead of the reduction, and are added here in batch order.
+    The flattened batch plan is cut into runs of cfg.task_batches() consecutive
+    batches, one pool task each (_run_sums).  The tasks run on a pool of
+    pool_width(cfg) threads, at most IN_FLIGHT per worker ahead of the
+    reduction, and their batch sums are added here in batch order.
     """
     from concurrent.futures import ThreadPoolExecutor  # not at import: cli loads this module
 
     cps = cfg.resolved_checkpoints()
     plan = batch_plan(cps)
-    batches = enumerate(chain.from_iterable(plan))
+    sizes = list(chain.from_iterable(plan))
+    run = cfg.task_batches()
+    tasks = ((i, sizes[i : i + run]) for i in range(0, len(sizes), run))
     D = math.comb(2**cfg.n_a + cfg.k - 1, cfg.k)
     num = np.zeros((D, D), dtype=complex)
     den = 0.0
     batch_nums, batch_dens, checkpoint_batches = [], [], []
     series = ConvergenceSeries()
     # glibc's malloc raises its mmap and heap-trim thresholds to the size of a freed
-    # mapped block up to 32 MB (twice it for trimming).  Freeing one batch-sized block
-    # here keeps each batch's temporaries on the heap, where they would otherwise be
-    # trimmed and faulted back in batch after batch: 5e5 obc samples at t = 3 took
-    # 41k minor page faults without it and 1.4k with it; 3e5 pbc ones 346k and 3.3k.
+    # mapped block up to 32 MB (twice it for trimming).  Freeing one task-sized block
+    # here keeps each task's temporaries on the heap, where they would otherwise be
+    # trimmed and faulted back in task after task: 5e5 obc samples at t = 3 took
+    # 24k minor page faults without it and 1.7k with it; 3e5 pbc ones 311k and 3.3k.
     np.empty(min(cfg.batch_bytes(), 2**24), dtype=np.uint8)
     width = pool_width(cfg)
     pool = ThreadPoolExecutor(max_workers=width)
-    pending = deque()
+    pending = deque()  # tasks submitted, in batch order
+    done = deque()  # batch sums of the oldest task not yet reduced
 
     def submit():
-        nxt = next(batches, None)
+        nxt = next(tasks, None)
         if nxt is not None:
-            pending.append(pool.submit(_batch_sum, cfg, w, weight_exponent, *nxt))
+            pending.append(pool.submit(_run_sums, cfg, w, weight_exponent, *nxt))
 
     try:
         for _ in range(IN_FLIGHT * width):
             submit()
-        for cp, sizes in zip(cps, plan):
-            for _ in sizes:
-                bnum = pending.popleft().result()
-                submit()
+        for cp, batches in zip(cps, plan):
+            for _ in batches:
+                if not done:
+                    done.extend(pending.popleft().result())
+                    submit()
+                bnum = done.popleft()
                 num += bnum
                 bden = float(np.trace(bnum).real)
                 den += bden
@@ -344,7 +465,7 @@ def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstim
             series.points.append((cp, 0.5 * sym_haar_distance(rho)))
             checkpoint_batches.append(len(batch_nums))
     finally:
-        pool.shutdown(cancel_futures=True)  # after an error, batches not yet started never run
+        pool.shutdown(cancel_futures=True)  # after an error, tasks not yet started never run
     rho = (rho + rho.conj().T) / 2  # the last checkpoint is at cfg.samples
     return McEstimate(rho=rho, series=series.finalize(), batch_nums=batch_nums,
                       batch_dens=batch_dens, checkpoint_batches=checkpoint_batches)

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -20,10 +21,13 @@ from deeptherm.montecarlo import (
     McError,
     _batch_rng,
     _batch_states,
-    _batch_sum,
     _haar_batch,
+    _obc_factors,
     _reduce_batch,
+    _restart,
     _run_estimator,
+    _run_states,
+    _run_sums,
     batch_plan,
     mc_moment,
     mc_projected_state,
@@ -38,18 +42,48 @@ G = 0.3
 
 
 def _haar_states(rng: np.random.Generator, d: int, b: int) -> np.ndarray:
-    """b Haar-random unit vectors in C^d: normalized complex Gaussian draws,
-    from the same two draws as _batch_states' obc branch."""
+    """b Haar-random unit vectors in C^d: normalized complex Gaussian draws."""
     z = rng.standard_normal((b, d)) + 1j * rng.standard_normal((b, d))
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
-def _normalized_obc_batch_states(cfg, w, batch_index, b):
-    """obc projected states from normalized copies of the kets and bras."""
-    states = _haar_states(_batch_rng(cfg.seed, batch_index), 2**cfg.t, 2 * b)
-    states = states.reshape(2, b, 2**w.t_legs, -1)
-    R = np.einsum("bir,bcr->bic", states[0], states[1].conj())
-    return np.einsum("sxy,byx->bs", w.data, R)
+def _explicit_kets_and_bras(cfg, L, G, gamma, rng):
+    """The normalized kets K / |K| and bras B / |B| of a factored obc draw, (S, d) each.
+
+    K = L Q and B = G Q + B_perp, with Q (r x N) a Haar isometry from rng and
+    B_perp (p x N) orthogonal to Q's rows, |B_perp|^2 = gamma: a state's
+    (kept, traced) reshape is its p x N matrix, so K B^+ = L G^+."""
+    p, r, S = L.shape
+    n = 2**cfg.t // p
+    q = np.linalg.qr(rng.standard_normal((S, n, r)) + 1j * rng.standard_normal((S, n, r)))[0]
+    Q = q.conj().transpose(0, 2, 1)  # orthonormal rows
+    y = rng.standard_normal((S, p, n)) + 1j * rng.standard_normal((S, p, n))
+    y -= y @ q @ Q  # B_perp's direction, orthogonal to Q's rows
+    if n > r:
+        y *= np.sqrt(gamma / np.einsum("sij,sij->s", y, y.conj()).real)[:, None, None]
+    else:  # Q's rows span C^N, and gamma = Gamma(0) = 0
+        assert np.all(gamma == 0)
+        y[...] = 0
+    K = L.transpose(2, 0, 1) @ Q
+    B = G.transpose(2, 0, 1) @ Q + y
+    for M, N2 in ((K, np.einsum("ijs,ijs->s", L, L.conj()).real),
+                  (B, np.einsum("ijs,ijs->s", G, G.conj()).real + gamma)):
+        assert np.allclose(np.einsum("sij,sij->s", M, M.conj()).real, N2, rtol=1e-12, atol=0)
+    kets, bras = K.reshape(S, -1), B.reshape(S, -1)
+    return (kets / np.linalg.norm(kets, axis=1, keepdims=True),
+            bras / np.linalg.norm(bras, axis=1, keepdims=True))
+
+
+def _normalized_obc_run_states(cfg, w, first, sizes):
+    """obc projected states of a run from normalized copies of explicit kets and bras."""
+    out = []
+    for i, b in enumerate(sizes, start=first):
+        L, G, gamma = _obc_factors(cfg, i, (b,))
+        kets, bras = _explicit_kets_and_bras(cfg, L, G, gamma, np.random.default_rng(i))
+        kets, bras = (x.reshape(b, 2**w.t_legs, -1) for x in (kets, bras))
+        R = np.einsum("bir,bcr->bic", kets, bras.conj())
+        out.append(np.einsum("sxy,byx->bs", w.data, R))
+    return np.concatenate(out)
 
 
 def test_config_validation():
@@ -62,7 +96,10 @@ def test_config_validation():
     with pytest.raises(McError):
         McConfig(k=2, t=0, n_a=2, samples=1000)
     with pytest.raises(McError):
-        McConfig(k=2, t=11, n_a=2, samples=1000)  # temporal register capped at 10 qubits
+        McConfig(k=2, t=11, n_a=2, samples=1000)  # pbc's temporal register capped at 10 qubits
+    with pytest.raises(McError):
+        McConfig(k=2, t=31, n_a=2, bc="obc", samples=1000)  # obc's at 30
+    McConfig(k=2, t=30, n_a=2, bc="obc", samples=1000)
     McConfig(k=7, t=2, n_a=2, samples=1000)  # Sym^7 sums of 120 x 120; no replica codes
     with pytest.raises(McError, match="above budget"):
         McConfig(k=16, t=2, n_a=2, samples=1_000_000)  # 1001 Sym^16 sums of 969 x 969, 15 GB
@@ -93,13 +130,13 @@ def test_one_batch_plan_for_preflight_and_estimator(monkeypatch):
     plan = batch_plan(cps)
     assert plan == [[1000, 500], [800], [1000, 1000, 700]]
     sizes = []
-    real = montecarlo._batch_states
+    real = montecarlo._run_states
 
-    def recording(cfg, w, batch_index, b):
-        sizes.append((batch_index, b))
-        return real(cfg, w, batch_index, b)
+    def recording(cfg, w, first, run):
+        sizes.extend(enumerate(run, start=first))
+        return real(cfg, w, first, run)
 
-    monkeypatch.setattr(montecarlo, "_batch_states", recording)
+    monkeypatch.setattr(montecarlo, "_run_states", recording)
     est = mc_moment(cfg)
     assert sorted(sizes) == list(enumerate([1000, 500, 800, 1000, 1000, 700]))
     assert len(est.batch_nums) == 6 and est.checkpoint_batches == [2, 3, 6]
@@ -187,20 +224,67 @@ def test_pool_width_capped_by_memory_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("n_a,k,t,bc", [(3, 4, 2, "obc"), (2, 8, 1, "obc"), (2, 8, 2, "pbc"),
-                                        (2, 2, 3, "obc"), (2, 2, 3, "pbc"), (2, 2, 10, "obc")])
+                                        (2, 2, 3, "obc"), (2, 2, 3, "pbc"), (2, 2, 10, "obc"),
+                                        (2, 2, 20, "obc")])
 def test_batch_bytes_bounds_traced_batch_peak(n_a, k, t, bc):
-    # at large D the accumulation rows, not the states, dominate a batch; at
-    # obc t=10 the fill of z does, and the reduce phase is not added to it
-    cfg = McConfig(k=k, t=t, n_a=n_a, bc=bc, samples=BATCH, seed=3)
+    # batch_bytes counts one pool task, a run of task_batches() batches; at
+    # large D the accumulation rows, not the states, dominate it, and the
+    # states and the rows, never live together, are added
+    cfg = McConfig(k=k, t=t, n_a=n_a, bc=bc, samples=10 * BATCH, seed=3)
     w = build_w(n_a)
-    _batch_sum(cfg, w, 1 - k, 0, BATCH)  # the basis caches are built once per process
+    run = [BATCH] * cfg.task_batches()
+    _run_sums(cfg, w, 1 - k, 0, run)  # the basis caches are built once per process
     tracemalloc.start()
     try:
-        _batch_sum(cfg, w, 1 - k, 1, BATCH)
+        _run_sums(cfg, w, 1 - k, len(run), run)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= cfg.batch_bytes() <= 2 * peak
+
+
+def test_obc_batch_bytes_independent_of_depth():
+    # an obc sample is O(p^2) numbers at any t: no 2^t term is counted
+    short, deep = (McConfig(k=2, t=t, n_a=2, bc="obc", samples=100_000) for t in (3, 20))
+    assert short.batch_bytes() == deep.batch_bytes() < 4 * 2**20
+
+
+def test_cli_mc_obc_runs_deep_circuits(tmp_path):
+    out = str(tmp_path / "mc.csv")
+    assert main(["mc", "--k", "2", "--bc", "obc", "--t", "20", "--samples", "2000", "--out", out]) == 0
+    cols, rows = read_csv(out)
+    assert [int(r[cols.index("t")]) for r in rows] == [20, 20]
+    assert all(np.isfinite(float(r[cols.index("delta_k")])) for r in rows)
+
+
+def test_restart_draws_a_fresh_batch_stream():
+    rng = _batch_rng(5, 1)
+    rng.standard_normal(7)
+    rng.standard_gamma(3.0, size=5)
+    again = _restart(rng, 5, 9)
+    assert again is rng
+    np.testing.assert_array_equal(rng.standard_normal(20), _batch_rng(5, 9).standard_normal(20))
+
+
+@pytest.mark.parametrize("n_a,t,bc", [(2, 3, "obc"), (3, 4, "obc"), (1, 1, "obc"), (2, 1, "pbc")])
+def test_batch_sum_independent_of_its_run(n_a, t, bc):
+    # a pool task forms its batches' states and weights together; a batch's
+    # sum must be bit for bit the one it gets alone, short batches at
+    # checkpoints (of 500, 800, 1 and 699 samples) included
+    k = 1 if n_a == 3 else 2
+    cps = (1500, 2300, 2301, 5000)
+    cfg = McConfig(k=k, t=t, n_a=n_a, bc=bc, samples=5000, checkpoints=cps, seed=23)
+    w = build_w(n_a)
+    sizes = list(chain.from_iterable(batch_plan(cps)))
+    assert sizes == [1000, 500, 800, 1, 1000, 1000, 699]
+    alone = [_run_sums(cfg, w, 1 - k, i, [b])[0] for i, b in enumerate(sizes)]
+    runs = (_run_sums(cfg, w, 1 - k, 0, sizes),
+            [None] + _run_sums(cfg, w, 1 - k, 1, sizes[1:4]) + [None] * 3,
+            mc_moment(cfg).batch_nums)
+    for run in runs:
+        for got, ref in zip(run, alone, strict=True):
+            if got is not None:
+                np.testing.assert_array_equal(got, ref)
 
 
 def test_batch_above_budget_refused_before_sampling(tmp_path, capsys, monkeypatch):
@@ -216,8 +300,8 @@ def test_batch_above_budget_refused_before_sampling(tmp_path, capsys, monkeypatc
     rec = json.loads(capsys.readouterr().err.strip())
     assert rec["type"] == "McError" and "above budget" in rec["error"]
     assert not os.path.exists(out)
-    # an obc batch at t=10 is counted as about 5 complex 1000 x 1024 arrays,
-    # ~0.08 GB, and fits: obc forms no d x d operator
+    # an obc batch is counted as a few complex numbers per sample at any t,
+    # and fits: obc forms no d x d operator and no d-vector
     McConfig(k=1, t=10, n_a=1, bc="obc", samples=1000)
 
 
@@ -286,14 +370,14 @@ def _unitary_with_first_column(v, rng):
 
 
 def test_obc_batch_matches_single_sample_oracle(w2, rng):
-    # the obc batch path draws U'|0> and U|+> as vectors; completing them to
-    # unitaries U', U must reproduce the single-sample path row by row
+    # the obc batch path draws the Bartlett factors L, G and gamma; explicit
+    # kets K = L Q and bras B = G Q + B_perp, completed to unitaries U', U,
+    # must reproduce the single-sample path row by row
     t, b, seed = 3, 6, 77
     d = 2**t
     cfg = McConfig(k=2, t=t, n_a=2, bc="obc", samples=b, checkpoints=(b,), seed=seed)
     batch = _batch_states(cfg, w2, 0, b)
-    states = _haar_states(_batch_rng(seed, 0), d, 2 * b)
-    ket, bra = states[:b], states[b:]
+    ket, bra = _explicit_kets_and_bras(cfg, *_obc_factors(cfg, 0, (b,)), rng)
     hadamard = kron_all([np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)] * t)
     plus = np.full(d, 2.0 ** (-t / 2))
     for i in range(b):
@@ -308,26 +392,34 @@ def test_obc_batch_matches_single_sample_oracle(w2, rng):
 
 
 @pytest.mark.parametrize("n_a", [1, 2, 3, 4])
-def test_obc_batch_matches_normalized_state_oracle(n_a):
-    # psi~ scaled by the draws' norms equals psi~ of the normalized states
+def test_obc_batch_matches_normalized_state_oracle(n_a, rng):
+    # t from t0 to 8 spans N < p (t = t0 at n_a = 3, 4), N = p and N > p:
+    # the batch rows equal psi~ of the unitaries that complete explicit kets
+    # and bras of the same draw to unitaries
     w = build_w(n_a)
     for t in range(min_depth(n_a), 9):
+        d = 2**t
         cfg = McConfig(k=2, t=t, n_a=n_a, bc="obc", samples=300, seed=41)
-        psi = _batch_states(cfg, w, 2, 300)
-        ref = _normalized_obc_batch_states(cfg, w, 2, 300)
-        assert psi.shape == ref.shape == (300, 2**n_a)
+        psi = _batch_states(cfg, w, 2, 3)
+        ket, bra = _explicit_kets_and_bras(cfg, *_obc_factors(cfg, 2, (3,)), rng)
+        hadamard = kron_all([np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)] * t)
+        ref = np.array([mc_projected_state(_unitary_with_first_column(bra[i], rng) @ hadamard,
+                                           _unitary_with_first_column(ket[i], rng), "obc", w)[0]
+                        for i in range(3)])
+        assert psi.shape == ref.shape == (3, 2**n_a)
         err = np.linalg.norm(psi - ref, axis=1) / np.linalg.norm(ref, axis=1)
-        assert err.max() <= 1e-13, (t, err.max())
+        assert err.max() <= 1e-13, (t, d, err.max())
 
 
 def test_obc_csv_matches_normalized_state_reference(tmp_path, monkeypatch):
-    # obc keeps its stream: the same draws, in the same order, as the
-    # normalized-state path; only rounding differs
+    # the run path (factored draw, states, norms and weights over runs of
+    # batches) against explicit normalized kets and bras of the same draws,
+    # reduced batch by batch: only rounding differs
     args = ["mc", "--k", "2", "--t", "3", "--bc", "obc", "--na", "2",
             "--samples", "12000", "--seed", "5"]
     out, ref = str(tmp_path / "out.csv"), str(tmp_path / "ref.csv")
     assert main(args + ["--out", out]) == 0
-    monkeypatch.setattr(montecarlo, "_batch_states", _normalized_obc_batch_states)
+    monkeypatch.setattr(montecarlo, "_run_states", _normalized_obc_run_states)
     assert main(args + ["--out", ref]) == 0
     cols, rows = read_csv(out)
     ref_cols, ref_rows = read_csv(ref)
@@ -338,6 +430,40 @@ def test_obc_csv_matches_normalized_state_reference(tmp_path, monkeypatch):
         for c, rel in (("delta_k", 1e-12), ("stderr", 1e-9)):
             a, b = (float(r[cols.index(c)]) for r in (row, ref_row))
             assert a == pytest.approx(b, rel=rel, nan_ok=True), c
+
+
+def _overlap_statistics(R):
+    """Per sample, the second and fourth moments of R's entries: each |R_ij|^2
+    and |R_ij|^4, and the sums of |R_ij|^2 |R_kl|^2 over the pairs of entries
+    in one row, in one column and in neither."""
+    x = np.abs(R) ** 2
+    x2 = x * x
+    pairs = [(x.sum(axis=a) ** 2 - x2.sum(axis=a)).sum(axis=1) / 2 for a in (2, 1)]
+    everywhere = (x.sum(axis=(1, 2)) ** 2 - x2.sum(axis=(1, 2))) / 2
+    flat = x.reshape(len(x), -1)
+    return np.column_stack([flat, flat**2, *pairs, everywhere - pairs[0] - pairs[1]])
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (2, 4), (4, 2), (4, 4), (2, 16)])
+def test_obc_factored_draw_has_the_haar_state_law(p, n):
+    # R = L G^+ / (|L| sqrt(|G|^2 + gamma)) from the factored draw against
+    # R = K B^+ / (|K| |B|) from two Haar states drawn directly: the second and
+    # fourth moments of its entries agree within 4 standard errors
+    n_a, samples = {2: 2, 4: 3}[p], 100_000
+    cfg = McConfig(k=1, t=min_depth(n_a) + int(np.log2(n)), n_a=n_a, bc="obc", samples=samples)
+    L, G, gamma = _obc_factors(cfg, 0, (BATCH,) * (samples // BATCH))
+    nrm2 = np.einsum("ijs,ijs->s", L, L.conj()).real * (np.einsum("ijs,ijs->s", G, G.conj()).real + gamma)
+    factored = np.einsum("ijs,cjs->sic", L, G.conj()) / np.sqrt(nrm2)[:, None, None]
+    rng = np.random.default_rng(2025)
+    direct = []
+    for _ in range(samples // 20_000):
+        kets, bras = _haar_states(rng, p * n, 40_000).reshape(2, 20_000, p, n)
+        direct.append(np.einsum("bir,bcr->bic", kets, bras.conj()))
+    stats = [_overlap_statistics(R) for R in (factored, np.concatenate(direct))]
+    mean = [s.mean(axis=0) for s in stats]
+    se = np.sqrt(sum(s.var(axis=0) for s in stats) / samples)
+    z = np.abs(mean[0] - mean[1]) / se
+    assert z.max() <= 4.0, (p, n, z.max())
 
 
 def test_haar_states_unit_norm_and_moments():
