@@ -26,9 +26,10 @@ chunk into the output, so no n x 2^n spin table is formed.
 After each step one pass over the bath outcomes gives the moments of every
 order 1..K (moments_from_state).  It reads the state block by block: one
 block's amplitudes are copied into a reused buffer, their Born weights
-taken, and _kernels.accumulate_blocks grows each outcome's Sym^k rows order
-by order, each from the rows of order k - 1, in reused work arrays, and adds
-them to the running sums with one GEMM per order.  The moments are returned as their
+taken, and _kernels.accumulate_blocks grows each outcome's Sym^K rows in
+reused work arrays and adds them to the running sum with one GEMM.  Each
+lower order is the partial trace of the next (linalg.sym_partial_trace),
+taken once per step on the D x D sums.  The moments are returned as their
 D x D Sym^k blocks (linalg.sym_basis); delta_k reads the distance to Haar
 from the block.  Only the tests embed a block in the replicated space.  The
 entanglement entropy comes from the eigenvalues of the block's reduced
@@ -62,6 +63,7 @@ from .linalg import (
     partial_trace,
     permutation_vector_state,
     sym_haar_distance,
+    sym_partial_trace,
     trace_norm,
 )
 from .permgroup import enumerate_sym, weingarten_table
@@ -136,26 +138,33 @@ def exact_bytes(n: int, n_a: int, k: int) -> int:
     output and one chunk's integer and float temporaries), and so does the
     entropy pass (one chunk's conjugate and a 2^n_a x 2^n_a Gram matrix).
     The moment pass holds instead one block of outcomes, rows =
-    min(block_rows(D_k), 2^(n - n_a)): its amplitudes and their conjugate
-    (2^n_a x rows complex each), the Born weights and one weight row per
-    order (rows float64 each), accumulate_blocks' three work arrays (D_k x
-    rows complex each) and, per order j, the D_j x D_j running sum, D_j =
-    C(2^n_a + j - 1, j), with the GEMM update and delta_k's Hermitian part and
-    eigvalsh copy at D_k.  One MiB more covers the kick matrices (64 x 64),
-    the CSV rows and the interpreter's own objects.  No moment is embedded in
-    the 2^(n_a k)-dimensional replicated space, and no spin table is formed.
+    min(block_rows(D_k), 2^(n - n_a)): its amplitudes, their conjugate and
+    accumulate_blocks' scaled copy (2^n_a x rows complex each), the Born
+    weights, the weight row and their temporaries (four rows of float64),
+    and accumulate_blocks' work arrays (up to three, D_k x rows complex
+    each).  It returns the D_j x D_j block of every order j, D_j =
+    C(2^n_a + j - 1, j), and holds beside them the GEMM update at D_k,
+    delta_k's Hermitian part and eigvalsh copy at D_k, and
+    sym_partial_trace's gathered block at D_(k-1).  One MiB more covers the
+    kick matrices (64 x 64), the CSV rows and the interpreter's own objects.
+    No moment is embedded in the 2^(n_a k)-dimensional replicated space, and
+    no spin table is formed.
     """
     state = 16 * 2**n
     dims = [math.comb(2**n_a + j - 1, j) for j in range(1, k + 1)]
     rows = min(_kernels.block_rows(dims[-1]), 2 ** (n - n_a))
-    moments = (2 * 16 * 2**n_a * rows + 8 * (k + 1) * rows + 3 * 16 * dims[-1] * rows
-               + 16 * sum(d * d for d in dims) + 3 * 16 * dims[-1] ** 2)
+    moments = (3 * 16 * 2**n_a * rows + 4 * 8 * rows + 3 * 16 * dims[-1] * rows
+               + 16 * sum(d * d for d in dims) + 3 * 16 * dims[-1] ** 2
+               + 16 * math.comb(2**n_a + k - 2, k - 1) ** 2)
     return 2 * state + max(state + 16 * CHUNK, moments) + 2**20
 
 
 def check_exact_size(n: int, n_a: int, k: int) -> None:
-    """Raise ConfigError, before anything is allocated, when exact_bytes exceeds the
-    memory budget; it bounds both the chain length n and the Sym^k dimension D."""
+    """Raise ConfigError, before anything is allocated, when k < 1 or exact_bytes
+    exceeds the memory budget; it bounds both the chain length n and the Sym^k
+    dimension D."""
+    if k < 1:
+        raise ConfigError(f"moment order k must be >= 1, got {k}")
     need = exact_bytes(n, n_a, k)
     if need > MEM_BUDGET_BYTES:
         raise ConfigError(
@@ -263,14 +272,13 @@ def evolve(cfg: KimConfig) -> np.ndarray:
 
 
 def _outcome_weights(amps: np.ndarray, k: int) -> np.ndarray:
-    """w[j - 1, z] = p_z^(1-j) for the Born weights p_z of the bath outcomes
-    (the columns of amps), and zero where p_z < P_FLOOR (no power of a
-    vanishing p is taken)."""
+    """w_z = p_z^(1-k) for the Born weights p_z of the bath outcomes (the
+    columns of amps), and zero where p_z < P_FLOOR (no power of a vanishing
+    p is taken)."""
     p = np.einsum("sz,sz->z", amps, amps.conj()).real
     kept = p >= P_FLOOR
-    w = np.zeros((k, len(p)))
-    for j in range(1, k + 1):
-        w[j - 1, kept] = p[kept] ** (1 - j)
+    w = np.zeros(len(p))
+    w[kept] = p[kept] ** (1 - k)
     return w
 
 
@@ -282,10 +290,12 @@ def moments_from_state(state: np.ndarray, cfg: KimConfig, k: int) -> list:
     The outcomes are read in blocks of a power of two rows, at most
     block_rows(D_k), so each block lies in one z1 slab or spans whole ones:
     its amplitudes amps[sigma, z] = <z1 sigma z2|Psi> are copied into one
-    buffer, and _kernels.accumulate_blocks grows the Sym^j rows of every
-    order from them and adds them to the running sums in block order.  While
-    block_rows(D_k) is a power of two (D_k <= 4096), that is bit for bit
-    moment_accumulate on all the outcomes at once.
+    buffer, and _kernels.accumulate_blocks adds their Sym^k rows, weighted
+    p_z^(1-k), to the running sum in block order.  While block_rows(D_k) is
+    a power of two (D_k <= 4096), that is bit for bit moment_accumulate on
+    all the outcomes at once.  Each lower order j is then the normalized
+    partial trace of order j + 1 (linalg.sym_partial_trace): a projected
+    state has unit trace, and p_z^(1-j) p_z = p_z^(1-(j-1)).
     """
     da, n_out = 2**cfg.n_a, 2**cfg.n_b
     amps = state.reshape(2**cfg.offset, da, -1).transpose(1, 0, 2)  # (sigma, z1, z2), a view
@@ -302,10 +312,13 @@ def moments_from_state(state: np.ndarray, cfg: KimConfig, k: int) -> list:
                 buf.reshape(da, -1, z2)[...] = amps[:, lo // z2 : (lo + rows) // z2]
             yield buf, _outcome_weights(buf, k)
 
-    blocks = _kernels.accumulate_blocks(gathered(), da, k)
-    for r in blocks:
+    blocks = [_kernels.accumulate_blocks(gathered(), da, k)]
+    blocks[0] /= np.trace(blocks[0])
+    for j in range(k, 1, -1):
+        r = sym_partial_trace(blocks[-1], da, j)
         r /= np.trace(r)
-    return blocks
+        blocks.append(r)
+    return blocks[::-1]
 
 
 def moment_from_state(state: np.ndarray, cfg: KimConfig, k: int) -> np.ndarray:

@@ -104,6 +104,39 @@ def sym_basis(d: int, k: int) -> SymBasis:
     return SymBasis(idx, coef)
 
 
+@lru_cache(maxsize=None)
+def _trace_maps(d: int, k: int) -> tuple:
+    """Per digit i: the row in sym_basis(d, k) of each Sym^(k-1) multiset beta
+    with i added, and coef_beta / coef_(beta+i)."""
+    low, high = sym_basis(d, k - 1), sym_basis(d, k)
+    maps = []
+    for i in range(d):
+        rows = sym_index(np.column_stack([low.idx, np.full(len(low.idx), i)]), d)
+        maps.append((rows, low.coef / high.coef[rows]))
+    return tuple(maps)
+
+
+def sym_partial_trace(r: np.ndarray, d: int, k: int) -> np.ndarray:
+    """Sym^(k-1) block of Tr_k rho, the trace over the last copy of the operator
+    rho on (C^d)^{(x)k} whose Sym^k block is r (k >= 2):
+
+        r'[beta, gamma] = sum_i (c_beta / c_(beta+i)) r[beta+i, gamma+i] (c_gamma / c_(gamma+i)),
+
+    beta+i the multiset beta with digit i added.  Each term gathers one
+    D' x D' block of r, D' = C(d+k-2, k-1), so the sum holds one temporary of
+    that size beside the result.
+    """
+    maps = _trace_maps(d, k)
+    out = np.zeros((len(maps[0][0]),) * 2, dtype=r.dtype)
+    for rows, ratio in maps:
+        g = r[np.ix_(rows, rows)]
+        g *= ratio[:, None]
+        g *= ratio
+        out += g
+        del g  # before the next gather
+    return out
+
+
 def sym_haar_distance(r: np.ndarray) -> float:
     """||rho - rho_Haar||_1 for the k-th moment rho with Sym^k block r.
 

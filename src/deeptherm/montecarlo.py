@@ -139,9 +139,12 @@ class McConfig:
         counted as 5.  For obc, per sample at _run_states' product loop, the
         2 p r - r (r + 1) / 2 complex normals, L (p r), R and one product
         (p^2 each), the r + 1 gammas and the norms.  Fixed, accumulating one
-        batch at a time: moment_accumulate's three D x rows complex work
-        arrays, rows = min(block_rows(D), b), counted as four, and two D x D
-        ones, the batch's sum (kept_bytes counts it too) and the GEMM's product.
+        batch at a time: moment_accumulate's copy of the batch's rows and its
+        scaled columns (dA x rows complex each) and its min(k, 3) D x rows
+        work arrays, rows = min(block_rows(D), b), counted as four D x rows
+        arrays in all (D >= 2 dA from k = 3 on), and two D x D ones, the
+        batch's sum (kept_bytes counts it too) and the GEMM's product, which
+        is gone before the real coef coef^T is formed.
         """
         b = max(chain.from_iterable(batch_plan(self.resolved_checkpoints())))
         D = math.comb(2**self.n_a + self.k - 1, self.k)

@@ -33,7 +33,7 @@ from deeptherm.kim import (
     plus_state,
     reduced_density_matrix,
 )
-from deeptherm.linalg import partial_trace, trace_norm
+from deeptherm.linalg import partial_trace, sym_partial_trace, trace_norm
 from deeptherm.montecarlo import McConfig, _batch_states, batch_plan, mc_moment
 from deeptherm.permgroup import enumerate_sym
 from deeptherm.records import read_csv
@@ -240,8 +240,32 @@ def test_one_pass_gives_each_order_of_moment_from_state():
     state = evolve(cfg)
     blocks = moments_from_state(state, cfg, 4)
     assert [b.shape for b in blocks] == [(4, 4), (10, 10), (20, 20), (35, 35)]
+    # order j is the normalized partial trace of order j + 1, bit for bit
+    for j in (3, 2, 1):
+        ref = sym_partial_trace(blocks[j], 4, j + 1)
+        ref /= np.trace(ref)
+        assert blocks[j - 1].tobytes() == ref.tobytes()
+    # and a pass of order j alone gives the same block up to rounding
+    for j, block in enumerate(blocks, start=1):
+        alone = moment_from_state(state, cfg, j)
+        assert np.abs(block - alone).max() <= 1e-13 * np.abs(alone).max()
+
+
+def test_moments_from_state_match_kron_oracle_below_p_floor():
+    # outcomes under P_FLOOR get weight zero in every order, one exactly zero among them
+    cfg = KimConfig(n=8, n_a=2, t=2, bc="obc", g=G)
+    state = evolve(cfg)
+    A = state.reshape(2**cfg.offset, 4, -1)
+    A[0, :, 0] = 0.0
+    A[1, :, 2] *= 1e-8  # p ~ 1e-18
+    A[3, :, 1] *= np.sqrt(P_FLOOR / 2) / np.linalg.norm(A[3, :, 1])  # p = P_FLOOR / 2, dropped
+    A[2, :, 3] *= 2 * np.sqrt(P_FLOOR) / np.linalg.norm(A[2, :, 3])  # p = 4 P_FLOOR, kept
+    assert sum(psi is None for _, psi in _outcomes(state, cfg)) == 3
+    blocks = moments_from_state(state, cfg, 4)
     for k, block in enumerate(blocks, start=1):
-        assert block.tobytes() == moment_from_state(state, cfg, k).tobytes()
+        ref = _kron_moment(state, cfg, k)
+        ref /= np.trace(ref)
+        assert np.abs(sym_embed(block, 4, k) - ref).max() <= 1e-12
 
 
 @pytest.mark.parametrize("offset", [0, 6, 12])  # 4096, 64 and 1 outcomes z2 per value of z1
@@ -249,10 +273,15 @@ def test_blockwise_moments_match_one_pass_over_all_outcomes_bitwise(offset):
     cfg = KimConfig(n=14, n_a=2, t=3, bc="obc", g=G, a_offset=offset)
     state = evolve(cfg)
     amps = state.reshape(2**offset, 4, -1).transpose(1, 0, 2).reshape(4, -1)  # (sigma, z)
-    ref = moment_accumulate(amps.T, kim._outcome_weights(amps, 3), 3)
+    ref = [moment_accumulate(amps.T, kim._outcome_weights(amps, 3), 3)]
+    ref[0] /= np.trace(ref[0])
+    for j in (3, 2):
+        r = sym_partial_trace(ref[-1], 4, j)
+        r /= np.trace(r)
+        ref.append(r)
     got = moments_from_state(state, cfg, 3)
-    for r, g in zip(ref, got):
-        assert (r / np.trace(r)).tobytes() == g.tobytes()
+    for r, g in zip(ref[::-1], got):
+        assert r.tobytes() == g.tobytes()
 
 
 def test_zero_probability_outcomes_raise_no_warning():
@@ -282,6 +311,16 @@ def test_exact_bytes_bounds_traced_peak(tmp_path):
     run(6)  # first-use caches and imports stay out of the measured run
     peak = run(16)
     assert peak <= exact_bytes(16, 2, 3) <= 1.5 * peak
+
+
+def test_exact_bytes_bounds_traced_peak_at_large_k(tmp_path):
+    # k=16 at n=8: the Sym^16 sums (969 x 969) and the partial traces, not the
+    # 4 KiB state, set the peak
+    args = cli.build_parser().parse_args(
+        ["exact", "--n", "8", "--na", "2", "--t", "1", "--k", "16", "--out", str(tmp_path / "x.csv")])
+    assert args.func(args) == 0  # first-use caches
+    peak = _traced_peak(args.func, args)
+    assert peak <= exact_bytes(8, 2, 16) <= 1.5 * peak
 
 
 def _traced_peak(f, *args):

@@ -14,6 +14,7 @@ from deeptherm.linalg import (
     permutation_vector_state,
     sym_basis,
     sym_haar_distance,
+    sym_partial_trace,
     trace_norm,
 )
 from deeptherm.permgroup import Permutation, enumerate_sym
@@ -262,6 +263,18 @@ def test_sym_haar_distance_matches_dense_trace_norm(d, k, rng):
     for r in (_random_sym_block(rng, D), 0.7 * np.eye(D) / D + 0.3 * _random_sym_block(rng, D)):
         dense = trace_norm(sym_embed(r, d, k) - haar)
         assert abs(sym_haar_distance(r) - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("d,k", [(d, k) for d in (2, 3, 4) for k in (2, 3, 4)])
+def test_sym_partial_trace_matches_dense_partial_trace(d, k, rng):
+    D = len(sym_basis(d, k).coef)
+    r = _random_sym_block(rng, D)
+    for block in (r, r + 1j * rng.standard_normal((D, D))):  # Hermitian or not
+        dense = partial_trace(sym_embed(block, d, k), [d] * k, keep=range(k - 1))
+        ref = sym_compress(dense, d, k - 1)
+        got = sym_partial_trace(block, d, k)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_sym_compress_refuses_antisymmetric_part():

@@ -183,7 +183,7 @@ def test_result_independent_of_pool_width(monkeypatch, route):
 def test_pool_width_capped_by_memory_budget(monkeypatch):
     # every worker holds one batch: counted as 5 complex 1000 x d x d arrays
     # for pbc, so 3.5 GB fits ten pbc batches at t=6 but two at t=7; an obc
-    # batch is counted as about 5 complex 1000 x d arrays and never caps the pool
+    # batch is O(p^2) numbers per sample at any t and never caps the pool
     monkeypatch.setattr(montecarlo, "WORKERS", 8)
     assert montecarlo.pool_width(McConfig(k=1, t=6, n_a=1, samples=1000)) == 8
     assert montecarlo.pool_width(McConfig(k=1, t=7, n_a=1, samples=1000)) == 2

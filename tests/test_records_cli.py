@@ -293,6 +293,15 @@ def test_cli_exact_refuses_oversized_run_before_allocating(tmp_path, capsys, mon
     assert kim.exact_bytes(26, 2, 3) <= MEM_BUDGET_BYTES  # the largest chain still runs
 
 
+def test_cli_exact_refuses_order_below_one(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    for k in ("0", "-2"):
+        assert main(["exact", "--n", "6", "--na", "2", "--t", "1", "--k", k, "--out", out]) == 3
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["type"] == "ConfigError" and "k must be >= 1" in rec["error"]
+    assert not os.path.exists(out)
+
+
 def test_cli_exact_runs_k7_in_sym_blocks(tmp_path):
     # k=7 at n_a=2: 120 x 120 Sym^7 blocks; 16384 x 16384 operators would take 4.3 GB
     out = str(tmp_path / "k7.csv")
