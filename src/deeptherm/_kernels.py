@@ -1,31 +1,31 @@
 """Hot numeric kernels, one numpy implementation each.
 
-moment_accumulate works in the symmetric subspace: it returns the k-th
-moment as its Sym^k block (basis in linalg.sym_basis), never the dA^k x dA^k
-operator.  It grows the Sym^k rows of a batch of states one level j at a
-time and adds them to the sum with one GEMM at level k.  A lower order is
-the partial trace of a higher one (linalg.sym_partial_trace), so one order
-per pass is all a caller needs.  Its loop, accumulate_blocks, also takes
-blocks of rows produced one at a time (the exact route copies them out of
-the statevector) and reuses its work arrays across them.  Results are
-deterministic for a given numpy/BLAS build.
+accumulate_blocks is the one moment kernel of the exact and Monte Carlo
+routes.  It is handed unnormalized states, the columns of blocks given in
+turn, takes their Born weights p = |psi|^2 itself (zero below P_FLOOR), and
+returns sum_b p_b^exponent (psi_b psi_b^+)^{(x)k} as its Sym^k block (basis in
+linalg.sym_basis), never the dA^k x dA^k operator.  It grows the Sym^k rows
+of a block of states one level j at a time and adds them to the sum with one
+GEMM at level k.  A lower order is the partial trace of a higher one
+(linalg.sym_partial_trace), so one order per pass is all a caller needs.
+Results are deterministic for a given numpy/BLAS build.
 """
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
 from .linalg import sym_basis, sym_index
 
-ROW_BLOCK = 1024  # rows per GEMM in moment_accumulate; a block's rows take 1.3 MB at k = 3, N_A = 2
-BLOCK_ENTRIES = 2**22  # Sym^k row entries per block (64 MiB complex); fewer rows at large D
+P_FLOOR = 1e-14  # states below this Born weight get weight zero
+ROW_BLOCK = 1024  # states per GEMM; a block's Sym^3 rows take 1.3 MB at N_A = 2
+BLOCK_ENTRIES = 2**22  # Sym^k row entries per block (64 MiB complex); fewer states at large D
 
 
 # ---------------------------------------------------------------------------
-# weighted sums of k-fold projector powers, in Sym^k:
-#   sum_b w_b (psi_b psi_b^+)^{(x)k}  as its D x D Sym^k block
+# Born-weighted sums of k-fold projector powers, in Sym^k:
+#   sum_b p_b^exponent (psi_b psi_b^+)^{(x)k}  as its D x D Sym^k block
 
 
 @lru_cache(maxsize=None)
@@ -37,45 +37,32 @@ def _parent_rows(d: int, k: int) -> np.ndarray:
 
 
 def block_rows(d: int) -> int:
-    """Rows per block of moment_accumulate when its top level has d Sym^k rows:
+    """States per block of accumulate_blocks when its top level has d Sym^k rows:
     ROW_BLOCK, or fewer when the block would exceed BLOCK_ENTRIES entries (any d
     above 4096)."""
     return min(ROW_BLOCK, max(1, BLOCK_ENTRIES // d))
 
 
-def moment_accumulate(psi: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
-    """Sym^k block (linalg.sym_basis) of sum_b w_b (|psi_b><psi_b|)^{(x)k}.
+def accumulate_blocks(blocks, da: int, k: int, exponent: float) -> np.ndarray:
+    """Sym^k block (linalg.sym_basis) of sum_b p_b^exponent (|psi_b><psi_b|)^{(x)k},
+    p_b = |psi_b|^2, over the states psi_b of blocks, in their order.
 
+    Each block is a (dA, ...) array of unnormalized states, its trailing axes
+    flattened into columns; it may be a strided view and is never written.
+    A state with p_b < P_FLOOR gets weight zero, and no power of it is taken.
     psi_b^{(x)k} lies in Sym^k, where its coordinates are the rows
     v_b[alpha] = coef_alpha prod_i psi_b[idx[alpha, i]], D = C(dA+k-1, k) of
-    them instead of dA^k.  Each psi_b is first scaled by w_b^(1/2k), so the
-    weight rides in the products.  The products grow one level at a time: a
-    sorted multiset's product is its parent's (the multiset without its last
-    digit) times psi_b at the last digit, so level j costs D_j multiplies per
-    row.  Rows are held D-major, (D_j, rows) per block of psi rows gathered
-    from psi^T, and level k adds one GEMM, u @ u^+, per block.  The
-    coefficients are applied once, as coef coef^T on the D x D sum.  Rows
-    are taken block_rows(D) at a time, through accumulate_blocks.
-    """
-    psi_t = np.ascontiguousarray(np.asarray(psi, dtype=np.complex128).T)
-    weights = np.asarray(weights, dtype=np.float64)
-    da, b = psi_t.shape
-    rows = block_rows(math.comb(da + k - 1, k))
-    blocks = ((psi_t[:, lo : lo + rows], weights[lo : lo + rows]) for lo in range(0, b, rows))
-    return accumulate_blocks(blocks, da, k)
-
-
-def accumulate_blocks(blocks, da: int, k: int) -> np.ndarray:
-    """moment_accumulate over blocks of rows given in turn, in their order.
-
-    blocks yields (cols, w): cols the (dA, n) transpose of n rows of psi, w
-    their (n,) weights; neither is written.  Work arrays are allocated at the
-    first block, the largest, and reused: a dA x n slot for the scaled
-    columns, and min(k, 3) D x n ones, one for the gathered last digits and
-    then the conjugated top level, and a pair that takes the level products
-    in turn (one slot at k = 2, none at k = 1).  A pass over many blocks so
-    allocates only the D x D product per block, and each block's arithmetic
-    is that of one call on it alone.
+    them instead of dA^k.  Each psi_b is scaled by p_b^(exponent/2k) into a
+    reused dA x n slot, the only copy of a block, so the weight rides in the
+    products.  The products grow one level at a time: a sorted multiset's
+    product is its parent's (the multiset without its last digit) times psi_b
+    at the last digit, so level j costs D_j multiplies per state.  They are
+    held D-major, in min(k, 3) reused D x n work arrays: one for the gathered
+    last digits and then the conjugated top level, and a pair that takes the
+    level products in turn (one at k = 2, none at k = 1).  Level k adds one
+    GEMM, u @ u^+, per block; the coefficients are applied once, as
+    coef coef^T on the D x D sum.  The work arrays are sized at the first
+    block, the largest: callers hand at most block_rows(D) states per block.
     """
     basis = sym_basis(da, k)
     D = len(basis.coef)
@@ -85,12 +72,17 @@ def accumulate_blocks(blocks, da: int, k: int) -> np.ndarray:
     def slot(i, d, n):
         return work[i, : d * n].reshape(d, n)
 
-    for cols, w in blocks:
-        n = cols.shape[1]
+    for blk in blocks:
+        p = np.einsum("s...,s...->...", blk.real, blk.real)
+        p += np.einsum("s...,s...->...", blk.imag, blk.imag)
+        kept = p >= P_FLOOR
+        scale = np.zeros(p.shape)
+        scale[kept] = p[kept] ** (exponent / (2 * k))
+        n = scale.size
         if work is None:
             work = np.empty((min(k, 3), D * n), dtype=np.complex128)
             scaled = np.empty(da * n, dtype=np.complex128)
-        prod = level1 = np.multiply(cols, np.power(w, 0.5 / k), out=scaled[: da * n].reshape(da, n))
+        prod = level1 = np.multiply(blk, scale, out=scaled[: da * n].reshape(blk.shape)).reshape(da, n)
         for j in range(2, k + 1):
             last = sym_basis(da, j).idx[:, -1]
             # mode="clip" lets take write straight into out, with no buffered copy

@@ -198,13 +198,6 @@ def cmd_designcheck(args) -> int:
     return EXIT_OK
 
 
-def _coerce(text: str):
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, ValueError):
-        return text
-
-
 def _load_config_file(path: str) -> dict:
     out = {}
     with open(path, encoding="utf-8") as f:
@@ -215,7 +208,7 @@ def _load_config_file(path: str) -> dict:
             if "=" not in ln:
                 raise ValueError(f"config line without '=': {ln!r}")
             key, val = ln.split("=", 1)
-            out[key.strip().replace("-", "_")] = _coerce(val.strip())
+            out[key.strip().replace("-", "_")] = val.strip()
     return out
 
 
@@ -302,7 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_defaults(ap: argparse.ArgumentParser, overrides: dict, cmd) -> None:
-    """Seed flag defaults from a config file: top-level flags and those of subcommand cmd."""
+    """Seed flag defaults from a config file: top-level flags and those of subcommand cmd.
+
+    Values stay text, which argparse converts and checks by the flag's type
+    like the same text on the command line; a flag that takes no value
+    accepts only true or false.
+    """
     sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
     if cmd not in sub.choices:
         return  # parse_args reports the missing or unknown subcommand
@@ -313,7 +311,12 @@ def _apply_config_defaults(ap: argparse.ArgumentParser, overrides: dict, cmd) ->
                 continue
             known.add(action.dest)
             if action.dest in overrides:
-                action.default = overrides[action.dest]
+                text = overrides[action.dest]
+                if action.nargs == 0:
+                    if text not in ("true", "false"):
+                        ap.error(f"--config: {action.dest} takes true or false, not {text!r}")
+                    text = text == "true"
+                action.default = text
                 action.required = False
     unknown = sorted(set(overrides) - known)
     if unknown:

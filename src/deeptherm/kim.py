@@ -24,10 +24,10 @@ from the popcount, each bond from the XOR of neighbouring bits), chunk by
 chunk into the output, so no n x 2^n spin table is formed.
 
 After each step one pass over the bath outcomes gives the moments of every
-order 1..K (moments_from_state).  It reads the state block by block: one
-block's amplitudes are copied into a reused buffer, their Born weights
-taken, and _kernels.accumulate_blocks grows each outcome's Sym^K rows in
-reused work arrays and adds them to the running sum with one GEMM.  Each
+order 1..K (moments_from_state).  It hands the state to
+_kernels.accumulate_blocks as views, block by block, with no copy: the
+kernel takes each outcome's Born weight, grows its Sym^K rows in reused
+work arrays and adds them to the running sum with one GEMM.  Each
 lower order is the partial trace of the next (linalg.sym_partial_trace),
 taken once per step on the D x D sums.  The moments are returned as their
 D x D Sym^k blocks (linalg.sym_basis); delta_k reads the distance to Haar
@@ -68,7 +68,6 @@ from .linalg import (
 )
 from .permgroup import enumerate_sym, weingarten_table
 
-P_FLOOR = 1e-14  # outcomes below this Born weight get weight zero
 KICK_GROUP = 6  # qubits per kick GEMM; K^{(x)6} is 64 x 64
 CHUNK = 2**14  # entries per chunk of the phase build, the kicks and the entropy (256 KiB complex)
 G_GUARD_BAND = 1e-3
@@ -137,12 +136,12 @@ def exact_bytes(n: int, n_a: int, k: int) -> int:
     kicks' chunk buffer of CHUNK entries; the phase build holds less (the
     output and one chunk's integer and float temporaries), and so does the
     entropy pass (one chunk's conjugate and a 2^n_a x 2^n_a Gram matrix).
-    The moment pass holds instead one block of outcomes, rows =
-    min(block_rows(D_k), 2^(n - n_a)): its amplitudes, their conjugate and
-    accumulate_blocks' scaled copy (2^n_a x rows complex each), the Born
-    weights, the weight row and their temporaries (four rows of float64),
-    and accumulate_blocks' work arrays (up to three, D_k x rows complex
-    each).  It returns the D_j x D_j block of every order j, D_j =
+    The moment pass holds instead, for one block of rows =
+    min(block_rows(D_k), 2^(n - n_a)) outcomes read as a view of the state,
+    accumulate_blocks' scaled copy (2^n_a x rows complex), its float rows
+    (the Born weights p, the kept p, their power and the scale, four rows of
+    float64, and the mask), and its work arrays (up to three, D_k x rows
+    complex each).  It returns the D_j x D_j block of every order j, D_j =
     C(2^n_a + j - 1, j), and holds beside them the GEMM update at D_k,
     delta_k's Hermitian part and eigvalsh copy at D_k, and
     sym_partial_trace's gathered block at D_(k-1).  One MiB more covers the
@@ -153,7 +152,7 @@ def exact_bytes(n: int, n_a: int, k: int) -> int:
     state = 16 * 2**n
     dims = [math.comb(2**n_a + j - 1, j) for j in range(1, k + 1)]
     rows = min(_kernels.block_rows(dims[-1]), 2 ** (n - n_a))
-    moments = (3 * 16 * 2**n_a * rows + 4 * 8 * rows + 3 * 16 * dims[-1] * rows
+    moments = (16 * 2**n_a * rows + (4 * 8 + 1) * rows + 3 * 16 * dims[-1] * rows
                + 16 * sum(d * d for d in dims) + 3 * 16 * dims[-1] ** 2
                + 16 * math.comb(2**n_a + k - 2, k - 1) ** 2)
     return 2 * state + max(state + 16 * CHUNK, moments) + 2**20
@@ -271,48 +270,29 @@ def evolve(cfg: KimConfig) -> np.ndarray:
     return state
 
 
-def _outcome_weights(amps: np.ndarray, k: int) -> np.ndarray:
-    """w_z = p_z^(1-k) for the Born weights p_z of the bath outcomes (the
-    columns of amps), and zero where p_z < P_FLOOR (no power of a vanishing
-    p is taken)."""
-    p = np.einsum("sz,sz->z", amps, amps.conj()).real
-    kept = p >= P_FLOOR
-    w = np.zeros(len(p))
-    w[kept] = p[kept] ** (1 - k)
-    return w
-
-
 def moments_from_state(state: np.ndarray, cfg: KimConfig, k: int) -> list:
     """The moments of orders 1..k as their Sym^j blocks (linalg.sym_basis),
     each normalized to unit trace, from one pass over the bath outcomes.
 
     Outcome z = (z1, z2), z1 the bits before the subsystem, leads with z1.
-    The outcomes are read in blocks of a power of two rows, at most
+    The outcomes are read in blocks of a power of two of them, at most
     block_rows(D_k), so each block lies in one z1 slab or spans whole ones:
-    its amplitudes amps[sigma, z] = <z1 sigma z2|Psi> are copied into one
-    buffer, and _kernels.accumulate_blocks adds their Sym^k rows, weighted
-    p_z^(1-k), to the running sum in block order.  While block_rows(D_k) is
-    a power of two (D_k <= 4096), that is bit for bit moment_accumulate on
-    all the outcomes at once.  Each lower order j is then the normalized
-    partial trace of order j + 1 (linalg.sym_partial_trace): a projected
-    state has unit trace, and p_z^(1-j) p_z = p_z^(1-(j-1)).
+    the block is a view of amps[sigma, z] = <z1 sigma z2|Psi>, and
+    _kernels.accumulate_blocks adds their Sym^k rows, weighted by
+    p_z^(1-k) from their Born weights p_z, to the running sum in block
+    order.  Each lower order j is then the normalized partial trace of
+    order j + 1 (linalg.sym_partial_trace): a projected state has unit
+    trace, and p_z^(1-j) p_z = p_z^(1-(j-1)).
     """
     da, n_out = 2**cfg.n_a, 2**cfg.n_b
     amps = state.reshape(2**cfg.offset, da, -1).transpose(1, 0, 2)  # (sigma, z1, z2), a view
-    z2 = amps.shape[2]
+    z1s, z2 = amps.shape[1:]
     rows = 1 << (min(_kernels.block_rows(math.comb(da + k - 1, k)), n_out).bit_length() - 1)
-
-    def gathered():
-        buf = np.empty((da, rows), dtype=complex)
-        for lo in range(0, n_out, rows):
-            if rows <= z2:
-                z1, c = divmod(lo, z2)
-                buf[...] = amps[:, z1, c : c + rows]
-            else:
-                buf.reshape(da, -1, z2)[...] = amps[:, lo // z2 : (lo + rows) // z2]
-            yield buf, _outcome_weights(buf, k)
-
-    blocks = [_kernels.accumulate_blocks(gathered(), da, k)]
+    if rows <= z2:
+        views = (amps[:, z1, c : c + rows] for z1 in range(z1s) for c in range(0, z2, rows))
+    else:
+        views = (amps[:, z1 : z1 + rows // z2] for z1 in range(0, z1s, rows // z2))
+    blocks = [_kernels.accumulate_blocks(views, da, k, 1 - k)]
     blocks[0] /= np.trace(blocks[0])
     for j in range(k, 1, -1):
         r = sym_partial_trace(blocks[-1], da, j)

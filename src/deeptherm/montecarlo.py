@@ -39,15 +39,17 @@ checkpoint, so no batch crosses one (batch_plan).  Random numbers come from
 counter-based Philox streams keyed by (seed, batch index), and each batch
 keeps its own D x D sum for the jackknife.  A pool task takes a run of
 consecutive batches of the plan, as many as fit TASK_BYTES of working set
-(McConfig.task_batches), and forms their states, norms and weights in one
-pass: numpy calls on one 1000-sample batch hold the GIL for much of their
-time, and the threads overlap better when each call covers several batches.
-Each batch still draws its own stream and is summed alone, so the run
-changes no bit of a batch's sum.  The tasks run on a pool of threads, one
-per available CPU (WORKERS; numpy's random fills, LAPACK's QR and the GEMMs
-release the GIL), fewer when their working sets would not fit in
-MEM_BUDGET_BYTES beside the kept batch sums (pool_width), and their batch
-sums are added in batch order.  So a result is a deterministic function of
+(McConfig.task_batches), and forms their states in one pass, as the
+columns of one array: numpy calls on one 1000-sample batch hold the GIL for
+much of their time, and the threads overlap better when each call covers
+several batches.  Each batch still draws its own stream, and its columns
+are handed alone to _kernels.accumulate_blocks, which takes their Born
+weights (zero below _kernels.P_FLOOR, as on the exact route) and their
+weighted Sym^k sum, so the run changes no bit of a batch's sum.  The tasks
+run on a pool of threads, one per available CPU (WORKERS; numpy's random
+fills, LAPACK's QR and the GEMMs release the GIL), fewer when their working
+sets would not fit in MEM_BUDGET_BYTES beside the kept batch sums
+(pool_width), and their batch sums are added in batch order.  So a result is a deterministic function of
 the seed, `samples` and the checkpoints, whatever the pool's width; the
 pool adds no option.
 """
@@ -139,12 +141,12 @@ class McConfig:
         counted as 5.  For obc, per sample at _run_states' product loop, the
         2 p r - r (r + 1) / 2 complex normals, L (p r), R and one product
         (p^2 each), the r + 1 gammas and the norms.  Fixed, accumulating one
-        batch at a time: moment_accumulate's copy of the batch's rows and its
-        scaled columns (dA x rows complex each) and its min(k, 3) D x rows
-        work arrays, rows = min(block_rows(D), b), counted as four D x rows
-        arrays in all (D >= 2 dA from k = 3 on), and two D x D ones, the
-        batch's sum (kept_bytes counts it too) and the GEMM's product, which
-        is gone before the real coef coef^T is formed.
+        batch at a time: accumulate_blocks' scaled columns (dA x rows
+        complex) and its min(k, 3) D x rows work arrays, rows =
+        min(block_rows(D), b), counted as four D x rows arrays in all
+        (dA <= D; the few float rows of Born weights fit in the slack), and
+        two D x D ones, the batch's sum (kept_bytes counts it too) and the
+        GEMM's product, which is gone before the real coef coef^T is formed.
         """
         b = max(chain.from_iterable(batch_plan(self.resolved_checkpoints())))
         D = math.comb(2**self.n_a + self.k - 1, self.k)
@@ -289,16 +291,23 @@ def _obc_factors(cfg: McConfig, first: int, sizes) -> tuple:
 
 def _run_states(cfg: McConfig, w: WTensor, first: int, sizes) -> np.ndarray:
     """The projected states psi~ of the batches first, first + 1, ... of the
-    given sizes, stacked in batch order: shape (sum(sizes), dA).
+    given sizes, as the columns of a (dA, sum(sizes)) array in batch order.
 
-    pbc reduces each batch's unitaries alone (_batch_states).  obc forms every
-    step once over the run: R = L G^+ / (|L| sqrt(|G|^2 + gamma)) from
-    _obc_factors, then psi~ = W . R, one small GEMM per batch.  Each sample's
-    arithmetic is the same whatever run holds it, so the run changes no bit of
-    a batch's states.  The obc result is a view of a (dA, S) array.
+    pbc draws each batch's b Haar unitaries (QR of Ginibre matrices) from its
+    own stream and reduces them alone.  obc forms every step once over the
+    run: R = L G^+ / (|L| sqrt(|G|^2 + gamma)) from _obc_factors, then
+    psi~ = W . R, one small GEMM per batch; its b samples cost O(p^2) each at
+    any depth t.  Each sample's arithmetic is the same whatever run holds it,
+    so the run changes no bit of a batch's states.
     """
     if cfg.bc == "pbc":
-        return np.concatenate([_batch_states(cfg, w, i, b) for i, b in enumerate(sizes, start=first)])
+        psi = np.empty((len(w.data), sum(sizes)), dtype=complex)
+        lo = 0
+        for i, b in enumerate(sizes, start=first):
+            U = _haar_batch(_batch_rng(cfg.seed, i), 2**cfg.t, b)
+            np.einsum("sxy,byx->sb", w.data, _reduce_batch(U, cfg.t, w.t_legs), out=psi[:, lo : lo + b])
+            lo += b
+        return psi
     L, G, gamma = _obc_factors(cfg, first, sizes)
     p, r, S = L.shape
     # |L|^2 (|G|^2 + gamma); einsum sums each sample's squares in one order for any S
@@ -313,26 +322,13 @@ def _run_states(cfg: McConfig, w: WTensor, first: int, sizes) -> np.ndarray:
     # psi~[s] = sum_(i, c) W[s, c, i] R[i, c], one GEMM per batch: a GEMM's
     # rounding may depend on its width, so the run's width must not reach it
     wr = w.data.transpose(0, 2, 1).reshape(len(w.data), p * p)
-    psi = np.empty((len(w.data), S), dtype=complex)
+    psi = np.empty((len(w.data), S), dtype=complex)  # after L and G are freed
     lo = 0
     for b in sizes:
         np.matmul(wr, R[:, lo : lo + b], out=psi[:, lo : lo + b])
         lo += b
     psi *= np.divide(1.0, np.sqrt(nrm2, out=nrm2), out=nrm2)
-    return psi.T
-
-
-def _batch_states(cfg: McConfig, w: WTensor, batch_index: int, b: int) -> np.ndarray:
-    """The b projected states psi~ of batch batch_index, shape (b, dA).
-
-    pbc draws b Haar unitaries (QR of Ginibre matrices) and reduces them.
-    obc is the run of this one batch (_run_states): its b samples cost
-    O(p^2) each at any depth t.
-    """
-    if cfg.bc == "obc":
-        return _run_states(cfg, w, batch_index, (b,))
-    U = _haar_batch(_batch_rng(cfg.seed, batch_index), 2**cfg.t, b)
-    return np.einsum("sxy,byx->bs", w.data, _reduce_batch(U, cfg.t, w.t_legs))
+    return psi
 
 
 def _leave_one_out(nums: list, dens: list):
@@ -400,16 +396,19 @@ def _run_sums(cfg: McConfig, w: WTensor, weight_exponent: float, first: int, siz
     """D x D Sym^k blocks of the weighted sums of the batches first, first + 1,
     ... of the given sizes, one per batch in batch order: one pool task.
 
-    The states, their norms and weights are formed once over the run; each
-    batch's rows are then accumulated alone.
+    The states are formed once over the run; each batch's columns are then
+    handed to _kernels.accumulate_blocks alone, at most block_rows(D) at a
+    time, and weighted there by their Born weights to weight_exponent.
     """
     psi = _run_states(cfg, w, first, sizes)
-    nrm = np.einsum("bs,bs->b", psi, psi.conj()).real
-    ok = nrm > 1e-280
-    wgt = np.where(ok, nrm, 1.0) ** weight_exponent * ok
-    ends = np.cumsum(sizes)
-    return [_kernels.moment_accumulate(psi[hi - b : hi], wgt[hi - b : hi], cfg.k)
-            for b, hi in zip(sizes, ends)]
+    da = len(psi)
+    rows = _kernels.block_rows(math.comb(da + cfg.k - 1, cfg.k))
+    out, lo = [], 0
+    for b in sizes:
+        views = (psi[:, c : min(c + rows, lo + b)] for c in range(lo, lo + b, rows))
+        out.append(_kernels.accumulate_blocks(views, da, cfg.k, weight_exponent))
+        lo += b
+    return out
 
 
 def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstimate:

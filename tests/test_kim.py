@@ -10,10 +10,9 @@ import pytest
 
 import deeptherm.cli as cli
 import deeptherm.kim as kim
-from deeptherm._kernels import moment_accumulate
+from deeptherm._kernels import P_FLOOR, accumulate_blocks, block_rows
 from deeptherm.dual_tensors import build_w, kick_matrix
 from deeptherm.kim import (
-    P_FLOOR,
     ConfigError,
     KimConfig,
     apply_floquet,
@@ -34,7 +33,7 @@ from deeptherm.kim import (
     reduced_density_matrix,
 )
 from deeptherm.linalg import partial_trace, sym_partial_trace, trace_norm
-from deeptherm.montecarlo import McConfig, _batch_states, batch_plan, mc_moment
+from deeptherm.montecarlo import McConfig, _run_states, batch_plan, mc_moment
 from deeptherm.permgroup import enumerate_sym
 from deeptherm.records import read_csv
 from deeptherm.replica import ReplicaSpec, direct_double_sum, replica_moment
@@ -273,7 +272,8 @@ def test_blockwise_moments_match_one_pass_over_all_outcomes_bitwise(offset):
     cfg = KimConfig(n=14, n_a=2, t=3, bc="obc", g=G, a_offset=offset)
     state = evolve(cfg)
     amps = state.reshape(2**offset, 4, -1).transpose(1, 0, 2).reshape(4, -1)  # (sigma, z)
-    ref = [moment_accumulate(amps.T, kim._outcome_weights(amps, 3), 3)]
+    rows = block_rows(20)
+    ref = [accumulate_blocks((amps[:, lo : lo + rows] for lo in range(0, amps.shape[1], rows)), 4, 3, -2)]
     ref[0] /= np.trace(ref[0])
     for j in (3, 2):
         r = sym_partial_trace(ref[-1], 4, j)
@@ -523,7 +523,7 @@ def _mc_route(k):
     w = build_w(2)
     num = 0
     for i, b in enumerate(chain.from_iterable(batch_plan(cfg.resolved_checkpoints()))):
-        psi = _batch_states(cfg, w, i, b)
+        psi = _run_states(cfg, w, i, (b,)).T
         nrm = np.einsum("bs,bs->b", psi, psi.conj()).real
         v = psi
         for _ in range(k - 1):

@@ -6,12 +6,14 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from itertools import chain
 
 import numpy as np
 import pytest
 
 import deeptherm.montecarlo as montecarlo
+from deeptherm._kernels import P_FLOOR
 from deeptherm.cli import main
 from deeptherm.dual_tensors import build_w, min_depth
 from deeptherm.linalg import kron_all, sym_haar_distance, trace_norm
@@ -20,7 +22,6 @@ from deeptherm.montecarlo import (
     McConfig,
     McError,
     _batch_rng,
-    _batch_states,
     _haar_batch,
     _obc_factors,
     _reduce_batch,
@@ -75,7 +76,7 @@ def _explicit_kets_and_bras(cfg, L, G, gamma, rng):
 
 
 def _normalized_obc_run_states(cfg, w, first, sizes):
-    """obc projected states of a run from normalized copies of explicit kets and bras."""
+    """obc projected states of a run, as columns, from normalized copies of explicit kets and bras."""
     out = []
     for i, b in enumerate(sizes, start=first):
         L, G, gamma = _obc_factors(cfg, i, (b,))
@@ -83,7 +84,7 @@ def _normalized_obc_run_states(cfg, w, first, sizes):
         kets, bras = (x.reshape(b, 2**w.t_legs, -1) for x in (kets, bras))
         R = np.einsum("bir,bcr->bic", kets, bras.conj())
         out.append(np.einsum("sxy,byx->bs", w.data, R))
-    return np.concatenate(out)
+    return np.concatenate(out).T
 
 
 def test_config_validation():
@@ -202,13 +203,13 @@ def test_pool_width_capped_by_memory_budget(monkeypatch):
     # a budget of one batch runs the batches on one thread, with the same result
     small = McConfig(k=2, t=2, n_a=2, bc="pbc", samples=6000, seed=9)
     threads = set()
-    real = montecarlo._batch_states
+    real = montecarlo._run_states
 
-    def recording(cfg, w, batch_index, b):
+    def recording(cfg, w, first, sizes):
         threads.add(threading.get_ident())
-        return real(cfg, w, batch_index, b)
+        return real(cfg, w, first, sizes)
 
-    monkeypatch.setattr(montecarlo, "_batch_states", recording)
+    monkeypatch.setattr(montecarlo, "_run_states", recording)
     monkeypatch.setattr(montecarlo, "WORKERS", 3)
     wide = mc_moment(small)
     assert montecarlo.pool_width(small) == 3
@@ -287,13 +288,36 @@ def test_batch_sum_independent_of_its_run(n_a, t, bc):
                 np.testing.assert_array_equal(got, ref)
 
 
+def test_states_below_p_floor_get_weight_zero(monkeypatch):
+    # the exact route's floor: a zero state and one at P_FLOOR / 2 add nothing
+    # (with no warning), one at 4 P_FLOOR is kept; at exponent -k each kept
+    # state adds its unit-trace projector
+    cfg = McConfig(k=2, t=2, n_a=2, bc="pbc", samples=1000, seed=4)
+    w = build_w(2)
+    psi = _run_states(cfg, w, 0, (40,))
+    psi[:, 0] = 0.0
+    psi[:, 7] *= np.sqrt(P_FLOOR / 2) / np.linalg.norm(psi[:, 7])
+    psi[:, 9] *= 2 * np.sqrt(P_FLOOR) / np.linalg.norm(psi[:, 9])
+    monkeypatch.setattr(montecarlo, "_run_states", lambda *args: psi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (got,) = _run_sums(cfg, w, -2.0, 0, [40])
+    kept = [i for i in range(40) if i not in (0, 7)]
+    ref = 0
+    for i in kept:
+        v = np.kron(psi[:, i], psi[:, i]) / np.vdot(psi[:, i], psi[:, i]).real
+        ref = ref + np.outer(v, v.conj())
+    assert np.trace(got).real == pytest.approx(len(kept), rel=1e-12)
+    assert np.abs(sym_embed(got, 4, 2) - ref).max() <= 1e-12
+
+
 def test_batch_above_budget_refused_before_sampling(tmp_path, capsys, monkeypatch):
     # one pbc batch at t=8 is counted as 5 complex 1000 x 256 x 256 arrays,
     # ~5.2 GB: above the 3.5 GB budget alone, so no pool width could run it
     def fail(*args, **kwargs):
         raise AssertionError("sampled for a refused size")
 
-    monkeypatch.setattr(montecarlo, "_batch_states", fail)
+    monkeypatch.setattr(montecarlo, "_run_states", fail)
     out = str(tmp_path / "mc.csv")
     assert main(["mc", "--k", "2", "--t", "8", "--bc", "pbc", "--samples", "1000",
                  "--out", out]) == 3
@@ -307,17 +331,19 @@ def test_batch_above_budget_refused_before_sampling(tmp_path, capsys, monkeypatc
 
 def test_batch_error_stops_the_pool_promptly(tmp_path, capsys, monkeypatch):
     started = []
-    real = montecarlo._batch_states
+    real = montecarlo._run_states
 
-    def failing(cfg, w, batch_index, b):
-        started.append(batch_index)
-        if batch_index == 3:
+    def failing(cfg, w, first, sizes):
+        started.append(first)
+        if first == 3:
             time.sleep(0.2)  # time for the other worker to run ahead, were it let
             raise McError("batch 3 failed")
-        return real(cfg, w, batch_index, b)
+        return real(cfg, w, first, sizes)
 
+    # one task per batch, so a task's first batch is its index
+    assert McConfig(k=2, t=2, n_a=2, samples=200_000).task_batches() == 1
     monkeypatch.setattr(montecarlo, "WORKERS", 2)
-    monkeypatch.setattr(montecarlo, "_batch_states", failing)
+    monkeypatch.setattr(montecarlo, "_run_states", failing)
     out = str(tmp_path / "mc.csv")
     assert main(["mc", "--k", "2", "--t", "2", "--samples", "200000", "--out", out]) == 3
     rec = json.loads(capsys.readouterr().err.strip())
@@ -353,11 +379,11 @@ def test_mc_projected_state_basics(w2, rng):
 
 def test_single_sample_matches_batch_path(w2):
     cfg = McConfig(k=2, t=3, n_a=2, bc="pbc", samples=4, checkpoints=(4,), seed=77)
-    batch = _batch_states(cfg, w2, 0, 4)
+    batch = _run_states(cfg, w2, 0, (4,))
     U = _haar_batch(_batch_rng(77, 0), 8, 4)
     for i in range(4):
         psi, _ = mc_projected_state(U[i], None, "pbc", w2)
-        np.testing.assert_allclose(psi, batch[i], atol=1e-13)
+        np.testing.assert_allclose(psi, batch[:, i], atol=1e-13)
 
 
 def _unitary_with_first_column(v, rng):
@@ -376,7 +402,7 @@ def test_obc_batch_matches_single_sample_oracle(w2, rng):
     t, b, seed = 3, 6, 77
     d = 2**t
     cfg = McConfig(k=2, t=t, n_a=2, bc="obc", samples=b, checkpoints=(b,), seed=seed)
-    batch = _batch_states(cfg, w2, 0, b)
+    batch = _run_states(cfg, w2, 0, (b,))
     ket, bra = _explicit_kets_and_bras(cfg, *_obc_factors(cfg, 0, (b,)), rng)
     hadamard = kron_all([np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)] * t)
     plus = np.full(d, 2.0 ** (-t / 2))
@@ -388,7 +414,7 @@ def test_obc_batch_matches_single_sample_oracle(w2, rng):
         assert np.abs(u_prime[:, 0] - ket[i]).max() <= 1e-14
         assert np.abs(u @ plus - bra[i]).max() <= 1e-14
         psi, _ = mc_projected_state(u, u_prime, "obc", w2)
-        np.testing.assert_allclose(psi, batch[i], atol=1e-13)
+        np.testing.assert_allclose(psi, batch[:, i], atol=1e-13)
 
 
 @pytest.mark.parametrize("n_a", [1, 2, 3, 4])
@@ -400,7 +426,7 @@ def test_obc_batch_matches_normalized_state_oracle(n_a, rng):
     for t in range(min_depth(n_a), 9):
         d = 2**t
         cfg = McConfig(k=2, t=t, n_a=n_a, bc="obc", samples=300, seed=41)
-        psi = _batch_states(cfg, w, 2, 3)
+        psi = _run_states(cfg, w, 2, (3,)).T
         ket, bra = _explicit_kets_and_bras(cfg, *_obc_factors(cfg, 2, (3,)), rng)
         hadamard = kron_all([np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)] * t)
         ref = np.array([mc_projected_state(_unitary_with_first_column(bra[i], rng) @ hadamard,
@@ -482,15 +508,17 @@ def test_haar_states_unit_norm_and_moments():
 def test_pbc_csv_matches_haar_batch_reference(tmp_path, monkeypatch):
     # pbc keeps its stream: one Haar unitary batch per Philox batch stream,
     # reduced as a whole
-    def reference_batch_states(cfg, w, batch_index, b):
-        U = _haar_batch(_batch_rng(cfg.seed, batch_index), 2**cfg.t, b)
-        return np.einsum("sxy,byx->bs", w.data, _reduce_batch(U, cfg.t, w.t_legs))
+    def reference_run_states(cfg, w, first, sizes):
+        return np.concatenate([
+            np.einsum("sxy,byx->bs", w.data, _reduce_batch(
+                _haar_batch(_batch_rng(cfg.seed, i), 2**cfg.t, b), cfg.t, w.t_legs))
+            for i, b in enumerate(sizes, start=first)]).T
 
     args = ["mc", "--k", "2", "--t", "3", "--bc", "pbc", "--na", "2",
             "--samples", "12000", "--seed", "5"]
     out, ref = str(tmp_path / "out.csv"), str(tmp_path / "ref.csv")
     assert main(args + ["--out", out]) == 0
-    monkeypatch.setattr(montecarlo, "_batch_states", reference_batch_states)
+    monkeypatch.setattr(montecarlo, "_run_states", reference_run_states)
     assert main(args + ["--out", ref]) == 0
     assert open(out, "rb").read() == open(ref, "rb").read()
 
@@ -604,7 +632,7 @@ def test_mc_replica_check_n0_identity(w2):
     done, bi = 0, 0
     while done < cfg.samples:
         b_sz = min(BATCH, cfg.samples - done)
-        psi = _batch_states(cfg, w2, bi, b_sz)
+        psi = _run_states(cfg, w2, bi, (b_sz,)).T
         nrm = np.einsum("bs,bs->b", psi, psi.conj()).real
         v = np.einsum("bi,bj->bij", psi, psi).reshape(b_sz, -1)
         num += np.einsum("bi,bj->ij", v, v.conj())

@@ -183,6 +183,30 @@ def test_cli_config_keys_follow_the_subcommand(tmp_path, capsys):
     assert open(out, "rb").read() == open(out + "2", "rb").read()
 
 
+def test_cli_config_values_parsed_like_the_command_line(tmp_path, capsys):
+    # each value goes through its flag's type, so a wrong one is a usage error
+    cfgfile = tmp_path / "run.cfg"
+    out = str(tmp_path / "x.csv")
+    for text, argv, needle in (
+        ("k=2.5\n", ["exact", "--n", "4", "--na", "2", "--t", "1"], "--k"),
+        ("na=[2]\n", ["replica", "--k", "2", "--nmax", "2", "--t", "2"], "--na"),
+        ("samples=true\n", ["mc", "--k", "2", "--t", "2"], "--samples"),
+        ("m=3\nd=2\nallow_singular=yes\n", ["weingarten"], "allow_singular"),
+    ):
+        cfgfile.write_text(text)
+        assert main(["--config", str(cfgfile)] + argv + ["--out", out]) == 2, text
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["type"] == "UsageError" and needle in rec["error"], text
+    assert not os.path.exists(out)
+    # a flag that takes no value is set by true and left off by false
+    cfgfile.write_text("m=3\nd=2\nallow_singular=true\n")
+    assert main(["--config", str(cfgfile), "weingarten", "--out", out]) == 0
+    cfgfile.write_text("m=3\nd=2\nallow_singular=false\n")
+    assert main(["--config", str(cfgfile), "weingarten", "--out", out + "2"]) == 3
+    assert json.loads(capsys.readouterr().err.strip())["type"] == "WeingartenConditioningError"
+    assert not os.path.exists(out + "2")
+
+
 def test_cli_error_record(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "x.csv")
     rc = main(["exact", "--n", "4", "--na", "2", "--t", "1", "--g", "0.0", "--out", out])
