@@ -18,7 +18,7 @@ from .kim import (
     check_exact_size,
     delta_k,
     dual_unitary_ensemble_check,
-    entanglement_entropy,
+    entropy_bits,
     ising_phase_vector,
     apply_floquet,
     moments_from_state,
@@ -74,8 +74,9 @@ def cmd_exact(args) -> int:
     for t in range(args.t + 1):
         if t > 0:
             state = apply_floquet(state, base, phases)
-        ent = entanglement_entropy(state, base.n, base.offset, base.n_a)
-        for k, rho in enumerate(moments_from_state(state, base, args.k), start=1):
+        blocks = moments_from_state(state, base, args.k)
+        ent = entropy_bits(blocks[0])  # the order-1 block is the reduced state
+        for k, rho in enumerate(blocks, start=1):
             rows.append([base.n, base.n_a, t, base.bc, k,
                          delta_k(rho), ent, base.wraparound(t)])
     _record(args, "exact", args.out,
@@ -298,7 +299,8 @@ def _apply_config_defaults(ap: argparse.ArgumentParser, overrides: dict, cmd) ->
     """Seed flag defaults from a config file: top-level flags and those of subcommand cmd.
 
     Values stay text, which argparse converts and checks by the flag's type
-    like the same text on the command line; a flag that takes no value
+    like the same text on the command line.  argparse checks choices only on
+    command-line text, so they are checked here; a flag that takes no value
     accepts only true or false.
     """
     sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
@@ -312,6 +314,8 @@ def _apply_config_defaults(ap: argparse.ArgumentParser, overrides: dict, cmd) ->
             known.add(action.dest)
             if action.dest in overrides:
                 text = overrides[action.dest]
+                if action.choices is not None and text not in action.choices:
+                    ap.error(f"--config: {action.dest} takes {'/'.join(action.choices)}, not {text!r}")
                 if action.nargs == 0:
                     if text not in ("true", "false"):
                         ap.error(f"--config: {action.dest} takes true or false, not {text!r}")

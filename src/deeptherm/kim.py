@@ -20,8 +20,8 @@ ZZ coupling to a frozen |0> neighbour) and are the values under which the
 finite chain tracks the thermodynamic-limit ensemble most closely.
 
 The Ising phases are read from the bits of the basis index (the field term
-from the popcount, each bond from the XOR of neighbouring bits), chunk by
-chunk into the output, so no n x 2^n spin table is formed.
+from its popcount, the bonds from the popcount of the XOR of neighbouring
+bits), chunk by chunk into the output, so no n x 2^n spin table is formed.
 
 After each step one pass over the bath outcomes gives the moments of every
 order 1..K (moments_from_state).  It hands the state to
@@ -32,11 +32,10 @@ lower order is the partial trace of the next (linalg.sym_partial_trace),
 taken once per step on the D x D sums.  The moments are returned as their
 D x D Sym^k blocks (linalg.sym_basis); delta_k reads the distance to Haar
 from the block.  Only the tests embed a block in the replicated space.  The
-entanglement entropy comes from the eigenvalues of the block's reduced
-state, a 2^len x 2^len Gram matrix summed over chunks of the state's
-contiguous (2^len, 2^post) slabs, not from an SVD of the 2^len x 2^rest
-amplitude matrix.  So the exact route's only state-sized arrays are the
-state, the phase vector and, during a Floquet step, its output.
+order-1 block is the subsystem's reduced state, so the entanglement entropy
+is read from its eigenvalues (entropy_bits) and the reduced state is formed
+nowhere else.  So the exact route's only state-sized arrays are the state,
+the phase vector and, during a Floquet step, its output.
 
 The finite-bath check (dual_unitary_ensemble_check) compares the k-th moment
 of a bath segment's temporal maps U(z) = T(z_{L-1}) ... T(z_0) over its 2^L
@@ -69,7 +68,7 @@ from .linalg import (
 from .permgroup import enumerate_sym, weingarten_table
 
 KICK_GROUP = 6  # qubits per kick GEMM; K^{(x)6} is 64 x 64
-CHUNK = 2**14  # entries per chunk of the phase build, the kicks and the entropy (256 KiB complex)
+CHUNK = 2**14  # entries per chunk of the phase build and the kicks (256 KiB complex)
 G_GUARD_BAND = 1e-3
 
 
@@ -134,16 +133,15 @@ def exact_bytes(n: int, n_a: int, k: int) -> int:
     The state and the phase vector (complex, 2^n each) live throughout.
     Beside them, a Floquet step holds its output (one more state) and the
     kicks' chunk buffer of CHUNK entries; the phase build holds less (the
-    output and one chunk's integer and float temporaries), and so does the
-    entropy pass (one chunk's conjugate and a 2^n_a x 2^n_a Gram matrix).
-    The moment pass holds instead, for one block of rows =
-    min(block_rows(D_k), 2^(n - n_a)) outcomes read as a view of the state,
-    accumulate_blocks' scaled copy (2^n_a x rows complex), its float rows
-    (the Born weights p, the kept p, their power and the scale, four rows of
-    float64, and the mask), and its work arrays (up to three, D_k x rows
-    complex each).  It returns the D_j x D_j block of every order j, D_j =
-    C(2^n_a + j - 1, j), and holds beside them the GEMM update at D_k,
-    delta_k's Hermitian part and eigvalsh copy at D_k, and
+    output and one chunk's integer and float temporaries).  The moment pass
+    holds instead, for one block of rows = min(block_rows(D_k), 2^(n - n_a))
+    outcomes read as a view of the state, accumulate_blocks' scaled copy
+    (2^n_a x rows complex), its float rows (the Born weights p, the kept p,
+    their power and the scale, four rows of float64, and the mask), and its
+    work arrays (up to three, D_k x rows complex each).  It returns the
+    D_j x D_j block of every order j, D_j = C(2^n_a + j - 1, j), and holds
+    beside them the GEMM update at D_k, delta_k's Hermitian part and eigvalsh
+    copy at D_k (entropy_bits takes the same at D_1), and
     sym_partial_trace's gathered block at D_(k-1).  One MiB more covers the
     kick matrices (64 x 64), the CSV rows and the interpreter's own objects.
     No moment is embedded in the 2^(n_a k)-dimensional replicated space, and
@@ -175,21 +173,21 @@ def ising_phase_vector(cfg: KimConfig) -> np.ndarray:
     """Diagonal of exp(-i H_Ising) in the computational basis.
 
     The spins are read from the bits of the basis index x (site 0 the most
-    significant): the field term is g (n - 2 popcount(x)), and bond (i, i+1)
-    adds j or -j as the two bits agree or differ, bond by bond.  The energy is
-    summed in the order field, bonds 0..n-1, boundary fields, CHUNK indices
-    at a time, each chunk's phases written straight into the output.
+    significant).  The field term is g (n - 2 popcount(x)); the bonds add
+    j (n_bonds - 2 popcount(differ & mask)), where bit n-1-(i+1)%n of differ
+    is set when sites i and i+1 disagree and mask keeps the chain's bonds.
+    The boundary fields follow at obc.  CHUNK indices at a time, each chunk's
+    phases written straight into the output.
     """
     n = cfg.n
     n_bonds = n if cfg.bc == "pbc" else n - 1
+    mask = (1 << n_bonds) - 1  # obc drops bond (n-1, 0), the top bit of differ
     out = np.empty(2**n, dtype=complex)
     for lo in range(0, 2**n, CHUNK):
         x = np.arange(lo, min(lo + CHUNK, 2**n))
         energy = cfg.g * (n - 2 * np.bitwise_count(x).astype(int))
-        # bit of site i+1 (cyclically) in `differ` is set when sites i and i+1 disagree
         differ = x ^ ((x >> 1) | ((x & 1) << (n - 1)))
-        for i in range(n_bonds):
-            energy += np.where((differ >> (n - 1 - (i + 1) % n)) & 1, -cfg.j, cfg.j)
+        energy += cfg.j * (n_bonds - 2 * np.bitwise_count(differ & mask).astype(int))
         if cfg.bc == "obc":
             energy += np.where(x >> (n - 1), -cfg.b1, cfg.b1)
             energy += np.where(x & 1, -cfg.bn, cfg.bn)
@@ -260,8 +258,9 @@ def evolve(cfg: KimConfig) -> np.ndarray:
 
     The exact route's test reference, like build_floquet.  cli.cmd_exact keeps
     its own loop, because it reads the state at every step and calls
-    plus_state, ising_phase_vector, apply_floquet and moments_from_state
-    through the cli module, where they can be timed or replaced per step.
+    plus_state, ising_phase_vector, apply_floquet, moments_from_state and
+    entropy_bits through the cli module, where they can be timed or replaced
+    per step.
     """
     state = plus_state(cfg.n)
     phases = ising_phase_vector(cfg)
@@ -288,10 +287,8 @@ def moments_from_state(state: np.ndarray, cfg: KimConfig, k: int) -> list:
     amps = state.reshape(2**cfg.offset, da, -1).transpose(1, 0, 2)  # (sigma, z1, z2), a view
     z1s, z2 = amps.shape[1:]
     rows = 1 << (min(_kernels.block_rows(math.comb(da + k - 1, k)), n_out).bit_length() - 1)
-    if rows <= z2:
-        views = (amps[:, z1, c : c + rows] for z1 in range(z1s) for c in range(0, z2, rows))
-    else:
-        views = (amps[:, z1 : z1 + rows // z2] for z1 in range(0, z1s, rows // z2))
+    a, b = max(1, rows // z2), min(rows, z2)  # a block spans a z1 slabs of b outcomes
+    views = (amps[:, z1 : z1 + a, c : c + b] for z1 in range(0, z1s, a) for c in range(0, z2, b))
     blocks = [_kernels.accumulate_blocks(views, da, k, 1 - k)]
     blocks[0] /= np.trace(blocks[0])
     for j in range(k, 1, -1):
@@ -332,34 +329,10 @@ def design_times(series_by_k: dict, eps: float) -> dict:
     return out
 
 
-def entanglement_entropy(state: np.ndarray, n: int, block_start: int, block_len: int) -> float:
-    """Von Neumann entropy (bits) of a contiguous block.
-
-    The eigenvalues of the block's reduced state M M^+ (M the state with the
-    block's qubits as rows) are the squared Schmidt coefficients.  M's columns
-    are the state's contiguous (2^len, 2^post) slabs side by side, so the Gram
-    matrix is summed over chunks of CHUNK entries of those slabs.  The other
-    side's M^+ M has the same nonzero eigenvalues and is taken, summed over
-    chunks of M's rows, when it is smaller.
-    """
-    L = 2**block_len
-    A = state.reshape(2**block_start, L, -1)
-    if L * L <= len(state):
-        gram = np.zeros((L, L), dtype=complex)
-        cols = max(1, min(A.shape[2], CHUNK // L))
-        conj = np.empty(L * cols, dtype=complex)  # one chunk's conjugate, reused
-        for slab in A:
-            for c in range(0, slab.shape[1], cols):
-                m = slab[:, c : c + cols]
-                gram += m @ np.conj(m, out=conj[: m.size].reshape(m.shape)).T
-    else:
-        C = len(state) // L
-        gram = np.zeros((C, C), dtype=complex)
-        step = max(1, CHUNK // C)
-        for s in range(0, L, step):
-            m = A[:, s : s + step].transpose(1, 0, 2).reshape(-1, C)  # M's rows s.. s+step
-            gram += m.conj().T @ m
-    p = np.linalg.eigvalsh(gram)
+def entropy_bits(r: np.ndarray) -> float:
+    """Von Neumann entropy (bits) of the reduced state whose Sym^1 block is r,
+    the first block of moments_from_state; eigenvalues <= 1e-14 are dropped."""
+    p = np.linalg.eigvalsh((r + r.conj().T) / 2)
     p = p[p > 1e-14]
     return float(-(p * np.log2(p)).sum())
 

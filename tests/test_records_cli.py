@@ -118,6 +118,25 @@ def test_cli_exact_row(tmp_path):
     assert last[7] == "false"
 
 
+@pytest.mark.parametrize("bc", ["pbc", "obc"])
+def test_cli_exact_entropy_from_each_steps_order1_block(tmp_path, bc):
+    # at --k 4 the order-1 block is the partial trace of order 4, so only the last bits move
+    ent = {}
+    for K in (1, 4):
+        out = str(tmp_path / f"k{K}.csv")
+        assert main(["exact", "--n", "12", "--na", "2", "--t", "4", "--bc", bc, "--k", str(K),
+                     "--out", out]) == 0
+        cols, rows = read_csv(out)
+        t, k, e = cols.index("t"), cols.index("k"), cols.index("entropy_bits")
+        ent[K] = [float(r[e]) for r in rows if r[k] == "1"]
+        for tt in range(5):
+            cfg = kim.KimConfig(n=12, n_a=2, t=tt, bc=bc)
+            block = kim.moments_from_state(kim.evolve(cfg), cfg, K)[0]
+            assert {float(r[e]) for r in rows if int(r[t]) == tt} == {kim.entropy_bits(block)}
+    assert np.abs(np.subtract(ent[1], ent[4])).max() <= 1e-12
+    assert max(ent[1]) > 1.9  # the block is entangled, so the check is not of zeros
+
+
 def test_cli_rates_on_synthetic(tmp_path, capsys):
     src = str(tmp_path / "r.csv")
     write_csv(
@@ -184,7 +203,7 @@ def test_cli_config_keys_follow_the_subcommand(tmp_path, capsys):
 
 
 def test_cli_config_values_parsed_like_the_command_line(tmp_path, capsys):
-    # each value goes through its flag's type, so a wrong one is a usage error
+    # each value goes through its flag's type and choices, so a wrong one is a usage error
     cfgfile = tmp_path / "run.cfg"
     out = str(tmp_path / "x.csv")
     for text, argv, needle in (
@@ -192,6 +211,10 @@ def test_cli_config_values_parsed_like_the_command_line(tmp_path, capsys):
         ("na=[2]\n", ["replica", "--k", "2", "--nmax", "2", "--t", "2"], "--na"),
         ("samples=true\n", ["mc", "--k", "2", "--t", "2"], "--samples"),
         ("m=3\nd=2\nallow_singular=yes\n", ["weingarten"], "allow_singular"),
+        # argparse checks choices on command-line text only
+        ("format=xml\n", ["weingarten", "--m", "2", "--d", "4"], "format"),
+        ("bc=foo\n", ["exact", "--n", "4", "--na", "2", "--t", "1"], "bc"),
+        ("bc=foo\n", ["mc", "--k", "2", "--t", "2", "--samples", "10"], "bc"),
     ):
         cfgfile.write_text(text)
         assert main(["--config", str(cfgfile)] + argv + ["--out", out]) == 2, text
