@@ -1,8 +1,8 @@
 """Hot numeric kernels, one numpy implementation each.
 
 accumulate_blocks is the one moment kernel of the exact and Monte Carlo
-routes.  It is handed unnormalized states, the columns of blocks given in
-turn, takes their Born weights p = |psi|^2 itself (zero below P_FLOOR), and
+routes.  It is handed one array of unnormalized states, cuts it into blocks,
+takes their Born weights p = |psi|^2 itself (zero below P_FLOOR), and
 returns sum_b p_b^exponent (psi_b psi_b^+)^{(x)k} as its Sym^k block (basis in
 linalg.sym_basis), never the dA^k x dA^k operator.  It grows the Sym^k rows
 of a block of states one level j at a time and adds them to the sum with one
@@ -12,6 +12,7 @@ Results are deterministic for a given numpy/BLAS build.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -43,35 +44,50 @@ def block_rows(d: int) -> int:
     return min(ROW_BLOCK, max(1, BLOCK_ENTRIES // d))
 
 
-def accumulate_blocks(blocks, da: int, k: int, exponent: float) -> np.ndarray:
-    """Sym^k block (linalg.sym_basis) of sum_b p_b^exponent (|psi_b><psi_b|)^{(x)k},
-    p_b = |psi_b|^2, over the states psi_b of blocks, in their order.
+def accumulate_bytes(da: int, k: int, n: int) -> int:
+    """Bytes accumulate_blocks holds for n states: the scaled slot, the work
+    arrays and the float rows of Born weights, counted as four D x rows complex
+    arrays, rows = min(block_rows(D), n), and two D x D ones, the sum and the
+    GEMM's product."""
+    D = math.comb(da + k - 1, k)
+    return 16 * (4 * D * min(block_rows(D), n) + 2 * D * D)
 
-    Each block is a (dA, ...) array of unnormalized states, its trailing axes
-    flattened into columns; it may be a strided view and is never written.
-    A state with p_b < P_FLOOR gets weight zero, and no power of it is taken.
-    psi_b^{(x)k} lies in Sym^k, where its coordinates are the rows
-    v_b[alpha] = coef_alpha prod_i psi_b[idx[alpha, i]], D = C(dA+k-1, k) of
-    them instead of dA^k.  Each psi_b is scaled by p_b^(exponent/2k) into a
-    reused dA x n slot, the only copy of a block, so the weight rides in the
-    products.  The products grow one level at a time: a sorted multiset's
-    product is its parent's (the multiset without its last digit) times psi_b
-    at the last digit, so level j costs D_j multiplies per state.  They are
-    held D-major, in min(k, 3) reused D x n work arrays: one for the gathered
-    last digits and then the conjugated top level, and a pair that takes the
-    level products in turn (one at k = 2, none at k = 1).  Level k adds one
-    GEMM, u @ u^+, per block; the coefficients are applied once, as
-    coef coef^T on the D x D sum.  The work arrays are sized at the first
-    block, the largest: callers hand at most block_rows(D) states per block.
+
+def accumulate_blocks(states: np.ndarray, k: int, exponent: float) -> np.ndarray:
+    """Sym^k block (linalg.sym_basis) of sum_b p_b^exponent (|psi_b><psi_b|)^{(x)k},
+    p_b = |psi_b|^2, over the unnormalized states psi_b of states, in column order.
+
+    states is a (dA, n) or (dA, A, B) array of columns, B the fastest; it may
+    be a strided view and is never written.  Its blocks are views of a slabs
+    of b columns, rows = min(block_rows(D), A B), a = max(1, rows // B) and
+    b = min(rows, B).  A state with p_b < P_FLOOR gets weight zero, and no
+    power of it is taken.  psi_b^{(x)k} lies in Sym^k, where its coordinates
+    are the rows v_b[alpha] = coef_alpha prod_i psi_b[idx[alpha, i]],
+    D = C(dA+k-1, k) of them instead of dA^k.  Each psi_b is scaled by
+    p_b^(exponent/2k) into a reused dA x ab slot, the only copy of a block, so
+    the weight rides in the products.  The products grow one level at a time:
+    a sorted multiset's product is its parent's (the multiset without its last
+    digit) times psi_b at the last digit, so level j costs D_j multiplies per
+    state.  They are held D-major, in min(k, 3) reused D x ab work arrays: one
+    for the gathered last digits and then the conjugated top level, and a pair
+    that takes the level products in turn (one at k = 2, none at k = 1).
+    Level k adds one GEMM, u @ u^+, per block; the coefficients are applied
+    once, as coef coef^T on the D x D sum.
     """
+    states = states[:, None] if states.ndim == 2 else states
+    da, A, B = states.shape
     basis = sym_basis(da, k)
     D = len(basis.coef)
+    rows = min(block_rows(D), A * B)
+    a, b = max(1, rows // B), min(rows, B)
     out = np.zeros((D, D), dtype=np.complex128)
-    work = None
+    work = np.empty((min(k, 3), D * a * b), dtype=np.complex128)
+    scaled = np.empty(da * a * b, dtype=np.complex128)
 
     def slot(i, d, n):
         return work[i, : d * n].reshape(d, n)
 
+    blocks = (states[:, z1 : z1 + a, c : c + b] for z1 in range(0, A, a) for c in range(0, B, b))
     for blk in blocks:
         p = np.einsum("s...,s...->...", blk.real, blk.real)
         p += np.einsum("s...,s...->...", blk.imag, blk.imag)
@@ -79,9 +95,6 @@ def accumulate_blocks(blocks, da: int, k: int, exponent: float) -> np.ndarray:
         scale = np.zeros(p.shape)
         scale[kept] = p[kept] ** (exponent / (2 * k))
         n = scale.size
-        if work is None:
-            work = np.empty((min(k, 3), D * n), dtype=np.complex128)
-            scaled = np.empty(da * n, dtype=np.complex128)
         prod = level1 = np.multiply(blk, scale, out=scaled[: da * n].reshape(blk.shape)).reshape(da, n)
         for j in range(2, k + 1):
             last = sym_basis(da, j).idx[:, -1]

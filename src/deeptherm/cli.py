@@ -86,14 +86,17 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
-def _parse_tlist(text: str):
-    return [int(x) for x in str(text).split(",") if x != ""]
+def _parse_tlist(text: str, flag: str):
+    values = [int(x) for x in str(text).split(",") if x != ""]
+    if not values:
+        raise ValueError(f"{flag} needs at least one value, got {text!r}")
+    return values
 
 
 def cmd_replica(args) -> int:
     check_fit_points(args.nmax + 1)
     rows = []
-    for t in _parse_tlist(args.t):
+    for t in _parse_tlist(args.t, "--t"):
         spec = ReplicaSpec(k=args.k, n=0, t=t, n_a=args.na, bc=args.bc)
         series = deviation_series(spec, args.nmax)
         fit = extrapolate_to_physical(series, args.k)
@@ -152,6 +155,8 @@ def cmd_rates(args) -> int:
 
 
 def cmd_figure3(args) -> int:
+    if args.tmax < 2:
+        raise ValueError(f"figure3 sweeps t = 2..tmax: --tmax must be >= 2, got {args.tmax}")
     check_fit_points(FIGURE3_MMAX + 1 - args.kmax)  # the largest k sweeps n = 0..FIGURE3_MMAX-k
     ts = list(range(2, args.tmax + 1))
     # built first, so a bad --seed or --mc-k is refused before any replica work
@@ -187,7 +192,7 @@ def cmd_figure3(args) -> int:
 
 def cmd_designcheck(args) -> int:
     # the distances depend on t, k, g and the lengths; the chain only validates na, g
-    lengths = _parse_tlist(args.lengths)
+    lengths = _parse_tlist(args.lengths, "--lengths")
     cfg = KimConfig(n=args.na + 1, n_a=args.na, t=args.t, a_offset=0, g=args.g)
     dists = dual_unitary_ensemble_check(cfg, args.k, lengths)
     rows = [[L, args.t, d] for L, d in zip(lengths, dists)]

@@ -24,12 +24,12 @@ from its popcount, the bonds from the popcount of the XOR of neighbouring
 bits), chunk by chunk into the output, so no n x 2^n spin table is formed.
 
 After each step one pass over the bath outcomes gives the moments of every
-order 1..K (moments_from_state).  It hands the state to
-_kernels.accumulate_blocks as views, block by block, with no copy: the
-kernel takes each outcome's Born weight, grows its Sym^K rows in reused
-work arrays and adds them to the running sum with one GEMM.  Each
-lower order is the partial trace of the next (linalg.sym_partial_trace),
-taken once per step on the D x D sums.  The moments are returned as their
+order 1..K (moments_from_state).  It hands a view of the state to
+_kernels.accumulate_blocks, with no copy: the kernel takes each outcome's
+Born weight, grows its Sym^K rows in reused work arrays and adds them to
+the running sum with one GEMM per block.  Each lower order is the partial
+trace of the next (linalg.sym_partial_trace), taken once per step on the
+D x D sums.  The moments are returned as their
 D x D Sym^k blocks (linalg.sym_basis); delta_k reads the distance to Haar
 from the block.  Only the tests embed a block in the replicated space.  The
 order-1 block is the subsystem's reduced state, so the entanglement entropy
@@ -134,25 +134,18 @@ def exact_bytes(n: int, n_a: int, k: int) -> int:
     Beside them, a Floquet step holds its output (one more state) and the
     kicks' chunk buffer of CHUNK entries; the phase build holds less (the
     output and one chunk's integer and float temporaries).  The moment pass
-    holds instead, for one block of rows = min(block_rows(D_k), 2^(n - n_a))
-    outcomes read as a view of the state, accumulate_blocks' scaled copy
-    (2^n_a x rows complex), its float rows (the Born weights p, the kept p,
-    their power and the scale, four rows of float64, and the mask), and its
-    work arrays (up to three, D_k x rows complex each).  It returns the
-    D_j x D_j block of every order j, D_j = C(2^n_a + j - 1, j), and holds
-    beside them the GEMM update at D_k, delta_k's Hermitian part and eigvalsh
-    copy at D_k (entropy_bits takes the same at D_1), and
-    sym_partial_trace's gathered block at D_(k-1).  One MiB more covers the
-    kick matrices (64 x 64), the CSV rows and the interpreter's own objects.
-    No moment is embedded in the 2^(n_a k)-dimensional replicated space, and
-    no spin table is formed.
+    holds instead _kernels.accumulate_bytes over the 2^(n - n_a) outcomes (its
+    sum is the block at D_k), the D_j x D_j block of every lower order j,
+    D_j = C(2^n_a + j - 1, j), delta_k's Hermitian part and eigvalsh copy at
+    D_k (entropy_bits takes the same at D_1), and sym_partial_trace's gathered
+    block at D_(k-1).  One MiB more covers the kick matrices (64 x 64), the
+    CSV rows and the interpreter's own objects.  No moment is embedded in the
+    2^(n_a k)-dimensional replicated space, and no spin table is formed.
     """
     state = 16 * 2**n
     dims = [math.comb(2**n_a + j - 1, j) for j in range(1, k + 1)]
-    rows = min(_kernels.block_rows(dims[-1]), 2 ** (n - n_a))
-    moments = (16 * 2**n_a * rows + (4 * 8 + 1) * rows + 3 * 16 * dims[-1] * rows
-               + 16 * sum(d * d for d in dims) + 3 * 16 * dims[-1] ** 2
-               + 16 * math.comb(2**n_a + k - 2, k - 1) ** 2)
+    moments = _kernels.accumulate_bytes(2**n_a, k, 2 ** (n - n_a)) + 16 * (
+        sum(d * d for d in dims[:-1]) + 2 * dims[-1] ** 2 + math.comb(2**n_a + k - 2, k - 1) ** 2)
     return 2 * state + max(state + 16 * CHUNK, moments) + 2**20
 
 
@@ -274,22 +267,15 @@ def moments_from_state(state: np.ndarray, cfg: KimConfig, k: int) -> list:
     each normalized to unit trace, from one pass over the bath outcomes.
 
     Outcome z = (z1, z2), z1 the bits before the subsystem, leads with z1.
-    The outcomes are read in blocks of a power of two of them, at most
-    block_rows(D_k), so each block lies in one z1 slab or spans whole ones:
-    the block is a view of amps[sigma, z] = <z1 sigma z2|Psi>, and
-    _kernels.accumulate_blocks adds their Sym^k rows, weighted by
-    p_z^(1-k) from their Born weights p_z, to the running sum in block
-    order.  Each lower order j is then the normalized partial trace of
-    order j + 1 (linalg.sym_partial_trace): a projected state has unit
-    trace, and p_z^(1-j) p_z = p_z^(1-(j-1)).
+    _kernels.accumulate_blocks reads the view amps[sigma, z1, z2] =
+    <z1 sigma z2|Psi> and sums the outcomes' Sym^k rows, weighted by p_z^(1-k)
+    from their Born weights p_z.  Each lower order j is then the normalized
+    partial trace of order j + 1 (linalg.sym_partial_trace): a projected state
+    has unit trace, and p_z^(1-j) p_z = p_z^(1-(j-1)).
     """
-    da, n_out = 2**cfg.n_a, 2**cfg.n_b
+    da = 2**cfg.n_a
     amps = state.reshape(2**cfg.offset, da, -1).transpose(1, 0, 2)  # (sigma, z1, z2), a view
-    z1s, z2 = amps.shape[1:]
-    rows = 1 << (min(_kernels.block_rows(math.comb(da + k - 1, k)), n_out).bit_length() - 1)
-    a, b = max(1, rows // z2), min(rows, z2)  # a block spans a z1 slabs of b outcomes
-    views = (amps[:, z1 : z1 + a, c : c + b] for z1 in range(0, z1s, a) for c in range(0, z2, b))
-    blocks = [_kernels.accumulate_blocks(views, da, k, 1 - k)]
+    blocks = [_kernels.accumulate_blocks(amps, k, 1 - k)]
     blocks[0] /= np.trace(blocks[0])
     for j in range(k, 1, -1):
         r = sym_partial_trace(blocks[-1], da, j)

@@ -59,8 +59,8 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -108,24 +108,30 @@ class McConfig:
             raise McError("the last checkpoint must equal samples")
         need = self.kept_bytes() + self.batch_bytes()
         if need > MEM_BUDGET_BYTES:
-            D = math.comb(2**self.n_a + self.k - 1, self.k)
-            batches = sum(map(len, batch_plan(cps)))
+            D, batches = self.sym_dim, len(self.batch_sizes)
             raise McError(f"mc at k={self.k}, n_a={self.n_a}, t={self.t} keeps {batches} batch "
                           f"sums of {D} x {D} beside a task working set of "
                           f"{self.batch_bytes() / 1e9:.2g} GB: ~{need / 1e9:.1f} GB, above budget")
 
+    @cached_property
+    def sym_dim(self) -> int:
+        """D = C(2^n_a + k - 1, k), the side of a Sym^k block."""
+        return math.comb(2**self.n_a + self.k - 1, self.k)
+
+    @cached_property
+    def batch_sizes(self) -> tuple:
+        """The flattened batch plan: each batch's size, batch i drawing stream i."""
+        return tuple(chain.from_iterable(batch_plan(self.resolved_checkpoints())))
+
     def kept_bytes(self) -> int:
         """Bytes _run_estimator keeps: one D x D complex Sym^k sum per batch, plus the total."""
-        D = math.comb(2**self.n_a + self.k - 1, self.k)
-        batches = sum(map(len, batch_plan(self.resolved_checkpoints())))
-        return 16 * D**2 * (batches + 1)
+        return 16 * self.sym_dim**2 * (len(self.batch_sizes) + 1)
 
     def task_batches(self) -> int:
         """Batches per pool task: as many as fit in TASK_BYTES of working set
         (batch_bytes), at least one and at most the plan's."""
-        batches = sum(map(len, batch_plan(self.resolved_checkpoints())))
         fixed, per_batch = self._task_bytes()
-        return max(1, min(batches, (TASK_BYTES - fixed) // per_batch))
+        return max(1, min(len(self.batch_sizes), (TASK_BYTES - fixed) // per_batch))
 
     def batch_bytes(self) -> int:
         """Working set of one pool task: task_batches() of the plan's largest batch."""
@@ -140,23 +146,17 @@ class McConfig:
         arrays for pbc (the Ginibre draw, its QR factors, the phased unitaries),
         counted as 5.  For obc, per sample at _run_states' product loop, the
         2 p r - r (r + 1) / 2 complex normals, L (p r), R and one product
-        (p^2 each), the r + 1 gammas and the norms.  Fixed, accumulating one
-        batch at a time: accumulate_blocks' scaled columns (dA x rows
-        complex) and its min(k, 3) D x rows work arrays, rows =
-        min(block_rows(D), b), counted as four D x rows arrays in all
-        (dA <= D; the few float rows of Born weights fit in the slack), and
-        two D x D ones, the batch's sum (kept_bytes counts it too) and the
-        GEMM's product, which is gone before the real coef coef^T is formed.
+        (p^2 each), the r + 1 gammas and the norms.  Fixed: one batch's
+        _kernels.accumulate_bytes, its sum counted by kept_bytes too.
         """
-        b = max(chain.from_iterable(batch_plan(self.resolved_checkpoints())))
-        D = math.comb(2**self.n_a + self.k - 1, self.k)
+        b = max(self.batch_sizes)
         if self.bc == "pbc":
             per_sample = 16 * 5 * 4**self.t
         else:
             p = 2 ** min_depth(self.n_a)
             r = min(p, 2**self.t // p)
             per_sample = 16 * (2 * p * r - r * (r + 1) // 2 + p * r + 2 * p * p) + 8 * (r + 2)
-        return 4 * 16 * D * min(_kernels.block_rows(D), b) + 2 * 16 * D * D, b * per_sample
+        return _kernels.accumulate_bytes(2**self.n_a, self.k, b), b * per_sample
 
     def resolved_checkpoints(self) -> tuple:
         if self.checkpoints:
@@ -397,18 +397,12 @@ def _run_sums(cfg: McConfig, w: WTensor, weight_exponent: float, first: int, siz
     ... of the given sizes, one per batch in batch order: one pool task.
 
     The states are formed once over the run; each batch's columns are then
-    handed to _kernels.accumulate_blocks alone, at most block_rows(D) at a
-    time, and weighted there by their Born weights to weight_exponent.
+    handed to _kernels.accumulate_blocks alone and weighted there by their
+    Born weights to weight_exponent.
     """
     psi = _run_states(cfg, w, first, sizes)
-    da = len(psi)
-    rows = _kernels.block_rows(math.comb(da + cfg.k - 1, cfg.k))
-    out, lo = [], 0
-    for b in sizes:
-        views = (psi[:, c : min(c + rows, lo + b)] for c in range(lo, lo + b, rows))
-        out.append(_kernels.accumulate_blocks(views, da, cfg.k, weight_exponent))
-        lo += b
-    return out
+    return [_kernels.accumulate_blocks(psi[:, lo : lo + b], cfg.k, weight_exponent)
+            for lo, b in zip(accumulate(sizes, initial=0), sizes)]
 
 
 def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstimate:
@@ -423,11 +417,10 @@ def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstim
 
     cps = cfg.resolved_checkpoints()
     plan = batch_plan(cps)
-    sizes = list(chain.from_iterable(plan))
+    sizes = cfg.batch_sizes
     run = cfg.task_batches()
     tasks = ((i, sizes[i : i + run]) for i in range(0, len(sizes), run))
-    D = math.comb(2**cfg.n_a + cfg.k - 1, cfg.k)
-    num = np.zeros((D, D), dtype=complex)
+    num = np.zeros((cfg.sym_dim,) * 2, dtype=complex)
     den = 0.0
     batch_nums, batch_dens, checkpoint_batches = [], [], []
     series = ConvergenceSeries()

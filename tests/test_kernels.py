@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
+import pytest
 
 import deeptherm._kernels as kernels
 from deeptherm.linalg import sym_basis
@@ -31,11 +33,8 @@ def _born_weights(psi, exponent):
 
 
 def _accumulate(psi, k, exponent):
-    """One kernel call on all the rows of psi, as columns block_rows(D) at a time."""
-    da = psi.shape[1]
-    rows = kernels.block_rows(len(sym_basis(da, k).coef))
-    cols = psi.T
-    return kernels.accumulate_blocks((cols[:, lo : lo + rows] for lo in range(0, len(psi), rows)), da, k, exponent)
+    """One kernel call on all the rows of psi, handed as the columns of a view."""
+    return kernels.accumulate_blocks(psi.T, k, exponent)
 
 
 def test_moment_accumulate_matches_kron_oracle(rng):
@@ -78,26 +77,37 @@ def test_level_grown_rows_match_direct_products(rng):
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_blocks_refilled_into_one_buffer_match_one_call_bitwise(rng):
-    # blocks copied in turn into one buffer give one call on all the columns
-    b = 2 * kernels.ROW_BLOCK + 5
-    psi = rng.standard_normal((b, 4)) + 1j * rng.standard_normal((b, 4))
-    seen = []
-
-    def refilled(rows):
-        buf = np.empty((4, rows), dtype=complex)
-        for lo in range(0, b, rows):
-            n = min(rows, b - lo)
-            buf[:, :n] = psi[lo : lo + n].T
-            seen.append(buf[:, :n].copy())
-            yield buf[:, :n]
-            # the kernel scales a copy: the caller's block is left as it was given
-            assert buf[:, :n].tobytes() == seen[-1].tobytes()
-
+def test_ragged_blocks_of_a_strided_view_match_kron_oracle(rng, monkeypatch):
+    # a (dA, A, B) = (3, 5, 7) view with a column stride of two; rows = 3 cuts
+    # each slab into 3 + 3 + 1 columns, rows = 16 into runs of 2, 2 and 1 slabs
+    base = rng.standard_normal((5, 3, 14)) + 1j * rng.standard_normal((5, 3, 14))
+    view = base.transpose(1, 0, 2)[:, :, ::2]
+    view[:, 1, 3] = 0.0
+    before = view.copy()
+    psi = view.reshape(3, -1).T  # the columns in B-fastest order
     for k in (1, 2, 3):
-        rows = kernels.block_rows(len(sym_basis(4, k).coef))
-        got = kernels.accumulate_blocks(refilled(rows), 4, k, 1 - k)
-        assert got.tobytes() == _accumulate(psi, k, 1 - k).tobytes()
+        D = len(sym_basis(3, k).coef)
+        for rows in (3, 16):
+            monkeypatch.setattr(kernels, "BLOCK_ENTRIES", rows * D)
+            assert kernels.block_rows(D) == rows
+            ref = _kron_moment(psi, _born_weights(psi, 1 - k), k)
+            out = sym_embed(kernels.accumulate_blocks(view, k, 1 - k), 3, k)
+            assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert view.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_accumulate_bytes_bounds_traced_peak(rng, k):
+    # more states than one block, so the count's min(block_rows(D), n) is block_rows(D)
+    psi = rng.standard_normal((4, 3000)) + 1j * rng.standard_normal((4, 3000))
+    kernels.accumulate_blocks(psi[:, :10], k, 1 - k)  # the basis caches are built once per process
+    tracemalloc.start()
+    try:
+        kernels.accumulate_blocks(psi, k, 1 - k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= kernels.accumulate_bytes(4, k, psi.shape[1]) <= 2 * peak
 
 
 def test_strided_views_match_contiguous_copies_bitwise(rng):
@@ -111,8 +121,8 @@ def test_strided_views_match_contiguous_copies_bitwise(rng):
         before = view.copy()
         copy = np.ascontiguousarray(view)
         for k in (1, 2, 3):
-            got = kernels.accumulate_blocks([view], 4, k, 1 - k)
-            ref = kernels.accumulate_blocks([copy.reshape(4, -1)], 4, k, 1 - k)
+            got = kernels.accumulate_blocks(view, k, 1 - k)
+            ref = kernels.accumulate_blocks(copy.reshape(4, -1), k, 1 - k)
             assert got.tobytes() == ref.tobytes()
         assert view.tobytes() == before.tobytes()
 
@@ -148,7 +158,7 @@ def test_moment_accumulate_skips_zero_weights():
                     [0.0, 2 * np.sqrt(kernels.P_FLOOR)]], dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = kernels.accumulate_blocks([psi.T], 2, 1, -1)
+        out = kernels.accumulate_blocks(psi.T, 1, -1)
     np.testing.assert_allclose(out, np.eye(2), atol=1e-14)
 
 

@@ -230,6 +230,26 @@ def test_cli_config_values_parsed_like_the_command_line(tmp_path, capsys):
     assert not os.path.exists(out + "2")
 
 
+def test_cli_empty_sweep_is_refused_before_any_csv(tmp_path, capsys, monkeypatch):
+    # an empty list of t or bath lengths, or a figure3 sweep t = 2..tmax with no t,
+    # would write a header-only CSV; each is refused before any work
+    def engine_fail(*args, **kwargs):
+        raise AssertionError("replica engine ran for a refused run")
+
+    monkeypatch.setattr(replica, "_sagg_bundle", engine_fail)
+    out = str(tmp_path / "x")
+    for argv, needle in (
+        (["replica", "--k", "2", "--nmax", "2", "--t", "", "--out", out], "--t"),
+        (["designcheck", "--lengths", "", "--out", out], "--lengths"),
+        (["figure3", "--tmax", "1", "--out", out], "--tmax"),
+        (["figure3", "--tmax", "1", "--plot", out + ".svg", "--out", out], "--tmax"),
+    ):
+        assert main(argv) == 3, argv
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["type"] == "ValueError" and needle in rec["error"], argv
+        assert os.listdir(tmp_path) == [], argv
+
+
 def test_cli_error_record(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "x.csv")
     rc = main(["exact", "--n", "4", "--na", "2", "--t", "1", "--g", "0.0", "--out", out])
