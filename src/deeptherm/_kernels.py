@@ -45,12 +45,15 @@ def block_rows(d: int) -> int:
 
 
 def accumulate_bytes(da: int, k: int, n: int) -> int:
-    """Bytes accumulate_blocks holds for n states: the scaled slot, the work
-    arrays and the float rows of Born weights, counted as four D x rows complex
-    arrays, rows = min(block_rows(D), n), and two D x D ones, the sum and the
-    GEMM's product."""
+    """Bytes accumulate_blocks holds for n states, rows = min(block_rows(D), n)
+    of them per block: the scaled slot and the work arrays, counted as four
+    D x rows complex arrays; two D x D ones, the sum and the GEMM's product;
+    three float rows, the Born weights, their mask and the scales; and the
+    casting buffers of the scaling multiply (the scales cast to complex over
+    the block), two dA x rows complex arrays."""
     D = math.comb(da + k - 1, k)
-    return 16 * (4 * D * min(block_rows(D), n) + 2 * D * D)
+    rows = min(block_rows(D), n)
+    return 16 * (4 * D * rows + 2 * D * D) + 8 * (3 + 4 * da) * rows
 
 
 def accumulate_blocks(states: np.ndarray, k: int, exponent: float) -> np.ndarray:

@@ -19,7 +19,6 @@ from .kim import (
     delta_k,
     dual_unitary_ensemble_check,
     entropy_bits,
-    ising_phase_vector,
     apply_floquet,
     moments_from_state,
     plus_state,
@@ -70,10 +69,9 @@ def cmd_exact(args) -> int:
     check_exact_size(base.n, base.n_a, args.k)
     rows = []
     state = plus_state(base.n)
-    phases = ising_phase_vector(base)
     for t in range(args.t + 1):
         if t > 0:
-            state = apply_floquet(state, base, phases)
+            state = apply_floquet(state, base)
         blocks = moments_from_state(state, base, args.k)
         ent = entropy_bits(blocks[0])  # the order-1 block is the reduced state
         for k, rho in enumerate(blocks, start=1):

@@ -3,12 +3,13 @@
 The Floquet step is U_F = U_h exp(-i H_Ising) with U_h = exp(-i h sum_i Y_i)
 and H_Ising the nearest-neighbour ZZ chain plus longitudinal field (plus
 boundary fields for open boundaries).  All Ising terms commute, so the
-Ising factor is applied as one exact diagonal phase vector.  The kick is the
-same 2x2 matrix K on every site, so U_h = K^{(x)n} factors over groups of up
-to KICK_GROUP neighbouring qubits, the remainder group first.  Each group's
-K^{(x)w} (at most 64 x 64) is applied in place on the fixed (pre, 2^w, post)
-view of the state, one chunk of about CHUNK entries at a time through a
-reused buffer; no bits are rotated between groups.
+Ising factor is an exact diagonal phase, multiplied into the state in place
+one chunk of CHUNK amplitudes at a time.  The kick is the same 2x2 matrix K
+on every site, so U_h = K^{(x)n} factors over groups of up to KICK_GROUP
+neighbouring qubits, the remainder group first.  Each group's K^{(x)w} (at
+most 64 x 64) is applied in place on the fixed (pre, 2^w, post) view of the
+state, one chunk of about CHUNK entries at a time through a reused buffer;
+no bits are rotated between groups.
 
 At the self-dual point |j| = |h| = pi/4 the reduced state of a bulk block
 of n_a qubits is exactly maximally mixed for every ceil(n_a/2) <= t below
@@ -19,9 +20,13 @@ b1 = bn = pi/4 complete the end sites' gate structure (a pi/4 field is a
 ZZ coupling to a frozen |0> neighbour) and are the values under which the
 finite chain tracks the thermodynamic-limit ensemble most closely.
 
-The Ising phases are read from the bits of the basis index (the field term
-from its popcount, the bonds from the popcount of the XOR of neighbouring
-bits), chunk by chunk into the output, so no n x 2^n spin table is formed.
+The Ising energy of a basis index depends only on its popcount (the field
+term), the popcount of the XOR of neighbouring bits (the broken bonds) and,
+at obc, its two end bits.  So exp(-i E) is a table of (n+1)(n_bonds+1)
+entries, four times that at obc (_phase_table), and each chunk's phases are
+gathered from it by a code read from the bits (_ising_phases).  No n x 2^n
+spin table and no 2^n phase vector is formed; ising_phase_vector, the dense
+reference, gathers from the same table.
 
 After each step one pass over the bath outcomes gives the moments of every
 order 1..K (moments_from_state).  It hands a view of the state to
@@ -34,8 +39,7 @@ D x D Sym^k blocks (linalg.sym_basis); delta_k reads the distance to Haar
 from the block.  Only the tests embed a block in the replicated space.  The
 order-1 block is the subsystem's reduced state, so the entanglement entropy
 is read from its eigenvalues (entropy_bits) and the reduced state is formed
-nowhere else.  So the exact route's only state-sized arrays are the state,
-the phase vector and, during a Floquet step, its output.
+nowhere else.  So the exact route's only state-sized array is the state.
 
 The finite-bath check (dual_unitary_ensemble_check) compares the k-th moment
 of a bath segment's temporal maps U(z) = T(z_{L-1}) ... T(z_0) over its 2^L
@@ -121,6 +125,10 @@ class KimConfig:
     def n_b(self) -> int:
         return self.n - self.n_a
 
+    @property
+    def n_bonds(self) -> int:
+        return self.n if self.bc == "pbc" else self.n - 1
+
     def wraparound(self, t: int | None = None) -> bool:
         """True when t exceeds the pre-recurrence window (n - n_a)/2 - 1."""
         tt = self.t if t is None else t
@@ -130,23 +138,23 @@ class KimConfig:
 def exact_bytes(n: int, n_a: int, k: int) -> int:
     """Bytes the exact route holds at once, summed over its largest arrays.
 
-    The state and the phase vector (complex, 2^n each) live throughout.
-    Beside them, a Floquet step holds its output (one more state) and the
-    kicks' chunk buffer of CHUNK entries; the phase build holds less (the
-    output and one chunk's integer and float temporaries).  The moment pass
-    holds instead _kernels.accumulate_bytes over the 2^(n - n_a) outcomes (its
-    sum is the block at D_k), the D_j x D_j block of every lower order j,
+    The state (complex, 2^n) lives throughout; it is the only state-sized
+    array.  Beside it, a Floquet step holds its chunk buffer (CHUNK complex
+    entries), the phase codes' integer temporaries (24 bytes per entry: the
+    int32 indices, the intp codes and three int32 temporaries) and two kick
+    matrices of at most 2^KICK_GROUP x 2^KICK_GROUP.  The moment pass holds
+    instead _kernels.accumulate_bytes over the 2^(n - n_a) outcomes (its sum
+    is the block at D_k), the D_j x D_j block of every lower order j,
     D_j = C(2^n_a + j - 1, j), delta_k's Hermitian part and eigvalsh copy at
     D_k (entropy_bits takes the same at D_1), and sym_partial_trace's gathered
-    block at D_(k-1).  One MiB more covers the kick matrices (64 x 64), the
-    CSV rows and the interpreter's own objects.  No moment is embedded in the
-    2^(n_a k)-dimensional replicated space, and no spin table is formed.
+    block at D_(k-1).  No moment is embedded in the 2^(n_a k)-dimensional
+    replicated space, and no spin table is formed.
     """
-    state = 16 * 2**n
+    step = 40 * CHUNK + 2 * 16 * 4**KICK_GROUP
     dims = [math.comb(2**n_a + j - 1, j) for j in range(1, k + 1)]
     moments = _kernels.accumulate_bytes(2**n_a, k, 2 ** (n - n_a)) + 16 * (
         sum(d * d for d in dims[:-1]) + 2 * dims[-1] ** 2 + math.comb(2**n_a + k - 2, k - 1) ** 2)
-    return 2 * state + max(state + 16 * CHUNK, moments) + 2**20
+    return 16 * 2**n + max(step, moments)
 
 
 def check_exact_size(n: int, n_a: int, k: int) -> None:
@@ -162,30 +170,57 @@ def check_exact_size(n: int, n_a: int, k: int) -> None:
         )
 
 
-def ising_phase_vector(cfg: KimConfig) -> np.ndarray:
-    """Diagonal of exp(-i H_Ising) in the computational basis.
+def _phase_table(cfg: KimConfig) -> np.ndarray:
+    """exp(-i E) over every energy of the chain, at the codes of _ising_phases.
 
-    The spins are read from the bits of the basis index x (site 0 the most
-    significant).  The field term is g (n - 2 popcount(x)); the bonds add
-    j (n_bonds - 2 popcount(differ & mask)), where bit n-1-(i+1)%n of differ
-    is set when sites i and i+1 disagree and mask keeps the chain's bonds.
-    The boundary fields follow at obc.  CHUNK indices at a time, each chunk's
-    phases written straight into the output.
+    E depends on a basis index only through a = popcount(x), b = the number of
+    broken bonds and, at obc, the two end bits e1 and en.  Each entry is summed
+    in one fixed order: g (n - 2a), then j (n_bonds - 2b), then -+b1, then -+bn.
     """
-    n = cfg.n
-    n_bonds = n if cfg.bc == "pbc" else n - 1
-    mask = (1 << n_bonds) - 1  # obc drops bond (n-1, 0), the top bit of differ
-    out = np.empty(2**n, dtype=complex)
-    for lo in range(0, 2**n, CHUNK):
-        x = np.arange(lo, min(lo + CHUNK, 2**n))
-        energy = cfg.g * (n - 2 * np.bitwise_count(x).astype(int))
-        differ = x ^ ((x >> 1) | ((x & 1) << (n - 1)))
-        energy += cfg.j * (n_bonds - 2 * np.bitwise_count(differ & mask).astype(int))
-        if cfg.bc == "obc":
-            energy += np.where(x >> (n - 1), -cfg.b1, cfg.b1)
-            energy += np.where(x & 1, -cfg.bn, cfg.bn)
-        seg = np.multiply(energy, -1j, out=out[lo : lo + len(x)])
-        np.exp(seg, out=seg)
+    n, n_bonds = cfg.n, cfg.n_bonds
+    ends = (2, 2) if cfg.bc == "obc" else ()
+    idx = np.indices((n + 1, n_bonds + 1) + ends).reshape(2 + len(ends), -1)
+    energy = cfg.g * (n - 2 * idx[0])
+    energy += cfg.j * (n_bonds - 2 * idx[1])
+    if cfg.bc == "obc":
+        energy += np.where(idx[2], -cfg.b1, cfg.b1)
+        energy += np.where(idx[3], -cfg.bn, cfg.bn)
+    return np.exp(energy * -1j)
+
+
+def _ising_phases(cfg: KimConfig, table: np.ndarray, lo: int, out: np.ndarray) -> np.ndarray:
+    """Write the Ising phases of the basis indices lo .. lo + len(out) into out.
+
+    The spins are read from the bits of x (site 0 the most significant).  Bit
+    n-1-(i+1)%n of differ is set when sites i and i+1 disagree; differ is then
+    masked to the chain's bonds (obc drops bond (n-1, 0), the top bit).  The
+    code of x is a (n_bonds + 1) + b, times 4 plus 2 e1 + en at obc: its index
+    in table.
+    """
+    n, n_bonds = cfg.n, cfg.n_bonds
+    x = np.arange(lo, lo + len(out), dtype=np.int32)  # every index: 2^31 amplitudes take 32 GiB
+    code = np.bitwise_count(x).astype(np.intp)
+    code *= n_bonds + 1
+    differ = (x >> 1) | ((x & 1) << (n - 1))
+    differ ^= x
+    differ &= (1 << n_bonds) - 1
+    code += np.bitwise_count(differ)
+    if cfg.bc == "obc":
+        code *= 4
+        code += (x >> (n - 1)) << 1
+        code += x & 1
+    # mode="clip" lets take write straight into out, with no buffered copy
+    return np.take(table, code, out=out, mode="clip")
+
+
+def ising_phase_vector(cfg: KimConfig) -> np.ndarray:
+    """Diagonal of exp(-i H_Ising) in the computational basis: the dense
+    reference for build_floquet and the tests, gathered CHUNK indices at a time
+    from the table that apply_floquet reads."""
+    table = _phase_table(cfg)
+    out = np.empty(2**cfg.n, dtype=complex)
+    for lo in range(0, len(out), CHUNK):
+        _ising_phases(cfg, table, lo, out[lo : lo + CHUNK])
     return out
 
 
@@ -209,25 +244,28 @@ def _kick_group(view: np.ndarray, kw: np.ndarray, buf: np.ndarray) -> None:
             blk[...] = np.matmul(kw, blk, out=buf[: blk.size].reshape(blk.shape))
 
 
-def apply_floquet(state: np.ndarray, cfg: KimConfig, phases: np.ndarray | None = None) -> np.ndarray:
-    """One Floquet step U_h exp(-i H_Ising) on a 2^n statevector; state is not modified.
+def apply_floquet(state: np.ndarray, cfg: KimConfig) -> np.ndarray:
+    """One Floquet step U_h exp(-i H_Ising) on the 2^n statevector state, in
+    place; returns state.
 
-    The Ising phases multiply the state into a new array; the kick K^{(x)n}
-    is then applied on it in place, one group of up to KICK_GROUP sites at a
-    time (the remainder group first, so every other group has at least 2^6
-    indices after it), through one reused chunk buffer.
+    Each chunk of CHUNK amplitudes is multiplied by its Ising phases, gathered
+    from the phase table into one reused buffer.  The kick K^{(x)n} is then
+    applied one group of up to KICK_GROUP sites at a time (the remainder group
+    first, so every other group has at least 2^6 indices after it), through
+    the same buffer.
     """
-    if phases is None:
-        phases = ising_phase_vector(cfg)
-    out = state * phases
-    K = kick_matrix(cfg.h)
+    table = _phase_table(cfg)
     buf = np.empty(CHUNK, dtype=complex)
+    for lo in range(0, len(state), CHUNK):
+        seg = state[lo : lo + CHUNK]
+        seg *= _ising_phases(cfg, table, lo, buf[: len(seg)])
+    K = kick_matrix(cfg.h)
     lo = 0
     for w in [cfg.n % KICK_GROUP] + [KICK_GROUP] * (cfg.n // KICK_GROUP):
         if w:
-            _kick_group(out.reshape(2**lo, 2**w, -1), kron_all([K] * w), buf)
+            _kick_group(state.reshape(2**lo, 2**w, -1), kron_all([K] * w), buf)
             lo += w
-    return out
+    return state
 
 
 def build_floquet(cfg: KimConfig) -> np.ndarray:
@@ -249,16 +287,15 @@ def plus_state(n: int) -> np.ndarray:
 def evolve(cfg: KimConfig) -> np.ndarray:
     """|Psi(t)> after t Floquet steps from the x-polarized product state.
 
-    The exact route's test reference, like build_floquet.  cli.cmd_exact keeps
-    its own loop, because it reads the state at every step and calls
-    plus_state, ising_phase_vector, apply_floquet, moments_from_state and
-    entropy_bits through the cli module, where they can be timed or replaced
-    per step.
+    The exact route's test reference, like build_floquet.  It holds one
+    statevector, stepped in place.  cli.cmd_exact keeps its own loop, because
+    it reads the state at every step and calls plus_state, apply_floquet,
+    moments_from_state and entropy_bits through the cli module, where they can
+    be timed or replaced per step.
     """
     state = plus_state(cfg.n)
-    phases = ising_phase_vector(cfg)
     for _ in range(cfg.t):
-        state = apply_floquet(state, cfg, phases)
+        apply_floquet(state, cfg)
     return state
 
 

@@ -96,10 +96,13 @@ def test_ragged_blocks_of_a_strided_view_match_kron_oracle(rng, monkeypatch):
             assert view.tobytes() == before.tobytes()
 
 
-@pytest.mark.parametrize("k", [2, 3, 5])
-def test_accumulate_bytes_bounds_traced_peak(rng, k):
+# the ids name k at dA = 4, and dA and k elsewhere; at dA = 2 and at k = 1,
+# D is close to dA and the float rows and casting buffers weigh most
+@pytest.mark.parametrize("da,k", [(4, 2), (4, 3), (4, 5), (2, 1), (2, 2), (2, 3), (2, 5), (4, 1), (8, 1)],
+                         ids=["2", "3", "5", "da2-1", "da2-2", "da2-3", "da2-5", "da4-1", "da8-1"])
+def test_accumulate_bytes_bounds_traced_peak(rng, da, k):
     # more states than one block, so the count's min(block_rows(D), n) is block_rows(D)
-    psi = rng.standard_normal((4, 3000)) + 1j * rng.standard_normal((4, 3000))
+    psi = rng.standard_normal((da, 3000)) + 1j * rng.standard_normal((da, 3000))
     kernels.accumulate_blocks(psi[:, :10], k, 1 - k)  # the basis caches are built once per process
     tracemalloc.start()
     try:
@@ -107,7 +110,7 @@ def test_accumulate_bytes_bounds_traced_peak(rng, k):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= kernels.accumulate_bytes(4, k, psi.shape[1]) <= 2 * peak
+    assert peak <= kernels.accumulate_bytes(da, k, psi.shape[1]) <= 2 * peak
 
 
 def test_strided_views_match_contiguous_copies_bitwise(rng):

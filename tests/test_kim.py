@@ -80,9 +80,10 @@ def test_build_floquet_unitary_and_special_cases():
     )
 
 
-def _per_site_floquet(state, cfg, phases):
-    """Reference Floquet step: the kick as one strided 2x2 matmul per site."""
-    state = state * phases
+def _per_site_floquet(state, cfg):
+    """Reference Floquet step, into a new array: the dense Ising phases, then
+    the kick as one strided 2x2 matmul per site."""
+    state = state * ising_phase_vector(cfg)
     return kick_all(state.reshape((2,) * cfg.n), cfg.n, kick_matrix(cfg.h)).reshape(-1)
 
 
@@ -96,7 +97,7 @@ def test_grouped_kick_matches_dense_floquet(n, bc, h):
     rng = np.random.default_rng(n)
     state = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     state /= np.linalg.norm(state)
-    got = apply_floquet(state, cfg, ising_phase_vector(cfg))
+    got = apply_floquet(state.copy(), cfg)
     assert got.shape == (2**n,)
     assert np.abs(got - build_floquet(cfg) @ state).max() <= 1e-12
 
@@ -150,9 +151,9 @@ def test_chunk_loops_match_references_at_n16(bc):
     state = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     state /= np.linalg.norm(state)
     before = state.copy()
-    got = apply_floquet(state, cfg, phases)
-    assert state.tobytes() == before.tobytes()
-    assert np.abs(got - _per_site_floquet(state, cfg, phases)).max() <= 1e-12
+    got = apply_floquet(state, cfg)
+    assert got is state
+    assert np.abs(got - _per_site_floquet(before, cfg)).max() <= 1e-12
     for start, length in ((0, 2), (7, 2), (0, 14), (3, 12)):
         ref = _svd_entropy(got, n, start, length)
         assert abs(_block_entropy(got, n, start, length) - ref) <= 1e-12
@@ -162,9 +163,8 @@ def test_evolve_basics():
     cfg = KimConfig(n=6, n_a=2, t=0, g=G)
     np.testing.assert_allclose(evolve(cfg), np.full(64, 2.0 ** (-3)), atol=1e-14)
     state = plus_state(6)
-    phases = ising_phase_vector(KimConfig(n=6, n_a=2, t=1, g=G))
     for _ in range(10):
-        state = apply_floquet(state, KimConfig(n=6, n_a=2, t=1, g=G), phases)
+        state = apply_floquet(state, KimConfig(n=6, n_a=2, t=1, g=G))
         assert np.vdot(state, state).real == pytest.approx(1.0, abs=1e-10)
     # diagonal evolution at h=0 only rephases the plus state
     cfgd = KimConfig(n=4, n_a=2, t=3, g=G, h=0.0, self_dual=False)
@@ -332,8 +332,9 @@ def _traced_peak(f, *args):
         tracemalloc.stop()
 
 
-# at n=16 a state is 1 MiB: beside the state and the phases, already live, a
-# stage may hold what it returns and about one chunk or block of outcomes more
+# at n=16 a state is 1 MiB: beside the state, already live, a stage may hold
+# what it returns and about one chunk or block of outcomes more; a Floquet
+# step returns the state it was given
 @pytest.mark.parametrize("stage", ["phases", "floquet", "moments"])
 def test_exact_stage_holds_no_state_sized_temporary(stage):
     n, mib = 16, 2**20
@@ -341,10 +342,10 @@ def test_exact_stage_holds_no_state_sized_temporary(stage):
     moments_from_state(evolve(small), small, 3)  # first-use caches
     cfg = KimConfig(n=n, n_a=2, t=2, g=G)
     phases = ising_phase_vector(cfg)
-    state = apply_floquet(apply_floquet(plus_state(n), cfg, phases), cfg, phases)
+    state = apply_floquet(apply_floquet(plus_state(n), cfg), cfg)
     f, args, bound = {
         "phases": (ising_phase_vector, (cfg,), phases.nbytes + mib),
-        "floquet": (apply_floquet, (state, cfg, phases), state.nbytes + mib),
+        "floquet": (apply_floquet, (state, cfg), mib),
         "moments": (moments_from_state, (state, cfg, 3), 1.5 * mib),
     }[stage]
     assert _traced_peak(f, *args) <= bound

@@ -346,18 +346,18 @@ def test_cli_exact_refuses_oversized_run_before_allocating(tmp_path, capsys, mon
     def fail(*args, **kwargs):
         raise AssertionError("allocated for a refused size")
 
-    monkeypatch.setattr(cli, "ising_phase_vector", fail)
     monkeypatch.setattr(cli, "plus_state", fail)
+    monkeypatch.setattr(cli, "apply_floquet", fail)
     monkeypatch.setattr(cli, "moments_from_state", fail)
     out = str(tmp_path / "x.csv")
-    # n=27: three state-sized arrays during a Floquet step, 6.4 GB; k=34 at n_a=2:
-    # the sums of every order up to 7770 x 7770 (Sym^34), 8.5 GB
-    for argv in (["--n", "27", "--na", "2", "--t", "1"], ["--n", "10", "--na", "2", "--t", "1", "--k", "34"]):
+    # n=28: the one statevector alone is 4.3 GB; k=34 at n_a=2: the sums of
+    # every order up to 7770 x 7770 (Sym^34), 8.5 GB
+    for argv in (["--n", "28", "--na", "2", "--t", "1"], ["--n", "10", "--na", "2", "--t", "1", "--k", "34"]):
         assert main(["exact", *argv, "--out", out]) == 3
         rec = json.loads(capsys.readouterr().err.strip())
         assert rec["type"] == "ConfigError" and "above budget" in rec["error"]
     assert not os.path.exists(out)
-    assert kim.exact_bytes(26, 2, 3) <= MEM_BUDGET_BYTES  # the largest chain still runs
+    assert kim.exact_bytes(27, 2, 3) <= MEM_BUDGET_BYTES  # the largest chain still runs
 
 
 def test_cli_exact_refuses_order_below_one(tmp_path, capsys):
