@@ -155,6 +155,8 @@ def cmd_rates(args) -> int:
 def cmd_figure3(args) -> int:
     if args.tmax < 2:
         raise ValueError(f"figure3 sweeps t = 2..tmax: --tmax must be >= 2, got {args.tmax}")
+    if args.kmax < 2:
+        raise ValueError(f"figure3 sweeps k = 2..kmax: --kmax must be >= 2, got {args.kmax}")
     check_fit_points(FIGURE3_MMAX + 1 - args.kmax)  # the largest k sweeps n = 0..FIGURE3_MMAX-k
     ts = list(range(2, args.tmax + 1))
     # built first, so a bad --seed or --mc-k is refused before any replica work
@@ -189,16 +191,14 @@ def cmd_figure3(args) -> int:
 
 
 def cmd_designcheck(args) -> int:
-    # the distances depend on t, k, g and the lengths; the chain only validates na, g
     lengths = _parse_tlist(args.lengths, "--lengths")
-    cfg = KimConfig(n=args.na + 1, n_a=args.na, t=args.t, a_offset=0, g=args.g)
-    dists = dual_unitary_ensemble_check(cfg, args.k, lengths)
+    dists = dual_unitary_ensemble_check(args.t, args.k, args.g, lengths)
     rows = [[L, args.t, d] for L, d in zip(lengths, dists)]
     for L, t, d in rows:
         print(f"L={L} t={t} dist={d:.6e}")
     if args.out:
         _record(args, "designcheck", args.out, ["bath_side", "t", "distance"], rows,
-                {"na": args.na, "t": args.t, "k": args.k, "g": args.g})
+                {"t": args.t, "k": args.k, "g": args.g})
     return EXIT_OK
 
 
@@ -288,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_figure3)
 
     p = sub.add_parser("designcheck", help="finite-bath Haar emergence distance")
-    p.add_argument("--na", type=int, default=2)
     p.add_argument("--t", type=int, default=2)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--g", type=float, default=0.3)

@@ -1,19 +1,20 @@
 """Space-time-dual tensors of the self-dual kicked Ising circuit.
 
 Each site column of the circuit, read sideways with its ZZ gates cut open,
-is a map on the t temporal qubits.  A diagonal two-site gate splits as
+is a map on the t temporal qubits, its dual site layer T(z)[tau_out, tau_in]
+(|+> at the bottom of the column, <z| at the top).  Bit k of tau_out is the
+site's spin at step k, step 0 the most significant bit, so
 
-    exp(-i J Z (x) Z) = sum_b |b><b|_left (x) exp(-i J (1-2b) Z)_right,
+    T(z) = diag(a_z) B_t(j),
+    a_z(s) = 2^-1/2 K[z, s_(t-1)] prod_(k>=1) K[s_k, s_(k-1)] exp(-i g (t - 2 popcount s)),
 
-so a column with |+> at the bottom and <z| at the top is its dual site layer
-T(z)[tau_out, tau_in]: the bond toward tau_in enters as phase gates, the bond
-toward tau_out as projectors.  At the self-dual point each layer is
-proportional to a unitary.  A bath segment's temporal map U(z) is the product
-of its sites' layers.  The three-index tensor W[sigma, tau_left, tau_right],
-from two temporal bond registers to the subsystem register, is the same
-product over the subsystem sites for the bits of sigma, transposed to
-(tau_left, s) and closed on the right bond by its ZZ phases
-F[s, tau_right] = exp(-i j (t - 2 popcount(s xor tau_right))).
+K = kick_matrix(h), and B_t(j) (bond_phases) is the ZZ bond between two
+temporal registers.  At the self-dual point each layer is proportional to a
+unitary.  A bath segment's temporal map U(z) is the product of its sites'
+layers.  The three-index tensor W[sigma, tau_left, tau_right], from two
+temporal bond registers to the subsystem register, is the same product over
+the subsystem sites for the bits of sigma, transposed to (tau_left, s) and
+closed on the right bond by B_t(j).
 
 W at the minimal depth t0 = ceil(n_a/2) plays the role of the reduced
 tensor: every consumer contracts it between objects invariant under unitary
@@ -66,13 +67,12 @@ def build_wprime(n_a: int, t: int, g: float, j: float = PI4, h: float = PI4) -> 
         raise ValueError(f"need n_a >= 1 and t >= ceil(n_a/2), got n_a={n_a}, t={t}")
     if n_a > 4 or t > 6:
         raise ValueError("W limited to n_a <= 4, t <= 6")
-    sigma, tau = np.arange(2**n_a), np.arange(2**t)
+    sigma = np.arange(2**n_a)
     layers = np.stack([dual_site_layer(b, t, g, j=j, h=h) for b in (0, 1)])
     M = np.eye(2**t, dtype=complex)
     for i in range(n_a):  # M[sigma] = T(s_{n_a-1}) ... T(s_0), s_i the bit of site i
         M = layers[(sigma >> (n_a - 1 - i)) & 1] @ M
-    # popcount is uint8: subtracting it from t in integers would wrap
-    S = np.swapaxes(M, 1, 2) @ np.exp(-1j * j * (t - 2.0 * np.bitwise_count(tau[:, None] ^ tau)))
+    S = np.swapaxes(M, 1, 2) @ bond_phases(t, j)
     rows = S.reshape(2**n_a, -1)
     c = float(np.mean(np.einsum("ij,ij->i", rows, rows.conj()).real))
     return WTensor(n_a=n_a, t_legs=t, data=S / np.sqrt(c))
@@ -111,32 +111,26 @@ def reduce_temporal_operator(u: np.ndarray, t0: int) -> np.ndarray:
     return np.einsum("irjr->ij", u.reshape(d0, dr, d0, dr))
 
 
-def dual_site_layer(z: int, t: int, g: float, j: float = PI4, h: float = PI4) -> np.ndarray:
-    """One-site dual transfer matrix T[tau_out, tau_in] for measurement outcome z.
+def bond_phases(t: int, j: float) -> np.ndarray:
+    """B_t(j)[tau, tau'] = exp(-i j (t - 2 popcount(tau xor tau'))), the ZZ bond
+    between two registers of t temporal qubits."""
+    tau = np.arange(2**t)
+    # popcount is uint8: subtracting it from t in integers would wrap
+    return np.exp(-1j * j * (t - 2.0 * np.bitwise_count(tau[:, None] ^ tau)))
 
-    The site column is contracted with |+> at the bottom and <z| at the top;
-    the bond toward the incoming side enters as phase gates, the bond toward
-    the outgoing side as projectors.  At the self-dual point the result is
-    proportional to a unitary on the t temporal qubits; it is returned
-    rescaled to that unitary.
-    """
-    T = 2**t
+
+def dual_site_layer(z: int, t: int, g: float, j: float = PI4, h: float = PI4) -> np.ndarray:
+    """One-site dual transfer matrix T[tau_out, tau_in] = a_z(tau_out) B_t(j)[tau_out, tau_in]
+    for measurement outcome z (module docstring), rescaled to the unitary it is
+    proportional to at the self-dual point."""
     K = kick_matrix(h)
-    tau = np.arange(T)
-    bits = np.stack([(tau >> (t - 1 - s)) & 1 for s in range(t)])  # [t, T]
-    # v[q, tau_in, tau_out]: single-qubit state batched over both bond registers
-    v = np.zeros((2, T, T), dtype=complex)
-    v[:, :, :] = 2.0 ** (-0.5)
-    site_spin = np.array([1.0, -1.0])
-    for step in range(t):
-        in_spin = 1.0 - 2.0 * bits[step]
-        v *= np.exp(-1j * (j * in_spin[None, :, None] + g) * site_spin[:, None, None])
-        keep = bits[step][None, None, :] == np.arange(2)[:, None, None]
-        v = np.where(keep, v, 0.0)
-        v = np.einsum("pq,qio->pio", K, v)
-    out = v[z].T  # [tau_out, tau_in]
-    out = out / np.sqrt(np.trace(out.conj().T @ out).real / T)
-    defect = np.abs(out.conj().T @ out - np.eye(T)).max()
+    tau = np.arange(2**t)
+    s = (tau[:, None] >> np.arange(t - 1, -1, -1)) & 1  # s[tau, k], step 0 the most significant bit
+    a = K[z, s[:, -1]] * np.prod(K[s[:, 1:], s[:, :-1]], axis=1)
+    a *= np.exp(-1j * g * (t - 2.0 * np.bitwise_count(tau))) / np.sqrt(2)
+    out = a[:, None] * bond_phases(t, j)
+    out = out / np.sqrt(np.trace(out.conj().T @ out).real / 2**t)
+    defect = np.abs(out.conj().T @ out - np.eye(2**t)).max()
     if defect > 1e-8:
         raise TensorConventionError(f"dual site layer not unitary (defect {defect:.2e})")
     return out

@@ -41,15 +41,15 @@ order-1 block is the subsystem's reduced state, so the entanglement entropy
 is read from its eigenvalues (entropy_bits) and the reduced state is formed
 nowhere else.  So the exact route's only state-sized array is the state.
 
-The finite-bath check (dual_unitary_ensemble_check) compares the k-th moment
-of a bath segment's temporal maps U(z) = T(z_{L-1}) ... T(z_0) over its 2^L
-outcomes with the Haar moment Phi.  The bits z_i are independent, so that
-moment is S^L with S = 1/2 sum_b (T_b (x) T_b*)^{(x)k}.  Phi = V Wg V^+, with
-the k! permutation states as the columns of V and Wg[tau, sigma] =
-Wg(sigma tau^-1) (Moore-Penrose values when 2^t < k; Phi is still the
-projector onto their span).  Each layer fixes every permutation state, so
-S Phi = Phi S = Phi^2 = Phi and S^L - Phi = (S - Phi)^L: one GEMM and one
-trace norm per length.
+The finite-bath check (dual_unitary_ensemble_check), a function of t, k, g
+and the bath lengths alone, compares the k-th moment of a bath segment's
+temporal maps U(z) = T(z_{L-1}) ... T(z_0) over its 2^L outcomes with the
+Haar moment Phi.  The bits z_i are independent, so that moment is S^L with
+S = 1/2 sum_b (T_b (x) T_b*)^{(x)k}.  Phi = V Wg V^+, with the k! permutation
+states as the columns of V and Wg[tau, sigma] = Wg(sigma tau^-1)
+(Moore-Penrose values when 2^t < k; Phi is still the projector onto their
+span).  Each layer fixes every permutation state, so S Phi = Phi S = Phi^2 =
+Phi and S^L - Phi = (S - Phi)^L: one GEMM and one trace norm per length.
 """
 from __future__ import annotations
 
@@ -78,6 +78,13 @@ G_GUARD_BAND = 1e-3
 
 class ConfigError(ValueError):
     pass
+
+
+def check_coupling(g: float, guard: float = G_GUARD_BAND) -> None:
+    """Raise ConfigError when g lies within guard of a multiple of pi/8."""
+    r = g % (np.pi / 8)
+    if min(r, np.pi / 8 - r) < guard:
+        raise ConfigError(f"g={g} within guard band {guard} of a multiple of pi/8")
 
 
 @dataclass(frozen=True)
@@ -109,11 +116,7 @@ class KimConfig:
             np.isclose(abs(self.j), PI4) and np.isclose(abs(self.h), PI4)
         ):
             raise ConfigError("self-dual mode requires |j| = |h| = pi/4")
-        r = self.g % (np.pi / 8)
-        if min(r, np.pi / 8 - r) < self.g_guard:
-            raise ConfigError(
-                f"g={self.g} within guard band {self.g_guard} of a multiple of pi/8"
-            )
+        check_coupling(self.g, self.g_guard)
 
     @property
     def offset(self) -> int:
@@ -375,32 +378,35 @@ def haar_unitary_moment(t: int, k: int) -> np.ndarray:
     return (V @ wg) @ V.conj().T
 
 
-def bath_transfer_operator(t: int, k: int, g: float, j: float = PI4, h: float = PI4) -> np.ndarray:
+def bath_transfer_operator(t: int, k: int, g: float) -> np.ndarray:
     """S = 1/2 sum_b (T_b (x) T_b*)^{(x)k} over the dual site layers T_b (module docstring)."""
-    layers = [dual_site_layer(b, t, g, j=j, h=h) for b in (0, 1)]
+    layers = [dual_site_layer(b, t, g) for b in (0, 1)]
     return sum(kron_all([np.kron(T, T.conj())] * k) for T in layers) / 2
 
 
-def dual_unitary_ensemble_check(cfg: KimConfig, k: int, lengths) -> list[float]:
+def dual_unitary_ensemble_check(t: int, k: int, g: float, lengths) -> list[float]:
     """|| S^L - Phi ||_1 = || (S - Phi)^L ||_1 per bath length L, in lengths order
-    (module docstring); only cfg.t, cfg.g, cfg.j and cfg.h enter.  A run above
-    the memory budget raises ConfigError before allocating."""
+    (module docstring), at t >= 1, k >= 0 and g outside the guard band.  A run
+    above the memory budget raises ConfigError before allocating."""
     lengths = list(lengths)
+    if t < 1 or k < 0:
+        raise ConfigError(f"designcheck needs t >= 1 and k >= 0, got t={t}, k={k}")
     if any(L < 1 for L in lengths):
         raise ConfigError("bath side length must be >= 1")
+    check_coupling(g)
     if k == 0 or not lengths:
         return [0.0] * len(lengths)
     # dim = 4^(t k): -Phi, S's two Kronecker terms and their running sum while S
     # is built; then S - Phi, the power and its successor, or the power and
-    # trace_norm's Hermitian part and LAPACK copy; V, V Wg, V^+ are dim x k!
-    dim = 4 ** (cfg.t * k)
+    # trace_norm's LAPACK copy and SVD work; V, V Wg, V^+ are dim x k!
+    dim = 4 ** (t * k)
     need = 16 * (4 * dim**2 + 3 * math.factorial(k) * dim) + 2**20
     if need > MEM_BUDGET_BYTES:
         raise ConfigError(
-            f"designcheck at t={cfg.t}, k={k} needs ~{need / 1e9:.1f} GB, above budget"
+            f"designcheck at t={t}, k={k} needs ~{need / 1e9:.1f} GB, above budget"
         )
-    D = -haar_unitary_moment(cfg.t, k)
-    D += bath_transfer_operator(cfg.t, k, cfg.g, j=cfg.j, h=cfg.h)
+    D = -haar_unitary_moment(t, k)
+    D += bath_transfer_operator(t, k, g)
     A, power, dist = D, 1, {}
     for L in sorted(set(lengths)):
         for _ in range(L - power):

@@ -29,46 +29,33 @@ import numpy as np
 from .permgroup import Permutation
 
 MEM_BUDGET_BYTES = 3_500_000_000  # largest working set a route may allocate; checked up front
-HERM_TOL = 1e-8  # trace_norm uses eigvalsh when max|a - a^+| <= HERM_TOL * max(max|a|, 1)
-HERM_CHECK_ENTRIES = 2**16  # entries per row block of trace_norm's input checks
+CHECK_ENTRIES = 2**16  # entries per row block of trace_norm's finiteness scan
 
 
 def permutation_vector_state(p: Permutation, q: int) -> np.ndarray:
     """Vectorized permutation operator on m = p.degree copies of a q-qubit space.
 
     Unnormalized; inner products satisfy <P_q(t)|P_q(s)> = (2^q)^{#(s t^-1)}.
+    One identity per copy ties subscript j to m + j, and the output reads
+    the interleaved subscripts (j, m + p(j)).
     """
-    m = p.degree
-    d = 2**q
-    v = np.zeros(d ** (2 * m), dtype=complex)
-    # index = interleaved digits (i_1, i_{p(1)}, i_2, i_{p(2)}, ...)
-    ivecs = np.arange(d**m)
-    idx = np.zeros_like(ivecs)
-    for j in range(m):
-        ket = (ivecs // d ** (m - 1 - j)) % d
-        bra = (ivecs // d ** (m - 1 - p.images[j])) % d
-        idx += ket * d ** (2 * m - 1 - 2 * j) + bra * d ** (2 * m - 2 - 2 * j)
-    v[idx] = 1.0
-    return v
+    m, eye = p.degree, np.eye(2**q, dtype=complex)
+    ops = [x for j in range(m) for x in (eye, [j, m + j])]
+    return np.einsum(*ops, [x for j in range(m) for x in (j, m + p.images[j])]).ravel()
 
 
 def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values; Hermitian inputs go through eigvalsh.
+    """Sum of singular values.
 
-    The finiteness and Hermiticity tests read a in blocks of rows, each
-    against the matching block of columns, so they hold no dim x dim
-    temporary; their maxima are exact, whatever the blocks.
+    The finiteness test reads a in blocks of rows, so it holds no dim x dim
+    temporary.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("trace_norm expects a square matrix")
-    rows = max(1, HERM_CHECK_ENTRIES // max(len(a), 1))
-    blocks = [slice(lo, lo + rows) for lo in range(0, len(a), rows)]
-    if not all(np.isfinite(a[s]).all() for s in blocks):
+    rows = max(1, CHECK_ENTRIES // max(len(a), 1))
+    if not all(np.isfinite(a[lo : lo + rows]).all() for lo in range(0, len(a), rows)):
         raise ValueError("non-finite entries")
-    scale = max(max(np.abs(a[s]).max() for s in blocks), 1.0)
-    if max(np.abs(a[s] - a[:, s].conj().T).max() for s in blocks) <= HERM_TOL * scale:
-        return float(np.abs(np.linalg.eigvalsh((a + a.conj().T) / 2)).sum())
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 

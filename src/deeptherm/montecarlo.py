@@ -302,9 +302,9 @@ def _run_states(cfg: McConfig, w: WTensor, first: int, sizes) -> np.ndarray:
     """
     if cfg.bc == "pbc":
         psi = np.empty((len(w.data), sum(sizes)), dtype=complex)
-        lo = 0
+        lo, rng = 0, _batch_rng(cfg.seed, first)
         for i, b in enumerate(sizes, start=first):
-            U = _haar_batch(_batch_rng(cfg.seed, i), 2**cfg.t, b)
+            U = _haar_batch(_restart(rng, cfg.seed, i), 2**cfg.t, b)
             np.einsum("sxy,byx->sb", w.data, _reduce_batch(U, cfg.t, w.t_legs), out=psi[:, lo : lo + b])
             lo += b
         return psi

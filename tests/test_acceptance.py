@@ -253,8 +253,7 @@ def test_criterion_7_integer_n_oracle(k, n, bc):
 
 def test_criterion_8_finite_bath_haar_emergence():
     lengths = (2, 3, 4, 5, 6)
-    cfg = KimConfig(n=8, n_a=2, t=2, a_offset=0, g=G)
-    dists = dict(zip(lengths, dual_unitary_ensemble_check(cfg, 1, lengths)))
+    dists = dict(zip(lengths, dual_unitary_ensemble_check(2, 1, G, lengths)))
     assert dists[6] < dists[2]
     assert all(dists[b] <= dists[a] + 1e-9 for a, b in zip((2, 3, 4, 5), (3, 4, 5, 6)))
     _report(8, f"k=1 t=2 ensemble distance decreases: L=2 {dists[2]:.3e} -> "

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from deeptherm.dual_tensors import (
+    PI4,
     TensorConventionError,
+    bond_phases,
     build_w,
     build_wprime,
     dual_site_layer,
@@ -293,6 +295,30 @@ def test_dual_site_layer_unitary():
         for z in (0, 1):
             u = dual_site_layer(z, t, G)
             assert np.abs(u.conj().T @ u - np.eye(2**t)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bc,b1,bn", [("pbc", PI4, PI4), ("obc", PI4, PI4), ("obc", 0.2, 0.7)])
+@pytest.mark.parametrize("n,t", [(6, 2), (8, 3), (9, 2)])
+def test_chain_amplitudes_are_products_of_dual_layers(n, t, bc, b1, bn):
+    # psi(z), site 0 the most significant bit of z, is up to a constant
+    #   obc: B_t(bn)[0, :] T(z_(n-1)) ... T(z_1) T(z_0) B_t(j)^-1 B_t(b1)[:, 0]
+    #   pbc: Tr T(z_(n-1)) ... T(z_0)
+    # so each end field is a ZZ bond to a frozen |0> neighbour (pbc has no ends)
+    cfg = KimConfig(n=n, n_a=2, t=t, bc=bc, g=G, b1=b1, bn=bn)
+    layers = np.stack([dual_site_layer(b, t, G) for b in (0, 1)])
+    if bc == "pbc":
+        prods = layers
+        for _ in range(n - 1):  # prods[z] for the prefixes z, the newest site least significant
+            prods = np.einsum("bij,zjk->zbik", layers, prods).reshape(-1, 2**t, 2**t)
+        pred = np.trace(prods, axis1=1, axis2=2)
+    else:
+        vecs = layers @ np.linalg.inv(bond_phases(t, PI4)) @ bond_phases(t, b1)[:, 0]
+        for _ in range(n - 1):
+            vecs = np.einsum("bij,zj->zbi", layers, vecs).reshape(-1, 2**t)
+        pred = vecs @ bond_phases(t, bn)[0]
+    state = evolve(cfg)
+    overlap = abs(np.vdot(pred, state)) / (np.linalg.norm(pred) * np.linalg.norm(state))
+    assert 1 - overlap <= 1e-12
 
 
 @pytest.mark.parametrize("coupling", [{"j": 0.5}, {"h": 0.5}])

@@ -98,11 +98,16 @@ def test_ragged_blocks_of_a_strided_view_match_kron_oracle(rng, monkeypatch):
 
 # the ids name k at dA = 4, and dA and k elsewhere; at dA = 2 and at k = 1,
 # D is close to dA and the float rows and casting buffers weigh most
-@pytest.mark.parametrize("da,k", [(4, 2), (4, 3), (4, 5), (2, 1), (2, 2), (2, 3), (2, 5), (4, 1), (8, 1)],
-                         ids=["2", "3", "5", "da2-1", "da2-2", "da2-3", "da2-5", "da4-1", "da8-1"])
-def test_accumulate_bytes_bounds_traced_peak(rng, da, k):
-    # more states than one block, so the count's min(block_rows(D), n) is block_rows(D)
-    psi = rng.standard_normal((da, 3000)) + 1j * rng.standard_normal((da, 3000))
+_BYTE_CASES = [(4, 2), (4, 3), (4, 5), (2, 1), (2, 2), (2, 3), (2, 5), (4, 1), (8, 1)]
+_BYTE_IDS = ["2", "3", "5", "da2-1", "da2-2", "da2-3", "da2-5", "da4-1", "da8-1"]
+
+
+# 3000 states are more than one block, so the count's min(block_rows(D), n) is
+# block_rows(D); at 10 states the call's fixed objects weigh most
+@pytest.mark.parametrize("da,k,n", [c + (3000,) for c in _BYTE_CASES] + [c + (10,) for c in _BYTE_CASES],
+                         ids=_BYTE_IDS + [f"n10-{i}" for i in _BYTE_IDS])
+def test_accumulate_bytes_bounds_traced_peak(rng, da, k, n):
+    psi = rng.standard_normal((da, n)) + 1j * rng.standard_normal((da, n))
     kernels.accumulate_blocks(psi[:, :10], k, 1 - k)  # the basis caches are built once per process
     tracemalloc.start()
     try:

@@ -457,18 +457,17 @@ def test_entanglement_growth_and_saturation():
 
 
 def test_dual_unitary_ensemble_check():
-    cfg = KimConfig(n=6, n_a=2, t=2, a_offset=0, g=G)
-    assert dual_unitary_ensemble_check(cfg, 0, [4]) == [0.0]
-    d2, d6 = dual_unitary_ensemble_check(cfg, 1, [2, 6])
+    assert dual_unitary_ensemble_check(2, 0, G, [4]) == [0.0]
+    d2, d6 = dual_unitary_ensemble_check(2, 1, G, [2, 6])
     assert d6 < d2
     with pytest.raises(ConfigError, match="bath side length"):
-        dual_unitary_ensemble_check(cfg, 1, [2, 0])
+        dual_unitary_ensemble_check(2, 1, G, [2, 0])
 
 
 @pytest.mark.parametrize("t,k", [(2, 1), (2, 2), (1, 3)])  # (1, 3): 2^t < k, pseudo-inverse Wg
 def test_ensemble_check_matches_outcome_enumeration(t, k):
     lengths = range(1, 7)
-    dists = dual_unitary_ensemble_check(KimConfig(n=3, n_a=2, t=t, a_offset=0, g=G), k, lengths)
+    dists = dual_unitary_ensemble_check(t, k, G, lengths)
     haar = haar_unitary_moment_by_pairs(t, k)
     for L, d in zip(lengths, dists):
         ref = trace_norm(bath_moment_by_outcomes(t, k, G, L) - haar)
@@ -486,7 +485,7 @@ def test_haar_unitary_moment_is_the_transfer_operators_fixed_projector(t, k):
 
 def test_ensemble_check_reaches_long_baths_in_one_call():
     # 2^24 outcomes at L = 24, out of the enumeration's reach; here 23 GEMMs by S - Phi
-    d = dual_unitary_ensemble_check(KimConfig(n=3, n_a=2, t=2, a_offset=0, g=G), 2, range(1, 25))
+    d = dual_unitary_ensemble_check(2, 2, G, range(1, 25))
     assert all(b <= a + 1e-9 for a, b in zip(d, d[1:]))
     assert d[23] < d[5] / 10
 
@@ -494,18 +493,17 @@ def test_ensemble_check_reaches_long_baths_in_one_call():
 # the peak is about four dim x dim arrays, while S is built or in a trace norm; k=2 adds V
 @pytest.mark.parametrize("t,k", [(2, 2), (5, 1)])
 def test_designcheck_byte_count_bounds_traced_peak(t, k, monkeypatch):
-    dual_unitary_ensemble_check(KimConfig(n=4, n_a=2, t=1, a_offset=0, g=G), k, [2])  # first-use caches
-    cfg = KimConfig(n=6, n_a=2, t=t, a_offset=0, g=G)
+    dual_unitary_ensemble_check(1, k, G, [2])  # first-use caches
     tracemalloc.start()
     try:
-        dual_unitary_ensemble_check(cfg, k, [4])
+        dual_unitary_ensemble_check(t, k, G, [4])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # the count is at least the peak: a budget one byte below it refuses the run
     monkeypatch.setattr(kim, "MEM_BUDGET_BYTES", peak - 1)
     with pytest.raises(ConfigError, match="above budget"):
-        dual_unitary_ensemble_check(cfg, k, [4])
+        dual_unitary_ensemble_check(t, k, G, [4])
 
 
 def test_rdm_exactness_boundary_field_independent():

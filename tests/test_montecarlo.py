@@ -113,12 +113,12 @@ def test_config_validation():
 
 def test_preflight_counts_sym_block_batch_sums(monkeypatch):
     # 301 Sym^5 sums of 56 x 56 beside one pbc batch of 1000 8 x 8 unitaries,
-    # its 56 x 1000 accumulation rows and the kernel's float rows and casting
-    # buffers (3 + 4 dA floats per state): ~24 MB, where 301 full 1024 x 1024
-    # sums would be ~5 GB
+    # its 56 x 1000 accumulation rows, the kernel's float rows and casting
+    # buffers (3 + 4 dA floats per state), its float coefficient product and
+    # 4 KiB of call objects: ~24 MB, where 301 full 1024 x 1024 sums would be ~5 GB
     McConfig(k=5, t=3, n_a=2, samples=300_000)
     need = (16 * 56**2 * 301 + 5 * 16 * 1000 * 8**2 + 4 * 16 * 56 * 1000 + 2 * 16 * 56**2
-            + 8 * (3 + 4 * 4) * 1000)
+            + 8 * (3 + 4 * 4) * 1000 + 8 * 56**2 + 4096)
     monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", need - 1)
     with pytest.raises(McError, match="above budget"):
         McConfig(k=5, t=3, n_a=2, samples=300_000)
@@ -195,9 +195,10 @@ def test_pool_width_capped_by_memory_budget(monkeypatch):
         McConfig(k=1, t=9, n_a=1, samples=1000)
     cfg = McConfig(k=1, t=6, n_a=1, samples=1000)
     # and beside the states, the accumulation rows and sums of Sym^1, D = 2,
-    # and the kernel's float rows and casting buffers, 3 + 4 dA floats per state
+    # the kernel's float rows and casting buffers, 3 + 4 dA floats per state,
+    # its float coefficient product and 4 KiB of call objects
     per_batch = (5 * 16 * montecarlo.BATCH * 4**6 + 4 * 16 * 2 * montecarlo.BATCH + 2 * 16 * 2**2
-                 + 8 * (3 + 4 * 2) * montecarlo.BATCH)
+                 + 8 * (3 + 4 * 2) * montecarlo.BATCH + 8 * 2**2 + 4096)
     monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", cfg.kept_bytes() + 3 * per_batch)
     assert montecarlo.pool_width(cfg) == 3
     monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", cfg.kept_bytes() + per_batch - 1)

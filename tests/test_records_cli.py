@@ -243,6 +243,7 @@ def test_cli_empty_sweep_is_refused_before_any_csv(tmp_path, capsys, monkeypatch
         (["designcheck", "--lengths", "", "--out", out], "--lengths"),
         (["figure3", "--tmax", "1", "--out", out], "--tmax"),
         (["figure3", "--tmax", "1", "--plot", out + ".svg", "--out", out], "--tmax"),
+        (["figure3", "--kmax", "1", "--out", out], "--kmax"),
     ):
         assert main(argv) == 3, argv
         rec = json.loads(capsys.readouterr().err.strip())
@@ -472,15 +473,19 @@ def test_emit_plot_empty_errors(tmp_path):
 
 def test_cli_designcheck(tmp_path, capsys):
     out = str(tmp_path / "dc.csv")
-    assert main(["designcheck", "--na", "2", "--t", "2", "--k", "1",
-                 "--lengths", "2,4", "--out", out]) == 0
+    assert main(["designcheck", "--t", "2", "--k", "1", "--lengths", "2,4", "--out", out]) == 0
     cols, rows = read_csv(out)
     d = {int(r[0]): float(r[2]) for r in rows}
     assert d[4] < d[2]
+    # the bath alone sets the distances: there is no subsystem size to give
+    assert main(["designcheck", "--na", "2", "--out", out + "2"]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["type"] == "UsageError"
+    assert not os.path.exists(out + "2")
 
 
 @pytest.mark.parametrize("flag,value,match", [("--lengths", "0", "bath side length"),
-                                              ("--g", "0.0", "guard band")])
+                                              ("--g", "0.0", "guard band"),
+                                              ("--t", "0", "t=0"), ("--k", "-1", "k=-1")])
 def test_cli_designcheck_refuses_bad_length_or_coupling(tmp_path, capsys, flag, value, match):
     out = str(tmp_path / "dc.csv")
     assert main(["designcheck", flag, value, "--out", out]) == 3
