@@ -124,18 +124,20 @@ def sym_partial_trace(r: np.ndarray, d: int, k: int) -> np.ndarray:
     return out
 
 
-def sym_haar_distance(r: np.ndarray) -> float:
-    """||rho - rho_Haar||_1 for the k-th moment rho with Sym^k block r.
+def sym_haar_distance(r: np.ndarray):
+    """||rho - rho_Haar||_1 for the k-th moment rho with Sym^k block r: a float,
+    or an array of them for a (..., D, D) stack of blocks.
 
     rho_Haar is the projector onto Sym^k over D, so the distance is
     sum_i |lambda_i(r) - 1/D|: one D x D eigvalsh, no Haar operator.  The
     difference r - I/D is diagonalized, so each term keeps its relative
     accuracy when lambda_i is close to 1/D.
     """
-    D = len(r)
-    dev = (r + r.conj().T) / 2
-    dev.flat[:: D + 1] -= 1.0 / D  # the diagonal of the fresh C-ordered array
-    return float(np.abs(np.linalg.eigvalsh(dev)).sum())
+    D = r.shape[-1]
+    dev = (r + r.conj().swapaxes(-1, -2)) / 2
+    np.einsum("...ii->...i", dev)[...] -= 1.0 / D  # a writeable view of each diagonal
+    dist = np.abs(np.linalg.eigvalsh(dev)).sum(axis=-1)
+    return float(dist) if r.ndim == 2 else dist
 
 
 def partial_trace(a: np.ndarray, dims, keep) -> np.ndarray:

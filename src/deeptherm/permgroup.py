@@ -15,8 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,26 +214,43 @@ def character(lam: tuple, mu: tuple) -> int:
     return _border_strips(frozenset(p + len(lam) - 1 - i for i, p in enumerate(lam)), mu)
 
 
+class CharacterTable(NamedTuple):
+    """The characters of S_m with what the Weingarten and isotypic sums read."""
+    partitions: tuple  # partitions(m): the irreps lam, and in the same order the classes mu
+    dims: tuple        # f_lam
+    class_sizes: tuple  # |c_mu|
+    chi: tuple         # chi[i][j] = chi^lam_i(mu_j)
+    contents: tuple    # the contents j - i of the cells of each lam
+
+
+@lru_cache(maxsize=None)
+def character_table(m: int) -> CharacterTable:
+    """The CharacterTable of S_m, built once per m from character()."""
+    lams = partitions(m)
+    return CharacterTable(lams, tuple(map(irrep_dimension, lams)), tuple(map(class_size, lams)),
+                          tuple(tuple(character(lam, mu) for mu in lams) for lam in lams),
+                          tuple(tuple(c for _, c in _cells(lam)) for lam in lams))
+
+
 @lru_cache(maxsize=64)
 def _weingarten_cached(m: int, d: int):
     """Wg(mu, d) = sum over lam with at most d rows of f_lam^2 chi^lam(mu) / (m!^2 s_lam(1^d)).
 
     By the hook-content formula f_lam / s_lam(1^d) = m! / P(d) with P(d) the
     product over cells of (d + content), so each term is f_lam chi^lam(mu) /
-    (m! P(d)), summed here in exact rationals.  The P(d) are the Gram
-    eigenvalues; they vanish exactly for the lam with more than d rows, and
-    dropping those terms gives the Moore-Penrose row (Collins & Matsumoto,
-    ALEA 14, 2017).
+    (m! P(d)): an integer numerator over m! L, L the lcm of the P(d), and one
+    correctly rounded division per class.  The P(d) are the Gram eigenvalues;
+    they vanish exactly for the lam with more than d rows, and dropping those
+    terms gives the Moore-Penrose row (Collins & Matsumoto, ALEA 14, 2017).
     """
-    lams = partitions(m)
-    eig = {lam: math.prod(d + c for _, c in _cells(lam)) for lam in lams}
+    table = character_table(m)
+    eig = [math.prod(d + c for c in cells) for cells in table.contents]
+    L = math.lcm(*(e for e in eig if e))
+    terms = [(f * (L // e), row) for f, e, row in zip(table.dims, eig, table.chi) if e]
     pseudo = d < m
-    cond = math.inf if pseudo else float(Fraction(max(eig.values()), min(eig.values())))
-    class_values = {
-        mu: float(sum(Fraction(irrep_dimension(lam) * character(lam, mu), math.factorial(m) * eig[lam])
-                      for lam in lams if eig[lam]))
-        for mu in lams
-    }
+    cond = math.inf if pseudo else max(eig) / min(eig)
+    den = math.factorial(m) * L
+    class_values = {mu: sum(s * row[j] for s, row in terms) / den for j, mu in enumerate(table.partitions)}
     return WeingartenTable(m=m, d=d, class_values=class_values, pseudo=pseudo, cond=cond)
 
 

@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
@@ -51,11 +51,9 @@ from .linalg import MEM_BUDGET_BYTES, multiset_factorials, sym_basis, sym_haar_d
 from .permgroup import (
     MAX_DEGREE,
     Permutation,
-    character,
-    class_size,
+    character_table,
     cycle_count,
     enumerate_sym,
-    irrep_dimension,
     partitions,
     weingarten_table,
 )
@@ -110,15 +108,6 @@ def prefactor_obc(sigma: Permutation, tau: Permutation, spec: ReplicaSpec) -> fl
     gamma = sigma.compose(tau.inverse())
     den = _haar_denominator(2**spec.t, spec.m)
     return (2.0 ** (spec.t - spec.t0)) ** cycle_count(gamma) / den**2
-
-
-def _prefactor_of_type(cycle_type: tuple, spec: ReplicaSpec) -> float:
-    n_cycles = len(cycle_type)
-    loop = (2.0 ** (spec.t - spec.t0)) ** n_cycles
-    if spec.bc == "pbc":
-        table = weingarten_table(spec.m, 2**spec.t)
-        return table.value_of_type(cycle_type) * loop
-    return loop / _haar_denominator(2**spec.t, spec.m) ** 2
 
 
 def diagram_term(sigma: Permutation, tau: Permutation, spec: ReplicaSpec, w: WTensor) -> np.ndarray:
@@ -189,13 +178,14 @@ def _estimate_engine_bytes(n_a: int, m: int) -> int:
 def _check_size(n_a: int, k: int, ns) -> None:
     """Refuse, before allocating, the moments at k and every n in ns with all results
     cached: per n the engine (its peak bounds the cached blocks), one D x D block per
-    lam and the D x D x D_n gather that makes it, then about eight blocks for the sum
-    and checks."""
+    lam, the D x D x D_n gather that makes it and about eight blocks for the sum, the
+    checks and the distance, which _moments and sym_haar_distance hold for all n at
+    once."""
     dA, q = 2**n_a, 2 ** min_depth(n_a)
     block = 16 * math.comb(dA + k - 1, k) ** 2
-    need = 8 * block + sum(_estimate_engine_bytes(n_a, k + n)
-                           + block * (_n_isotypic(q, k + n) + 2 * math.comb(dA + n - 1, n))
-                           for n in ns)
+    need = sum(_estimate_engine_bytes(n_a, k + n)
+               + block * (8 + _n_isotypic(q, k + n) + 2 * math.comb(dA + n - 1, n))
+               for n in ns)
     if need > MEM_BUDGET_BYTES:
         m = k + max(ns, default=0)
         raise ReplicaError(f"replica sums at n_a={n_a}, k={k}, m up to {m} "
@@ -227,9 +217,10 @@ def _sym_power(F: np.ndarray, m: int) -> np.ndarray:
         del S
         last = sym_basis(d, j).idx[:, -1]
         S = np.zeros((math.comb(v + j - 1, j), len(last)), dtype=np.complex128)
+        buf = np.empty_like(par)
         for mode, rows in enumerate(sym_index(_unions(v, j - 1, 1), v).T):
-            S[rows] += par * F[mode, last]
-        del par
+            S[rows] += np.multiply(par, F[mode, last], out=buf)
+        del par, buf
     return S * np.sqrt(multiset_factorials(sym_basis(v, m).idx, v)[:, None]
                        / multiset_factorials(sym_basis(d, m).idx, d))
 
@@ -302,7 +293,7 @@ def _sagg_bundle(n_a: int, m: int):
 
         P[r, c, o] = sum_lam |c| chi_lam(c) / f_lam X_lam[r, o],
 
-    and replica_moment folds the class sum into one weight per lam.  C is
+    and _isotypic_weights folds the class sum into one weight per lam.  C is
     diagonalized block by block; its eigenvectors are real.
     """
     q = 2 ** min_depth(n_a)
@@ -352,48 +343,60 @@ def class_diagram_terms(n_a: int, k: int, n: int):
     }
 
 
-@lru_cache(maxsize=None)
-def _class_sum_eigenvalues(lam: tuple) -> tuple:
-    """(mu, |c| chi_lam(c) / f_lam) per class c of cycle type mu: the class sum of c
-    on lam's isotypic part."""
-    f = irrep_dimension(lam)
-    return tuple((mu, class_size(mu) * character(lam, mu) / f) for mu in partitions(sum(lam)))
+@lru_cache(maxsize=256)
+def _isotypic_weights(m: int, t: int, t0: int, bc: str) -> dict:
+    """w_lam = sum over classes c of f_bc(c) |c| chi_lam(c) / f_lam (f_bc as in the
+    module docstring; |c| chi_lam(c) / f_lam is the class sum of c on lam's isotypic
+    part) per lam of m with at most 2^t0 rows, each correctly rounded."""
+    table = character_table(m)
+    loop = 2.0 ** (t - t0)
+    if bc == "pbc":
+        wg = weingarten_table(m, 2**t).class_values
+        pref = [wg[mu] * loop ** len(mu) for mu in table.partitions]
+    else:
+        den = _haar_denominator(2**t, m) ** 2
+        pref = [loop ** len(mu) / den for mu in table.partitions]
+    return {lam: math.fsum(p * (c * x / f) for p, c, x in zip(pref, table.class_sizes, chi))
+            for lam, f, chi in zip(table.partitions, table.dims, table.chi) if len(lam) <= 2**t0}
 
 
-def _isotypic_weight(lam: tuple, spec: ReplicaSpec) -> float:
-    """w_lam = sum over classes c of prefactor(c) |c| chi_lam(c) / f_lam."""
-    return math.fsum(_prefactor_of_type(mu, spec) * x for mu, x in _class_sum_eigenvalues(lam))
+def _moments(spec: ReplicaSpec, ns) -> np.ndarray:
+    """The D x D Sym^k blocks of rho^(k,n) for n in ns, each normalized to unit trace.
+    The isotypic diagrams are Sym^k blocks, so their weighted sum is one too; the
+    trace, Hermitian and PSD checks act on it."""
+    rho = []
+    for n in ns:
+        diagrams = class_diagram_terms(spec.n_a, spec.k, n)
+        weights = _isotypic_weights(spec.k + n, spec.t, spec.t0, spec.bc)
+        raw = sum(weights[lam] * diagrams[lam] for lam in sorted(diagrams))
+        tr = np.trace(raw).real
+        if tr <= 0:
+            raise ReplicaError(f"replica sum numerically degenerate (trace {tr:.3e})")
+        rho.append(raw / tr)
+    rho = np.array(rho)
+    rho_h = rho.conj().swapaxes(1, 2)
+    herm_defect = np.abs(rho - rho_h).max()
+    if herm_defect > 1e-9:
+        raise ReplicaError(f"replica moment not Hermitian (defect {herm_defect:.2e})")
+    blocks = (rho + rho_h) / 2
+    wmin = np.linalg.eigvalsh(blocks).min()
+    if wmin < -1e-8:
+        raise ReplicaError(f"replica moment not PSD (min eig {wmin:.2e})")
+    return blocks
 
 
 def replica_moment(spec: ReplicaSpec) -> np.ndarray:
-    """The D x D Sym^k block of rho^(k,n), normalized to unit trace.
-
-    The isotypic diagrams are Sym^k blocks, so their weighted sum is one too;
-    the trace, Hermitian and PSD checks act on it.
-    """
-    diagrams = class_diagram_terms(spec.n_a, spec.k, spec.n)
-    raw = sum(_isotypic_weight(lam, spec) * diagrams[lam] for lam in sorted(diagrams))
-    tr = np.trace(raw).real
-    if tr <= 0:
-        raise ReplicaError(f"replica sum numerically degenerate (trace {tr:.3e})")
-    rho = raw / tr
-    herm_defect = np.abs(rho - rho.conj().T).max()
-    if herm_defect > 1e-9:
-        raise ReplicaError(f"replica moment not Hermitian (defect {herm_defect:.2e})")
-    block = (rho + rho.conj().T) / 2
-    wmin = np.linalg.eigvalsh(block).min()
-    if wmin < -1e-8:
-        raise ReplicaError(f"replica moment not PSD (min eig {wmin:.2e})")
-    return block
+    """The D x D Sym^k block of rho^(k,n), normalized to unit trace."""
+    return _moments(spec, (spec.n,))[0]
 
 
 def deviation_series(spec: ReplicaSpec, n_max: int):
-    """[(n, ||rho^(k,n) - rho_Haar^(k)||_1) for n = 0..n_max], taken in Sym^k."""
+    """[(n, ||rho^(k,n) - rho_Haar^(k)||_1) for n = 0..n_max], taken in Sym^k, with
+    one stacked eigvalsh for all the blocks."""
     if spec.k + n_max > MAX_DEGREE:
         raise ReplicaError("k + n_max above the replica cap")
     _check_size(spec.n_a, spec.k, range(n_max + 1))
-    return [(n, sym_haar_distance(replica_moment(replace(spec, n=n))))
-            for n in range(n_max + 1)]
+    return list(enumerate(sym_haar_distance(_moments(spec, range(n_max + 1))).tolist()))
 
 
 @dataclass(frozen=True)
@@ -480,18 +483,21 @@ def extrapolate_to_physical(series, k: int) -> ExtrapolationResult:
     np.add.at(A, deg - pos, y_c)
     np.add.at(S1, deg - pos, 1.0)
     np.add.at(S2, 2 * (deg - pos), 1.0)
-    B = S2 - np.polymul(S1, S1) / len(ns)
+    B = S2 - np.convolve(S1, S1) / len(ns)
     # A has a zero at x = 1 and B a double one.  Dividing them out leaves A^2 / B
     # as it is and keeps a triple root at 1 out of Q, whose rounding would spread
     # it into the window; p(x) / (x - 1) is the running sum of p's coefficients
     A, B = np.cumsum(A)[:-1], np.cumsum(np.cumsum(B)[:-1])[:-1]
-    Q = 2 * np.polymul(np.polyder(A), B) - np.polymul(A, np.polyder(B))
+    Q = 2 * np.convolve(np.polyder(A), B) - np.convolve(A, np.polyder(B))
     dQ = np.polyder(Q)
+
+    def horner(p, x):  # np.polyval's operations, on Python floats
+        return reduce(lambda acc, coef: acc * x + coef, p.tolist(), 0.0)
 
     def polish(c):
         for _ in range(2):
             x = math.exp(-c)
-            c += 2 * np.polyval(B, x) ** 2 * slope(c) / (x * x * np.polyval(A, x) * np.polyval(dQ, x))
+            c += 2 * horner(B, x) ** 2 * slope(c) / (x * x * horner(A, x) * horner(dQ, x))
         return c
 
     xs = np.roots(Q)

@@ -55,8 +55,8 @@ def _traced_peak(f, *args):
 
 
 def test_trace_norm_checks_hold_no_dim_squared_temporary(rng):
-    # a non-Hermitian input goes to the SVD; the finiteness and Hermiticity
-    # tests before it may add row blocks, not a dim x dim conjugate or difference
+    # a non-Hermitian input goes to the SVD; the finiteness test before it
+    # may add row blocks, not a dim x dim conjugate or difference
     dim = 512
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     trace_norm(a[:8, :8])  # first-use imports
@@ -260,9 +260,12 @@ def test_sym_haar_distance_matches_dense_trace_norm(d, k, rng):
     haar = haar_moment_operator(int(np.log2(d)), k)
     D = len(sym_basis(d, k).coef)
     np.testing.assert_allclose(sym_embed(np.eye(D) / D, d, k), haar, atol=1e-15)
-    for r in (_random_sym_block(rng, D), 0.7 * np.eye(D) / D + 0.3 * _random_sym_block(rng, D)):
+    rs = (_random_sym_block(rng, D), 0.7 * np.eye(D) / D + 0.3 * _random_sym_block(rng, D))
+    for r in rs:
         dense = trace_norm(sym_embed(r, d, k) - haar)
         assert abs(sym_haar_distance(r) - dense) <= 1e-12
+    # a stack gives each block's distance, bit for bit
+    assert sym_haar_distance(np.array(rs)).tolist() == [sym_haar_distance(r) for r in rs]
 
 
 @pytest.mark.parametrize("d,k", [(d, k) for d in (2, 3, 4) for k in (2, 3, 4)])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from deeptherm.permgroup import (
     Permutation,
     _product_cycle_counts,
     character,
+    character_table,
     class_size,
     conjugacy_classes,
     cycle_count,
@@ -182,7 +184,7 @@ def test_partitions_are_the_cycle_types():
     assert [len(partitions(m)) for m in range(1, 9)] == [1, 2, 3, 5, 7, 11, 15, 22]
 
 
-@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("m", range(1, 11))
 def test_character_table_sanity(m):
     lams = partitions(m)
     ident = tuple([1] * m)
@@ -193,6 +195,17 @@ def test_character_table_sanity(m):
     chi = np.array([[character(lam, mu) for mu in lams] for lam in lams], dtype=np.int64)
     z = [math.factorial(m) // class_size(mu) for mu in lams]
     assert np.array_equal(chi.T @ chi, np.diag(z))
+    # the cached table holds the same ints; the identity class (1^m) is its last column
+    table = character_table(m)
+    assert table.partitions == lams
+    assert np.array_equal(np.array(table.chi, dtype=np.int64), chi)
+    assert table.dims == tuple(chi[:, -1]) == tuple(irrep_dimension(lam) for lam in lams)
+    assert table.class_sizes == tuple(class_size(mu) for mu in lams)
+    assert table.contents == tuple(tuple(j - i for i, row in enumerate(lam) for j in range(row))
+                                   for lam in lams)
+    # row orthogonality: sum_mu |c_mu| chi^lam(mu) chi^nu(mu) = m! delta_{lam nu}
+    assert np.array_equal(chi @ np.diag(table.class_sizes) @ chi.T,
+                          math.factorial(m) * np.eye(len(lams), dtype=np.int64))
 
 
 def test_characters_small_examples():
@@ -200,6 +213,24 @@ def test_characters_small_examples():
     assert [character((3,), mu) for mu in ((1, 1, 1), (2, 1), (3,))] == [1, 1, 1]
     assert [character((1, 1, 1), mu) for mu in ((1, 1, 1), (2, 1), (3,))] == [1, -1, 1]
     assert [character((2, 1), mu) for mu in ((1, 1, 1), (2, 1), (3,))] == [2, 0, -1]
+
+
+def _weingarten_fraction_sum(m, d):
+    """Wg(mu, d) as one exact Fraction per (lam, mu) term, summed, then rounded."""
+    lams = partitions(m)
+    eig = {lam: math.prod(d + j - i for i, row in enumerate(lam) for j in range(row)) for lam in lams}
+    return {mu: float(sum(Fraction(irrep_dimension(lam) * character(lam, mu), math.factorial(m) * eig[lam])
+                          for lam in lams if eig[lam]))
+            for mu in lams}
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_weingarten_equals_per_term_fraction_sum(m):
+    # the integer numerators over the lcm are the same rational, so every float is
+    # the same, pseudo rows (d < m) included
+    for d in (*range(1, 10), 16, 32):
+        table = weingarten_table(m, d)
+        assert table.class_values == _weingarten_fraction_sum(m, d), (m, d)
 
 
 @pytest.mark.parametrize("m", range(1, 7))

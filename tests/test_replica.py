@@ -6,10 +6,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import deeptherm.permgroup as permgroup
 import deeptherm.replica as replica
-from deeptherm.dual_tensors import build_w
-from deeptherm.linalg import kron_all, partial_trace, sym_basis, trace_norm
-from deeptherm.permgroup import Permutation, conjugacy_classes, enumerate_sym
+from deeptherm.dual_tensors import build_w, min_depth
+from deeptherm.linalg import kron_all, partial_trace, sym_basis, sym_haar_distance, trace_norm
+from deeptherm.permgroup import (
+    Permutation,
+    character,
+    class_size,
+    conjugacy_classes,
+    enumerate_sym,
+    irrep_dimension,
+    partitions,
+    weingarten_table,
+)
 from deeptherm.replica import (
     ReplicaError,
     ReplicaSpec,
@@ -247,7 +257,53 @@ def test_obc_isotypic_weight_is_hook_content(m, t):
     Q, den = 2 ** (t - 1), np.prod([2.0**t + j for j in range(m)])
     for lam in replica._isotypic_labels(2, m).values():
         hook = np.prod([Q + j - i for i in range(len(lam)) for j in range(lam[i])]) / den**2
-        assert replica._isotypic_weight(lam, sp) == pytest.approx(hook, rel=1e-13)
+        assert replica._isotypic_weights(m, t, sp.t0, "obc")[lam] == pytest.approx(hook, rel=1e-13)
+
+
+@pytest.mark.parametrize("bc", ["pbc", "obc"])
+@pytest.mark.parametrize("m", range(1, 9))
+def test_isotypic_weights_equal_per_class_fsum(m, bc):
+    # each weight is the fsum of f_bc(c) |c| chi_lam(c) / f_lam over the classes, with
+    # f_bc the prefactor of one cycle type: bitwise, for every lam with at most q rows
+    for n_a in range(1, 5):
+        t0 = min_depth(n_a)
+        for t in range(2, 6):
+            den = 1.0
+            for j in range(m):
+                den *= 2**t + j
+            wg = weingarten_table(m, 2**t)
+
+            def pref(mu):
+                loop = (2.0 ** (t - t0)) ** len(mu)
+                return wg.value_of_type(mu) * loop if bc == "pbc" else loop / den**2
+
+            ref = {lam: math.fsum(pref(mu) * (class_size(mu) * character(lam, mu) / irrep_dimension(lam))
+                                  for mu in partitions(m))
+                   for lam in partitions(m) if len(lam) <= 2**t0}
+            assert replica._isotypic_weights(m, t, t0, bc) == ref, (n_a, t)
+
+
+@pytest.mark.parametrize("n_a,k,t,bc,n_max", [(2, 2, 3, "pbc", 6), (2, 3, 5, "obc", 4),
+                                              (3, 2, 3, "obc", 2), (3, 2, 2, "pbc", 2)])
+def test_deviation_series_equals_single_moment_path(n_a, k, t, bc, n_max):
+    # the stacked blocks and eigensolves give every distance bit for bit
+    series = deviation_series(spec(k, 0, t, bc=bc, n_a=n_a), n_max)
+    assert series == [(n, sym_haar_distance(replica_moment(spec(k, n, t, bc=bc, n_a=n_a))))
+                      for n in range(n_max + 1)]
+
+
+def test_figure3_sweep_builds_each_group_table_once():
+    # k = 2..4, t = 2..5, both bc, m <= 6: one Weingarten table per pbc (m, t), none
+    # for obc, and one character table per m
+    for fn in (replica._isotypic_weights, permgroup._weingarten_cached, permgroup.character_table):
+        fn.cache_clear()
+    for bc in ("pbc", "obc"):
+        for k in range(2, 5):
+            for t in range(2, 6):
+                deviation_series(spec(k, 0, t, bc=bc), 6 - k)
+    wg = permgroup._weingarten_cached.cache_info()
+    assert (wg.misses, wg.hits) == (20, 0)
+    assert permgroup.character_table.cache_info().misses == 5
 
 
 def test_ambiguous_casimir_refused_before_building(monkeypatch):
