@@ -344,7 +344,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as e:
         return int(e.code or 0)
-    except (ValueError, OSError, RuntimeError, MemoryError, AssertionError) as e:
+    except (ValueError, ArithmeticError, OSError, RuntimeError, MemoryError, AssertionError) as e:
         sys.stderr.write(json.dumps({"error": str(e), "type": type(e).__name__}) + "\n")
         return EXIT_RUNTIME
 

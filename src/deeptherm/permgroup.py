@@ -232,6 +232,12 @@ def character_table(m: int) -> CharacterTable:
                           tuple(tuple(c for _, c in _cells(lam)) for lam in lams))
 
 
+def content_products(table: CharacterTable, d: int) -> list:
+    """P_lam(d) = prod over the cells of lam of (d + content), per lam of the table:
+    m! s_lam(1^d) / f_lam by the hook-content formula, 0 when lam has more than d rows."""
+    return [math.prod(d + c for c in cells) for cells in table.contents]
+
+
 @lru_cache(maxsize=64)
 def _weingarten_cached(m: int, d: int):
     """Wg(mu, d) = sum over lam with at most d rows of f_lam^2 chi^lam(mu) / (m!^2 s_lam(1^d)).
@@ -244,7 +250,7 @@ def _weingarten_cached(m: int, d: int):
     terms gives the Moore-Penrose row (Collins & Matsumoto, ALEA 14, 2017).
     """
     table = character_table(m)
-    eig = [math.prod(d + c for c in cells) for cells in table.contents]
+    eig = content_products(table, d)
     L = math.lcm(*(e for e in eig if e))
     terms = [(f * (L // e), row) for f, e, row in zip(table.dims, eig, table.chi) if e]
     pseudo = d < m

@@ -34,6 +34,13 @@ block.  No element of S_m is enumerated, except by the oracle
 direct_double_sum.
 W is built at dual_tensors.W_COUPLING; no distance to Haar depends on the
 coupling (see there).
+
+At even N_A, F is a q^2 x q^2 unitary and drops out of every distance to
+Haar, so deviation_series takes each norm in closed form: one weight per mu
+of k, p_mu = sum_lam w_lam tr[(Pi_mu (x) 1) Pi_lam], from the branching
+numbers of Schur-Weyl duality (_branching_table), with no W, block or
+eigensolve; m is then bounded by MAX_DEGREE alone.  The engine serves odd
+N_A, where W matters, and replica_moment at every N_A.
 """
 from __future__ import annotations
 
@@ -52,6 +59,7 @@ from .permgroup import (
     MAX_DEGREE,
     Permutation,
     character_table,
+    content_products,
     cycle_count,
     enumerate_sym,
     partitions,
@@ -360,6 +368,65 @@ def _isotypic_weights(m: int, t: int, t0: int, bc: str) -> dict:
             for lam, f, chi in zip(table.partitions, table.dims, table.chi) if len(lam) <= 2**t0}
 
 
+@lru_cache(maxsize=256)
+def _branching_table(q: int, k: int, n: int):
+    """(lams, cols, haar) of the norms at even N_A, q = 2^(N_A/2) (t-independent):
+    the lam of m = k + n with at most q rows, and per mu of k with at most q rows
+
+        cols[mu][lam] = tr[(Pi_mu (x) 1) Pi_lam] = s_lam(1^q)^2 f_mu g_lam,mu / f_lam,
+        haar[mu] = s_mu(1^q)^2 / C(q^2 + k - 1, k),
+
+    Pi_lam the projector onto V_lam (x) V_lam in Sym^m(C^q (x) C^q), Pi_mu likewise
+    in Sym^k (Schur-Weyl duality; Harrow, arXiv:1308.6595, sec. 2).  The lam part
+    is V_lam (x) V_lam times the S_m-invariant vector of S_lam (x) S_lam, maximally
+    entangled, so Pi_mu (x) 1 acts on it as the mu-isotypic projector of S_lam
+    restricted to S_k, whose trace f_mu g_lam,mu is read over f_lam.  g_lam,mu =
+    sum_nu c^lam_mu,nu f_nu, the multiplicity of mu in that restriction, is the
+    integer (1/k!) sum_alpha |c_alpha| chi^mu(alpha) chi^lam(alpha u 1^n) over the
+    classes alpha of S_k, and s_lam(1^q) = f_lam P_lam(q) / m! (content_products).
+    """
+    big, small = character_table(k + n), character_table(k)
+    column = {mu: j for j, mu in enumerate(big.partitions)}
+    fixed = [column[alpha + (1,) * n] for alpha in small.partitions]  # alpha u 1^n
+
+    def irreps(table, m):
+        """(lam, f_lam, chi^lam, s_lam(1^q)) for the lam with at most q rows."""
+        return [(lam, f, chi, f * p // math.factorial(m))
+                for lam, f, chi, p in zip(table.partitions, table.dims, table.chi,
+                                          content_products(table, q)) if len(lam) <= q]
+
+    lams, mus = irreps(big, k + n), irreps(small, k)
+    cols = []
+    for _, f_mu, chi_mu, _ in mus:
+        col = []
+        for _, f, chi, s in lams:
+            g = sum(c * x * chi[j] for c, x, j in zip(small.class_sizes, chi_mu, fixed))
+            col.append(s * s * f_mu * (g // math.factorial(k)) / f)  # one rounding, at the end
+        cols.append(tuple(col))
+    D = math.comb(q * q + k - 1, k)
+    return tuple(lam for lam, *_ in lams), tuple(cols), tuple(s * s / D for *_, s in mus)
+
+
+def _branching_norm(spec: ReplicaSpec, n: int) -> float:
+    """||rho^(k,n) - rho_Haar||_1 at even N_A, with no W, bundle or eigensolve.
+
+    F (q^2 x dA) is then unitary, so the capped diagrams are those of the Pi_lam
+    rotated by F^(x)k, and rho_Haar is invariant under that rotation.  rho is
+    U(q) x U(q)-invariant on Sym^k, sum_mu p_mu Pi_mu / s_mu(1^q)^2 over sum p,
+    with p_mu = sum_lam w_lam cols[mu][lam] (_isotypic_weights, _branching_table),
+    so the norm is sum_mu |p_mu / sum p - haar[mu]|.
+    """
+    lams, cols, haar = _branching_table(2**spec.t0, spec.k, n)
+    weights = _isotypic_weights(spec.k + n, spec.t, spec.t0, spec.bc)
+    p = [math.fsum(weights[lam] * a for lam, a in zip(lams, col)) for col in cols]
+    total = math.fsum(p)
+    if total <= 0:
+        raise ReplicaError(f"replica sum numerically degenerate (trace {total:.3e})")
+    if min(p) < -1e-12 * total:
+        raise ReplicaError(f"replica moment not PSD (isotypic weight {min(p) / total:.2e})")
+    return math.fsum(abs(x / total - h) for x, h in zip(p, haar))
+
+
 def _moments(spec: ReplicaSpec, ns) -> np.ndarray:
     """The D x D Sym^k blocks of rho^(k,n) for n in ns, each normalized to unit trace.
     The isotypic diagrams are Sym^k blocks, so their weighted sum is one too; the
@@ -391,10 +458,13 @@ def replica_moment(spec: ReplicaSpec) -> np.ndarray:
 
 
 def deviation_series(spec: ReplicaSpec, n_max: int):
-    """[(n, ||rho^(k,n) - rho_Haar^(k)||_1) for n = 0..n_max], taken in Sym^k, with
-    one stacked eigvalsh for all the blocks."""
+    """[(n, ||rho^(k,n) - rho_Haar^(k)||_1) for n = 0..n_max], taken in Sym^k: in
+    closed form at even N_A (_branching_norm), else from the Fock engine's blocks
+    with one stacked eigvalsh."""
     if spec.k + n_max > MAX_DEGREE:
         raise ReplicaError("k + n_max above the replica cap")
+    if spec.n_a % 2 == 0:
+        return [(n, _branching_norm(spec, n)) for n in range(n_max + 1)]
     _check_size(spec.n_a, spec.k, range(n_max + 1))
     return list(enumerate(sym_haar_distance(_moments(spec, range(n_max + 1))).tolist()))
 
@@ -438,8 +508,9 @@ def extrapolate_to_physical(series, k: int) -> ExtrapolationResult:
     residual wins.  At three points it is the exact interpolant.
 
     Flagged when no minimum exists (a series that needs c <= 0, growing with
-    n, has none), when the RMS residual exceeds RESIDUAL_THRESHOLD, or when
-    the estimate leaves float range (0.0 or inf).
+    n, has none), when a Newton step takes a root out of the window (the root
+    is dropped), when the RMS residual exceeds RESIDUAL_THRESHOLD, or when the
+    estimate leaves float range (0.0 or inf).
     """
     ns = np.array([float(n) for n, _ in series])
     vals = np.array([v for _, v in series])
@@ -498,17 +569,21 @@ def extrapolate_to_physical(series, k: int) -> ExtrapolationResult:
         for _ in range(2):
             x = math.exp(-c)
             c += 2 * horner(B, x) ** 2 * slope(c) / (x * x * horner(A, x) * horner(dQ, x))
+            if not 1e-3 < c < 100:
+                return None  # the step left the window, where exp(-c) may overflow
         return c
 
     xs = np.roots(Q)
     xs = xs[xs.imag == 0].real
     xs = xs[(math.exp(-100) < xs) & (xs < math.exp(-1e-3))]
-    roots = [polish(-math.log(x)) for x in xs[np.polyval(A, xs) * np.polyval(dQ, xs) < 0]]
+    polished = [polish(-math.log(x)) for x in xs[np.polyval(A, xs) * np.polyval(dQ, xs) < 0]]
+    roots = [c for c in polished if c is not None]
     c = float(min(roots or np.geomspace(1e-3, 1e2, 51), key=sse))
     a, b, r = project(c)
     residual = float(np.sqrt(np.mean(r**2)))
     estimate = float(2.0 ** (a + b * np.exp(-c * target)))
-    flagged = not roots or residual > RESIDUAL_THRESHOLD or not 0.0 < estimate < math.inf
+    flagged = (not roots or None in polished or residual > RESIDUAL_THRESHOLD
+               or not 0.0 < estimate < math.inf)
     return ExtrapolationResult(estimate, float(a), float(b), c, residual, flagged)
 
 

@@ -547,10 +547,32 @@ def test_cli_replica_refuses_non_hermitian_moment(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(replica, "class_diagram_terms", skewed)
     out = str(tmp_path / "replica.csv")
-    assert main(["replica", "--k", "2", "--nmax", "2", "--t", "2", "--na", "2",
+    # odd N_A: the engine's blocks (even N_A takes the closed form, with no blocks)
+    assert main(["replica", "--k", "2", "--nmax", "2", "--t", "2", "--na", "1",
                  "--out", out]) == 3
     rec = json.loads(capsys.readouterr().err.strip())
     assert rec["type"] == "ReplicaError" and "not Hermitian" in rec["error"]
+    assert not os.path.exists(out)
+
+
+def test_cli_replica_na4_reaches_m6(tmp_path):
+    # the closed form needs no engine, whose m = 6 blocks at N_A = 4 would need 656 GB
+    out = str(tmp_path / "replica.csv")
+    assert main(["replica", "--na", "4", "--k", "2", "--nmax", "4", "--t", "2,3,4", "--out", out]) == 0
+    cols, rows = read_csv(out)
+    assert len(rows) == 15
+    assert all(float(r[cols.index("deviation_trace_norm")]) > 0 for r in rows)
+
+
+def test_cli_maps_arithmetic_error_to_error_record(tmp_path, capsys, monkeypatch):
+    def overflow(series, k):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(cli, "extrapolate_to_physical", overflow)
+    out = str(tmp_path / "replica.csv")
+    assert main(["replica", "--k", "2", "--nmax", "2", "--t", "2", "--out", out]) == 3
+    rec = json.loads(capsys.readouterr().err.strip())
+    assert rec == {"error": "math range error", "type": "OverflowError"}
     assert not os.path.exists(out)
 
 

@@ -286,16 +286,21 @@ def test_isotypic_weights_equal_per_class_fsum(m, bc):
 @pytest.mark.parametrize("n_a,k,t,bc,n_max", [(2, 2, 3, "pbc", 6), (2, 3, 5, "obc", 4),
                                               (3, 2, 3, "obc", 2), (3, 2, 2, "pbc", 2)])
 def test_deviation_series_equals_single_moment_path(n_a, k, t, bc, n_max):
-    # the stacked blocks and eigensolves give every distance bit for bit
-    series = deviation_series(spec(k, 0, t, bc=bc, n_a=n_a), n_max)
-    assert series == [(n, sym_haar_distance(replica_moment(spec(k, n, t, bc=bc, n_a=n_a))))
-                      for n in range(n_max + 1)]
+    # the engine's stacked blocks and eigensolves give every distance bit for bit;
+    # at odd N_A they are deviation_series (even N_A takes the closed form)
+    sp = spec(k, 0, t, bc=bc, n_a=n_a)
+    stacked = list(enumerate(sym_haar_distance(replica._moments(sp, range(n_max + 1))).tolist()))
+    assert stacked == [(n, sym_haar_distance(replica_moment(spec(k, n, t, bc=bc, n_a=n_a))))
+                       for n in range(n_max + 1)]
+    if n_a % 2:
+        assert deviation_series(sp, n_max) == stacked
 
 
 def test_figure3_sweep_builds_each_group_table_once():
     # k = 2..4, t = 2..5, both bc, m <= 6: one Weingarten table per pbc (m, t), none
-    # for obc, and one character table per m
-    for fn in (replica._isotypic_weights, permgroup._weingarten_cached, permgroup.character_table):
+    # for obc, and one character table per m = 2..6 (the branching tables' S_k among them)
+    for fn in (replica._isotypic_weights, replica._branching_table, permgroup._weingarten_cached,
+               permgroup.character_table):
         fn.cache_clear()
     for bc in ("pbc", "obc"):
         for k in range(2, 5):
@@ -304,6 +309,87 @@ def test_figure3_sweep_builds_each_group_table_once():
     wg = permgroup._weingarten_cached.cache_info()
     assert (wg.misses, wg.hits) == (20, 0)
     assert permgroup.character_table.cache_info().misses == 5
+
+
+def _engine_series(sp, n_max):
+    return sym_haar_distance(replica._moments(sp, range(n_max + 1))).tolist()
+
+
+@pytest.mark.parametrize("bc", ["pbc", "obc"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_closed_form_equals_engine_at_na2(k, bc):
+    # m <= 10 at t = 2..8; at pbc t = 7 and 8 both sit at the rounding floor, ~1e-16
+    for t in range(2, 9):
+        sp = spec(k, 0, t, bc=bc)
+        for (n, norm), ref in zip(deviation_series(sp, 10 - k), _engine_series(sp, 10 - k)):
+            assert abs(norm - ref) <= 1e-12 * ref + 2e-16, (t, n, norm, ref)
+
+
+def test_closed_form_equals_engine_at_m14():
+    sp = spec(2, 0, 4, bc="pbc")
+    norm, ref = deviation_series(sp, 12)[-1][1], _engine_series(sp, 12)[-1]
+    assert abs(norm - ref) <= 1e-12 * ref + 2e-16
+
+
+@pytest.mark.parametrize("bc", ["pbc", "obc"])
+def test_closed_form_equals_engine_at_na4(bc):
+    # q = 4, m <= 3: the engine's F is a 16 x 16 unitary
+    for k in (2, 3):
+        for t in (2, 3):
+            sp = spec(k, 0, t, bc=bc, n_a=4)
+            for (n, norm), ref in zip(deviation_series(sp, 3 - k), _engine_series(sp, 3 - k)):
+                assert norm == pytest.approx(ref, rel=1e-12), (k, t, n)
+
+
+@pytest.mark.parametrize("bc", ["pbc", "obc"])
+def test_k3_norm_is_twice_k2_norm_one_replica_on(bc):
+    # at N_A = 2, rho^(3,n) carries the one scalar p_(2,1) = 2 p_(1,1) of rho^(2,n+1)
+    for t in range(2, 9):
+        k2, k3 = deviation_series(spec(2, 0, t, bc=bc), 11), deviation_series(spec(3, 0, t, bc=bc), 10)
+        for (n, v3), (_, v2) in zip(k3, k2[1:]):
+            assert v3 == pytest.approx(2 * v2, rel=1e-11), (t, n)
+
+
+@pytest.mark.parametrize("q,m", [(2, 4), (2, 6), (2, 8), (4, 5), (4, 7)])
+def test_branching_table_equals_littlewood_richardson_sum(q, m):
+    # cols[mu][lam] = s_lam(1^q)^2 f_mu sum_nu c^lam_mu,nu f_nu / f_lam, with each
+    # c^lam_mu,nu = (1/k! n!) sum_alpha,beta |c_alpha| |c_beta| chi^mu chi^nu chi^lam(alpha u beta)
+    def s(lam):
+        cells = [(i, j) for i in range(len(lam)) for j in range(lam[i])]
+        return irrep_dimension(lam) * math.prod(q + j - i for i, j in cells) // math.factorial(sum(lam))
+
+    def lr(lam, mu, nu):
+        total = sum(class_size(a) * class_size(b) * character(mu, a) * character(nu, b)
+                    * character(lam, tuple(sorted(a + b, reverse=True)))
+                    for a in partitions(sum(mu)) for b in partitions(sum(nu)))
+        return total // (math.factorial(sum(mu)) * math.factorial(sum(nu)))
+
+    for k in range(1, m):
+        n = m - k
+        lams, cols, haar = replica._branching_table(q, k, n)
+        mus = [mu for mu in partitions(k) if len(mu) <= q]
+        assert lams == tuple(lam for lam in partitions(m) if len(lam) <= q)
+        for mu, col in zip(mus, cols):
+            assert col == tuple(s(lam) ** 2 * irrep_dimension(mu)
+                                * sum(lr(lam, mu, nu) * irrep_dimension(nu) for nu in partitions(n))
+                                / irrep_dimension(lam) for lam in lams)
+        # the mu parts of Tr_n Pi_lam add up to tr Pi_lam, and the Haar weights to 1
+        for i, lam in enumerate(lams):
+            assert math.fsum(col[i] for col in cols) == pytest.approx(s(lam) ** 2, rel=1e-14)
+        assert math.fsum(haar) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_closed_form_refuses_degenerate_and_negative_weights(monkeypatch):
+    true = replica._isotypic_weights
+
+    def scaled(by):
+        return lambda m, t, t0, bc: {lam: by(lam) * w for lam, w in true(m, t, t0, bc).items()}
+
+    # a zero total, and a weight of (1,1) that turns p_(1,1) negative at a positive total
+    for by, match in ((lambda lam: 0.0, "degenerate"), (lambda lam: -5.0 if lam == (1, 1) else 1.0, "not PSD")):
+        monkeypatch.setattr(replica, "_isotypic_weights", scaled(by))
+        with pytest.raises(ReplicaError, match=match):
+            deviation_series(spec(2, 0, 3), 0)
 
 
 def test_ambiguous_casimir_refused_before_building(monkeypatch):
@@ -471,6 +557,16 @@ def test_extrapolation_flags_degenerate():
         extrapolate_to_physical([(0, 1.0), (1, 0.5)], 2)
     with pytest.raises(ReplicaError):
         extrapolate_to_physical([(0, 1.0), (1, 0.5), (2, -0.1)], 2)
+
+
+def test_extrapolation_drops_a_root_that_leaves_the_window():
+    # a series rising to a plateau: a Newton step drove one root to c << 0, where
+    # exp(-c) overflowed; the root is dropped and the fit flagged
+    series = [(4, 0.05621383854282884), (5, 0.05761647152941057), (10, 0.05922431535272677),
+              (11, 0.059260081761593295), (12, 0.05927960676668869)]
+    fit = extrapolate_to_physical(series, 2)
+    assert fit.flagged
+    assert 1e-3 < fit.c < 100 and 0.0 < fit.estimate < math.inf
 
 
 def test_extrapolation_refuses_non_integer_n():
