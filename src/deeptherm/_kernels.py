@@ -13,11 +13,10 @@ Results are deterministic for a given numpy/BLAS build.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .linalg import sym_basis, sym_index
+from .linalg import _parent_rows, sym_basis
 
 P_FLOOR = 1e-14  # states below this Born weight get weight zero
 ROW_BLOCK = 1024  # states per GEMM; a block's Sym^3 rows take 1.3 MB at N_A = 2
@@ -27,14 +26,6 @@ BLOCK_ENTRIES = 2**22  # Sym^k row entries per block (64 MiB complex); fewer sta
 # ---------------------------------------------------------------------------
 # Born-weighted sums of k-fold projector powers, in Sym^k:
 #   sum_b p_b^exponent (psi_b psi_b^+)^{(x)k}  as its D x D Sym^k block
-
-
-@lru_cache(maxsize=None)
-def _parent_rows(d: int, k: int) -> np.ndarray:
-    """Row in sym_basis(d, k - 1) of each level-k multiset without its last digit."""
-    out = sym_index(sym_basis(d, k).idx[:, :-1], d)
-    out.setflags(write=False)
-    return out
 
 
 def block_rows(d: int) -> int:

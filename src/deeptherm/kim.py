@@ -125,10 +125,6 @@ class KimConfig:
         return self.n // 2 - self.n_a // 2  # block centered on site n//2
 
     @property
-    def n_b(self) -> int:
-        return self.n - self.n_a
-
-    @property
     def n_bonds(self) -> int:
         return self.n if self.bc == "pbc" else self.n - 1
 

@@ -16,6 +16,10 @@ Conventions used across the package:
     package lives there, and the Haar moment is the identity over D.  The
     basis is built from the multisets alone (sym_index, multiset_factorials);
     no array over the d^k replica codes is formed.
+
+Every index map between Sym levels lives here: _parent_rows drops a last digit,
+_trace_maps adds n.  sym_partial_trace, the trace over the last n copies, gives
+the exact route its lower orders and the replica route its capped diagrams.
 """
 from __future__ import annotations
 
@@ -92,31 +96,46 @@ def sym_basis(d: int, k: int) -> SymBasis:
 
 
 @lru_cache(maxsize=None)
-def _trace_maps(d: int, k: int) -> tuple:
-    """Per digit i: the row in sym_basis(d, k) of each Sym^(k-1) multiset beta
-    with i added, and coef_beta / coef_(beta+i)."""
-    low, high = sym_basis(d, k - 1), sym_basis(d, k)
-    maps = []
-    for i in range(d):
-        rows = sym_index(np.column_stack([low.idx, np.full(len(low.idx), i)]), d)
-        maps.append((rows, low.coef / high.coef[rows]))
-    return tuple(maps)
+def _parent_rows(d: int, k: int) -> np.ndarray:
+    """Row in sym_basis(d, k - 1) of each level-k multiset without its last digit."""
+    out = sym_index(sym_basis(d, k).idx[:, :-1], d)
+    out.setflags(write=False)
+    return out
 
 
-def sym_partial_trace(r: np.ndarray, d: int, k: int) -> np.ndarray:
-    """Sym^(k-1) block of Tr_k rho, the trace over the last copy of the operator
-    rho on (C^d)^{(x)k} whose Sym^k block is r (k >= 2):
+@lru_cache(maxsize=None)
+def _trace_maps(d: int, k: int, n: int) -> tuple:
+    """(rows, weights), two (D_n, D') arrays over the n-digit multisets delta
+    (sym_basis(d, n) order) and the Sym^(k-n) multisets beta: the row in
+    sym_basis(d, k) of beta with delta added, and coef_delta coef_beta / coef_(beta+delta).
+    They are filled one delta at a time, so no temporary outgrows a row."""
+    low, top, caps = sym_basis(d, k - n), sym_basis(d, k), sym_basis(d, n)
+    rows = np.empty((len(caps.idx), len(low.idx)), dtype=np.intp)
+    weights = np.empty(rows.shape)
+    for j, (digits, c) in enumerate(zip(*caps)):
+        rows[j] = sym_index(np.column_stack([low.idx, np.broadcast_to(digits, (len(low.idx), n))]), d)
+        weights[j] = c * low.coef / top.coef[rows[j]]
+    for a in (rows, weights):
+        a.setflags(write=False)
+    return rows, weights
 
-        r'[beta, gamma] = sum_i (c_beta / c_(beta+i)) r[beta+i, gamma+i] (c_gamma / c_(gamma+i)),
 
-    beta+i the multiset beta with digit i added.  Each term gathers one
-    D' x D' block of r, D' = C(d+k-2, k-1), so the sum holds one temporary of
-    that size beside the result.
+def sym_partial_trace(r: np.ndarray, d: int, k: int, n: int = 1) -> np.ndarray:
+    """Sym^(k-n) block of the trace over the last n copies of the operator rho
+    on (C^d)^{(x)k} whose Sym^k block is r; r may be a (..., D, D) stack of blocks:
+
+        r'[beta, gamma] = sum_delta w_beta,delta r[beta+delta, gamma+delta] w_gamma,delta,
+
+    delta over the n-digit multisets, beta+delta the union, and
+    w_beta,delta = coef_delta coef_beta / coef_(beta+delta) (coef_delta^2 codes
+    of the traced copies share delta).  Each term gathers one D' x D' block of
+    each r, D' = C(d+k-n-1, k-n), so the sum holds one temporary of that size
+    per block beside the result.
     """
-    maps = _trace_maps(d, k)
-    out = np.zeros((len(maps[0][0]),) * 2, dtype=r.dtype)
-    for rows, ratio in maps:
-        g = r[np.ix_(rows, rows)]
+    maps = _trace_maps(d, k, n)
+    out = np.zeros(r.shape[:-2] + (maps[0].shape[1],) * 2, dtype=r.dtype)
+    for rows, ratio in zip(*maps):
+        g = r[..., rows[:, None], rows]
         g *= ratio[:, None]
         g *= ratio
         out += g

@@ -97,6 +97,8 @@ class McConfig:
             raise McError("bc must be 'pbc' or 'obc'")
         if self.k < 1 or self.samples < 1:
             raise McError("need k >= 1 and samples >= 1")
+        if self.n_a < 1:
+            raise McError(f"need n_a >= 1, got {self.n_a}")
         if not 0 <= self.seed < 2**64:  # a Philox key word is 64 bits
             raise McError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.t < min_depth(self.n_a) or self.t > MAX_DEPTH[self.bc]:

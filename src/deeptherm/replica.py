@@ -24,11 +24,12 @@ lam a partition of m with at most q rows, as |c| chi_lam(c) / f_lam
 one block per lam, floor(m/2) + 1 of them at N_A <= 2, not one per class.
 Sym^m(F), with F the (q^2 x dA) matrix of W, grows one digit at a time; the
 a-leg U(q) Casimir, block-diagonal in the a- and b-weights, gives the
-isotypic projectors Pi_lam by its eigenvalues; and the (orbit x orbit)
-blocks X_lam = Sym^m(F)^T Pi_lam Sym^m(conj F) serve every split m = k + n.
-A diagram at (k, n) is a D x D Sym^k block (linalg.sym_basis) gathered from
-X_lam through the multiset of each row and column joined with the caps'.
-The blocks are cached and weighted per (t, bc) by
+isotypic projectors Pi_lam by its eigenvalues; and the Sym^m blocks
+X_lam = Sym^m(F)^T Pi_lam Sym^m(conj F) serve every split m = k + n.  The
+caps trace out the last n replicas, so the diagrams at (k, n) are the Sym^k
+blocks (linalg.sym_basis) of that trace: one linalg.sym_partial_trace call,
+the exact route's, on the stack of X_lam, up to a factor m! that the unit
+trace of the moment drops.  They are cached and weighted per (t, bc) by
 w_lam = sum_c f_bc(c) |c| chi_lam(c) / f_lam; their sum is the moment's
 block.  No element of S_m is enumerated, except by the oracle
 direct_double_sum.
@@ -52,9 +53,9 @@ from itertools import combinations
 
 import numpy as np
 
-from ._kernels import _parent_rows
 from .dual_tensors import WTensor, build_w, min_depth
-from .linalg import MEM_BUDGET_BYTES, multiset_factorials, sym_basis, sym_haar_distance, sym_index
+from .linalg import (MEM_BUDGET_BYTES, _parent_rows, _trace_maps, multiset_factorials, sym_basis,
+                     sym_haar_distance, sym_index, sym_partial_trace)
 from .permgroup import (
     MAX_DEGREE,
     Permutation,
@@ -81,6 +82,8 @@ class ReplicaSpec:
     def __post_init__(self):
         if self.k < 1 or self.n < 0:
             raise ReplicaError("need k >= 1 and n >= 0")
+        if self.n_a < 1:
+            raise ReplicaError(f"need n_a >= 1, got {self.n_a}")
         if self.m > MAX_DEGREE:
             raise ReplicaError(f"m = k+n = {self.m} above hard cap {MAX_DEGREE}")
         if self.bc not in ("pbc", "obc"):
@@ -186,26 +189,19 @@ def _estimate_engine_bytes(n_a: int, m: int) -> int:
 def _check_size(n_a: int, k: int, ns) -> None:
     """Refuse, before allocating, the moments at k and every n in ns with all results
     cached: per n the engine (its peak bounds the cached blocks), one D x D block per
-    lam, the D x D x D_n gather that makes it and about eight blocks for the sum, the
-    checks and the distance, which _moments and sym_haar_distance hold for all n at
-    once."""
+    lam and one more for the partial trace's gather, its maps (a row and a weight per
+    Sym^k multiset and cap multiset) and casting buffer (8192 complex entries at most),
+    and about eight blocks for the sum, the checks and the distance, which _moments
+    and sym_haar_distance hold for all n at once."""
     dA, q = 2**n_a, 2 ** min_depth(n_a)
-    block = 16 * math.comb(dA + k - 1, k) ** 2
-    need = sum(_estimate_engine_bytes(n_a, k + n)
-               + block * (8 + _n_isotypic(q, k + n) + 2 * math.comb(dA + n - 1, n))
+    D = math.comb(dA + k - 1, k)
+    need = sum(_estimate_engine_bytes(n_a, k + n) + 2**17
+               + 16 * D * (D * (8 + 2 * _n_isotypic(q, k + n)) + math.comb(dA + n - 1, n))
                for n in ns)
     if need > MEM_BUDGET_BYTES:
         m = k + max(ns, default=0)
         raise ReplicaError(f"replica sums at n_a={n_a}, k={k}, m up to {m} "
                            f"need ~{need / 1e9:.1f} GB, above budget")
-
-
-def _unions(d: int, a: int, b: int) -> np.ndarray:
-    """(D_a, D_b, a + b) digits of each a-digit multiset joined with each b-digit one."""
-    x, y = sym_basis(d, a).idx, sym_basis(d, b).idx
-    shape = (len(x), len(y))
-    return np.concatenate([np.broadcast_to(x[:, None], shape + (a,)),
-                           np.broadcast_to(y[None], shape + (b,))], axis=2)
 
 
 def _sym_power(F: np.ndarray, m: int) -> np.ndarray:
@@ -215,8 +211,9 @@ def _sym_power(F: np.ndarray, m: int) -> np.ndarray:
 
     Column alpha holds the coefficients of the polynomial prod_i L_{alpha_i}(x),
     L_mu(x) = sum_v F[v, mu] x_v, whose x^beta coefficient is perm / beta!.  A
-    column is its parent's (alpha without its last digit, _kernels._parent_rows)
-    times the linear form of the last digit: x^beta times x_v lands on beta + v.
+    column is its parent's (alpha without its last digit, linalg._parent_rows)
+    times the linear form of the last digit: x^beta times x_v lands on beta + v
+    (linalg._trace_maps at n = 1).
     """
     v, d = F.shape
     S = np.ones((1, 1), dtype=np.complex128)
@@ -226,7 +223,7 @@ def _sym_power(F: np.ndarray, m: int) -> np.ndarray:
         last = sym_basis(d, j).idx[:, -1]
         S = np.zeros((math.comb(v + j - 1, j), len(last)), dtype=np.complex128)
         buf = np.empty_like(par)
-        for mode, rows in enumerate(sym_index(_unions(v, j - 1, 1), v).T):
+        for mode, rows in enumerate(_trace_maps(v, j, 1)[0]):
             S[rows] += np.multiply(par, F[mode, last], out=buf)
         del par, buf
     return S * np.sqrt(multiset_factorials(sym_basis(v, m).idx, v)[:, None]
@@ -288,18 +285,17 @@ def _sagg_bundle(n_a: int, m: int):
     """Diagram halves for every isotypic part and every k split of one m, in the
     boson Fock space of the q^2 temporal modes.
 
-    Returns (order, X), X[l, r, o] the block of lam = order[l] on digit
-    multisets r, o (linalg.sym_basis(dA, m)):
+    Returns (order, X), X[l] the Sym^m block (linalg.sym_basis(dA, m)) of lam =
+    order[l]:
 
-        X_lam = sqrt(|o| / |r|) [Sym^m(F)^T Pi_lam Sym^m(conj F)][r, o],
+        X_lam = Sym^m(F)^T Pi_lam Sym^m(conj F),
 
-    with F = W reshaped to (q^2 modes v = a q + b) x dA, |r| = m!/r! the codes
-    of r, and Pi_lam the spectral projector of the a-leg Casimir
-    (_a_leg_casimir) at lam's eigenvalue.  A class sum c of a-leg
-    permutations acts on lam's part as |c| chi_lam(c) / f_lam, so the
-    class-resolved halves of the permutation sum are
+    with F = W reshaped to (q^2 modes v = a q + b) x dA and Pi_lam the spectral
+    projector of the a-leg Casimir (_a_leg_casimir) at lam's eigenvalue.  A
+    class sum c of a-leg permutations acts on lam's part as |c| chi_lam(c) / f_lam,
+    so the class-resolved halves of the permutation sum are the Sym^m blocks
 
-        P[r, c, o] = sum_lam |c| chi_lam(c) / f_lam X_lam[r, o],
+        P[c] = sum_lam |c| chi_lam(c) / f_lam X_lam,
 
     and _isotypic_weights folds the class sum into one weight per lam.  C is
     diagonalized block by block; its eigenvectors are real.
@@ -311,8 +307,8 @@ def _sagg_bundle(n_a: int, m: int):
     w = build_w(n_a)
     dA = 2**n_a
     G = _sym_power(w.data.reshape(dA, q * q).T, m)
-    coef = sym_basis(dA, m).coef
-    X = np.zeros((len(order), len(coef), len(coef)), dtype=np.complex128)
+    R = G.shape[1]
+    X = np.zeros((len(order), R, R), dtype=np.complex128)
     for rows, C in _casimir_blocks(q, m):
         ev, V = np.linalg.eigh(C)
         val = np.rint(ev)
@@ -323,32 +319,20 @@ def _sagg_bundle(n_a: int, m: int):
         for l in set(lab.tolist()):
             part = Y[lab == l]
             X[l] += part.T @ part.conj()
-    X *= coef / coef[:, None]
     return order, X
 
 
 @lru_cache(maxsize=32)
 def class_diagram_terms(n_a: int, k: int, n: int):
     """D x D Sym^k blocks of the capped diagram per isotypic part lam of the
-    bundle (t-independent), gathered from its X.
+    bundle (t-independent): X_lam with its last n replicas traced out, which is
+    what the n caps close (linalg.sym_partial_trace, on the stack of X_lam).
 
-    With alpha, beta k-digit and gamma n-digit multisets (the caps, n!/gamma!
-    codes each) and orb the multiset of a union,
-
-        r_lam[alpha, beta] = coef_alpha coef_beta sum_gamma (n!/gamma!) (beta u gamma)!
-                             X_lam[orb(alpha u gamma), orb(beta u gamma)].
+    They are the diagrams over (k+n)!, a factor the moment's unit trace drops.
     """
     _check_size(n_a, k, (n,))
     order, X = _sagg_bundle(n_a, k + n)
-    dA = 2**n_a
-    rows, joint = sym_basis(dA, k), _unions(dA, k, n)
-    orb = sym_index(joint, dA)
-    col = (rows.coef[:, None] * multiset_factorials(joint, dA)
-           * (math.factorial(n) // multiset_factorials(sym_basis(dA, n).idx, dA)))
-    return {
-        lam: rows.coef[:, None] * np.einsum("abg,bg->ab", X[i][orb[:, None], orb[None]], col)
-        for i, lam in enumerate(order)
-    }
+    return dict(zip(order, sym_partial_trace(X, 2**n_a, k + n, n)))
 
 
 @lru_cache(maxsize=256)

@@ -13,9 +13,8 @@ from itertools import chain
 import numpy as np
 
 from deeptherm.dual_tensors import build_w
-from deeptherm.linalg import multiset_factorials, sym_basis, sym_index
+from deeptherm.linalg import _trace_maps, multiset_factorials, sym_basis
 from deeptherm.permgroup import character, class_size, conjugacy_classes, irrep_dimension
-from deeptherm.replica import _unions
 
 
 def _orbit_contract(T: np.ndarray, mat: np.ndarray, m: int) -> np.ndarray:
@@ -30,7 +29,7 @@ def _orbit_contract(T: np.ndarray, mat: np.ndarray, m: int) -> np.ndarray:
     for j in range(m):
         Y = (mat @ T.reshape(-1, r).T).reshape(d, len(T), -1)
         T = np.zeros((math.comb(d + j, j + 1), Y.shape[2]), dtype=Y.dtype)
-        for mu, rows in enumerate(sym_index(_unions(d, j, 1), d).T):
+        for mu, rows in enumerate(_trace_maps(d, j + 1, 1)[0]):
             T[rows] += Y[mu]
     return T.reshape(-1, L)
 
@@ -45,7 +44,7 @@ def orbit_bundle(n_a: int, m: int):
     O = np.ones((1, 1), dtype=np.complex128)
     for j in range(m):
         grown = np.zeros((math.comb(dA + j, j + 1), O.shape[1] * q * q), dtype=np.complex128)
-        for mu, rows in enumerate(sym_index(_unions(dA, j, 1), dA).T):
+        for mu, rows in enumerate(_trace_maps(dA, j + 1, 1)[0]):
             grown[rows] += (O[:, :, None] * wm[mu].conj()).reshape(len(O), -1)
         O = grown
     R = len(O)

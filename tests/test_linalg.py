@@ -14,6 +14,7 @@ from deeptherm.linalg import (
     permutation_vector_state,
     sym_basis,
     sym_haar_distance,
+    sym_index,
     sym_partial_trace,
     trace_norm,
 )
@@ -268,16 +269,39 @@ def test_sym_haar_distance_matches_dense_trace_norm(d, k, rng):
     assert sym_haar_distance(np.array(rs)).tolist() == [sym_haar_distance(r) for r in rs]
 
 
+def _one_copy_trace(r, d, k):
+    """The exact route's trace over one copy, one gather per digit i: at n = 1
+    sym_partial_trace must take these operations, so the exact route's moments
+    keep their bytes."""
+    low, high = sym_basis(d, k - 1), sym_basis(d, k)
+    out = np.zeros((len(low.coef),) * 2, dtype=r.dtype)
+    for i in range(d):
+        rows = sym_index(np.column_stack([low.idx, np.full(len(low.idx), i)]), d)
+        ratio = low.coef / high.coef[rows]
+        g = r[np.ix_(rows, rows)]
+        g *= ratio[:, None]
+        g *= ratio
+        out += g
+    return out
+
+
 @pytest.mark.parametrize("d,k", [(d, k) for d in (2, 3, 4) for k in (2, 3, 4)])
 def test_sym_partial_trace_matches_dense_partial_trace(d, k, rng):
     D = len(sym_basis(d, k).coef)
     r = _random_sym_block(rng, D)
-    for block in (r, r + 1j * rng.standard_normal((D, D))):  # Hermitian or not
-        dense = partial_trace(sym_embed(block, d, k), [d] * k, keep=range(k - 1))
-        ref = sym_compress(dense, d, k - 1)
-        got = sym_partial_trace(block, d, k)
-        assert got.shape == ref.shape
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    blocks = (r, r + 1j * rng.standard_normal((D, D)))  # Hermitian or not
+    for n in range(k):
+        refs = [sym_compress(partial_trace(sym_embed(block, d, k), [d] * k, keep=range(k - n)), d, k - n)
+                for block in blocks]
+        for block, ref in zip(blocks, refs):
+            got = sym_partial_trace(block, d, k, n)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        stacked = sym_partial_trace(np.array(blocks), d, k, n)
+        assert stacked.shape == (2,) + refs[0].shape
+        assert max(np.abs(g - ref).max() / np.abs(ref).max() for g, ref in zip(stacked, refs)) <= 1e-13
+    for block in blocks:
+        assert np.array_equal(sym_partial_trace(block, d, k), _one_copy_trace(block, d, k))
 
 
 def test_sym_compress_refuses_antisymmetric_part():

@@ -251,6 +251,20 @@ def test_cli_empty_sweep_is_refused_before_any_csv(tmp_path, capsys, monkeypatch
         assert os.listdir(tmp_path) == [], argv
 
 
+def test_cli_nonpositive_na_is_refused_before_any_csv(tmp_path, capsys):
+    # even N_A builds no W, so the specs themselves must refuse n_a < 1
+    out = str(tmp_path / "x")
+    for argv in (["replica", "--na", "-2", "--k", "2", "--nmax", "2", "--t", "2,3,4"],
+                 ["replica", "--na", "0", "--k", "2", "--nmax", "2", "--t", "2,3,4"],
+                 ["figure3", "--na", "0", "--kmax", "2", "--tmax", "4", "--mc-samples", "0"],
+                 ["figure3", "--na", "0", "--kmax", "2", "--tmax", "4"],
+                 ["mc", "--na", "-1", "--k", "2", "--t", "2", "--samples", "10"]):
+        assert main(argv + ["--out", out]) == 3, argv
+        rec = json.loads(capsys.readouterr().err.strip())
+        assert rec["type"] in ("ReplicaError", "McError") and "need n_a >= 1" in rec["error"], argv
+        assert os.listdir(tmp_path) == [], argv
+
+
 def test_cli_error_record(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "x.csv")
     rc = main(["exact", "--n", "4", "--na", "2", "--t", "1", "--g", "0.0", "--out", out])

@@ -6,10 +6,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import deeptherm.linalg as linalg
 import deeptherm.permgroup as permgroup
 import deeptherm.replica as replica
 from deeptherm.dual_tensors import build_w, min_depth
-from deeptherm.linalg import kron_all, partial_trace, sym_basis, sym_haar_distance, trace_norm
+from deeptherm.linalg import (
+    kron_all,
+    multiset_factorials,
+    partial_trace,
+    sym_basis,
+    sym_haar_distance,
+    sym_index,
+    trace_norm,
+)
 from deeptherm.permgroup import (
     Permutation,
     character,
@@ -181,11 +190,64 @@ def test_class_diagrams_match_dense_per_class_oracle(w2):
     splits = [(2, 3), (3, 2), (4, 1)]
     dense = _dense_class_diagrams(w2, 5, splits)
     for k, n in splits:
-        engine = class_diagram_terms(2, k, n)
+        engine = {lam: math.factorial(k + n) * r for lam, r in class_diagram_terms(2, k, n).items()}
         for ct, ref in dense[(k, n)].items():
             # each dense diagram lies in Sym^k, or sym_compress raises
             ref = sym_compress(ref, 4, k)
             assert np.abs(per_class(engine, ct) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _union_gather(n_a, k, n):
+    """(k+n)! times class_diagram_terms, as a gather of the bundle in the orbit
+    convention (sqrt(|o| / |r|) X_lam[r, o], |r| = m!/r! codes of r) through the
+    multiset of each k-digit row joined with each n-digit cap gamma:
+
+        r_lam[alpha, beta] = coef_alpha coef_beta sum_gamma (n!/gamma!) (beta u gamma)!
+                             X_lam[orb(alpha u gamma), orb(beta u gamma)]."""
+    order, X = replica._sagg_bundle(n_a, k + n)
+    dA = 2**n_a
+    coef = sym_basis(dA, k + n).coef
+    X = X * (coef / coef[:, None])
+    rows, caps = sym_basis(dA, k), sym_basis(dA, n).idx
+    shape = (len(rows.idx), len(caps))
+    joint = np.concatenate([np.broadcast_to(rows.idx[:, None], shape + (k,)),
+                            np.broadcast_to(caps[None], shape + (n,))], axis=2)
+    orb = sym_index(joint, dA)
+    col = (rows.coef[:, None] * multiset_factorials(joint, dA)
+           * (math.factorial(n) // multiset_factorials(caps, dA)))
+    return {lam: rows.coef[:, None] * np.einsum("abg,bg->ab", X[i][orb[:, None], orb[None]], col)
+            for i, lam in enumerate(order)}
+
+
+@pytest.mark.parametrize("n_a,splits", [(1, [(1, 0), (2, 3), (1, 6)]),
+                                         (2, [(2, 0), (2, 3), (4, 2), (1, 5)]),
+                                         (3, [(2, 0), (2, 3), (4, 1)])])
+def test_class_diagrams_equal_union_gather(n_a, splits):
+    # the trace over the capped replicas is the union gather of the orbit engine
+    for k, n in splits:
+        ref = _union_gather(n_a, k, n)
+        got = class_diagram_terms(n_a, k, n)
+        assert list(got) == list(ref)
+        for lam, r in ref.items():
+            err = np.abs(math.factorial(k + n) * got[lam] - r).max()
+            assert err <= 1e-13 * np.abs(r).max(), (k, n, lam)
+
+
+@pytest.mark.parametrize("k,n", [(2, 3), (4, 1), (1, 4)])
+def test_check_size_bounds_class_diagram_peak(k, n, monkeypatch):
+    # above the cached bundle, _check_size counts at least the traced peak of the
+    # partial trace over the caps, its maps built afresh
+    replica._sagg_bundle(3, k + n)
+    linalg._trace_maps.cache_clear()
+    tracemalloc.start()
+    try:
+        class_diagram_terms.__wrapped__(3, k, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(replica, "MEM_BUDGET_BYTES", replica._estimate_engine_bytes(3, k + n) + peak - 1)
+    with pytest.raises(ReplicaError, match="above budget"):
+        replica._check_size(3, k, (n,))
 
 
 @pytest.mark.parametrize("n_a,m", [(1, 5), (2, 4)])
@@ -201,7 +263,8 @@ def test_orbit_row_bundle_matches_full_rows(n_a, m):
     np.add.at(O, orb, K.conj())
     order, X = replica._sagg_bundle(n_a, m)
     assert X.shape == (len(order), n_orbits, n_orbits)
-    blocks = dict(zip(order, X))
+    coef = sym_basis(dA, m).coef
+    blocks = dict(zip(order, X * (coef / coef[:, None])))  # the orbit engine's convention
     for ct, members in conjugacy_classes(m).items():
         S = np.einsum("oyb,ya->oab", O, _class_gather(members, q, m))
         full = K.reshape(dA**m, -1) @ S.reshape(n_orbits, -1).T
@@ -213,7 +276,8 @@ def test_isotypic_bundle_matches_orbit_engine(n_a, m):
     # the Fock-space blocks, rebuilt per class, give the orbit engine's P
     order, X = replica._sagg_bundle(n_a, m)
     classes, P = orbit_bundle(n_a, m)
-    blocks = dict(zip(order, X))
+    coef = sym_basis(2**n_a, m).coef
+    blocks = dict(zip(order, X * (coef / coef[:, None])))  # the orbit engine's convention
     for i, ct in enumerate(classes):
         assert np.abs(per_class(blocks, ct) - P[:, i]).max() <= 1e-13 * np.abs(P).max()
 
