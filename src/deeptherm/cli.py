@@ -26,8 +26,9 @@ from .kim import (
 from .montecarlo import McConfig, mc_moment
 from .permgroup import WeingartenConditioningError, enumerate_sym, weingarten_table
 from .plotting import emit_plot
-from .records import ResultRecord, RunConfig, read_csv, write_record
+from .records import read_csv, write_record
 from .replica import (
+    ReplicaError,
     ReplicaSpec,
     check_fit_points,
     deviation_series,
@@ -42,9 +43,7 @@ FIGURE3_MMAX = 6  # figure3 sweeps k + n <= 6 replicas
 
 
 def _record(args, subcommand: str, out: str, columns, rows, params: dict) -> None:
-    cfg = RunConfig(subcommand=subcommand, params=params, seed=getattr(args, "seed", None),
-                    out=out, fmt=args.format)
-    write_record(ResultRecord(config=cfg, columns=columns, rows=rows))
+    write_record(subcommand, params, columns, rows, out, args.format, getattr(args, "seed", None))
 
 
 def cmd_weingarten(args) -> int:
@@ -58,8 +57,7 @@ def cmd_weingarten(args) -> int:
         rows.append([rank, ct, table.value(p)])
     _record(args, "weingarten", args.out, ["perm_rank", "cycle_type", "wg_value"], rows,
             {"m": args.m, "d": args.d, "allow_singular": args.allow_singular,
-             # a singular table's cond is inf, which JSON cannot hold
-             "pseudo": table.pseudo, "cond": None if table.pseudo else table.cond})
+             "pseudo": table.pseudo, "cond": table.cond})
     return EXIT_OK
 
 
@@ -92,6 +90,9 @@ def _parse_tlist(text: str, flag: str):
 
 
 def cmd_replica(args) -> int:
+    if args.k < 2:
+        raise ReplicaError(f"replica needs --k >= 2, got {args.k}: the k = 1 moment equals "
+                           "the Haar moment, so there is no deviation to fit")
     check_fit_points(args.nmax + 1)
     rows = []
     for t in _parse_tlist(args.t, "--t"):
@@ -159,9 +160,9 @@ def cmd_figure3(args) -> int:
         raise ValueError(f"figure3 sweeps k = 2..kmax: --kmax must be >= 2, got {args.kmax}")
     check_fit_points(FIGURE3_MMAX + 1 - args.kmax)  # the largest k sweeps n = 0..FIGURE3_MMAX-k
     ts = list(range(2, args.tmax + 1))
-    # built first, so a bad --seed or --mc-k is refused before any replica work
+    # built first, so a bad --seed, --mc-k or --mc-samples is refused before any replica work
     mc_cfgs = [McConfig(k=args.mc_k, t=t, n_a=args.na, bc=bc, samples=args.mc_samples, seed=args.seed)
-               for bc in ("pbc", "obc") for t in (2, 3) if args.mc_samples > 0 and t <= args.tmax]
+               for bc in ("pbc", "obc") for t in (2, 3) if args.mc_samples != 0 and t <= args.tmax]
     points = []
     rate_rows = []
     for bc in ("pbc", "obc"):
@@ -186,7 +187,7 @@ def cmd_figure3(args) -> int:
     for k, bc, v in rate_rows:
         print(f"k={k} bc={bc} v={v:.3f}")
     if args.plot:
-        emit_plot(pts_path, args.plot)
+        emit_plot(points, args.plot)
     return EXIT_OK
 
 

@@ -1,6 +1,6 @@
 """Self-contained SVG rendering of deviation-vs-time data (log2 y-axis).
 
-Input schema: CSV with columns (k, t, bc, method, value); one polyline per
+Input: figure3's (k, t, bc, method, value) point rows; one polyline per
 (k, bc, method) series, circle markers for the replica route and squares
 for Monte Carlo, plus 2^-t and 2^-2t guide lines anchored at the earliest
 time.  Output bytes are deterministic for fixed input.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .records import RecordError, atomic_write_text, read_csv
+from .records import RecordError, atomic_write_text
 
 _PALETTE = ["#1b6ca8", "#c23b22", "#2e8540", "#7d3c98", "#b7950b", "#117a8b"]
 _WIDTH, _HEIGHT = 640, 480
@@ -22,19 +22,12 @@ def _scale(v, lo, hi, out_lo, out_hi):
     return out_lo + (v - lo) * (out_hi - out_lo) / (hi - lo)
 
 
-def emit_plot(csv_path: str, out_path: str) -> None:
-    columns, rows = read_csv(csv_path)
-    required = ["k", "t", "bc", "method", "value"]
-    if any(c not in columns for c in required):
-        raise RecordError(f"plot input must carry columns {required}, got {columns}")
-    ix = {c: columns.index(c) for c in required}
+def emit_plot(points, out_path: str) -> None:
     series: dict = {}
-    for r in rows:
-        val = float(r[ix["value"]])
+    for k, t, bc, method, val in points:
         if val <= 0:
             continue
-        key = (r[ix["k"]], r[ix["bc"]], r[ix["method"]])
-        series.setdefault(key, []).append((float(r[ix["t"]]), math.log2(val)))
+        series.setdefault((k, bc, method), []).append((float(t), math.log2(val)))
     series = {k: sorted(v) for k, v in series.items() if v}
     if not series:
         raise RecordError("no positive data points; nothing to plot")

@@ -1,18 +1,18 @@
-"""Run configuration and result records with deterministic CSV/JSON output.
+"""Deterministic CSV/JSON run records.
 
 CSV files are the interchange format: mandatory header, UTF-8, '.' decimal,
 floats in scientific notation with 17 significant digits (lossless float
 round-trip), written atomically (temp file + rename).  Re-running a
 subcommand with an identical config and seed yields byte-identical CSVs;
-timestamps live only in the JSON result records.
+timestamps live only in the JSON records.  JSON has no NaN or infinity, so
+non-finite floats are written there as null.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
+import math
 import os
 import tempfile
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__
@@ -22,40 +22,6 @@ SCHEMA_VERSION = "1"
 
 class RecordError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    params: dict
-    seed: int | None = None
-    out: str | None = None
-    fmt: str = "csv"
-
-    def to_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "artifact_version": __version__,
-                "schema_version": SCHEMA_VERSION}
-
-
-@dataclass
-class ResultRecord:
-    config: RunConfig
-    columns: list
-    rows: list
-    created_at: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "config": self.config.to_dict(),
-                "columns": self.columns,
-                "rows": self.rows,
-                "created_at": self.created_at,
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def format_value(v) -> str:
@@ -108,13 +74,33 @@ def read_csv(path: str):
     return columns, rows
 
 
-def write_record(record: ResultRecord) -> None:
+def _json_safe(v):
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    if isinstance(v, dict):
+        return {k: _json_safe(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_safe(x) for x in v]
+    return v
+
+
+def write_record(subcommand: str, params: dict, columns, rows, out: str, fmt: str = "csv",
+                 seed=None) -> None:
     """Write the primary output file plus (for csv format) a JSON sidecar."""
-    out = record.config.out
-    if out is None:
-        raise RecordError("record has no output path")
-    if record.config.fmt == "json":
-        atomic_write_text(out, record.to_json() + "\n")
+    text = json.dumps(
+        _json_safe({
+            "schema_version": SCHEMA_VERSION,
+            "config": {"subcommand": subcommand, "params": params, "seed": seed, "out": out,
+                       "fmt": fmt, "artifact_version": __version__,
+                       "schema_version": SCHEMA_VERSION},
+            "columns": columns,
+            "rows": rows,
+            "created_at": datetime.now(timezone.utc).isoformat(),
+        }),
+        indent=2, sort_keys=True, allow_nan=False,
+    ) + "\n"
+    if fmt == "json":
+        atomic_write_text(out, text)
     else:
-        write_csv(out, record.columns, record.rows)
-        atomic_write_text(out + ".meta.json", record.to_json() + "\n")
+        write_csv(out, columns, rows)
+        atomic_write_text(out + ".meta.json", text)

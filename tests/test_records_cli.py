@@ -18,12 +18,18 @@ from deeptherm.plotting import emit_plot
 from deeptherm.records import (
     SCHEMA_VERSION,
     RecordError,
-    ResultRecord,
-    RunConfig,
     format_value,
     read_csv,
     write_csv,
+    write_record,
 )
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_format_value_round_trip():
@@ -55,18 +61,18 @@ def test_written_files_follow_umask(tmp_path):
     assert open(path, encoding="utf-8").read() == f"a,b\n1,{format_value(0.5)}\n"
 
 
-def test_result_record_json_round_trip():
-    cfg = RunConfig(subcommand="mc", params={"k": 2}, seed=7, out="x.csv")
-    rec = ResultRecord(config=cfg, columns=["a"], rows=[[1.0], [2.0]])
-    back = json.loads(rec.to_json())
+def test_result_record_json_round_trip(tmp_path):
+    out = str(tmp_path / "x.csv")
+    write_record("mc", {"k": 2}, ["a"], [[1.0], [2.0]], out, seed=7)
+    back = json.loads(open(out + ".meta.json").read())
     assert back == {
         "schema_version": SCHEMA_VERSION,
-        "config": {"subcommand": "mc", "params": {"k": 2}, "seed": 7, "out": "x.csv",
+        "config": {"subcommand": "mc", "params": {"k": 2}, "seed": 7, "out": out,
                    "fmt": "csv", "artifact_version": cli.__version__,
                    "schema_version": SCHEMA_VERSION},
         "columns": ["a"],
         "rows": [[1.0], [2.0]],
-        "created_at": rec.created_at,
+        "created_at": back["created_at"],
     }
 
 
@@ -94,7 +100,7 @@ def test_cli_weingarten_singular_error(tmp_path, capsys):
     rc = main(["weingarten", "--m", "3", "--d", "2", "--allow-singular", "--out", out])
     assert rc == 0
     # the Gram matrix is singular: its condition number is recorded as null, not as inf
-    params = json.loads(open(out + ".meta.json").read())["config"]["params"]
+    params = _strict_json(open(out + ".meta.json").read())["config"]["params"]
     assert params["pseudo"] is True and params["cond"] is None
 
 
@@ -159,6 +165,15 @@ def test_cli_mc_determinism(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
     cols, rows = read_csv(a)
     assert cols == ["k", "t", "bc", "M_checkpoint", "delta_k", "stderr", "converged_flag"]
+    # the first checkpoint holds one batch, so its stderr is nan: null in JSON
+    se = cols.index("stderr")
+    assert rows[0][se] == "nan" and rows[-1][se] != "nan"
+    side = _strict_json(open(a + ".meta.json").read())
+    assert side["rows"][0][se] is None and side["rows"][-1][se] > 0
+    c = str(tmp_path / "c.json")
+    assert main(args + ["--format", "json", "--out", c]) == 0
+    rec = _strict_json(open(c).read())
+    assert rec["rows"] == side["rows"]
 
 
 def test_cli_config_file(tmp_path):
@@ -307,7 +322,8 @@ def test_cli_error_record(tmp_path, capsys, monkeypatch):
                  ["mc", "--k", "2", "--t", "3", "--samples", "1000",
                   "--seed", "99999999999999999999999", "--out", out],
                  fig + ["--seed", "-3"],
-                 fig + ["--mc-k", "0"]):
+                 fig + ["--mc-k", "0"],
+                 fig + ["--mc-samples", "-5"]):
         assert main(argv) == 3, argv
         rec = json.loads(capsys.readouterr().err.strip())
         assert rec["type"] == "McError", argv
@@ -449,18 +465,16 @@ def test_cli_json_format(tmp_path):
     assert rec["columns"][0] == "perm_rank"
 
 
-def _points_csv(tmp_path, with_mc=False):
-    path = str(tmp_path / "pts.csv")
+def _points(with_mc=False):
     rows = [[2, t, "pbc", "replica", 2.0 ** (-2 * t)] for t in (2, 3, 4)]
     rows += [[2, t, "obc", "replica", 2.0**-t] for t in (2, 3, 4)]
     if with_mc:
         rows += [[2, t, "pbc", "mc", 1.1 * 2.0 ** (-2 * t)] for t in (2, 3)]
-    write_csv(path, ["k", "t", "bc", "method", "value"], rows)
-    return path
+    return rows
 
 
 def test_emit_plot(tmp_path):
-    src = _points_csv(tmp_path, with_mc=True)
+    src = _points(with_mc=True)
     out = str(tmp_path / "fig.svg")
     emit_plot(src, out)
     svg = open(out).read()
@@ -473,16 +487,10 @@ def test_emit_plot(tmp_path):
 
 
 def test_emit_plot_empty_errors(tmp_path):
-    path = str(tmp_path / "empty.csv")
-    write_csv(path, ["k", "t", "bc", "method", "value"], [])
     out = str(tmp_path / "fig.svg")
     with pytest.raises(RecordError):
-        emit_plot(path, out)
+        emit_plot([], out)
     assert not os.path.exists(out)
-    bad = str(tmp_path / "bad.csv")
-    write_csv(bad, ["x", "y"], [[1, 2]])
-    with pytest.raises(RecordError):
-        emit_plot(bad, out)
 
 
 def test_cli_designcheck(tmp_path, capsys):
@@ -578,6 +586,22 @@ def test_cli_replica_na4_reaches_m6(tmp_path):
     assert all(float(r[cols.index("deviation_trace_norm")]) > 0 for r in rows)
 
 
+@pytest.mark.parametrize("na", [1, 2, 3])
+def test_cli_replica_refuses_k1(tmp_path, capsys, monkeypatch, na):
+    # at k = 1 the norms are zeros (even N_A) or rounding noise (odd N_A): refused before any work
+    def engine_fail(*args, **kwargs):
+        raise AssertionError("replica engine ran for a refused run")
+
+    monkeypatch.setattr(cli, "deviation_series", engine_fail)
+    monkeypatch.setattr(replica, "_sagg_bundle", engine_fail)
+    out = str(tmp_path / "replica.csv")
+    assert main(["replica", "--k", "1", "--nmax", "4", "--t", "2,3,4", "--na", str(na),
+                 "--out", out]) == 3
+    rec = json.loads(capsys.readouterr().err.strip())
+    assert rec["type"] == "ReplicaError" and "Haar moment" in rec["error"]
+    assert not os.path.exists(out) and not os.path.exists(out + ".meta.json")
+
+
 def test_cli_maps_arithmetic_error_to_error_record(tmp_path, capsys, monkeypatch):
     def overflow(series, k):
         raise OverflowError("math range error")
@@ -603,3 +627,7 @@ def test_cli_figure3_pipeline(tmp_path):
     assert rcols == ["k", "bc", "v"]
     assert {r[1] for r in rrows} == {"pbc", "obc"}
     assert open(svg).read().startswith("<svg")
+    # the plot is drawn from the points as written: the CSV float round trip is lossless
+    again = str(tmp_path / "again.svg")
+    emit_plot([[int(k), int(t), bc, method, float(v)] for k, t, bc, method, v in rows], again)
+    assert open(again, "rb").read() == open(svg, "rb").read()
