@@ -175,10 +175,11 @@ def partitions(m: int) -> tuple:
     return tuple(below(m, m))
 
 
-def _cells(lam: tuple):
+@lru_cache(maxsize=None)
+def _cells(lam: tuple) -> tuple:
     """(hook length, content) of every cell of the Young diagram of lam."""
     cols = [sum(row > j for row in lam) for j in range(lam[0])]
-    return [(lam[i] - j + cols[j] - i - 1, j - i) for i in range(len(lam)) for j in range(lam[i])]
+    return tuple((lam[i] - j + cols[j] - i - 1, j - i) for i in range(len(lam)) for j in range(lam[i]))
 
 
 def class_size(mu: tuple) -> int:
@@ -188,9 +189,27 @@ def class_size(mu: tuple) -> int:
     return math.factorial(sum(mu)) // z
 
 
+@lru_cache(maxsize=None)
 def irrep_dimension(lam: tuple) -> int:
     """f_lam = m! / prod(hook lengths), the dimension of the S_m irrep lam."""
     return math.factorial(sum(lam)) // math.prod(h for h, _ in _cells(lam))
+
+
+@lru_cache(maxsize=None)
+def skew_dimension(lam: tuple, mu: tuple) -> int:
+    """f^{lam/mu}, the number of standard tableaux of the skew shape lam/mu (0 unless
+    mu is inside lam): the largest entry sits in an outer corner of lam outside mu."""
+    if lam == mu:
+        return 1
+    inner = mu + (0,) * (len(lam) - len(mu))
+    return sum(skew_dimension(lam[:i] + (row - 1,) * (row > 1) + lam[i + 1:], mu)
+               for i, row in enumerate(lam) if row > inner[i] and (i + 1 == len(lam) or lam[i + 1] < row))
+
+
+def content_product(lam: tuple, d: int) -> int:
+    """P_lam(d) = prod over the cells of lam of (d + content) = m! s_lam(1^d) / f_lam by
+    the hook-content formula; 0 when lam has more than d rows."""
+    return math.prod(d + c for _, c in _cells(lam))
 
 
 @lru_cache(maxsize=None)
@@ -220,7 +239,6 @@ class CharacterTable(NamedTuple):
     dims: tuple        # f_lam
     class_sizes: tuple  # |c_mu|
     chi: tuple         # chi[i][j] = chi^lam_i(mu_j)
-    contents: tuple    # the contents j - i of the cells of each lam
 
 
 @lru_cache(maxsize=None)
@@ -228,14 +246,7 @@ def character_table(m: int) -> CharacterTable:
     """The CharacterTable of S_m, built once per m from character()."""
     lams = partitions(m)
     return CharacterTable(lams, tuple(map(irrep_dimension, lams)), tuple(map(class_size, lams)),
-                          tuple(tuple(character(lam, mu) for mu in lams) for lam in lams),
-                          tuple(tuple(c for _, c in _cells(lam)) for lam in lams))
-
-
-def content_products(table: CharacterTable, d: int) -> list:
-    """P_lam(d) = prod over the cells of lam of (d + content), per lam of the table:
-    m! s_lam(1^d) / f_lam by the hook-content formula, 0 when lam has more than d rows."""
-    return [math.prod(d + c for c in cells) for cells in table.contents]
+                          tuple(tuple(character(lam, mu) for mu in lams) for lam in lams))
 
 
 @lru_cache(maxsize=64)
@@ -250,7 +261,7 @@ def _weingarten_cached(m: int, d: int):
     terms gives the Moore-Penrose row (Collins & Matsumoto, ALEA 14, 2017).
     """
     table = character_table(m)
-    eig = content_products(table, d)
+    eig = [content_product(lam, d) for lam in table.partitions]
     L = math.lcm(*(e for e in eig if e))
     terms = [(f * (L // e), row) for f, e, row in zip(table.dims, eig, table.chi) if e]
     pseudo = d < m

@@ -38,10 +38,10 @@ coupling (see there).
 
 At even N_A, F is a q^2 x q^2 unitary and drops out of every distance to
 Haar, so deviation_series takes each norm in closed form: one weight per mu
-of k, p_mu = sum_lam w_lam tr[(Pi_mu (x) 1) Pi_lam], from the branching
-numbers of Schur-Weyl duality (_branching_table), with no W, block or
-eigensolve; m is then bounded by MAX_DEGREE alone.  The engine serves odd
-N_A, where W matters, and replica_moment at every N_A.
+of k, p_mu = sum_lam w_lam tr[(Pi_mu (x) 1) Pi_lam], from Schur-Weyl
+branching numbers, skew tableau counts (_branching_table): no W, block,
+eigensolve or, at obc, character table.  m is bounded by MAX_DEGREE alone.
+The engine serves odd N_A, where W matters, and replica_moment at every N_A.
 """
 from __future__ import annotations
 
@@ -60,10 +60,12 @@ from .permgroup import (
     MAX_DEGREE,
     Permutation,
     character_table,
-    content_products,
+    content_product,
     cycle_count,
     enumerate_sym,
+    irrep_dimension,
     partitions,
+    skew_dimension,
     weingarten_table,
 )
 
@@ -100,11 +102,9 @@ class ReplicaSpec:
         return min_depth(self.n_a)
 
 
-def _haar_denominator(d: int, m: int) -> float:
-    out = 1.0
-    for j in range(m):
-        out *= d + j
-    return out
+def _haar_denominator(d: int, m: int) -> int:
+    """d (d+1) ... (d+m-1), exactly."""
+    return math.prod(range(d, d + m))
 
 
 def prefactor_pbc(sigma: Permutation, tau: Permutation, spec: ReplicaSpec) -> float:
@@ -339,15 +339,16 @@ def class_diagram_terms(n_a: int, k: int, n: int):
 def _isotypic_weights(m: int, t: int, t0: int, bc: str) -> dict:
     """w_lam = sum over classes c of f_bc(c) |c| chi_lam(c) / f_lam (f_bc as in the
     module docstring; |c| chi_lam(c) / f_lam is the class sum of c on lam's isotypic
-    part) per lam of m with at most 2^t0 rows, each correctly rounded."""
+    part) per lam of m with at most 2^t0 rows, each correctly rounded.  At obc that
+    sum is m! s_lam(1^Q) / f_lam = P_lam(Q), Q = 2^(t - t0) (hook content): an integer
+    over the squared Haar denominator, exactly 0 past Q rows, with no character table."""
+    if bc == "obc":
+        den = _haar_denominator(2**t, m) ** 2
+        return {lam: content_product(lam, 2 ** (t - t0)) / den for lam in partitions(m) if len(lam) <= 2**t0}
     table = character_table(m)
     loop = 2.0 ** (t - t0)
-    if bc == "pbc":
-        wg = weingarten_table(m, 2**t).class_values
-        pref = [wg[mu] * loop ** len(mu) for mu in table.partitions]
-    else:
-        den = _haar_denominator(2**t, m) ** 2
-        pref = [loop ** len(mu) / den for mu in table.partitions]
+    wg = weingarten_table(m, 2**t).class_values
+    pref = [wg[mu] * loop ** len(mu) for mu in table.partitions]
     return {lam: math.fsum(p * (c * x / f) for p, c, x in zip(pref, table.class_sizes, chi))
             for lam, f, chi in zip(table.partitions, table.dims, table.chi) if len(lam) <= 2**t0}
 
@@ -357,38 +358,25 @@ def _branching_table(q: int, k: int, n: int):
     """(lams, cols, haar) of the norms at even N_A, q = 2^(N_A/2) (t-independent):
     the lam of m = k + n with at most q rows, and per mu of k with at most q rows
 
-        cols[mu][lam] = tr[(Pi_mu (x) 1) Pi_lam] = s_lam(1^q)^2 f_mu g_lam,mu / f_lam,
+        cols[mu][lam] = tr[(Pi_mu (x) 1) Pi_lam] = s_lam(1^q)^2 f_mu f^{lam/mu} / f_lam,
         haar[mu] = s_mu(1^q)^2 / C(q^2 + k - 1, k),
 
     Pi_lam the projector onto V_lam (x) V_lam in Sym^m(C^q (x) C^q), Pi_mu likewise
     in Sym^k (Schur-Weyl duality; Harrow, arXiv:1308.6595, sec. 2).  The lam part
     is V_lam (x) V_lam times the S_m-invariant vector of S_lam (x) S_lam, maximally
     entangled, so Pi_mu (x) 1 acts on it as the mu-isotypic projector of S_lam
-    restricted to S_k, whose trace f_mu g_lam,mu is read over f_lam.  g_lam,mu =
-    sum_nu c^lam_mu,nu f_nu, the multiplicity of mu in that restriction, is the
-    integer (1/k!) sum_alpha |c_alpha| chi^mu(alpha) chi^lam(alpha u 1^n) over the
-    classes alpha of S_k, and s_lam(1^q) = f_lam P_lam(q) / m! (content_products).
+    restricted to S_k, whose trace f_mu f^{lam/mu} is read over f_lam: the skew
+    tableau count f^{lam/mu} (permgroup.skew_dimension) is the multiplicity of mu in
+    that restriction (Stanley, EC2, sec. 7.16), so f_mu f^{lam/mu} / f_lam is the
+    chance that the entries 1..k of a uniformly random standard tableau of shape lam
+    fill mu.  s_lam(1^q) = f_lam P_lam(q) / m! (permgroup.content_product).
     """
-    big, small = character_table(k + n), character_table(k)
-    column = {mu: j for j, mu in enumerate(big.partitions)}
-    fixed = [column[alpha + (1,) * n] for alpha in small.partitions]  # alpha u 1^n
-
-    def irreps(table, m):
-        """(lam, f_lam, chi^lam, s_lam(1^q)) for the lam with at most q rows."""
-        return [(lam, f, chi, f * p // math.factorial(m))
-                for lam, f, chi, p in zip(table.partitions, table.dims, table.chi,
-                                          content_products(table, q)) if len(lam) <= q]
-
-    lams, mus = irreps(big, k + n), irreps(small, k)
-    cols = []
-    for _, f_mu, chi_mu, _ in mus:
-        col = []
-        for _, f, chi, s in lams:
-            g = sum(c * x * chi[j] for c, x, j in zip(small.class_sizes, chi_mu, fixed))
-            col.append(s * s * f_mu * (g // math.factorial(k)) / f)  # one rounding, at the end
-        cols.append(tuple(col))
+    lams, mus = (tuple(lam for lam in partitions(m) if len(lam) <= q) for m in (k + n, k))
+    s = {nu: irrep_dimension(nu) * content_product(nu, q) // math.factorial(sum(nu)) for nu in lams + mus}
+    cols = tuple(tuple(s[lam] ** 2 * irrep_dimension(mu) * skew_dimension(lam, mu) / irrep_dimension(lam)
+                       for lam in lams) for mu in mus)  # one rounding per entry
     D = math.comb(q * q + k - 1, k)
-    return tuple(lam for lam, *_ in lams), tuple(cols), tuple(s * s / D for *_, s in mus)
+    return lams, cols, tuple(s[mu] ** 2 / D for mu in mus)
 
 
 def _branching_norm(spec: ReplicaSpec, n: int) -> float:

@@ -16,11 +16,13 @@ from deeptherm.permgroup import (
     character_table,
     class_size,
     conjugacy_classes,
+    content_product,
     cycle_count,
     enumerate_sym,
     gram_matrix,
     irrep_dimension,
     partitions,
+    skew_dimension,
     weingarten_table,
 )
 
@@ -201,11 +203,29 @@ def test_character_table_sanity(m):
     assert np.array_equal(np.array(table.chi, dtype=np.int64), chi)
     assert table.dims == tuple(chi[:, -1]) == tuple(irrep_dimension(lam) for lam in lams)
     assert table.class_sizes == tuple(class_size(mu) for mu in lams)
-    assert table.contents == tuple(tuple(j - i for i, row in enumerate(lam) for j in range(row))
-                                   for lam in lams)
+    # P_lam(d) is the product of d + content over the cells, and sum_lam f_lam s_lam(1^d)
+    # = sum_lam f_lam^2 P_lam(d) / m! = d^m, the dimension of (C^d)^(x)m (Schur-Weyl)
+    for d in range(m + 2):
+        assert [content_product(lam, d) for lam in lams] == [
+            math.prod(d + j - i for i, row in enumerate(lam) for j in range(row)) for lam in lams]
+        assert sum(irrep_dimension(lam) ** 2 * content_product(lam, d) for lam in lams) == math.factorial(m) * d**m
     # row orthogonality: sum_mu |c_mu| chi^lam(mu) chi^nu(mu) = m! delta_{lam nu}
     assert np.array_equal(chi @ np.diag(table.class_sizes) @ chi.T,
                           math.factorial(m) * np.eye(len(lams), dtype=np.int64))
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_skew_dimension_counts_standard_tableaux(m):
+    # f^{lam/()} = f_lam, and splitting a standard tableau of lam at its entry k
+    # gives sum over mu of k inside lam of f_mu f^{lam/mu} = f_lam
+    for lam in partitions(m):
+        assert skew_dimension(lam, ()) == irrep_dimension(lam)
+        for k in range(1, m):
+            assert sum(irrep_dimension(mu) * skew_dimension(lam, mu) for mu in partitions(k)
+                       if len(mu) <= len(lam) and all(a <= b for a, b in zip(mu, lam))) == irrep_dimension(lam)
+    # three disconnected cells fill in 3! ways; mu outside lam gives none
+    assert skew_dimension((3, 2, 1), (2, 1)) == 6
+    assert skew_dimension((2, 1), (1, 1, 1)) == skew_dimension((2,), (1, 1)) == 0
 
 
 def test_characters_small_examples():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -328,7 +329,10 @@ def test_obc_isotypic_weight_is_hook_content(m, t):
 @pytest.mark.parametrize("m", range(1, 9))
 def test_isotypic_weights_equal_per_class_fsum(m, bc):
     # each weight is the fsum of f_bc(c) |c| chi_lam(c) / f_lam over the classes, with
-    # f_bc the prefactor of one cycle type: bitwise, for every lam with at most q rows
+    # f_bc the prefactor of one cycle type, for every lam with at most q rows: bitwise at
+    # pbc.  At obc that sum is P_lam(Q) / den^2 (hook content), and the weight is that
+    # fraction correctly rounded, exactly 0 past Q rows where the class fsum leaves a
+    # ~1e-20 residue; the fsum stays within 1e-13 of it
     for n_a in range(1, 5):
         t0 = min_depth(n_a)
         for t in range(2, 6):
@@ -344,7 +348,16 @@ def test_isotypic_weights_equal_per_class_fsum(m, bc):
             ref = {lam: math.fsum(pref(mu) * (class_size(mu) * character(lam, mu) / irrep_dimension(lam))
                                   for mu in partitions(m))
                    for lam in partitions(m) if len(lam) <= 2**t0}
-            assert replica._isotypic_weights(m, t, t0, bc) == ref, (n_a, t)
+            got = replica._isotypic_weights(m, t, t0, bc)
+            if bc == "pbc":
+                assert got == ref, (n_a, t)
+                continue
+            exact = math.prod(range(2**t, 2**t + m)) ** 2
+            assert got == {lam: float(Fraction(math.prod(2 ** (t - t0) + j - i for i, row in enumerate(lam)
+                                                         for j in range(row)), exact))
+                           for lam in ref}, (n_a, t)
+            scale = max(map(abs, ref.values()))
+            assert all(got[lam] == pytest.approx(ref[lam], rel=1e-13, abs=1e-13 * scale) for lam in ref), (n_a, t)
 
 
 @pytest.mark.parametrize("n_a,k,t,bc,n_max", [(2, 2, 3, "pbc", 6), (2, 3, 5, "obc", 4),
@@ -360,12 +373,36 @@ def test_deviation_series_equals_single_moment_path(n_a, k, t, bc, n_max):
         assert deviation_series(sp, n_max) == stacked
 
 
-def test_figure3_sweep_builds_each_group_table_once():
-    # k = 2..4, t = 2..5, both bc, m <= 6: one Weingarten table per pbc (m, t), none
-    # for obc, and one character table per m = 2..6 (the branching tables' S_k among them)
+def _clear_group_caches():
     for fn in (replica._isotypic_weights, replica._branching_table, permgroup._weingarten_cached,
                permgroup.character_table):
         fn.cache_clear()
+
+
+def test_obc_closed_form_builds_no_group_table():
+    # the even-N_A closed form reads obc weights and branching numbers off the shapes:
+    # an obc sweep (k = 2..4, t = 2..5, m <= 6) builds no character or Weingarten table
+    _clear_group_caches()
+    for k in range(2, 5):
+        for t in range(2, 6):
+            deviation_series(spec(k, 0, t, bc="obc"), 6 - k)
+    assert permgroup.character_table.cache_info().misses == 0
+    assert permgroup._weingarten_cached.cache_info().misses == 0
+    # nor do branching tables past MAX_DEGREE (m = 20): each lam's mu parts add up to
+    # tr Pi_lam = s_lam(1^q)^2, and the Haar weights to 1
+    for q, k, n in ((2, 2, 18), (4, 3, 17)):
+        lams, cols, haar = replica._branching_table(q, k, n)
+        for i, lam in enumerate(lams):
+            s = irrep_dimension(lam) * permgroup.content_product(lam, q) // math.factorial(k + n)
+            assert math.fsum(col[i] for col in cols) == pytest.approx(s**2, rel=1e-14), (q, lam)
+        assert math.fsum(haar) == pytest.approx(1.0, rel=1e-15)
+    assert permgroup.character_table.cache_info().misses == 0
+
+
+def test_figure3_sweep_builds_each_group_table_once():
+    # k = 2..4, t = 2..5, both bc, m <= 6: one Weingarten table per pbc (m, t), none
+    # for obc, and one character table per m = 2..6, all for the pbc weights
+    _clear_group_caches()
     for bc in ("pbc", "obc"):
         for k in range(2, 5):
             for t in range(2, 6):
