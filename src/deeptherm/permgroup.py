@@ -1,8 +1,9 @@
 """Symmetric group enumeration, cycle structure and Weingarten tables.
 
 Weingarten values come in closed form from the characters of S_m (Collins &
-Sniady, CMP 264, 2006): chi^lam by the Murnaghan-Nakayama rule, f_lam by the
-hook-length formula and s_lam(1^d) by the hook-content formula.  They are the
+Sniady, CMP 264, 2006): chi^lam by the Murnaghan-Nakayama rule, a whole table
+at a time, f_lam by the hook-length formula and s_lam(1^d) by the hook-content
+formula, as integer numerators over one denominator per table.  They are the
 row of the inverse of the Gram matrix G[s,t] = d^{#(s t^-1)} of vectorized
 permutation operators.  For d < m that matrix is singular (the states are
 linearly dependent) and the values are its Moore-Penrose row instead; this
@@ -150,7 +151,9 @@ class WeingartenTable:
 
     m: int
     d: int
-    class_values: dict  # cycle type -> float
+    class_values: dict  # cycle type -> float, numerators[mu] / den correctly rounded
+    numerators: dict    # cycle type -> int
+    den: int
     pseudo: bool        # True when d < m: the Moore-Penrose values of a singular Gram matrix
     cond: float         # Gram condition number, inf when pseudo
 
@@ -213,24 +216,16 @@ def content_product(lam: tuple, d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _border_strips(beads: frozenset, mu: tuple) -> int:
-    """Murnaghan-Nakayama on the beta-set of a partition: removing a border strip
-    of length r moves a bead from b down to a free b - r, with sign
-    (-1)^(beads strictly between)."""
-    if not mu:
-        return 1
-    r, rest = mu[0], mu[1:]
-    total = 0
+def _strips(lam: tuple, r: int) -> tuple:
+    """(sign, lam less the strip) per border strip of length r in lam: on the beta-set
+    of lam a bead moves from b down to a free b - r, with sign (-1)^(beads strictly between)."""
+    beads = {p + len(lam) - 1 - i for i, p in enumerate(lam)}
+    out = []
     for b in beads:
         if b >= r and b - r not in beads:
-            sign = -1 if sum(b - r < x < b for x in beads) % 2 else 1
-            total += sign * _border_strips(beads - {b} | {b - r}, rest)
-    return total
-
-
-def character(lam: tuple, mu: tuple) -> int:
-    """chi^lam on the conjugacy class of cycle type mu."""
-    return _border_strips(frozenset(p + len(lam) - 1 - i for i, p in enumerate(lam)), mu)
+            parts = (x - i for i, x in enumerate(sorted(beads - {b} | {b - r})))
+            out.append(((-1) ** sum(b - r < x < b for x in beads), tuple(p for p in parts if p)[::-1]))
+    return tuple(out)
 
 
 class CharacterTable(NamedTuple):
@@ -243,10 +238,19 @@ class CharacterTable(NamedTuple):
 
 @lru_cache(maxsize=None)
 def character_table(m: int) -> CharacterTable:
-    """The CharacterTable of S_m, built once per m from character()."""
+    """The CharacterTable of S_m, built once per m a column at a time: chi^lam(mu) sums, signed,
+    over the border strips of length mu_1 in lam (_strips), S_{m - mu_1}'s column of mu less mu_1."""
     lams = partitions(m)
+    cols = []
+    for mu in lams:
+        below = {(): 1}  # S_0's table, when mu is one cycle
+        if len(mu) > 1:
+            lower = character_table(m - mu[0])
+            j = lower.partitions.index(mu[1:])
+            below = {nu: row[j] for nu, row in zip(lower.partitions, lower.chi)}
+        cols.append([sum(sign * below[nu] for sign, nu in _strips(lam, mu[0])) for lam in lams])
     return CharacterTable(lams, tuple(map(irrep_dimension, lams)), tuple(map(class_size, lams)),
-                          tuple(tuple(character(lam, mu) for mu in lams) for lam in lams))
+                          tuple(zip(*cols)))
 
 
 @lru_cache(maxsize=64)
@@ -267,8 +271,8 @@ def _weingarten_cached(m: int, d: int):
     pseudo = d < m
     cond = math.inf if pseudo else max(eig) / min(eig)
     den = math.factorial(m) * L
-    class_values = {mu: sum(s * row[j] for s, row in terms) / den for j, mu in enumerate(table.partitions)}
-    return WeingartenTable(m=m, d=d, class_values=class_values, pseudo=pseudo, cond=cond)
+    nums = {mu: sum(s * row[j] for s, row in terms) for j, mu in enumerate(table.partitions)}
+    return WeingartenTable(m, d, {mu: x / den for mu, x in nums.items()}, nums, den, pseudo, cond)
 
 
 def weingarten_table(m: int, d: int) -> WeingartenTable:

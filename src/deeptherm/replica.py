@@ -39,8 +39,9 @@ coupling (see there).
 At even N_A, F is a q^2 x q^2 unitary and drops out of every distance to
 Haar, so deviation_series takes each norm in closed form: one weight per mu
 of k, p_mu = sum_lam w_lam tr[(Pi_mu (x) 1) Pi_lam], from Schur-Weyl
-branching numbers, skew tableau counts (_branching_table): no W, block,
-eigensolve or, at obc, character table.  m is bounded by MAX_DEGREE alone.
+branching numbers, skew tableau counts (_branching_table), all integers over
+common denominators, so each norm is an exact rational rounded once: no W,
+block, eigensolve or, at obc, character table.  m is bounded by MAX_DEGREE.
 The engine serves odd N_A, where W matters, and replica_moment at every N_A.
 """
 from __future__ import annotations
@@ -102,11 +103,6 @@ class ReplicaSpec:
         return min_depth(self.n_a)
 
 
-def _haar_denominator(d: int, m: int) -> int:
-    """d (d+1) ... (d+m-1), exactly."""
-    return math.prod(range(d, d + m))
-
-
 def prefactor_pbc(sigma: Permutation, tau: Permutation, spec: ReplicaSpec) -> float:
     """Wg(s t^-1, 2^t) * (2^(t-t0))^{#(s t^-1)}."""
     gamma = sigma.compose(tau.inverse())
@@ -117,7 +113,7 @@ def prefactor_pbc(sigma: Permutation, tau: Permutation, spec: ReplicaSpec) -> fl
 def prefactor_obc(sigma: Permutation, tau: Permutation, spec: ReplicaSpec) -> float:
     """(2^(t-t0))^{#(s t^-1)} / (2^t (2^t+1)...(2^t+m-1))^2."""
     gamma = sigma.compose(tau.inverse())
-    den = _haar_denominator(2**spec.t, spec.m)
+    den = math.prod(range(2**spec.t, 2**spec.t + spec.m))
     return (2.0 ** (spec.t - spec.t0)) ** cycle_count(gamma) / den**2
 
 
@@ -336,30 +332,30 @@ def class_diagram_terms(n_a: int, k: int, n: int):
 
 
 @lru_cache(maxsize=256)
-def _isotypic_weights(m: int, t: int, t0: int, bc: str) -> dict:
-    """w_lam = sum over classes c of f_bc(c) |c| chi_lam(c) / f_lam (f_bc as in the
-    module docstring; |c| chi_lam(c) / f_lam is the class sum of c on lam's isotypic
-    part) per lam of m with at most 2^t0 rows, each correctly rounded.  At obc that
-    sum is m! s_lam(1^Q) / f_lam = P_lam(Q), Q = 2^(t - t0) (hook content): an integer
-    over the squared Haar denominator, exactly 0 past Q rows, with no character table."""
+def _isotypic_weights(m: int, t: int, t0: int, bc: str):
+    """(nums, den), integers, with w_lam = nums[lam] / den = sum over classes c of f_bc(c)
+    |c| chi_lam(c) / f_lam (f_bc as in the module docstring) per lam of m with at most 2^t0
+    rows; |c| chi_lam(c) / f_lam, the class sum of c on lam's isotypic part, is a central
+    character, an integer.  obc: the sum is m! s_lam(1^Q) / f_lam = P_lam(Q), Q = 2^(t - t0)
+    (hook content), over den = (2^t ... (2^t+m-1))^2.  pbc: Wg(c, 2^t) = N_c / den with
+    den = m! L (weingarten_table), so nums[lam] = sum_c N_c Q^#c |c| chi_lam(c) / f_lam."""
     if bc == "obc":
-        den = _haar_denominator(2**t, m) ** 2
-        return {lam: content_product(lam, 2 ** (t - t0)) / den for lam in partitions(m) if len(lam) <= 2**t0}
+        return ({lam: content_product(lam, 2 ** (t - t0)) for lam in partitions(m) if len(lam) <= 2**t0},
+                math.prod(range(2**t, 2**t + m)) ** 2)
     table = character_table(m)
-    loop = 2.0 ** (t - t0)
-    wg = weingarten_table(m, 2**t).class_values
-    pref = [wg[mu] * loop ** len(mu) for mu in table.partitions]
-    return {lam: math.fsum(p * (c * x / f) for p, c, x in zip(pref, table.class_sizes, chi))
-            for lam, f, chi in zip(table.partitions, table.dims, table.chi) if len(lam) <= 2**t0}
+    wg = weingarten_table(m, 2**t)
+    pref = [wg.numerators[mu] * 2 ** ((t - t0) * len(mu)) for mu in table.partitions]
+    return ({lam: sum(p * (c * x // f) for p, c, x in zip(pref, table.class_sizes, chi))
+             for lam, f, chi in zip(table.partitions, table.dims, table.chi) if len(lam) <= 2**t0}, wg.den)
 
 
 @lru_cache(maxsize=256)
 def _branching_table(q: int, k: int, n: int):
-    """(lams, cols, haar) of the norms at even N_A, q = 2^(N_A/2) (t-independent):
+    """(lams, cols, haar, D), integers, of the norms at even N_A, q = 2^(N_A/2) (t-independent):
     the lam of m = k + n with at most q rows, and per mu of k with at most q rows
 
-        cols[mu][lam] = tr[(Pi_mu (x) 1) Pi_lam] = s_lam(1^q)^2 f_mu f^{lam/mu} / f_lam,
-        haar[mu] = s_mu(1^q)^2 / C(q^2 + k - 1, k),
+        cols[mu][lam] = m!^2 tr[(Pi_mu (x) 1) Pi_lam] = f_lam P_lam(q)^2 f_mu f^{lam/mu},
+        haar[mu] / D = s_mu(1^q)^2 / C(q^2 + k - 1, k), the Haar weight of mu,
 
     Pi_lam the projector onto V_lam (x) V_lam in Sym^m(C^q (x) C^q), Pi_mu likewise
     in Sym^k (Schur-Weyl duality; Harrow, arXiv:1308.6595, sec. 2).  The lam part
@@ -372,11 +368,10 @@ def _branching_table(q: int, k: int, n: int):
     fill mu.  s_lam(1^q) = f_lam P_lam(q) / m! (permgroup.content_product).
     """
     lams, mus = (tuple(lam for lam in partitions(m) if len(lam) <= q) for m in (k + n, k))
-    s = {nu: irrep_dimension(nu) * content_product(nu, q) // math.factorial(sum(nu)) for nu in lams + mus}
-    cols = tuple(tuple(s[lam] ** 2 * irrep_dimension(mu) * skew_dimension(lam, mu) / irrep_dimension(lam)
-                       for lam in lams) for mu in mus)  # one rounding per entry
-    D = math.comb(q * q + k - 1, k)
-    return lams, cols, tuple(s[mu] ** 2 / D for mu in mus)
+    cols = tuple(tuple(irrep_dimension(lam) * content_product(lam, q) ** 2 * irrep_dimension(mu)
+                       * skew_dimension(lam, mu) for lam in lams) for mu in mus)
+    haar = tuple((irrep_dimension(mu) * content_product(mu, q) // math.factorial(k)) ** 2 for mu in mus)
+    return lams, cols, haar, math.comb(q * q + k - 1, k)
 
 
 def _branching_norm(spec: ReplicaSpec, n: int) -> float:
@@ -384,19 +379,19 @@ def _branching_norm(spec: ReplicaSpec, n: int) -> float:
 
     F (q^2 x dA) is then unitary, so the capped diagrams are those of the Pi_lam
     rotated by F^(x)k, and rho_Haar is invariant under that rotation.  rho is
-    U(q) x U(q)-invariant on Sym^k, sum_mu p_mu Pi_mu / s_mu(1^q)^2 over sum p,
-    with p_mu = sum_lam w_lam cols[mu][lam] (_isotypic_weights, _branching_table),
-    so the norm is sum_mu |p_mu / sum p - haar[mu]|.
+    U(q) x U(q)-invariant on Sym^k, sum_mu p_mu Pi_mu / s_mu(1^q)^2 over S = sum p,
+    with p_mu = sum_lam nums[lam] cols[mu][lam] (_isotypic_weights, _branching_table)
+    an integer, so the norm is sum_mu |p_mu D - haar[mu] S| / (S D), rounded once.
     """
-    lams, cols, haar = _branching_table(2**spec.t0, spec.k, n)
-    weights = _isotypic_weights(spec.k + n, spec.t, spec.t0, spec.bc)
-    p = [math.fsum(weights[lam] * a for lam, a in zip(lams, col)) for col in cols]
-    total = math.fsum(p)
+    lams, cols, haar, D = _branching_table(2**spec.t0, spec.k, n)
+    nums, _ = _isotypic_weights(spec.k + n, spec.t, spec.t0, spec.bc)
+    p = [sum(nums[lam] * a for lam, a in zip(lams, col)) for col in cols]
+    total = sum(p)
     if total <= 0:
-        raise ReplicaError(f"replica sum numerically degenerate (trace {total:.3e})")
-    if min(p) < -1e-12 * total:
+        raise ReplicaError("replica sum degenerate (trace <= 0)")
+    if min(p) < 0:
         raise ReplicaError(f"replica moment not PSD (isotypic weight {min(p) / total:.2e})")
-    return math.fsum(abs(x / total - h) for x, h in zip(p, haar))
+    return sum(abs(x * D - h * total) for x, h in zip(p, haar)) / (total * D)
 
 
 def _moments(spec: ReplicaSpec, ns) -> np.ndarray:
@@ -406,8 +401,8 @@ def _moments(spec: ReplicaSpec, ns) -> np.ndarray:
     rho = []
     for n in ns:
         diagrams = class_diagram_terms(spec.n_a, spec.k, n)
-        weights = _isotypic_weights(spec.k + n, spec.t, spec.t0, spec.bc)
-        raw = sum(weights[lam] * diagrams[lam] for lam in sorted(diagrams))
+        nums, den = _isotypic_weights(spec.k + n, spec.t, spec.t0, spec.bc)
+        raw = sum(nums[lam] / den * diagrams[lam] for lam in sorted(diagrams))
         tr = np.trace(raw).real
         if tr <= 0:
             raise ReplicaError(f"replica sum numerically degenerate (trace {tr:.3e})")

@@ -14,7 +14,8 @@ import numpy as np
 
 from deeptherm.dual_tensors import build_w
 from deeptherm.linalg import _trace_maps, multiset_factorials, sym_basis
-from deeptherm.permgroup import character, class_size, conjugacy_classes, irrep_dimension
+from deeptherm.permgroup import class_size, conjugacy_classes, irrep_dimension
+from test_permgroup import character
 
 
 def _orbit_contract(T: np.ndarray, mat: np.ndarray, m: int) -> np.ndarray:

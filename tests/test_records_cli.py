@@ -586,6 +586,15 @@ def test_cli_replica_na4_reaches_m6(tmp_path):
     assert all(float(r[cols.index("deviation_trace_norm")]) > 0 for r in rows)
 
 
+def test_cli_replica_pbc_t40_norms_positive(tmp_path):
+    # the norms are ~6e-25 here: the closed form keeps them, where float weights cancel to 0
+    out = str(tmp_path / "replica.csv")
+    assert main(["replica", "--na", "2", "--k", "2", "--nmax", "4", "--t", "40", "--bc", "pbc", "--out", out]) == 0
+    cols, rows = read_csv(out)
+    norms = [float(r[cols.index("deviation_trace_norm")]) for r in rows]
+    assert len(norms) == 5 and all(0 < v < float("inf") for v in norms)
+
+
 @pytest.mark.parametrize("na", [1, 2, 3])
 def test_cli_replica_refuses_k1(tmp_path, capsys, monkeypatch, na):
     # at k = 1 the norms are zeros (even N_A) or rounding noise (odd N_A): refused before any work

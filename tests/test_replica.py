@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from deeptherm.linalg import (
 )
 from deeptherm.permgroup import (
     Permutation,
-    character,
     class_size,
     conjugacy_classes,
     enumerate_sym,
@@ -51,6 +51,7 @@ from fullspace import (
     sym_embed,
 )
 from orbit_bundle import orbit_bundle, per_class
+from test_permgroup import character
 
 
 def spec(k, n, t, bc="pbc", n_a=2):
@@ -320,19 +321,89 @@ def test_obc_isotypic_weight_is_hook_content(m, t):
     # sum_c Q^#c |c| chi_lam(c) / f_lam = m! s_lam(1^Q) / f_lam = prod_cells (Q + content)
     sp = spec(1, m - 1, t, bc="obc")
     Q, den = 2 ** (t - 1), np.prod([2.0**t + j for j in range(m)])
+    nums, den_sq = replica._isotypic_weights(m, t, sp.t0, "obc")
     for lam in replica._isotypic_labels(2, m).values():
         hook = np.prod([Q + j - i for i in range(len(lam)) for j in range(lam[i])]) / den**2
-        assert replica._isotypic_weights(m, t, sp.t0, "obc")[lam] == pytest.approx(hook, rel=1e-13)
+        assert nums[lam] / den_sq == pytest.approx(hook, rel=1e-13)
+
+
+def _cell_product(lam, d):
+    return math.prod(d + j - i for i, row in enumerate(lam) for j in range(row))
+
+
+@cache
+def _fraction_class_prefactors(m, t, t0, bc):
+    """f_bc per class of S_m as exact Fractions, Wg(mu, 2^t) summed over the irreps
+    (Collins & Sniady) from the characters, one Fraction per (lam, mu) term."""
+    table = permgroup.character_table(m)
+    d, Q = 2**t, 2 ** (t - t0)
+    if bc == "obc":
+        den = math.prod(range(d, d + m)) ** 2
+        return [Fraction(Q ** len(mu), den) for mu in table.partitions]
+    terms = [(f, row, math.factorial(m) * e) for lam, f, row in zip(table.partitions, table.dims, table.chi)
+             if (e := _cell_product(lam, d))]
+    return [sum(Fraction(f * row[j], e) for f, row, e in terms) * Q ** len(mu)
+            for j, mu in enumerate(table.partitions)]
+
+
+@cache
+def _fraction_weights(m, t, t0, bc):
+    """w_lam = sum over classes c of f_bc(c) |c| chi_lam(c) / f_lam, exactly, per lam of m
+    with at most 2^t0 rows."""
+    table = permgroup.character_table(m)
+    pref = _fraction_class_prefactors(m, t, t0, bc)
+    return {lam: sum(p * Fraction(c * x, f) for p, c, x in zip(pref, table.class_sizes, chi))
+            for lam, f, chi in zip(table.partitions, table.dims, table.chi) if len(lam) <= 2**t0}
+
+
+def _fraction_norm(n_a, k, n, t, bc):
+    """The even-N_A norm sum_mu |p_mu / sum p - haar_mu| in exact Fractions, rounded once:
+    p_mu = sum_lam w_lam s_lam(1^q)^2 f_mu g_lam,mu / f_lam, with the multiplicity g of mu
+    in lam restricted to S_k read off the characters."""
+    t0 = min_depth(n_a)
+    q = 2**t0
+    w = _fraction_weights(k + n, t, t0, bc)
+
+    def s(lam):
+        return irrep_dimension(lam) * _cell_product(lam, q) // math.factorial(sum(lam))
+
+    def g(lam, mu):
+        return sum(class_size(a) * character(mu, a) * character(lam, a + (1,) * n)
+                   for a in partitions(k)) // math.factorial(k)
+
+    mus = [mu for mu in partitions(k) if len(mu) <= q]
+    p = [sum(w[lam] * Fraction(s(lam) ** 2 * irrep_dimension(mu) * g(lam, mu), irrep_dimension(lam))
+             for lam in w) for mu in mus]
+    D = math.comb(q * q + k - 1, k)
+    return float(sum(abs(x / sum(p) - Fraction(s(mu) ** 2, D)) for x, mu in zip(p, mus)))
+
+
+@pytest.mark.parametrize("bc", ["pbc", "obc"])
+@pytest.mark.parametrize("n_a,m_max", [(2, 14), (4, 8)])
+def test_deviation_series_equals_fraction_oracle(n_a, m_max, bc):
+    # the closed form is the exact rational norm, rounded once, at every t: float
+    # weights lose it to the cancelling p_mu / sum p - haar_mu as 2^(r t) grows
+    for k in (2, 3, 4):
+        for t in (*range(2, 9), 20, 40):
+            assert deviation_series(spec(k, 0, t, bc=bc, n_a=n_a), m_max - k) == [
+                (n, _fraction_norm(n_a, k, n, t, bc)) for n in range(m_max - k + 1)], (k, t)
+
+
+@pytest.mark.parametrize("bc,r,ts", [("pbc", 2, (20, 30, 40)), ("obc", 1, (40, 60, 80))])
+def test_norm_times_decay_reaches_leading_constant(bc, r, ts):
+    # k = 2, n = 0: norm 2^(r t) -> (3/175)(n + 6)(n + 7) = 0.72 at large t
+    for t in ts:
+        assert abs(deviation_series(spec(2, 0, t, bc=bc), 0)[0][1] * 2.0 ** (r * t) - 0.72) <= 1e-9, t
 
 
 @pytest.mark.parametrize("bc", ["pbc", "obc"])
 @pytest.mark.parametrize("m", range(1, 9))
 def test_isotypic_weights_equal_per_class_fsum(m, bc):
-    # each weight is the fsum of f_bc(c) |c| chi_lam(c) / f_lam over the classes, with
-    # f_bc the prefactor of one cycle type, for every lam with at most q rows: bitwise at
-    # pbc.  At obc that sum is P_lam(Q) / den^2 (hook content), and the weight is that
-    # fraction correctly rounded, exactly 0 past Q rows where the class fsum leaves a
-    # ~1e-20 residue; the fsum stays within 1e-13 of it
+    # each weight nums[lam] / den is the exact sum of f_bc(c) |c| chi_lam(c) / f_lam over
+    # the classes (_fraction_weights), for every lam with at most q rows, so its float is
+    # that sum correctly rounded.  The float fsum over the classes, with f_bc the prefactor
+    # of one cycle type, stays within 1e-13 of it; at obc it leaves a ~1e-20 residue where
+    # the weight is exactly 0 (past Q rows)
     for n_a in range(1, 5):
         t0 = min_depth(n_a)
         for t in range(2, 6):
@@ -348,14 +419,10 @@ def test_isotypic_weights_equal_per_class_fsum(m, bc):
             ref = {lam: math.fsum(pref(mu) * (class_size(mu) * character(lam, mu) / irrep_dimension(lam))
                                   for mu in partitions(m))
                    for lam in partitions(m) if len(lam) <= 2**t0}
-            got = replica._isotypic_weights(m, t, t0, bc)
-            if bc == "pbc":
-                assert got == ref, (n_a, t)
-                continue
-            exact = math.prod(range(2**t, 2**t + m)) ** 2
-            assert got == {lam: float(Fraction(math.prod(2 ** (t - t0) + j - i for i, row in enumerate(lam)
-                                                         for j in range(row)), exact))
-                           for lam in ref}, (n_a, t)
+            nums, den = replica._isotypic_weights(m, t, t0, bc)
+            exact = _fraction_weights(m, t, t0, bc)
+            assert {lam: Fraction(x, den) for lam, x in nums.items()} == exact, (n_a, t)
+            got = {lam: x / den for lam, x in nums.items()}
             scale = max(map(abs, ref.values()))
             assert all(got[lam] == pytest.approx(ref[lam], rel=1e-13, abs=1e-13 * scale) for lam in ref), (n_a, t)
 
@@ -389,19 +456,19 @@ def test_obc_closed_form_builds_no_group_table():
     assert permgroup.character_table.cache_info().misses == 0
     assert permgroup._weingarten_cached.cache_info().misses == 0
     # nor do branching tables past MAX_DEGREE (m = 20): each lam's mu parts add up to
-    # tr Pi_lam = s_lam(1^q)^2, and the Haar weights to 1
+    # m!^2 tr Pi_lam = (m! s_lam(1^q))^2, and the Haar numerators to D
     for q, k, n in ((2, 2, 18), (4, 3, 17)):
-        lams, cols, haar = replica._branching_table(q, k, n)
+        lams, cols, haar, D = replica._branching_table(q, k, n)
         for i, lam in enumerate(lams):
-            s = irrep_dimension(lam) * permgroup.content_product(lam, q) // math.factorial(k + n)
-            assert math.fsum(col[i] for col in cols) == pytest.approx(s**2, rel=1e-14), (q, lam)
-        assert math.fsum(haar) == pytest.approx(1.0, rel=1e-15)
+            assert sum(col[i] for col in cols) == (irrep_dimension(lam) * permgroup.content_product(lam, q)) ** 2
+        assert sum(haar) == D
     assert permgroup.character_table.cache_info().misses == 0
 
 
 def test_figure3_sweep_builds_each_group_table_once():
     # k = 2..4, t = 2..5, both bc, m <= 6: one Weingarten table per pbc (m, t), none
-    # for obc, and one character table per m = 2..6, all for the pbc weights
+    # for obc, and one character table per m = 1..6, all for the pbc weights (m = 1
+    # for the Murnaghan-Nakayama recursion of the larger tables)
     _clear_group_caches()
     for bc in ("pbc", "obc"):
         for k in range(2, 5):
@@ -409,7 +476,7 @@ def test_figure3_sweep_builds_each_group_table_once():
                 deviation_series(spec(k, 0, t, bc=bc), 6 - k)
     wg = permgroup._weingarten_cached.cache_info()
     assert (wg.misses, wg.hits) == (20, 0)
-    assert permgroup.character_table.cache_info().misses == 5
+    assert permgroup.character_table.cache_info().misses == 6
 
 
 def _engine_series(sp, n_max):
@@ -444,16 +511,17 @@ def test_closed_form_equals_engine_at_na4(bc):
 
 @pytest.mark.parametrize("bc", ["pbc", "obc"])
 def test_k3_norm_is_twice_k2_norm_one_replica_on(bc):
-    # at N_A = 2, rho^(3,n) carries the one scalar p_(2,1) = 2 p_(1,1) of rho^(2,n+1)
-    for t in range(2, 9):
+    # at N_A = 2, rho^(3,n) carries the one scalar p_(2,1) = 2 p_(1,1) of rho^(2,n+1),
+    # and each norm is its exact value rounded once
+    for t in range(2, 41):
         k2, k3 = deviation_series(spec(2, 0, t, bc=bc), 11), deviation_series(spec(3, 0, t, bc=bc), 10)
         for (n, v3), (_, v2) in zip(k3, k2[1:]):
-            assert v3 == pytest.approx(2 * v2, rel=1e-11), (t, n)
+            assert v3 == 2 * v2, (t, n)
 
 
 @pytest.mark.parametrize("q,m", [(2, 4), (2, 6), (2, 8), (4, 5), (4, 7)])
 def test_branching_table_equals_littlewood_richardson_sum(q, m):
-    # cols[mu][lam] = s_lam(1^q)^2 f_mu sum_nu c^lam_mu,nu f_nu / f_lam, with each
+    # cols[mu][lam] = m!^2 s_lam(1^q)^2 f_mu sum_nu c^lam_mu,nu f_nu / f_lam, with each
     # c^lam_mu,nu = (1/k! n!) sum_alpha,beta |c_alpha| |c_beta| chi^mu chi^nu chi^lam(alpha u beta)
     def s(lam):
         cells = [(i, j) for i in range(len(lam)) for j in range(lam[i])]
@@ -467,27 +535,30 @@ def test_branching_table_equals_littlewood_richardson_sum(q, m):
 
     for k in range(1, m):
         n = m - k
-        lams, cols, haar = replica._branching_table(q, k, n)
+        lams, cols, haar, D = replica._branching_table(q, k, n)
         mus = [mu for mu in partitions(k) if len(mu) <= q]
         assert lams == tuple(lam for lam in partitions(m) if len(lam) <= q)
         for mu, col in zip(mus, cols):
-            assert col == tuple(s(lam) ** 2 * irrep_dimension(mu)
+            assert col == tuple(math.factorial(m) ** 2 * s(lam) ** 2 * irrep_dimension(mu)
                                 * sum(lr(lam, mu, nu) * irrep_dimension(nu) for nu in partitions(n))
-                                / irrep_dimension(lam) for lam in lams)
-        # the mu parts of Tr_n Pi_lam add up to tr Pi_lam, and the Haar weights to 1
+                                // irrep_dimension(lam) for lam in lams)
+        # the mu parts of Tr_n Pi_lam add up to tr Pi_lam, and the Haar numerators to D
         for i, lam in enumerate(lams):
-            assert math.fsum(col[i] for col in cols) == pytest.approx(s(lam) ** 2, rel=1e-14)
-        assert math.fsum(haar) == pytest.approx(1.0, rel=1e-15)
+            assert sum(col[i] for col in cols) == math.factorial(m) ** 2 * s(lam) ** 2
+        assert haar == tuple(s(mu) ** 2 for mu in mus) and sum(haar) == D == math.comb(q * q + k - 1, k)
 
 
 def test_closed_form_refuses_degenerate_and_negative_weights(monkeypatch):
     true = replica._isotypic_weights
 
     def scaled(by):
-        return lambda m, t, t0, bc: {lam: by(lam) * w for lam, w in true(m, t, t0, bc).items()}
+        def weights(m, t, t0, bc):
+            nums, den = true(m, t, t0, bc)
+            return {lam: by(lam) * x for lam, x in nums.items()}, den
+        return weights
 
     # a zero total, and a weight of (1,1) that turns p_(1,1) negative at a positive total
-    for by, match in ((lambda lam: 0.0, "degenerate"), (lambda lam: -5.0 if lam == (1, 1) else 1.0, "not PSD")):
+    for by, match in ((lambda lam: 0, "degenerate"), (lambda lam: -5 if lam == (1, 1) else 1, "not PSD")):
         monkeypatch.setattr(replica, "_isotypic_weights", scaled(by))
         with pytest.raises(ReplicaError, match=match):
             deviation_series(spec(2, 0, 3), 0)
