@@ -97,18 +97,15 @@ def build_w(n_a: int) -> WTensor:
 
 
 def reduce_temporal_operator(u: np.ndarray, t0: int) -> np.ndarray:
-    """Partial trace over all but the first t0 temporal qubits.
-
-    Tr(W @ reduce(U)) then equals the full contraction Tr((W (x) I) U).
-    """
-    dim = u.shape[0]
-    if u.shape != (dim, dim):
-        raise ValueError("expected a square matrix")
-    t = int(round(np.log2(dim)))
-    if 2**t != dim or t < t0:
-        raise ValueError(f"dimension {dim} incompatible with t0={t0}")
+    """Partial trace over all but the first t0 temporal qubits of a 2^t x 2^t matrix,
+    or of each one in a (..., 2^t, 2^t) stack (the MC's Haar batches), so that
+    Tr(W @ reduce(U)) equals the full contraction Tr((W (x) I) U)."""
+    *lead, rows, dim = u.shape  # fewer than two axes raise ValueError here
+    t = dim.bit_length() - 1
+    if rows != dim or dim != 2**t or t < t0:
+        raise ValueError(f"shape {u.shape} is not (..., 2^t, 2^t) with t >= t0={t0}")
     d0, dr = 2**t0, 2 ** (t - t0)
-    return np.einsum("irjr->ij", u.reshape(d0, dr, d0, dr))
+    return np.einsum("...irjr->...ij", u.reshape(*lead, d0, dr, d0, dr))
 
 
 def bond_phases(t: int, j: float) -> np.ndarray:

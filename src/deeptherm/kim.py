@@ -81,7 +81,9 @@ class ConfigError(ValueError):
 
 
 def check_coupling(g: float, guard: float = G_GUARD_BAND) -> None:
-    """Raise ConfigError when g lies within guard of a multiple of pi/8."""
+    """Raise ConfigError when g is not finite or lies within guard of a multiple of pi/8."""
+    if not math.isfinite(g):
+        raise ConfigError(f"g must be finite, got {g}")
     r = g % (np.pi / 8)
     if min(r, np.pi / 8 - r) < guard:
         raise ConfigError(f"g={g} within guard band {guard} of a multiple of pi/8")

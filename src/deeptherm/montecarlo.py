@@ -225,12 +225,6 @@ def _haar_batch(rng: np.random.Generator, d: int, b: int) -> np.ndarray:
     return _kernels.haar_from_ginibre(z)
 
 
-def _reduce_batch(mats: np.ndarray, t: int, t0: int) -> np.ndarray:
-    d0, dr = 2**t0, 2 ** (t - t0)
-    b = mats.shape[0]
-    return np.einsum("bircr->bic", mats.reshape(b, d0, dr, d0, dr))
-
-
 def mc_projected_state(u: np.ndarray, u_prime: np.ndarray | None, bc: str, w: WTensor):
     """Unnormalized projected state for one sampled unitary (pair)."""
     t = int(round(np.log2(u.shape[0])))
@@ -307,7 +301,7 @@ def _run_states(cfg: McConfig, w: WTensor, first: int, sizes) -> np.ndarray:
         lo, rng = 0, _batch_rng(cfg.seed, first)
         for i, b in enumerate(sizes, start=first):
             U = _haar_batch(_restart(rng, cfg.seed, i), 2**cfg.t, b)
-            np.einsum("sxy,byx->sb", w.data, _reduce_batch(U, cfg.t, w.t_legs), out=psi[:, lo : lo + b])
+            np.einsum("sxy,byx->sb", w.data, reduce_temporal_operator(U, w.t_legs), out=psi[:, lo : lo + b])
             lo += b
         return psi
     L, G, gamma = _obc_factors(cfg, first, sizes)

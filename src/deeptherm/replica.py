@@ -32,9 +32,8 @@ the exact route's, on the stack of X_lam, up to a factor m! that the unit
 trace of the moment drops.  They are cached and weighted per (t, bc) by
 w_lam = sum_c f_bc(c) |c| chi_lam(c) / f_lam; their sum is the moment's
 block.  No element of S_m is enumerated, except by the oracle
-direct_double_sum.
-W is built at dual_tensors.W_COUPLING; no distance to Haar depends on the
-coupling (see there).
+direct_double_sum.  W is built at dual_tensors.W_COUPLING; no distance to
+Haar depends on the coupling (see there).
 
 At even N_A, F is a q^2 x q^2 unitary and drops out of every distance to
 Haar, so deviation_series takes each norm in closed form: one weight per mu
@@ -42,7 +41,8 @@ of k, p_mu = sum_lam w_lam tr[(Pi_mu (x) 1) Pi_lam], from Schur-Weyl
 branching numbers, skew tableau counts (_branching_table), all integers over
 common denominators, so each norm is an exact rational rounded once: no W,
 block, eigensolve or, at obc, character table.  m is bounded by MAX_DEGREE.
-The engine serves odd N_A, where W matters, and replica_moment at every N_A.
+The engine serves odd N_A, where W matters, and replica_moment at every N_A, from
+exact weight differences (_deviations), so its norms stay accurate at any t.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ import numpy as np
 
 from .dual_tensors import WTensor, build_w, min_depth
 from .linalg import (MEM_BUDGET_BYTES, _parent_rows, _trace_maps, multiset_factorials, sym_basis,
-                     sym_haar_distance, sym_index, sym_partial_trace)
+                     sym_index, sym_partial_trace)
 from .permgroup import (
     MAX_DEGREE,
     Permutation,
@@ -187,8 +187,8 @@ def _check_size(n_a: int, k: int, ns) -> None:
     cached: per n the engine (its peak bounds the cached blocks), one D x D block per
     lam and one more for the partial trace's gather, its maps (a row and a weight per
     Sym^k multiset and cap multiset) and casting buffer (8192 complex entries at most),
-    and about eight blocks for the sum, the checks and the distance, which _moments
-    and sym_haar_distance hold for all n at once."""
+    and about eight blocks for the sum, the checks and the eigensolve, which
+    _deviations holds for all n at once."""
     dA, q = 2**n_a, 2 ** min_depth(n_a)
     D = math.comb(dA + k - 1, k)
     need = sum(_estimate_engine_bytes(n_a, k + n) + 2**17
@@ -394,46 +394,51 @@ def _branching_norm(spec: ReplicaSpec, n: int) -> float:
     return sum(abs(x * D - h * total) for x, h in zip(p, haar)) / (total * D)
 
 
-def _moments(spec: ReplicaSpec, ns) -> np.ndarray:
-    """The D x D Sym^k blocks of rho^(k,n) for n in ns, each normalized to unit trace.
-    The isotypic diagrams are Sym^k blocks, so their weighted sum is one too; the
-    trace, Hermitian and PSD checks act on it."""
-    rho = []
+def _deviations(spec: ReplicaSpec, ns):
+    """(dev, ev): the D x D Sym^k blocks of rho^(k,n) - I/D for n in ns and their
+    eigenvalues, from one stacked eigvalsh, on which the trace, Hermitian and PSD
+    checks act.  The Pi_lam resolve Sym^m and F is an isometry, so the diagrams X_lam
+    sum to a multiple of I and their traceless parts T_lam to 0: rho - I/D =
+    sum_lam (w_lam - w_lam0) T_lam / sum_lam w_lam tr X_lam.  Each weight difference
+    is one int/int division, so the weight all lam share cancels exactly."""
+    devs = []
     for n in ns:
-        diagrams = class_diagram_terms(spec.n_a, spec.k, n)
-        nums, den = _isotypic_weights(spec.k + n, spec.t, spec.t0, spec.bc)
-        raw = sum(nums[lam] / den * diagrams[lam] for lam in sorted(diagrams))
-        tr = np.trace(raw).real
+        diagrams = sorted(class_diagram_terms(spec.n_a, spec.k, n).items())
+        nums, _ = _isotypic_weights(spec.k + n, spec.t, spec.t0, spec.bc)
+        top = max(map(abs, nums.values())) or 1  # not den, which cancels and underflows at large t m
+        tr = sum(nums[lam] / top * np.trace(X).real for lam, X in diagrams)
         if tr <= 0:
             raise ReplicaError(f"replica sum numerically degenerate (trace {tr:.3e})")
-        rho.append(raw / tr)
-    rho = np.array(rho)
-    rho_h = rho.conj().swapaxes(1, 2)
-    herm_defect = np.abs(rho - rho_h).max()
+        dev = sum((nums[lam] - nums[diagrams[0][0]]) / top * X for lam, X in diagrams) / tr
+        np.einsum("ii->i", dev)[...] -= np.trace(dev).real / len(dev)  # sum of the T_lam parts
+        devs.append(dev)
+    dev = np.array(devs)
+    herm_defect = np.abs(dev - dev.conj().swapaxes(1, 2)).max()
     if herm_defect > 1e-9:
         raise ReplicaError(f"replica moment not Hermitian (defect {herm_defect:.2e})")
-    blocks = (rho + rho_h) / 2
-    wmin = np.linalg.eigvalsh(blocks).min()
+    ev = np.linalg.eigvalsh(dev)
+    wmin = 1 / dev.shape[-1] + ev.min()
     if wmin < -1e-8:
         raise ReplicaError(f"replica moment not PSD (min eig {wmin:.2e})")
-    return blocks
+    return dev, ev
 
 
 def replica_moment(spec: ReplicaSpec) -> np.ndarray:
-    """The D x D Sym^k block of rho^(k,n), normalized to unit trace."""
-    return _moments(spec, (spec.n,))[0]
+    """The D x D Sym^k block of rho^(k,n), normalized to unit trace: I/D + dev."""
+    dev = _deviations(spec, (spec.n,))[0][0]
+    return np.eye(len(dev)) / len(dev) + dev
 
 
 def deviation_series(spec: ReplicaSpec, n_max: int):
     """[(n, ||rho^(k,n) - rho_Haar^(k)||_1) for n = 0..n_max], taken in Sym^k: in
-    closed form at even N_A (_branching_norm), else from the Fock engine's blocks
-    with one stacked eigvalsh."""
+    closed form at even N_A (_branching_norm), else the sum of |ev| of the Fock
+    engine's deviations (_deviations)."""
     if spec.k + n_max > MAX_DEGREE:
         raise ReplicaError("k + n_max above the replica cap")
     if spec.n_a % 2 == 0:
         return [(n, _branching_norm(spec, n)) for n in range(n_max + 1)]
     _check_size(spec.n_a, spec.k, range(n_max + 1))
-    return list(enumerate(sym_haar_distance(_moments(spec, range(n_max + 1))).tolist()))
+    return list(enumerate(np.abs(_deviations(spec, range(n_max + 1))[1]).sum(axis=-1).tolist()))
 
 
 @dataclass(frozen=True)

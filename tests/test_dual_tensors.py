@@ -251,6 +251,12 @@ def test_reduce_temporal_operator(rng):
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
     with pytest.raises(ValueError):
         reduce_temporal_operator(u, 4)
+    # a (b, d, d) stack, as the MC reduces its Haar batches, is reduced matrix by matrix, bit for bit
+    for t, t0 in ((3, 1), (5, 2), (6, 1)):
+        us = rng.standard_normal((3, 2**t, 2**t)) + 1j * rng.standard_normal((3, 2**t, 2**t))
+        assert np.array_equal(reduce_temporal_operator(us, t0), [reduce_temporal_operator(x, t0) for x in us])
+    with pytest.raises(ValueError):
+        reduce_temporal_operator(us[:, :, :-1], 1)
 
 
 def test_downstream_gauge_invariance_under_scaling(w2):

@@ -15,7 +15,7 @@ import pytest
 import deeptherm.montecarlo as montecarlo
 from deeptherm._kernels import P_FLOOR
 from deeptherm.cli import main
-from deeptherm.dual_tensors import build_w, min_depth
+from deeptherm.dual_tensors import build_w, min_depth, reduce_temporal_operator
 from deeptherm.linalg import kron_all, sym_haar_distance, trace_norm
 from deeptherm.montecarlo import (
     BATCH,
@@ -24,7 +24,6 @@ from deeptherm.montecarlo import (
     _batch_rng,
     _haar_batch,
     _obc_factors,
-    _reduce_batch,
     _restart,
     _run_estimator,
     _run_states,
@@ -517,8 +516,8 @@ def test_pbc_csv_matches_haar_batch_reference(tmp_path, monkeypatch):
     # reduced as a whole
     def reference_run_states(cfg, w, first, sizes):
         return np.concatenate([
-            np.einsum("sxy,byx->bs", w.data, _reduce_batch(
-                _haar_batch(_batch_rng(cfg.seed, i), 2**cfg.t, b), cfg.t, w.t_legs))
+            np.einsum("sxy,byx->bs", w.data, reduce_temporal_operator(
+                _haar_batch(_batch_rng(cfg.seed, i), 2**cfg.t, b), w.t_legs))
             for i, b in enumerate(sizes, start=first)]).T
 
     args = ["mc", "--k", "2", "--t", "3", "--bc", "pbc", "--na", "2",

@@ -516,6 +516,17 @@ def test_cli_designcheck_refuses_bad_length_or_coupling(tmp_path, capsys, flag, 
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv", [["exact", "--n", "6", "--na", "2", "--t", "2"], ["designcheck"]])
+@pytest.mark.parametrize("g", ["nan", "inf", "-inf"])
+def test_cli_refuses_non_finite_coupling(tmp_path, capsys, argv, g):
+    # refused before any work: the chain would evolve under NaNs and end in LinAlgError
+    out = str(tmp_path / "x.csv")
+    assert main([*argv, f"--g={g}", "--out", out]) == 3
+    rec = json.loads(capsys.readouterr().err.strip())
+    assert rec["type"] == "ConfigError" and "g must be finite" in rec["error"]
+    assert not os.path.exists(out)
+
+
 def test_cli_designcheck_keeps_repeated_unsorted_lengths(tmp_path, capsys):
     out = str(tmp_path / "dc.csv")
     assert main(["designcheck", "--lengths", "4,2,4", "--out", out]) == 0
@@ -593,6 +604,16 @@ def test_cli_replica_pbc_t40_norms_positive(tmp_path):
     cols, rows = read_csv(out)
     norms = [float(r[cols.index("deviation_trace_norm")]) for r in rows]
     assert len(norms) == 5 and all(0 < v < float("inf") for v in norms)
+
+
+def test_cli_replica_odd_na_pbc_t40_norms_at_their_limits(tmp_path):
+    # N_A = 1: norm 2^80 -> 8/9, 4/3, 28/15, 112/45 for n = 0..3, the next order
+    # 2^-80 relative; the engine's exact weight differences keep the ~1e-25 norms
+    out = str(tmp_path / "replica.csv")
+    assert main(["replica", "--na", "1", "--k", "2", "--nmax", "3", "--t", "40", "--bc", "pbc", "--out", out]) == 0
+    cols, rows = read_csv(out)
+    scaled = [float(r[cols.index("deviation_trace_norm")]) * 2.0**80 for r in rows]
+    assert scaled == pytest.approx([8 / 9, 4 / 3, 28 / 15, 112 / 45], rel=1e-9)
 
 
 @pytest.mark.parametrize("na", [1, 2, 3])

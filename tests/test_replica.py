@@ -17,7 +17,6 @@ from deeptherm.linalg import (
     multiset_factorials,
     partial_trace,
     sym_basis,
-    sym_haar_distance,
     sym_index,
     trace_norm,
 )
@@ -430,14 +429,18 @@ def test_isotypic_weights_equal_per_class_fsum(m, bc):
 @pytest.mark.parametrize("n_a,k,t,bc,n_max", [(2, 2, 3, "pbc", 6), (2, 3, 5, "obc", 4),
                                               (3, 2, 3, "obc", 2), (3, 2, 2, "pbc", 2)])
 def test_deviation_series_equals_single_moment_path(n_a, k, t, bc, n_max):
-    # the engine's stacked blocks and eigensolves give every distance bit for bit;
-    # at odd N_A they are deviation_series (even N_A takes the closed form)
+    # the engine's stacked deviations and eigensolve give every block, eigenvalue and
+    # moment bit for bit; at odd N_A their norms are deviation_series (even N_A takes
+    # the closed form)
     sp = spec(k, 0, t, bc=bc, n_a=n_a)
-    stacked = list(enumerate(sym_haar_distance(replica._moments(sp, range(n_max + 1))).tolist()))
-    assert stacked == [(n, sym_haar_distance(replica_moment(spec(k, n, t, bc=bc, n_a=n_a))))
-                       for n in range(n_max + 1)]
+    dev, ev = replica._deviations(sp, range(n_max + 1))
+    for n in range(n_max + 1):
+        one = spec(k, n, t, bc=bc, n_a=n_a)
+        dev_n, ev_n = replica._deviations(one, (n,))
+        assert np.array_equal(dev_n[0], dev[n]) and np.array_equal(ev_n[0], ev[n])
+        assert np.array_equal(replica_moment(one), np.eye(len(dev[n])) / len(dev[n]) + dev[n])
     if n_a % 2:
-        assert deviation_series(sp, n_max) == stacked
+        assert deviation_series(sp, n_max) == list(enumerate(np.abs(ev).sum(axis=-1).tolist()))
 
 
 def _clear_group_caches():
@@ -480,17 +483,56 @@ def test_figure3_sweep_builds_each_group_table_once():
 
 
 def _engine_series(sp, n_max):
-    return sym_haar_distance(replica._moments(sp, range(n_max + 1))).tolist()
+    return np.abs(replica._deviations(sp, range(n_max + 1))[1]).sum(axis=-1).tolist()
 
 
 @pytest.mark.parametrize("bc", ["pbc", "obc"])
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_closed_form_equals_engine_at_na2(k, bc):
-    # m <= 10 at t = 2..8; at pbc t = 7 and 8 both sit at the rounding floor, ~1e-16
-    for t in range(2, 9):
+    # m <= 10: the engine's weight differences are exact, so it keeps the closed form's
+    # relative accuracy at any t, down to norms of ~1e-25 (pbc, t = 40)
+    for t in (*range(2, 9), 14, 20, 40):
         sp = spec(k, 0, t, bc=bc)
         for (n, norm), ref in zip(deviation_series(sp, 10 - k), _engine_series(sp, 10 - k)):
-            assert abs(norm - ref) <= 1e-12 * ref + 2e-16, (t, n, norm, ref)
+            assert abs(norm - ref) <= 1e-13 * ref, (t, n, norm, ref)
+
+
+# k = 2, n = 0, 1, ...: the limits of norm 2^(r t), r = 2 at pbc and 1 at obc, the same
+# at both bc, read off the engine at large t (exact to ~1e-15 there)
+ODD_NA_LIMITS = {1: (Fraction(8, 9), Fraction(4, 3), Fraction(28, 15), Fraction(112, 45)),
+                 3: (Fraction(20, 9), Fraction(8, 3), Fraction(104, 33))}
+
+
+@pytest.mark.parametrize("n_a", [1, 3])
+@pytest.mark.parametrize("bc,ts", [("pbc", (20, 30, 40)), ("obc", (40, 60, 80))])
+def test_odd_na_norms_reach_their_large_t_limits(n_a, bc, ts):
+    # the next order is 2^(-r t) relative, ~1e-12 at the smallest t
+    limits, r = ODD_NA_LIMITS[n_a], 2 if bc == "pbc" else 1
+    for t in ts:
+        series = deviation_series(spec(2, 0, t, bc=bc, n_a=n_a), len(limits) - 1)
+        for (n, norm), limit in zip(series, limits):
+            assert norm * 2.0 ** (r * t) == pytest.approx(float(limit), rel=1e-9, abs=0), (t, n)
+
+
+def test_odd_na_weights_stay_in_float_range_at_large_t_m():
+    # obc, m = 14, t = 80: each weight nums / den is about 2^-1134, below the smallest
+    # float; over the largest numerator the weights stay in range, and norm 2^t holds
+    # its limit from t = 60 on
+    at60, at80 = (deviation_series(spec(2, 0, t, bc="obc", n_a=1), 12) for t in (60, 80))
+    for (n, a), (_, b) in zip(at60, at80):
+        assert b * 2.0**80 == pytest.approx(a * 2.0**60, rel=1e-9, abs=0), n
+
+
+@pytest.mark.parametrize("n_a,k,n", [(1, 2, 0), (1, 2, 3), (1, 3, 2), (2, 2, 2), (2, 4, 1),
+                                     (3, 2, 0), (3, 2, 2), (3, 3, 1)])
+def test_isotypic_diagrams_sum_to_a_multiple_of_identity(n_a, k, n):
+    # the Pi_lam resolve Sym^m and F is an isometry, so sum_lam X_lam = Sym^m(F^T conj F)
+    # is the identity, and so is its partial trace up to a factor: the identity that lets
+    # _deviations weight the traceless parts by weight differences
+    total = sum(class_diagram_terms(n_a, k, n).values())
+    c = np.trace(total).real / len(total)
+    assert c > 0
+    assert np.abs(total - c * np.eye(len(total))).max() <= 1e-13 * c
 
 
 def test_closed_form_equals_engine_at_m14():
@@ -548,20 +590,31 @@ def test_branching_table_equals_littlewood_richardson_sum(q, m):
         assert haar == tuple(s(mu) ** 2 for mu in mus) and sum(haar) == D == math.comb(q * q + k - 1, k)
 
 
+def _scaled_weights(by, true=replica._isotypic_weights):
+    def weights(m, t, t0, bc):
+        nums, den = true(m, t, t0, bc)
+        return {lam: by(lam) * x for lam, x in nums.items()}, den
+    return weights
+
+
 def test_closed_form_refuses_degenerate_and_negative_weights(monkeypatch):
-    true = replica._isotypic_weights
-
-    def scaled(by):
-        def weights(m, t, t0, bc):
-            nums, den = true(m, t, t0, bc)
-            return {lam: by(lam) * x for lam, x in nums.items()}, den
-        return weights
-
     # a zero total, and a weight of (1,1) that turns p_(1,1) negative at a positive total
     for by, match in ((lambda lam: 0, "degenerate"), (lambda lam: -5 if lam == (1, 1) else 1, "not PSD")):
-        monkeypatch.setattr(replica, "_isotypic_weights", scaled(by))
+        monkeypatch.setattr(replica, "_isotypic_weights", _scaled_weights(by))
         with pytest.raises(ReplicaError, match=match):
             deviation_series(spec(2, 0, 3), 0)
+
+
+def test_engine_refuses_degenerate_and_negative_weights(monkeypatch):
+    # the odd-N_A engine checks its one eigensolve: a zero total trace, and a weight of
+    # (1,1) flipped in sign, which leaves the trace positive but 1/D + min ev < 0
+    sp = spec(2, 0, 3, n_a=1)
+    for by, match in ((lambda lam: 0, "degenerate"), (lambda lam: -1 if lam == (1, 1) else 1, "not PSD")):
+        monkeypatch.setattr(replica, "_isotypic_weights", _scaled_weights(by))
+        with pytest.raises(ReplicaError, match=match):
+            deviation_series(sp, 0)
+        with pytest.raises(ReplicaError, match=match):
+            replica_moment(sp)
 
 
 def test_ambiguous_casimir_refused_before_building(monkeypatch):
