@@ -98,7 +98,7 @@ def accumulate_blocks(states: np.ndarray, k: int, exponent: float) -> np.ndarray
             nxt = np.take(prod, _parent_rows(da, j), axis=0, out=slot(1 + j % 2, len(last), n), mode="clip")
             nxt *= np.take(level1, last, axis=0, out=slot(0, len(last), n), mode="clip")
             prod = nxt
-        out += prod @ np.conj(prod, out=slot(0, D, n)).T
+        out += np.dot(prod, np.conj(prod, out=slot(0, D, n)).T)  # np.dot releases the GIL; a 2-D @ keeps it
     out *= np.outer(basis.coef, basis.coef)
     return out
 

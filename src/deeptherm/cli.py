@@ -23,7 +23,7 @@ from .kim import (
     moments_from_state,
     plus_state,
 )
-from .montecarlo import McConfig, mc_moment
+from .montecarlo import JACKKNIFE_BLOCKS, McConfig, mc_moment
 from .permgroup import WeingartenConditioningError, enumerate_sym, weingarten_table
 from .plotting import emit_plot
 from .records import read_csv, write_record
@@ -115,12 +115,13 @@ def cmd_mc(args) -> int:
                    samples=args.samples, seed=args.seed)
     est = mc_moment(cfg)
     rows = []
-    for (m_i, d_i), se in zip(est.series.points, est.checkpoint_stderrs()):
+    for (m_i, d_i), se in zip(est.series.points, est.checkpoint_stderrs):
         rows.append([args.k, args.t, args.bc, m_i, d_i, se, est.series.converged])
     _record(args, "mc", args.out,
             ["k", "t", "bc", "M_checkpoint", "delta_k", "stderr", "converged_flag"],
             rows, {"k": args.k, "t": args.t, "bc": args.bc, "na": args.na,
-                   "samples": args.samples, "seed": args.seed})
+                   "samples": args.samples, "seed": args.seed,
+                   "jackknife_blocks": [min(b, JACKKNIFE_BLOCKS) for b in est.checkpoint_batches]})
     return EXIT_OK
 
 

@@ -36,22 +36,24 @@ the full replicated space.
 
 Samples are drawn in batches of at most BATCH; a batch ends early at a
 checkpoint, so no batch crosses one (batch_plan).  Random numbers come from
-counter-based Philox streams keyed by (seed, batch index), and each batch
-keeps its own D x D sum for the jackknife.  A pool task takes a run of
-consecutive batches of the plan, as many as fit TASK_BYTES of working set
-(McConfig.task_batches), and forms their states in one pass, as the
-columns of one array: numpy calls on one 1000-sample batch hold the GIL for
-much of their time, and the threads overlap better when each call covers
-several batches.  Each batch still draws its own stream, and its columns
-are handed alone to _kernels.accumulate_blocks, which takes their Born
-weights (zero below _kernels.P_FLOOR, as on the exact route) and their
+counter-based Philox streams keyed by (seed, batch index).  Batch i's D x D
+sum is added into jackknife block i mod JACKKNIFE_BLOCKS, so the kept sums
+do not grow with `samples`, and a block's contents depend only on the batch
+index: a checkpoint's row is the one of a run that ends there.  A pool task
+takes a run of consecutive batches of the plan, as many as fit TASK_BYTES of
+working set (McConfig.task_batches), and forms their states in one pass, as
+the columns of one array: numpy calls on one 1000-sample batch hold the GIL
+for much of their time, and the threads overlap better when each call
+covers several batches.  Each batch still draws its own stream, and its
+columns are handed alone to _kernels.accumulate_blocks, which takes their
+Born weights (zero below _kernels.P_FLOOR, as on the exact route) and their
 weighted Sym^k sum, so the run changes no bit of a batch's sum.  The tasks
 run on a pool of threads, one per available CPU (WORKERS; numpy's random
-fills, LAPACK's QR and the GEMMs release the GIL), fewer when their working
-sets would not fit in MEM_BUDGET_BYTES beside the kept batch sums
-(pool_width), and their batch sums are added in batch order.  So a result is a deterministic function of
-the seed, `samples` and the checkpoints, whatever the pool's width; the
-pool adds no option.
+fills, LAPACK's QR and the np.dot GEMMs release the GIL), fewer when their
+working sets would not fit in MEM_BUDGET_BYTES beside the kept block sums
+(pool_width), and their batch sums are added in batch order.  So a result
+is a deterministic function of the seed, `samples` and the checkpoints,
+whatever the pool's width; the pool adds no option.
 """
 from __future__ import annotations
 
@@ -69,6 +71,7 @@ from .dual_tensors import WTensor, build_w, min_depth, reduce_temporal_operator
 from .linalg import MEM_BUDGET_BYTES, sym_haar_distance
 
 BATCH = 1000
+JACKKNIFE_BLOCKS = 64  # batch i is added into jackknife block i % JACKKNIFE_BLOCKS
 # batch threads: the CPUs this process may run on
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 IN_FLIGHT = 2  # tasks submitted per worker ahead of the in-order reduction
@@ -110,9 +113,9 @@ class McConfig:
             raise McError("the last checkpoint must equal samples")
         need = self.kept_bytes() + self.batch_bytes()
         if need > MEM_BUDGET_BYTES:
-            D, batches = self.sym_dim, len(self.batch_sizes)
-            raise McError(f"mc at k={self.k}, n_a={self.n_a}, t={self.t} keeps {batches} batch "
-                          f"sums of {D} x {D} beside a task working set of "
+            D = self.sym_dim
+            raise McError(f"mc at k={self.k}, n_a={self.n_a}, t={self.t} keeps {JACKKNIFE_BLOCKS} jackknife "
+                          f"block sums of {D} x {D} beside a task working set of "
                           f"{self.batch_bytes() / 1e9:.2g} GB: ~{need / 1e9:.1f} GB, above budget")
 
     @cached_property
@@ -126,8 +129,9 @@ class McConfig:
         return tuple(chain.from_iterable(batch_plan(self.resolved_checkpoints())))
 
     def kept_bytes(self) -> int:
-        """Bytes _run_estimator keeps: one D x D complex Sym^k sum per batch, plus the total."""
-        return 16 * self.sym_dim**2 * (len(self.batch_sizes) + 1)
+        """Bytes _run_estimator keeps, whatever `samples`: JACKKNIFE_BLOCKS D x D complex
+        Sym^k block sums and the total, and _leave_one_out's two buffers."""
+        return 16 * self.sym_dim**2 * (JACKKNIFE_BLOCKS + 3)
 
     def task_batches(self) -> int:
         """Batches per pool task: as many as fit in TASK_BYTES of working set
@@ -149,7 +153,7 @@ class McConfig:
         counted as 5.  For obc, per sample at _run_states' product loop, the
         2 p r - r (r + 1) / 2 complex normals, L (p r), R and one product
         (p^2 each), the r + 1 gammas and the norms.  Fixed: one batch's
-        _kernels.accumulate_bytes, its sum counted by kept_bytes too.
+        _kernels.accumulate_bytes, its sum included.
         """
         b = max(self.batch_sizes)
         if self.bc == "pbc":
@@ -184,7 +188,7 @@ def batch_plan(checkpoints: tuple) -> list:
 
 def pool_width(cfg: McConfig) -> int:
     """Threads for cfg's batches: WORKERS, fewer if their working sets
-    (McConfig.batch_bytes) beside the kept batch sums would exceed
+    (McConfig.batch_bytes) beside the kept block sums would exceed
     MEM_BUDGET_BYTES, and never fewer than one."""
     return min(WORKERS, max(1, (MEM_BUDGET_BYTES - cfg.kept_bytes()) // cfg.batch_bytes()))
 
@@ -321,17 +325,17 @@ def _run_states(cfg: McConfig, w: WTensor, first: int, sizes) -> np.ndarray:
     psi = np.empty((len(w.data), S), dtype=complex)  # after L and G are freed
     lo = 0
     for b in sizes:
-        np.matmul(wr, R[:, lo : lo + b], out=psi[:, lo : lo + b])
+        psi[:, lo : lo + b] = np.dot(wr, R[:, lo : lo + b])  # np.dot releases the GIL; a 2-D matmul keeps it
         lo += b
     psi *= np.divide(1.0, np.sqrt(nrm2, out=nrm2), out=nrm2)
     return psi
 
 
 def _leave_one_out(nums: list, dens: list):
-    """Yield rho_(i), the moment without batch i, for each batch i in turn.
+    """Yield rho_(i), the moment without block i, for each jackknife block i in turn.
 
-    From one running sum, each in one reused buffer: a few batch sums are
-    held, not a stack of them (McConfig's preflight counts the sums once).
+    From one running sum, each in one reused buffer: two D x D buffers beside
+    the block sums, not a stack of moments (McConfig.kept_bytes counts them).
     """
     num = nums[0].copy()
     for x in nums[1:]:
@@ -357,35 +361,33 @@ def _leave_one_out_spread(nums: list, dens: list) -> np.ndarray:
     return spread
 
 
+def _delta_stderr(nums: list, dens: list) -> float:
+    """Leave-one-block-out jackknife SE of delta over the given block sums,
+    one eigensolve per block (nan at one block)."""
+    B = len(nums)
+    if B < 2:
+        return float("nan")
+    deltas = np.array([0.5 * sym_haar_distance(rho) for rho in _leave_one_out(nums, dens)])
+    return float(np.sqrt((B - 1) / B * ((deltas - deltas.mean()) ** 2).sum()))
+
+
 @dataclass
 class McEstimate:
     rho: np.ndarray  # D x D Sym^k block of the estimate
     series: ConvergenceSeries
-    batch_nums: list  # D x D Sym^k block of each batch's weighted sum
-    batch_dens: list
+    block_nums: list  # D x D Sym^k block of each jackknife block's weighted sum
+    block_dens: list
     checkpoint_batches: list  # batches done at each checkpoint
+    checkpoint_stderrs: list  # jackknife SE of delta at each checkpoint, over the blocks filled by then
 
     def entry_stderr(self) -> np.ndarray:
-        """Leave-one-batch-out jackknife SE of every entry of rho."""
-        B = len(self.batch_nums)
+        """Leave-one-block-out jackknife SE of every entry of rho."""
+        B = len(self.block_nums)
         if B < 2:
-            raise McError("jackknife needs at least 2 batches")
-        var = _leave_one_out_spread(self.batch_nums, self.batch_dens)
+            raise McError("jackknife needs at least 2 blocks")
+        var = _leave_one_out_spread(self.block_nums, self.block_dens)
         var *= (B - 1) / B
         return np.sqrt(var, out=var)
-
-    def checkpoint_stderrs(self) -> list:
-        """Leave-one-batch-out jackknife SE of delta at each checkpoint, over the
-        batches done by then (nan while only one batch is done)."""
-        out = []
-        for B in self.checkpoint_batches:
-            if B < 2:
-                out.append(float("nan"))
-                continue
-            deltas = np.array([0.5 * sym_haar_distance(rho) for rho in
-                               _leave_one_out(self.batch_nums[:B], self.batch_dens[:B])])
-            out.append(float(np.sqrt((B - 1) / B * ((deltas - deltas.mean()) ** 2).sum())))
-        return out
 
 
 def _run_sums(cfg: McConfig, w: WTensor, weight_exponent: float, first: int, sizes) -> list:
@@ -407,7 +409,10 @@ def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstim
     The flattened batch plan is cut into runs of cfg.task_batches() consecutive
     batches, one pool task each (_run_sums).  The tasks run on a pool of
     pool_width(cfg) threads, at most IN_FLIGHT per worker ahead of the
-    reduction, and their batch sums are added here in batch order.
+    reduction, and their batch sums are added here in batch order, into the
+    total and into jackknife block i % JACKKNIFE_BLOCKS.  A checkpoint's SE is
+    taken from the blocks filled by then as soon as it is reached, while the
+    pool keeps sampling.
     """
     from concurrent.futures import ThreadPoolExecutor  # not at import: cli loads this module
 
@@ -418,7 +423,8 @@ def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstim
     tasks = ((i, sizes[i : i + run]) for i in range(0, len(sizes), run))
     num = np.zeros((cfg.sym_dim,) * 2, dtype=complex)
     den = 0.0
-    batch_nums, batch_dens, checkpoint_batches = [], [], []
+    block_nums, block_dens, checkpoint_batches, stderrs = [], [], [], []
+    batches_done = 0
     series = ConvergenceSeries()
     # glibc's malloc raises its mmap and heap-trim thresholds to the size of a freed
     # mapped block up to 32 MB (twice it for trimming).  Freeing one task-sized block
@@ -448,18 +454,24 @@ def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstim
                 num += bnum
                 bden = float(np.trace(bnum).real)
                 den += bden
-                batch_nums.append(bnum)
-                batch_dens.append(bden)
+                if batches_done < JACKKNIFE_BLOCKS:
+                    block_nums.append(bnum)
+                    block_dens.append(bden)
+                else:
+                    block_nums[batches_done % JACKKNIFE_BLOCKS] += bnum
+                    block_dens[batches_done % JACKKNIFE_BLOCKS] += bden
+                batches_done += 1
             if den <= 0:
                 raise McError("all sampled norms vanished; aborting")
             rho = num / den
             series.points.append((cp, 0.5 * sym_haar_distance(rho)))
-            checkpoint_batches.append(len(batch_nums))
+            checkpoint_batches.append(batches_done)
+            stderrs.append(_delta_stderr(block_nums, block_dens))
     finally:
         pool.shutdown(cancel_futures=True)  # after an error, tasks not yet started never run
     rho = (rho + rho.conj().T) / 2  # the last checkpoint is at cfg.samples
-    return McEstimate(rho=rho, series=series.finalize(), batch_nums=batch_nums,
-                      batch_dens=batch_dens, checkpoint_batches=checkpoint_batches)
+    return McEstimate(rho=rho, series=series.finalize(), block_nums=block_nums, block_dens=block_dens,
+                      checkpoint_batches=checkpoint_batches, checkpoint_stderrs=stderrs)
 
 
 def mc_moment(cfg: McConfig) -> McEstimate:

@@ -243,7 +243,7 @@ def test_criterion_7_integer_n_oracle(k, n, bc):
             haar = haar_moment_operator(2, k)
             d_mc = 0.5 * trace_norm(est.rho - haar)
             d_rep = 0.5 * trace_norm(rho_rep - haar)
-            se_delta = est.checkpoint_stderrs()[-1]
+            se_delta = est.checkpoint_stderrs[-1]
             assert abs(d_mc - d_rep) <= 3 * se_delta + 0.02 * d_rep
     _report(7, f"(k,n)=({k},{n}) {bc}: MC within 3 jackknife SE of replica at t=2,3")
 

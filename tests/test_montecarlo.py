@@ -19,9 +19,11 @@ from deeptherm.dual_tensors import build_w, min_depth, reduce_temporal_operator
 from deeptherm.linalg import kron_all, sym_haar_distance, trace_norm
 from deeptherm.montecarlo import (
     BATCH,
+    JACKKNIFE_BLOCKS,
     McConfig,
     McError,
     _batch_rng,
+    _delta_stderr,
     _haar_batch,
     _obc_factors,
     _restart,
@@ -101,22 +103,24 @@ def test_config_validation():
         McConfig(k=2, t=31, n_a=2, bc="obc", samples=1000)  # obc's at 30
     McConfig(k=2, t=30, n_a=2, bc="obc", samples=1000)
     McConfig(k=7, t=2, n_a=2, samples=1000)  # Sym^7 sums of 120 x 120; no replica codes
+    McConfig(k=16, t=2, n_a=2, samples=1_000_000)  # 64 Sym^16 block sums of 969 x 969, 1 GB
     with pytest.raises(McError, match="above budget"):
-        McConfig(k=16, t=2, n_a=2, samples=1_000_000)  # 1001 Sym^16 sums of 969 x 969, 15 GB
-    McConfig(k=6, t=2, n_a=2, samples=20000)  # 21 Sym^6 sums of 84 x 84
-    McConfig(k=4, t=2, n_a=2, samples=500_000)  # 501 Sym^4 sums of 35 x 35
+        McConfig(k=21, t=2, n_a=2, samples=1000)  # 64 Sym^21 block sums of 2024 x 2024, 4.4 GB
+    McConfig(k=6, t=2, n_a=2, samples=20000)  # 21 Sym^6 batch sums of 84 x 84
+    McConfig(k=4, t=2, n_a=2, samples=500_000)  # 64 Sym^4 block sums of 35 x 35
     cfg = McConfig(k=2, t=2, n_a=2, samples=250_000)
     assert cfg.resolved_checkpoints() == (1000, 10_000, 100_000, 250_000)
     assert BATCH == 1000
 
 
 def test_preflight_counts_sym_block_batch_sums(monkeypatch):
-    # 301 Sym^5 sums of 56 x 56 beside one pbc batch of 1000 8 x 8 unitaries,
-    # its 56 x 1000 accumulation rows, the kernel's float rows and casting
-    # buffers (3 + 4 dA floats per state), its float coefficient product and
-    # 4 KiB of call objects: ~24 MB, where 301 full 1024 x 1024 sums would be ~5 GB
+    # 64 Sym^5 block sums of 56 x 56, the total and the jackknife's two buffers,
+    # beside one pbc batch of 1000 8 x 8 unitaries, its 56 x 1000 accumulation
+    # rows, the kernel's float rows and casting buffers (3 + 4 dA floats per
+    # state), its float coefficient product and 4 KiB of call objects: ~12 MB,
+    # where 67 full 1024 x 1024 sums would be ~1.1 GB
     McConfig(k=5, t=3, n_a=2, samples=300_000)
-    need = (16 * 56**2 * 301 + 5 * 16 * 1000 * 8**2 + 4 * 16 * 56 * 1000 + 2 * 16 * 56**2
+    need = (16 * 56**2 * (JACKKNIFE_BLOCKS + 3) + 5 * 16 * 1000 * 8**2 + 4 * 16 * 56 * 1000 + 2 * 16 * 56**2
             + 8 * (3 + 4 * 4) * 1000 + 8 * 56**2 + 4096)
     monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", need - 1)
     with pytest.raises(McError, match="above budget"):
@@ -141,10 +145,10 @@ def test_one_batch_plan_for_preflight_and_estimator(monkeypatch):
     monkeypatch.setattr(montecarlo, "_run_states", recording)
     est = mc_moment(cfg)
     assert sorted(sizes) == list(enumerate([1000, 500, 800, 1000, 1000, 700]))
-    assert len(est.batch_nums) == 6 and est.checkpoint_batches == [2, 3, 6]
-    # the preflight refuses by the same count of batch sums
+    assert len(est.block_nums) == 6 and est.checkpoint_batches == [2, 3, 6]
+    # the preflight counts JACKKNIFE_BLOCKS block sums, whatever the batch count
     monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", 0)
-    with pytest.raises(McError, match="keeps 6 batch sums"):
+    with pytest.raises(McError, match="keeps 64 jackknife block sums of 10 x 10"):
         McConfig(k=2, t=2, n_a=2, bc="obc", samples=5000, checkpoints=cps, seed=3)
 
 
@@ -170,14 +174,14 @@ def test_result_independent_of_pool_width(monkeypatch, route):
     cfg = McConfig(k=2, t=2, n_a=2, bc=bc, samples=20_500, seed=17)
     estimator = (lambda: mc_replica_check(cfg, 1)) if route == "replica_n1" else (lambda: mc_moment(cfg))
     ref, *others = _widths(monkeypatch, estimator)
-    assert len(ref.batch_nums) == 21
+    assert len(ref.block_nums) == 21
     for est in others:
-        assert len(est.batch_nums) == len(ref.batch_nums)
-        for a, b in zip(est.batch_nums, ref.batch_nums):
+        assert len(est.block_nums) == len(ref.block_nums)
+        for a, b in zip(est.block_nums, ref.block_nums):
             np.testing.assert_array_equal(a, b)
-        assert est.batch_dens == ref.batch_dens
+        assert est.block_dens == ref.block_dens
         assert est.series.points == ref.series.points
-        np.testing.assert_array_equal(est.checkpoint_stderrs(), ref.checkpoint_stderrs())
+        np.testing.assert_array_equal(est.checkpoint_stderrs, ref.checkpoint_stderrs)
         np.testing.assert_array_equal(est.entry_stderr(), ref.entry_stderr())
         np.testing.assert_array_equal(est.rho, ref.rho)
 
@@ -222,7 +226,7 @@ def test_pool_width_capped_by_memory_budget(monkeypatch):
     threads.clear()
     narrow = mc_moment(small)
     assert len(threads) == 1
-    for a, b in zip(narrow.batch_nums, wide.batch_nums, strict=True):
+    for a, b in zip(narrow.block_nums, wide.block_nums, strict=True):
         np.testing.assert_array_equal(a, b)
     assert narrow.series.points == wide.series.points
     np.testing.assert_array_equal(narrow.rho, wide.rho)
@@ -287,7 +291,7 @@ def test_batch_sum_independent_of_its_run(n_a, t, bc):
     alone = [_run_sums(cfg, w, 1 - k, i, [b])[0] for i, b in enumerate(sizes)]
     runs = (_run_sums(cfg, w, 1 - k, 0, sizes),
             [None] + _run_sums(cfg, w, 1 - k, 1, sizes[1:4]) + [None] * 3,
-            mc_moment(cfg).batch_nums)
+            mc_moment(cfg).block_nums)
     for run in runs:
         for got, ref in zip(run, alone, strict=True):
             if got is not None:
@@ -550,12 +554,12 @@ def test_checkpoint_stderrs_end_at_jackknife():
     # 30_500 samples leave a partial last batch
     cfg = McConfig(k=2, t=2, n_a=2, bc="obc", samples=30_500, seed=123)
     est = mc_moment(cfg)
-    ses = est.checkpoint_stderrs()
+    ses = est.checkpoint_stderrs
     assert len(ses) == len(est.series.points)
     assert est.checkpoint_batches == [1, 10, 31]
     assert np.isnan(ses[0])  # one batch at the first checkpoint
     assert est.series.points[-1][0] == cfg.samples
-    nums, dens = np.asarray(est.batch_nums), np.asarray(est.batch_dens)
+    nums, dens = np.asarray(est.block_nums), np.asarray(est.block_dens)
     B = len(nums)
     assert nums.shape == (B, 10, 10)  # Sym^2 blocks, D = 10
     deltas = np.array([0.5 * sym_haar_distance((nums.sum(axis=0) - nums[i]) / (dens.sum() - dens[i]))
@@ -567,10 +571,10 @@ def test_checkpoint_stderrs_end_at_jackknife():
     dense = np.array([0.5 * trace_norm((full.sum(axis=0) - full[i]) / (dens.sum() - dens[i]) - haar)
                       for i in range(B)])
     assert ses[-1] == pytest.approx(np.sqrt((B - 1) / B * ((dense - dense.mean()) ** 2).sum()), rel=1e-9)
-    # no stacked copy of the 31 batch sums: McConfig's preflight counts them once
+    # the jackknife over the 31 stored blocks makes no stacked copy of them
     tracemalloc.start()
     try:
-        est.checkpoint_stderrs()
+        assert _delta_stderr(est.block_nums, est.block_dens) == ses[-1]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -587,10 +591,10 @@ def _stacked_entry_stderr(nums, dens):
 def test_entry_stderr_matches_stacked_jackknife_in_bounded_memory():
     cfg = McConfig(k=2, t=2, n_a=2, bc="obc", samples=30_500, seed=123)
     est = mc_moment(cfg)
-    assert len(est.batch_nums) == 31
+    assert len(est.block_nums) == 31
     se = est.entry_stderr()
-    full = np.array([sym_embed(x, 4, 2) for x in est.batch_nums])
-    ref = _stacked_entry_stderr(full, np.asarray(est.batch_dens))
+    full = np.array([sym_embed(x, 4, 2) for x in est.block_nums])
+    ref = _stacked_entry_stderr(full, np.asarray(est.block_dens))
     assert se.shape == (10, 10)  # the Sym^2 block, like rho
     assert np.abs(sym_embed(se, 4, 2) - ref).max() <= 1e-12 * ref.max()
     # a running sum and one leave-one-out moment at a time: a few batch sums,
@@ -601,7 +605,7 @@ def test_entry_stderr_matches_stacked_jackknife_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * est.batch_nums[0].nbytes
+    assert peak < 6 * est.block_nums[0].nbytes
 
 
 def test_checkpoint_row_equals_run_ending_there():
@@ -612,8 +616,59 @@ def test_checkpoint_row_equals_run_ending_there():
     short = mc_moment(McConfig(samples=1500, **base))
     assert short.series.points[-1][0] == 1500
     assert long.series.points[1] == short.series.points[-1]
-    np.testing.assert_array_equal(long.checkpoint_stderrs()[:2], short.checkpoint_stderrs())
+    np.testing.assert_array_equal(long.checkpoint_stderrs[:2], short.checkpoint_stderrs)
     assert long.checkpoint_batches == [1, 2, 4]
+
+
+def test_jackknife_blocks_group_batches_by_index(monkeypatch):
+    # 130 batches: batch i is added into block i % 64, so blocks 0 and 1 hold
+    # three batches and the others two; each checkpoint's SE is the jackknife
+    # over the blocks filled by then, rebuilt here from the batch sums
+    cfg = McConfig(k=2, t=2, n_a=2, bc="obc", samples=130_000, seed=29)
+    solves = []
+    real = montecarlo.sym_haar_distance
+    monkeypatch.setattr(montecarlo, "sym_haar_distance", lambda rho: solves.append(1) or real(rho))
+    est = mc_moment(cfg)
+    assert est.checkpoint_batches == [1, 10, 100, 130]
+    # one eigensolve per checkpoint's delta, one per block left out: at most 64 a checkpoint
+    assert len(solves) == 4 + 0 + 10 + JACKKNIFE_BLOCKS + JACKKNIFE_BLOCKS
+    sums = _run_sums(cfg, build_w(2), 1 - cfg.k, 0, cfg.batch_sizes)
+    for B, se in zip(est.checkpoint_batches, est.checkpoint_stderrs):
+        groups = [sums[j:B:JACKKNIFE_BLOCKS] for j in range(min(B, JACKKNIFE_BLOCKS))]
+        nums = np.array([sum(g) for g in groups])
+        dens = np.array([sum(float(np.trace(x).real) for x in g) for g in groups])
+        if B == 1:
+            assert np.isnan(se)
+            continue
+        n = len(nums)
+        deltas = np.array([0.5 * sym_haar_distance((nums.sum(axis=0) - nums[i]) / (dens.sum() - dens[i]))
+                           for i in range(n)])
+        assert se == np.sqrt((n - 1) / n * ((deltas - deltas.mean()) ** 2).sum())
+    for a, b in zip(est.block_nums, nums, strict=True):
+        np.testing.assert_array_equal(a, b)
+    assert est.block_dens == list(dens)
+    ref = _stacked_entry_stderr(np.array([sym_embed(x, 4, 2) for x in nums]), dens)
+    assert np.abs(sym_embed(est.entry_stderr(), 4, 2) - ref).max() <= 1e-12 * ref.max()
+
+
+def test_checkpoint_row_past_64_batches_equals_run_ending_there():
+    # at 70 batches blocks 0..5 hold two: the 70k row is still, bit for bit,
+    # the last row of a 70k-sample run
+    base = dict(k=2, t=2, n_a=2, bc="obc", seed=13)
+    long = mc_moment(McConfig(samples=100_000, checkpoints=(70_000, 100_000), **base))
+    short = mc_moment(McConfig(samples=70_000, **base))
+    assert short.checkpoint_batches[-1] == 70
+    assert long.series.points[0] == short.series.points[-1]
+    assert long.checkpoint_stderrs[0] == short.checkpoint_stderrs[-1]
+
+
+def test_kept_bytes_independent_of_samples():
+    # 64 block sums and the total, and the jackknife's two buffers, at any sample count
+    small, large = (McConfig(k=2, t=3, n_a=2, bc="obc", samples=s) for s in (10**5, 10**8))
+    assert small.kept_bytes() == large.kept_bytes() == 16 * 10**2 * (JACKKNIFE_BLOCKS + 3)
+    # one 816 x 816 sum per batch would be 10.7 GB here
+    cfg = McConfig(k=3, t=4, n_a=4, bc="obc", samples=10**6)
+    assert cfg.kept_bytes() == 16 * 816**2 * (JACKKNIFE_BLOCKS + 3)
 
 
 def test_mc_estimate_symmetric_under_replica_permutation():

@@ -176,6 +176,14 @@ def test_cli_mc_determinism(tmp_path):
     assert rec["rows"] == side["rows"]
 
 
+def test_cli_mc_sidecar_records_jackknife_blocks(tmp_path):
+    # one block per batch up to 64, then 64: the SE at 70k samples is over 64 blocks
+    out = str(tmp_path / "mc.csv")
+    assert main(["mc", "--k", "1", "--t", "2", "--bc", "obc", "--samples", "70000", "--out", out]) == 0
+    params = _strict_json(open(out + ".meta.json").read())["config"]["params"]
+    assert params["jackknife_blocks"] == [1, 10, 64]
+
+
 def test_cli_config_file(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("m=2\nd=4\n")
@@ -435,9 +443,10 @@ def test_cli_mc_refuses_oversized_run_before_allocating(tmp_path, capsys, monkey
 
     monkeypatch.setattr(montecarlo, "_run_estimator", fail)
     out = str(tmp_path / "mc.csv")
-    # k=5 at n_a=2 keeps 301 Sym^5 sums of 56 x 56 beside one 1.3 MB pbc batch
-    # at t=2, about 16 MB: refused under a 15 MB budget
-    monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", 15_000_000)
+    # k=5 at n_a=2 keeps 64 Sym^5 block sums of 56 x 56, the total and the
+    # jackknife's two buffers beside one pbc task at t=2, about 8.5 MB:
+    # refused under an 8 MB budget
+    monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", 8_000_000)
     assert main(["mc", "--k", "5", "--t", "2", "--na", "2", "--samples", "300000",
                  "--out", out]) == 3
     rec = json.loads(capsys.readouterr().err.strip())
