@@ -1,7 +1,8 @@
 """Hot numeric kernels, one numpy implementation each.
 
 accumulate_blocks is the one moment kernel of the exact and Monte Carlo
-routes.  It is handed one array of unnormalized states, cuts it into blocks,
+routes.  It is handed one array of unnormalized states (or a list of equally
+shaped views, such as the exact route's tiles of bath outcomes), cuts it into blocks,
 takes their Born weights p = |psi|^2 itself (zero below P_FLOOR), and
 returns sum_b p_b^exponent (psi_b psi_b^+)^{(x)k} as its Sym^k block (basis in
 linalg.sym_basis), never the dA^k x dA^k operator.  It grows the Sym^k rows
@@ -49,12 +50,14 @@ def accumulate_bytes(da: int, k: int, n: int) -> int:
     return 16 * (4 * D * rows + 2 * D * D) + 8 * (3 + 4 * da) * rows + 8 * D * D + 4096
 
 
-def accumulate_blocks(states: np.ndarray, k: int, exponent: float) -> np.ndarray:
+def accumulate_blocks(states: np.ndarray | list, k: int, exponent: float) -> np.ndarray:
     """Sym^k block (linalg.sym_basis) of sum_b p_b^exponent (|psi_b><psi_b|)^{(x)k},
     p_b = |psi_b|^2, over the unnormalized states psi_b of states, in column order.
 
-    states is a (dA, n) or (dA, A, B) array of columns, B the fastest; it may
-    be a strided view and is never written.  Its blocks are views of a slabs
+    states is a (dA, n) or (dA, A, B) array of columns, B the fastest, or a
+    list of equally shaped such arrays, whose blocks are run one array after
+    the other through the same work arrays.  Each may be a strided view and
+    is never written.  Its blocks are views of a slabs
     of b columns, rows = min(block_rows(D), A B), a = max(1, rows // B) and
     b = min(rows, B).  A state with p_b < P_FLOOR gets weight zero, and no
     power of it is taken.  psi_b^{(x)k} lies in Sym^k, where its coordinates
@@ -70,8 +73,8 @@ def accumulate_blocks(states: np.ndarray, k: int, exponent: float) -> np.ndarray
     Level k adds one GEMM, u @ u^+, per block; the coefficients are applied
     once, as coef coef^T on the D x D sum.
     """
-    states = states[:, None] if states.ndim == 2 else states
-    da, A, B = states.shape
+    views = [s[:, None] if s.ndim == 2 else s for s in (states if isinstance(states, list) else [states])]
+    da, A, B = views[0].shape
     basis = sym_basis(da, k)
     D = len(basis.coef)
     rows = min(block_rows(D), A * B)
@@ -83,7 +86,7 @@ def accumulate_blocks(states: np.ndarray, k: int, exponent: float) -> np.ndarray
     def slot(i, d, n):
         return work[i, : d * n].reshape(d, n)
 
-    blocks = (states[:, z1 : z1 + a, c : c + b] for z1 in range(0, A, a) for c in range(0, B, b))
+    blocks = (v[:, z1 : z1 + a, c : c + b] for v in views for z1 in range(0, A, a) for c in range(0, B, b))
     for blk in blocks:
         p = np.einsum("s...,s...->...", blk.real, blk.real)
         p += np.einsum("s...,s...->...", blk.imag, blk.imag)

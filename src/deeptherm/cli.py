@@ -3,8 +3,11 @@
 Subcommands: weingarten, exact, replica, mc, rates, figure3, designcheck.  A flat
 key=value config file can seed the top-level flags and those of the chosen
 subcommand (command line wins).  Errors are reported as a machine-readable
-JSON object on stderr with a nonzero exit code.  OMP_NUM_THREADS controls
-BLAS threading.
+JSON object on stderr with a nonzero exit code.  BLAS threading is set by
+OPENBLAS_NUM_THREADS with numpy's bundled OpenBLAS (scipy-openblas 0.3.31);
+OMP_NUM_THREADS is read only when that is unset.  With two or more BLAS
+threads an idle worker spins for about 0.1 s after each BLAS call
+(OPENBLAS_THREAD_TIMEOUT shortens the spin).
 """
 from __future__ import annotations
 
@@ -70,7 +73,7 @@ def cmd_exact(args) -> int:
     for t in range(args.t + 1):
         if t > 0:
             state = apply_floquet(state, base)
-        blocks = moments_from_state(state, base, args.k)
+        blocks = moments_from_state(state, base, args.k, chain=True)
         ent = entropy_bits(blocks[0])  # the order-1 block is the reduced state
         for k, rho in enumerate(blocks, start=1):
             rows.append([base.n, base.n_a, t, base.bc, k,

@@ -32,7 +32,14 @@ After each step one pass over the bath outcomes gives the moments of every
 order 1..K (moments_from_state).  It hands a view of the state to
 _kernels.accumulate_blocks, with no copy: the kernel takes each outcome's
 Born weight, grows its Sym^K rows in reused work arrays and adds them to
-the running sum with one GEMM per block.  Each lower order is the partial
+the running sum with one GEMM per block.  On a mirror-symmetric chain
+(KimConfig.mirror_symmetric: the block centred, so n - n_a even at the
+default offset, and at obc b1 == bn) the reflection i <-> n-1-i leaves the
+kicks, the Ising phases and |+...+> unchanged, hence every chain state.
+There, given chain=True (the caller's word that the state is the chain's
+own), the pass sums each mirror pair of outcomes once (_mirror_paired_sum).
+Nothing checks the symmetry at run time: a check would cost about what the
+pairing saves.  Each lower order is the partial
 trace of the next (linalg.sym_partial_trace), taken once per step on the
 D x D sums.  The moments are returned as their
 D x D Sym^k blocks (linalg.sym_basis); delta_k reads the distance to Haar
@@ -55,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,7 +73,9 @@ from .linalg import (
     kron_all,
     partial_trace,
     permutation_vector_state,
+    sym_basis,
     sym_haar_distance,
+    sym_index,
     sym_partial_trace,
     trace_norm,
 )
@@ -73,6 +83,7 @@ from .permgroup import enumerate_sym, weingarten_table
 
 KICK_GROUP = 6  # qubits per kick GEMM; K^{(x)6} is 64 x 64
 CHUNK = 2**14  # entries per chunk of the phase build and the kicks (256 KiB complex)
+MIRROR_BITS = 3  # bath bits next to the block fixed on each side per tile of the mirror-paired pass
 G_GUARD_BAND = 1e-3
 
 
@@ -130,9 +141,21 @@ class KimConfig:
     def n_bonds(self) -> int:
         return self.n if self.bc == "pbc" else self.n - 1
 
+    @property
+    def mirror_symmetric(self) -> bool:
+        """True when the reflection i <-> n-1-i maps the chain onto itself and the
+        block onto itself: the block is centred (offset == n - offset - n_a) and
+        the chain is a ring or has equal end fields (b1 == bn)."""
+        centred = self.offset == self.n - self.offset - self.n_a
+        return centred and (self.bc == "pbc" or self.b1 == self.bn)
+
     def wraparound(self, t: int | None = None) -> bool:
-        """True when t exceeds the pre-recurrence window (n - n_a)/2 - 1."""
+        """True when t exceeds the pre-recurrence window: (n - n_a)/2 - 1 on the
+        ring, and at obc min(offset, n - offset - n_a) - 1, the distance to the
+        nearer chain end, whose boundary enters the block's light cone after it."""
         tt = self.t if t is None else t
+        if self.bc == "obc":
+            return tt > min(self.offset, self.n - self.offset - self.n_a) - 1
         return tt > (self.n - self.n_a) / 2 - 1
 
 
@@ -147,14 +170,17 @@ def exact_bytes(n: int, n_a: int, k: int) -> int:
     instead _kernels.accumulate_bytes over the 2^(n - n_a) outcomes (its sum
     is the block at D_k), the D_j x D_j block of every lower order j,
     D_j = C(2^n_a + j - 1, j), delta_k's Hermitian part and eigvalsh copy at
-    D_k (entropy_bits takes the same at D_1), and sym_partial_trace's gathered
-    block at D_(k-1).  No moment is embedded in the 2^(n_a k)-dimensional
-    replicated space, and no spin table is formed.
+    D_k (entropy_bits takes the same at D_1), sym_partial_trace's gathered
+    block at D_(k-1), and the mirror-paired pass's extra D_k x D_k sum: the
+    paired tiles' sum, held through the second kernel call and beside its
+    mirror image, which takes the place of the kernel's freed work arrays.
+    No moment is embedded in the 2^(n_a k)-dimensional replicated space, and
+    no spin table is formed.
     """
     step = 40 * CHUNK + 2 * 16 * 4**KICK_GROUP
     dims = [math.comb(2**n_a + j - 1, j) for j in range(1, k + 1)]
     moments = _kernels.accumulate_bytes(2**n_a, k, 2 ** (n - n_a)) + 16 * (
-        sum(d * d for d in dims[:-1]) + 2 * dims[-1] ** 2 + math.comb(2**n_a + k - 2, k - 1) ** 2)
+        sum(d * d for d in dims[:-1]) + 3 * dims[-1] ** 2 + math.comb(2**n_a + k - 2, k - 1) ** 2)
     return 16 * 2**n + max(step, moments)
 
 
@@ -292,7 +318,9 @@ def evolve(cfg: KimConfig) -> np.ndarray:
     statevector, stepped in place.  cli.cmd_exact keeps its own loop, because
     it reads the state at every step and calls plus_state, apply_floquet,
     moments_from_state and entropy_bits through the cli module, where they can
-    be timed or replaced per step.
+    be timed or replaced per step.  Its states are what moments_from_state's
+    chain=True stands for: on a mirror_symmetric cfg they are invariant under
+    i <-> n-1-i, so the moment pass may pair mirror outcomes.
     """
     state = plus_state(cfg.n)
     for _ in range(cfg.t):
@@ -300,7 +328,47 @@ def evolve(cfg: KimConfig) -> np.ndarray:
     return state
 
 
-def moments_from_state(state: np.ndarray, cfg: KimConfig, k: int) -> list:
+def _bit_reversal(bits: int) -> np.ndarray:
+    """rev x for every bits-bit integer x: its bits in reverse order."""
+    return np.array([int(f"{x:0{bits}b}"[::-1], 2) for x in range(2**bits)])
+
+
+@lru_cache(maxsize=None)
+def _mirror_rows(n_a: int, k: int) -> np.ndarray:
+    """Pi, the Sym^k row map of sigma -> rev sigma on n_a qubits: the row in
+    sym_basis(2^n_a, k) of each multiset with its digits bit-reversed.  The
+    map keeps every digit's multiplicity, so it commutes with the coefficients."""
+    da = 2**n_a
+    out = sym_index(_bit_reversal(n_a)[sym_basis(da, k).idx], da)
+    out.setflags(write=False)
+    return out
+
+
+def _mirror_paired_sum(state: np.ndarray, cfg: KimConfig, k: int) -> np.ndarray:
+    """The unnormalized Sym^k sum of moments_from_state on a mirror-symmetric
+    chain state, from 9/16 of the bath outcomes.
+
+    The state is viewed as (2^(off-s), 2^s, dA, 2^s, 2^(off-s)), s =
+    min(MIRROR_BITS, offset): tile (P, Q) fixes the s bath bits on each side
+    next to the block, and each tile is a (sigma, z1, z2) view with unit-stride
+    last axis.  The reflection maps outcome (z1, sigma, z2) to (rev z2,
+    rev sigma, rev z1) with the same amplitude, so tile (P, Q) mirrors tile
+    (rev Q, rev P) with its Sym^k rows permuted by Pi (_mirror_rows).  The
+    tiles with P < rev Q are summed once, as U, and enter as U + Pi U Pi^T; the
+    2^s tiles with P = rev Q are their own mirrors and are summed in full.
+    """
+    s = min(MIRROR_BITS, cfg.offset)
+    m, rev = 2**s, _bit_reversal(s)
+    tiles = state.reshape(2 ** (cfg.offset - s), m, 2**cfg.n_a, m, -1).transpose(1, 3, 2, 0, 4)  # (P, Q, sigma, z1, z2)
+    paired = _kernels.accumulate_blocks([tiles[p, q] for p in range(m) for q in range(m) if p < rev[q]], k, 1 - k)
+    out = _kernels.accumulate_blocks([tiles[p, rev[p]] for p in range(m)], k, 1 - k)
+    out += paired
+    rows = _mirror_rows(cfg.n_a, k)
+    out += paired[rows[:, None], rows]
+    return out
+
+
+def moments_from_state(state: np.ndarray, cfg: KimConfig, k: int, chain: bool = False) -> list:
     """The moments of orders 1..k as their Sym^j blocks (linalg.sym_basis),
     each normalized to unit trace, from one pass over the bath outcomes.
 
@@ -310,10 +378,18 @@ def moments_from_state(state: np.ndarray, cfg: KimConfig, k: int) -> list:
     from their Born weights p_z.  Each lower order j is then the normalized
     partial trace of order j + 1 (linalg.sym_partial_trace): a projected state
     has unit trace, and p_z^(1-j) p_z = p_z^(1-(j-1)).
+
+    chain=True guarantees that state is cfg's own chain state (plus_state
+    stepped by apply_floquet); on a mirror_symmetric cfg the pass then sums
+    each mirror pair of outcomes once (_mirror_paired_sum).  Any other state
+    or chain takes the general pass.
     """
     da = 2**cfg.n_a
-    amps = state.reshape(2**cfg.offset, da, -1).transpose(1, 0, 2)  # (sigma, z1, z2), a view
-    blocks = [_kernels.accumulate_blocks(amps, k, 1 - k)]
+    if chain and cfg.mirror_symmetric:
+        blocks = [_mirror_paired_sum(state, cfg, k)]
+    else:
+        amps = state.reshape(2**cfg.offset, da, -1).transpose(1, 0, 2)  # (sigma, z1, z2), a view
+        blocks = [_kernels.accumulate_blocks(amps, k, 1 - k)]
     blocks[0] /= np.trace(blocks[0])
     for j in range(k, 1, -1):
         r = sym_partial_trace(blocks[-1], da, j)

@@ -135,6 +135,21 @@ def test_strided_views_match_contiguous_copies_bitwise(rng):
         assert view.tobytes() == before.tobytes()
 
 
+def test_list_of_views_equals_sum_of_per_view_calls(rng, monkeypatch):
+    # kim's mirror-paired pass hands equally shaped (sigma, z1, z2) tiles of one state
+    state = rng.standard_normal(2 * 16 * 4 * 4 * 4 * 16).view(complex)
+    tiles = state.reshape(16, 4, 4, 4, 16)
+    views = [tiles[:, p, :, q].transpose(1, 0, 2) for p, q in [(0, 1), (2, 3), (1, 1), (3, 0)]]
+    for cap in (kernels.BLOCK_ENTRIES, 100):  # one block per view, and blocks of a few z1 slabs
+        monkeypatch.setattr(kernels, "BLOCK_ENTRIES", cap)
+        for k in (1, 2, 3):
+            got = kernels.accumulate_blocks(views, k, 1 - k)
+            ref = sum(kernels.accumulate_blocks(v, k, 1 - k) for v in views)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert kernels.accumulate_blocks(views[:1], k, 1 - k).tobytes() == \
+                kernels.accumulate_blocks(views[0], k, 1 - k).tobytes()
+
+
 def test_moment_accumulate_small_block_cap_matches_kron_oracle(rng, monkeypatch):
     # a cap of 8 Sym^k entries gives blocks of 4, 2 and 2 rows for k = 1, 2, 3 (D = 2, 3, 4)
     b = 37

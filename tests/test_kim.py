@@ -284,6 +284,64 @@ def test_blockwise_moments_match_one_pass_over_all_outcomes_bitwise(offset):
         assert r.tobytes() == g.tobytes()
 
 
+def _mirrored(state, n):
+    """The state with site i moved to site n - 1 - i: every index's n bits reversed."""
+    return state.reshape((2,) * n).transpose(range(n - 1, -1, -1)).ravel()
+
+
+# pbc with even n - n_a, and obc with equal end fields (the default pi/4, and 0.4)
+_MIRROR_CHAINS = [dict(bc="pbc"), dict(bc="obc"), dict(bc="obc", b1=0.4, bn=0.4)]
+
+
+@pytest.mark.parametrize("chain", _MIRROR_CHAINS, ids=["pbc", "obc", "obc_b0.4"])
+@pytest.mark.parametrize("n_a", [1, 2, 3, 4])
+def test_evolved_states_are_mirror_invariant(chain, n_a):
+    n = 10 + n_a % 2
+    base = KimConfig(n=n, n_a=n_a, t=0, g=G, **chain)
+    assert base.mirror_symmetric
+    state = plus_state(n)
+    for _ in range(6):
+        apply_floquet(state, base)
+        scale = np.abs(state).max()
+        assert np.abs(_mirrored(state, n) - state).max() <= 1e-13 * scale
+    assert np.abs(_mirrored(np.arange(2**n), n) - np.arange(2**n)).max() > 0  # the reflection moves indices
+
+
+def test_unequal_end_fields_break_the_mirror_symmetry():
+    cfg = KimConfig(n=10, n_a=2, t=3, bc="obc", g=G, b1=0.4)
+    assert not cfg.mirror_symmetric
+    state = evolve(cfg)
+    assert np.abs(_mirrored(state, 10) - state).max() > 1e-3 * np.abs(state).max()
+
+
+@pytest.mark.parametrize("bc", ["pbc", "obc"])
+@pytest.mark.parametrize("n_a", [1, 2, 3, 4])
+def test_mirror_paired_pass_matches_general_pass(bc, n_a):
+    # k = 4 at n_a = 4 is left out: its 3876 x 3876 sums take 240 MB each
+    n = 10 + n_a % 2
+    state = plus_state(n)
+    cfg = KimConfig(n=n, n_a=n_a, t=0, bc=bc, g=G)
+    for t in range(5):
+        if t:
+            apply_floquet(state, cfg)
+        for k in range(1, 4 if n_a == 4 else 5):
+            ref = moments_from_state(state, cfg, k)
+            got = moments_from_state(state, cfg, k, chain=True)
+            for r, g in zip(ref, got):
+                assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
+
+
+@pytest.mark.parametrize("kw", [dict(n=11, n_a=2), dict(n=12, n_a=2, a_offset=3),
+                                dict(n=12, n_a=2, bc="obc", b1=0.4), dict(n=9, n_a=3, bc="obc", a_offset=2)],
+                         ids=["odd_bath", "offset3", "obc_b1_ne_bn", "obc_offset2"])
+def test_chain_pass_on_asymmetric_chain_is_the_general_pass(kw):
+    cfg = KimConfig(t=3, g=G, **kw)
+    assert not cfg.mirror_symmetric
+    state = evolve(cfg)
+    for r, g in zip(moments_from_state(state, cfg, 3), moments_from_state(state, cfg, 3, chain=True)):
+        assert r.tobytes() == g.tobytes()
+
+
 def test_zero_probability_outcomes_raise_no_warning():
     # |0...0>: every bath outcome but one has Born weight exactly 0
     cfg = KimConfig(n=6, n_a=2, t=0, g=G)

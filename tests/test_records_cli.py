@@ -137,10 +137,25 @@ def test_cli_exact_entropy_from_each_steps_order1_block(tmp_path, bc):
         ent[K] = [float(r[e]) for r in rows if r[k] == "1"]
         for tt in range(5):
             cfg = kim.KimConfig(n=12, n_a=2, t=tt, bc=bc)
-            block = kim.moments_from_state(kim.evolve(cfg), cfg, K)[0]
+            block = kim.moments_from_state(kim.evolve(cfg), cfg, K, chain=True)[0]
             assert {float(r[e]) for r in rows if int(r[t]) == tt} == {kim.entropy_bits(block)}
     assert np.abs(np.subtract(ent[1], ent[4])).max() <= 1e-12
     assert max(ent[1]) > 1.9  # the block is entangled, so the check is not of zeros
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2, 6])
+def test_cli_exact_obc_flags_rows_past_the_nearer_chain_end(tmp_path, offset):
+    # the light cone reaches the nearer end first; off-centre, delta_1 leaves 0 inside (n - n_a)/2 - 1
+    out = str(tmp_path / "x.csv")
+    assert main(["exact", "--n", "14", "--na", "2", "--t", "7", "--bc", "obc", "--k", "1",
+                 "--offset", str(offset), "--out", out]) == 0
+    cols, rows = read_csv(out)
+    t, d, flag = cols.index("t"), cols.index("delta_k"), cols.index("wraparound_flag")
+    kept = [r for r in rows if int(r[t]) >= 1 and r[flag] == "false"]
+    assert len(kept) == max(0, min(offset, 12 - offset) - 1)
+    assert all(float(r[d]) <= 1e-8 for r in kept)
+    if offset in (1, 2, 6):  # a flagged row the flag is needed for
+        assert max(float(r[d]) for r in rows if int(r[t]) >= 1) > 0.1
 
 
 def test_cli_rates_on_synthetic(tmp_path, capsys):
