@@ -29,34 +29,35 @@ spin table and no 2^n phase vector is formed; ising_phase_vector, the dense
 reference, gathers from the same table.
 
 After each step one pass over the bath outcomes gives the moments of every
-order 1..K (moments_from_state).  It hands a view of the state to
-_kernels.accumulate_blocks, with no copy: the kernel takes each outcome's
-Born weight, grows its Sym^K rows in reused work arrays and adds them to
-the running sum with one GEMM per block.  On a mirror-symmetric chain
-(KimConfig.mirror_symmetric: the block centred, so n - n_a even at the
-default offset, and at obc b1 == bn) the reflection i <-> n-1-i leaves the
-kicks, the Ising phases and |+...+> unchanged, hence every chain state.
-There, given chain=True (the caller's word that the state is the chain's
-own), the pass sums each mirror pair of outcomes once (_mirror_paired_sum).
-Nothing checks the symmetry at run time: a check would cost about what the
-pairing saves.  Each lower order is the partial
-trace of the next (linalg.sym_partial_trace), taken once per step on the
-D x D sums.  The moments are returned as their
-D x D Sym^k blocks (linalg.sym_basis); delta_k reads the distance to Haar
-from the block.  Only the tests embed a block in the replicated space.  The
-order-1 block is the subsystem's reduced state, so the entanglement entropy
-is read from its eigenvalues (entropy_bits) and the reduced state is formed
-nowhere else.  So the exact route's only state-sized array is the state.
+order 1..K (moments_from_state).  It hands tile views of the state to
+_kernels.accumulate_blocks, with no copy: a tile fixes s bath bits on each
+side of the block, and the kernel takes each outcome's Born weight, grows its
+Sym^K rows in reused work arrays and adds them to the running sum with one
+GEMM per block.  On a mirror-symmetric chain (KimConfig.mirror_symmetric: the
+block centred, so n - n_a even at the default offset, and at obc b1 == bn)
+the reflection i <-> n-1-i leaves the kicks, the Ising phases and |+...+>
+unchanged, hence every chain state.  There, given chain=True (the caller's
+word that the state is the chain's own), s = min(MIRROR_BITS, offset) and the
+pass sums each mirror pair of tiles once.  Otherwise s = 0: one tile holds
+every outcome.  Nothing checks the symmetry at run time: a check would cost
+about what the pairing saves.  Each lower order is the partial trace of the
+next (linalg.sym_partial_trace), taken once per step on the D x D sums.  The
+moments are returned as their D x D Sym^k blocks (linalg.sym_basis); delta_k
+reads the distance to Haar from the block.  Only the tests embed a block in
+the replicated space.  The order-1 block is the subsystem's reduced state, so
+the entanglement entropy is read from its eigenvalues (entropy_bits) and the
+reduced state is formed nowhere else.  So the exact route's only state-sized array is the state.
 
 The finite-bath check (dual_unitary_ensemble_check), a function of t, k, g
 and the bath lengths alone, compares the k-th moment of a bath segment's
 temporal maps U(z) = T(z_{L-1}) ... T(z_0) over its 2^L outcomes with the
 Haar moment Phi.  The bits z_i are independent, so that moment is S^L with
-S = 1/2 sum_b (T_b (x) T_b*)^{(x)k}.  Phi = V Wg V^+, with the k! permutation
-states as the columns of V and Wg[tau, sigma] = Wg(sigma tau^-1)
-(Moore-Penrose values when 2^t < k; Phi is still the projector onto their
-span).  Each layer fixes every permutation state, so S Phi = Phi S = Phi^2 =
-Phi and S^L - Phi = (S - Phi)^L: one GEMM and one trace norm per length.
+S = 1/2 sum_b (T_b (x) T_b*)^{(x)k}.  Phi is the projector onto the span of
+the k! permutation states, the columns of V: U U^+, with U the top r left
+singular vectors of V and r = sum f_lam^2 over the lam |- k with at most 2^t
+rows, the span's dimension (Schur-Weyl duality).  Each layer fixes every
+permutation state, so S Phi = Phi S = Phi^2 = Phi and S^L - Phi =
+(S - Phi)^L: one GEMM and one trace norm per length.
 """
 from __future__ import annotations
 
@@ -79,11 +80,11 @@ from .linalg import (
     sym_partial_trace,
     trace_norm,
 )
-from .permgroup import enumerate_sym, weingarten_table
+from .permgroup import enumerate_sym, irrep_dimension, partitions
 
 KICK_GROUP = 6  # qubits per kick GEMM; K^{(x)6} is 64 x 64
 CHUNK = 2**14  # entries per chunk of the phase build and the kicks (256 KiB complex)
-MIRROR_BITS = 3  # bath bits next to the block fixed on each side per tile of the mirror-paired pass
+MIRROR_BITS = 3  # bath bits next to the block fixed on each side per tile when mirror tiles are paired
 G_GUARD_BAND = 1e-3
 
 
@@ -171,9 +172,10 @@ def exact_bytes(n: int, n_a: int, k: int) -> int:
     is the block at D_k), the D_j x D_j block of every lower order j,
     D_j = C(2^n_a + j - 1, j), delta_k's Hermitian part and eigvalsh copy at
     D_k (entropy_bits takes the same at D_1), sym_partial_trace's gathered
-    block at D_(k-1), and the mirror-paired pass's extra D_k x D_k sum: the
-    paired tiles' sum, held through the second kernel call and beside its
-    mirror image, which takes the place of the kernel's freed work arrays.
+    block at D_(k-1), and, when mirror tiles are paired, an extra D_k x D_k
+    sum: the self-mirror tiles' sum, held through the second kernel call and
+    then beside the paired sum's mirror image, which takes the place of the
+    kernel's freed work arrays.
     No moment is embedded in the 2^(n_a k)-dimensional replicated space, and
     no spin table is formed.
     """
@@ -320,7 +322,8 @@ def evolve(cfg: KimConfig) -> np.ndarray:
     moments_from_state and entropy_bits through the cli module, where they can
     be timed or replaced per step.  Its states are what moments_from_state's
     chain=True stands for: on a mirror_symmetric cfg they are invariant under
-    i <-> n-1-i, so the moment pass may pair mirror outcomes.
+    i <-> n-1-i, so the moment pass may fix s > 0 bits per tile and pair
+    mirror tiles.
     """
     state = plus_state(cfg.n)
     for _ in range(cfg.t):
@@ -344,52 +347,38 @@ def _mirror_rows(n_a: int, k: int) -> np.ndarray:
     return out
 
 
-def _mirror_paired_sum(state: np.ndarray, cfg: KimConfig, k: int) -> np.ndarray:
-    """The unnormalized Sym^k sum of moments_from_state on a mirror-symmetric
-    chain state, from 9/16 of the bath outcomes.
-
-    The state is viewed as (2^(off-s), 2^s, dA, 2^s, 2^(off-s)), s =
-    min(MIRROR_BITS, offset): tile (P, Q) fixes the s bath bits on each side
-    next to the block, and each tile is a (sigma, z1, z2) view with unit-stride
-    last axis.  The reflection maps outcome (z1, sigma, z2) to (rev z2,
-    rev sigma, rev z1) with the same amplitude, so tile (P, Q) mirrors tile
-    (rev Q, rev P) with its Sym^k rows permuted by Pi (_mirror_rows).  The
-    tiles with P < rev Q are summed once, as U, and enter as U + Pi U Pi^T; the
-    2^s tiles with P = rev Q are their own mirrors and are summed in full.
-    """
-    s = min(MIRROR_BITS, cfg.offset)
-    m, rev = 2**s, _bit_reversal(s)
-    tiles = state.reshape(2 ** (cfg.offset - s), m, 2**cfg.n_a, m, -1).transpose(1, 3, 2, 0, 4)  # (P, Q, sigma, z1, z2)
-    paired = _kernels.accumulate_blocks([tiles[p, q] for p in range(m) for q in range(m) if p < rev[q]], k, 1 - k)
-    out = _kernels.accumulate_blocks([tiles[p, rev[p]] for p in range(m)], k, 1 - k)
-    out += paired
-    rows = _mirror_rows(cfg.n_a, k)
-    out += paired[rows[:, None], rows]
-    return out
-
-
 def moments_from_state(state: np.ndarray, cfg: KimConfig, k: int, chain: bool = False) -> list:
     """The moments of orders 1..k as their Sym^j blocks (linalg.sym_basis),
     each normalized to unit trace, from one pass over the bath outcomes.
 
     Outcome z = (z1, z2), z1 the bits before the subsystem, leads with z1.
-    _kernels.accumulate_blocks reads the view amps[sigma, z1, z2] =
-    <z1 sigma z2|Psi> and sums the outcomes' Sym^k rows, weighted by p_z^(1-k)
-    from their Born weights p_z.  Each lower order j is then the normalized
-    partial trace of order j + 1 (linalg.sym_partial_trace): a projected state
-    has unit trace, and p_z^(1-j) p_z = p_z^(1-(j-1)).
+    The state is viewed as tiles (P, Q, sigma, z1, z2): tile (P, Q) fixes the
+    s bath bits on each side next to the block, and is a (dA, 2^(off-s),
+    2^(n-off-n_a-s)) view with unit-stride last axis.  accumulate_blocks sums
+    the outcomes' Sym^k rows, weighted by p_z^(1-k) from their Born weights
+    p_z.  Each lower order j is then the normalized partial trace of order
+    j + 1 (linalg.sym_partial_trace): a projected state has unit trace, and
+    p_z^(1-j) p_z = p_z^(1-(j-1)).
 
     chain=True guarantees that state is cfg's own chain state (plus_state
-    stepped by apply_floquet); on a mirror_symmetric cfg the pass then sums
-    each mirror pair of outcomes once (_mirror_paired_sum).  Any other state
-    or chain takes the general pass.
+    stepped by apply_floquet).  On a mirror_symmetric cfg, s = min(MIRROR_BITS,
+    offset): the reflection maps outcome (z1, sigma, z2) to (rev z2, rev sigma,
+    rev z1) with the same amplitude, so tile (P, Q) mirrors tile (rev Q, rev P)
+    with its Sym^k rows permuted by Pi (_mirror_rows).  The tiles with
+    P < rev Q are summed once, as U, and enter as U + Pi U Pi^T.  Otherwise
+    s = 0, and the one tile holds every outcome.  The 2^s tiles with P = rev Q
+    are their own mirrors and are summed in full.
     """
     da = 2**cfg.n_a
-    if chain and cfg.mirror_symmetric:
-        blocks = [_mirror_paired_sum(state, cfg, k)]
-    else:
-        amps = state.reshape(2**cfg.offset, da, -1).transpose(1, 0, 2)  # (sigma, z1, z2), a view
-        blocks = [_kernels.accumulate_blocks(amps, k, 1 - k)]
+    s = min(MIRROR_BITS, cfg.offset) if chain and cfg.mirror_symmetric else 0
+    m, rev = 2**s, _bit_reversal(s)
+    tiles = state.reshape(2 ** (cfg.offset - s), m, da, m, -1).transpose(1, 3, 2, 0, 4)  # (P, Q, sigma, z1, z2)
+    blocks = [_kernels.accumulate_blocks([tiles[p, rev[p]] for p in range(m)], k, 1 - k)]
+    if s:
+        paired = _kernels.accumulate_blocks([tiles[p, q] for p in range(m) for q in range(m) if p < rev[q]], k, 1 - k)
+        rows = _mirror_rows(cfg.n_a, k)
+        blocks[0] += paired
+        blocks[0] += paired[rows[:, None], rows]
     blocks[0] /= np.trace(blocks[0])
     for j in range(k, 1, -1):
         r = sym_partial_trace(blocks[-1], da, j)
@@ -444,12 +433,13 @@ def reduced_density_matrix(state: np.ndarray, cfg: KimConfig) -> np.ndarray:
 
 
 def haar_unitary_moment(t: int, k: int) -> np.ndarray:
-    """Phi = int dU (U (x) U*)^{(x)k} on t qubits as V Wg V^+ (module docstring)."""
-    perms = enumerate_sym(k)
-    table = weingarten_table(k, 2**t)
-    V = np.stack([permutation_vector_state(p, t) for p in perms], axis=1)
-    wg = np.array([[table.value(sig.compose(tau.inverse())) for sig in perms] for tau in perms])
-    return (V @ wg) @ V.conj().T
+    """Phi = int dU (U (x) U*)^{(x)k} on t qubits: the projector U U^+ onto the
+    span of the k! permutation states, U their top r left singular vectors
+    (module docstring)."""
+    V = np.stack([permutation_vector_state(p, t) for p in enumerate_sym(k)], axis=1)
+    r = sum(irrep_dimension(lam) ** 2 for lam in partitions(k) if len(lam) <= 2**t)
+    U = np.linalg.svd(V, full_matrices=False)[0][:, :r]
+    return U @ U.conj().T
 
 
 def bath_transfer_operator(t: int, k: int, g: float) -> np.ndarray:
@@ -472,7 +462,8 @@ def dual_unitary_ensemble_check(t: int, k: int, g: float, lengths) -> list[float
         return [0.0] * len(lengths)
     # dim = 4^(t k): -Phi, S's two Kronecker terms and their running sum while S
     # is built; then S - Phi, the power and its successor, or the power and
-    # trace_norm's LAPACK copy and SVD work; V, V Wg, V^+ are dim x k!
+    # trace_norm's LAPACK copy and SVD work; V, its left singular vectors and
+    # their conjugate transpose (or, inside the SVD, its LAPACK copy) are dim x k!
     dim = 4 ** (t * k)
     need = 16 * (4 * dim**2 + 3 * math.factorial(k) * dim) + 2**20
     if need > MEM_BUDGET_BYTES:

@@ -62,7 +62,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count, islice
 
 import numpy as np
 
@@ -135,9 +135,12 @@ class McConfig:
 
     def task_batches(self) -> int:
         """Batches per pool task: as many as fit in TASK_BYTES of working set
-        (batch_bytes), at least one and at most the plan's."""
+        (batch_bytes), at least one and at most the plan's, counted per
+        checkpoint interval without building the plan."""
         fixed, per_batch = self._task_bytes()
-        return max(1, min(len(self.batch_sizes), (TASK_BYTES - fixed) // per_batch))
+        cps = self.resolved_checkpoints()
+        batches = sum(len(range(a, b, BATCH)) for a, b in zip((0,) + cps, cps))
+        return max(1, min(batches, (TASK_BYTES - fixed) // per_batch))
 
     def batch_bytes(self) -> int:
         """Working set of one pool task: task_batches() of the plan's largest batch."""
@@ -146,7 +149,8 @@ class McConfig:
 
     def _task_bytes(self) -> tuple:
         """A task's working set as (fixed bytes, bytes per batch of b samples), b the
-        plan's largest batch, d = 2^t, p = 2^t0, r = min(p, d / p).
+        plan's largest batch, min(BATCH, the longest checkpoint interval), d = 2^t,
+        p = 2^t0, r = min(p, d / p).
 
         Per batch, drawing and reducing the states: about 4 complex b x d x d
         arrays for pbc (the Ginibre draw, its QR factors, the phased unitaries),
@@ -155,7 +159,8 @@ class McConfig:
         (p^2 each), the r + 1 gammas and the norms.  Fixed: one batch's
         _kernels.accumulate_bytes, its sum included.
         """
-        b = max(self.batch_sizes)
+        cps = self.resolved_checkpoints()
+        b = max(min(BATCH, hi - lo) for lo, hi in zip((0,) + cps, cps))
         if self.bc == "pbc":
             per_sample = 16 * 5 * 4**self.t
         else:
@@ -406,21 +411,21 @@ def _run_sums(cfg: McConfig, w: WTensor, weight_exponent: float, first: int, siz
 def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstimate:
     """Shared accumulation path: weights <psi~|psi~>^weight_exponent.
 
-    The flattened batch plan is cut into runs of cfg.task_batches() consecutive
-    batches, one pool task each (_run_sums).  The tasks run on a pool of
-    pool_width(cfg) threads, at most IN_FLIGHT per worker ahead of the
-    reduction, and their batch sums are added here in batch order, into the
-    total and into jackknife block i % JACKKNIFE_BLOCKS.  A checkpoint's SE is
-    taken from the blocks filled by then as soon as it is reached, while the
-    pool keeps sampling.
+    The flattened batch plan is generated lazily and cut into runs of
+    cfg.task_batches() consecutive batches, one pool task each (_run_sums).
+    The tasks run on a pool of pool_width(cfg) threads, at most IN_FLIGHT per
+    worker ahead of the reduction, and their batch sums are added here in
+    batch order, into the total and into jackknife block i % JACKKNIFE_BLOCKS.
+    A checkpoint's SE is taken from the blocks filled by then as soon as it is
+    reached, while the pool keeps sampling.
     """
     from concurrent.futures import ThreadPoolExecutor  # not at import: cli loads this module
 
     cps = cfg.resolved_checkpoints()
-    plan = batch_plan(cps)
-    sizes = cfg.batch_sizes
     run = cfg.task_batches()
-    tasks = ((i, sizes[i : i + run]) for i in range(0, len(sizes), run))
+    # the flattened batch_plan, generated lazily: its length grows with samples
+    sizes = (min(BATCH, b - s) for a, b in zip((0,) + cps, cps) for s in range(a, b, BATCH))
+    tasks = zip(count(0, run), iter(lambda: tuple(islice(sizes, run)), ()))
     num = np.zeros((cfg.sym_dim,) * 2, dtype=complex)
     den = 0.0
     block_nums, block_dens, checkpoint_batches, stderrs = [], [], [], []
@@ -445,8 +450,8 @@ def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstim
     try:
         for _ in range(IN_FLIGHT * width):
             submit()
-        for cp, batches in zip(cps, plan):
-            for _ in batches:
+        for lo, cp in zip((0,) + cps, cps):
+            for _ in range(lo, cp, BATCH):
                 if not done:
                     done.extend(pending.popleft().result())
                     submit()

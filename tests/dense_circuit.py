@@ -51,15 +51,14 @@ def bath_moment_by_outcomes(t: int, k: int, g: float, L: int) -> np.ndarray:
 
 def haar_unitary_moment_by_pairs(t: int, k: int) -> np.ndarray:
     """int dU (U (x) U*)^{(x)k} on t qubits as
-    sum_{sigma, tau} Wg(sigma tau^-1) |P_t(tau)><P_t(sigma)|, one outer product per pair."""
+    sum_{sigma, tau} Wg(sigma tau^-1) |P_t(tau)><P_t(sigma)|, one outer product
+    per tau with the Wg-weighted bras of every sigma."""
     table = weingarten_table(k, 2**t)
+    perms = enumerate_sym(k)
+    states = [permutation_vector_state(p, t) for p in perms]
     dim = (2**t) ** (2 * k)
     out = np.zeros((dim, dim), dtype=complex)
-    for sig in enumerate_sym(k):
-        for tau in enumerate_sym(k):
-            wg = table.value(sig.compose(tau.inverse()))
-            out += wg * np.outer(
-                permutation_vector_state(tau, t),
-                permutation_vector_state(sig, t).conj(),
-            )
+    for tau, ket in zip(perms, states):
+        bra = sum(table.value(sig.compose(tau.inverse())) * v.conj() for sig, v in zip(perms, states))
+        out += np.outer(ket, bra)
     return out

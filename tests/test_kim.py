@@ -331,6 +331,24 @@ def test_mirror_paired_pass_matches_general_pass(bc, n_a):
                 assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
 
 
+@pytest.mark.parametrize("bc", ["pbc", "obc"])
+@pytest.mark.parametrize("n_a", [1, 2, 3, 4])
+@pytest.mark.parametrize("bath", [2, 4])  # offset 1 and 2: tiles fix s = 1 and s = 2 bits a side
+def test_mirror_paired_pass_with_fewer_fixed_bits_matches_general_pass(bc, n_a, bath):
+    n = n_a + bath
+    state = plus_state(n)
+    cfg = KimConfig(n=n, n_a=n_a, t=0, bc=bc, g=G)
+    assert cfg.mirror_symmetric and cfg.offset == bath // 2
+    for t in range(5):
+        if t:
+            apply_floquet(state, cfg)
+        for k in range(1, 4):
+            ref = moments_from_state(state, cfg, k)
+            got = moments_from_state(state, cfg, k, chain=True)
+            for r, g in zip(ref, got):
+                assert np.abs(g - r).max() <= 1e-13 * np.abs(r).max()
+
+
 @pytest.mark.parametrize("kw", [dict(n=11, n_a=2), dict(n=12, n_a=2, a_offset=3),
                                 dict(n=12, n_a=2, bc="obc", b1=0.4), dict(n=9, n_a=3, bc="obc", a_offset=2)],
                          ids=["odd_bath", "offset3", "obc_b1_ne_bn", "obc_offset2"])
@@ -532,10 +550,13 @@ def test_ensemble_check_matches_outcome_enumeration(t, k):
         assert abs(d - ref) <= max(1e-12 * abs(ref), 1e-13), (L, d, ref)
 
 
-@pytest.mark.parametrize("t,k", [(1, 2), (2, 2), (1, 3)])
+@pytest.mark.parametrize("t,k", [(1, 2), (2, 2), (1, 3), (1, 4), (1, 5)])
 def test_haar_unitary_moment_is_the_transfer_operators_fixed_projector(t, k):
     phi = haar_unitary_moment(t, k)
     assert np.abs(phi - haar_unitary_moment_by_pairs(t, k)).max() <= 1e-13
+    # rank sum f_lam^2 over lam |- k with at most 2^t rows: the permutation states' span
+    rank = {(1, 2): 2, (2, 2): 2, (1, 3): 5, (1, 4): 14, (1, 5): 42}[t, k]
+    assert np.linalg.matrix_rank(phi) == rank
     S = bath_transfer_operator(t, k, G)
     for lhs in (phi @ phi, S @ phi, phi @ S):
         assert np.abs(lhs - phi).max() <= 1e-12

@@ -671,6 +671,48 @@ def test_kept_bytes_independent_of_samples():
     assert cfg.kept_bytes() == 16 * 816**2 * (JACKKNIFE_BLOCKS + 3)
 
 
+def test_preflight_counts_batches_without_building_the_plan():
+    # 10^12 batches at 10^15 samples: a plan of one entry each would take terabytes
+    # before the size check.  10^8 samples goes first, so a plan that is built
+    # fails there, at about 2 MB
+    McConfig(k=2, t=3, n_a=2, bc="obc", samples=10**5)  # first-use caches
+    for samples in (10**8, 10**15):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            McConfig(k=2, t=3, n_a=2, bc="obc", samples=samples)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 2**20, (samples, elapsed, peak)
+
+
+@pytest.mark.parametrize("cps", [(1,), (1500, 2300, 5000), (999, 1000, 1001, 3500), (2000, 4000)])
+@pytest.mark.parametrize("task_bytes", [1, 2**20, 2**40])  # one batch a task, up to 3, the whole plan
+def test_task_runs_are_the_flattened_batch_plan(cps, task_bytes, monkeypatch):
+    monkeypatch.setattr(montecarlo, "TASK_BYTES", task_bytes)
+    cfg = McConfig(k=1, t=1, n_a=1, bc="obc", samples=cps[-1], checkpoints=cps)
+    flat = list(chain.from_iterable(batch_plan(cps)))
+    run = cfg.task_batches()
+    if task_bytes == 2**40:
+        assert run == len(flat)  # the batch count, from the checkpoints alone
+    assert cfg._task_bytes()[0] == montecarlo._kernels.accumulate_bytes(2, 1, max(flat))
+    runs = []
+    real = montecarlo._run_sums
+
+    def recording(cfg, w, exponent, first, sizes):
+        runs.append((first, sizes))
+        return real(cfg, w, exponent, first, sizes)
+
+    monkeypatch.setattr(montecarlo, "_run_sums", recording)
+    mc_moment(cfg)
+    runs.sort()
+    assert [first for first, _ in runs] == list(range(0, len(flat), run))
+    assert all(len(sizes) == run for _, sizes in runs[:-1])
+    assert list(chain.from_iterable(sizes for _, sizes in runs)) == flat
+
+
 def test_mc_estimate_symmetric_under_replica_permutation():
     cfg = McConfig(k=2, t=2, n_a=2, bc="pbc", samples=50_000, seed=11)
     rho = sym_embed(mc_moment(cfg).rho, 4, 2)
