@@ -35,25 +35,28 @@ their D x D Sym^k blocks (linalg.sym_basis); only the tests embed them in
 the full replicated space.
 
 Samples are drawn in batches of at most BATCH; a batch ends early at a
-checkpoint, so no batch crosses one (batch_plan).  Random numbers come from
-counter-based Philox streams keyed by (seed, batch index).  Batch i's D x D
-sum is added into jackknife block i mod JACKKNIFE_BLOCKS, so the kept sums
-do not grow with `samples`, and a block's contents depend only on the batch
-index: a checkpoint's row is the one of a run that ends there.  A pool task
-takes a run of consecutive batches of the plan, as many as fit TASK_BYTES of
-working set (McConfig.task_batches), and forms their states in one pass, as
-the columns of one array: numpy calls on one 1000-sample batch hold the GIL
-for much of their time, and the threads overlap better when each call
-covers several batches.  Each batch still draws its own stream, and its
+checkpoint, so no batch crosses one.  One lazy plan, batch_plan, yields each
+batch's size and the checkpoint it ends at, if any, in stream order: the
+pool cuts it into tasks and the reduction walks it for the checkpoint rows.
+Random numbers come from counter-based Philox streams keyed by (seed, batch
+index).  Batch i's D x D sum is added into jackknife block i mod
+JACKKNIFE_BLOCKS, so the kept sums do not grow with `samples`, and a block's
+contents depend only on the batch index: a checkpoint's row is the one of a
+run that ends there.  A pool task takes a run of consecutive entries of the
+plan, as many as fit TASK_BYTES of working set (McConfig.task_batches), and
+forms their states in one pass, as the columns of one array: numpy calls on
+one 1000-sample batch hold the GIL for much of their time, and the threads
+overlap better when each call covers several batches.  Each batch still draws its own stream, and its
 columns are handed alone to _kernels.accumulate_blocks, which takes their
 Born weights (zero below _kernels.P_FLOOR, as on the exact route) and their
 weighted Sym^k sum, so the run changes no bit of a batch's sum.  The tasks
 run on a pool of threads, one per available CPU (WORKERS; numpy's random
 fills, LAPACK's QR and the np.dot GEMMs release the GIL), fewer when their
-working sets would not fit in MEM_BUDGET_BYTES beside the kept block sums
-(pool_width), and their batch sums are added in batch order.  So a result
-is a deterministic function of the seed, `samples` and the checkpoints,
-whatever the pool's width; the pool adds no option.
+working sets and the batch sums they hold until the reduction reaches them
+would not fit in MEM_BUDGET_BYTES beside the kept block sums (pool_width),
+and their batch sums are added in batch order.  So a result is a
+deterministic function of the seed, `samples` and the checkpoints, whatever
+the pool's width; the pool adds no option.
 """
 from __future__ import annotations
 
@@ -62,7 +65,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, count, islice
+from itertools import accumulate, count, islice, takewhile
 
 import numpy as np
 
@@ -87,6 +90,10 @@ class McError(ValueError):
 
 @dataclass(frozen=True)
 class McConfig:
+    """`checkpoints` is resolved once, to a tuple: () means 1000, 10^4, ... below
+    `samples`, then `samples`.  So dataclasses.replace(cfg, samples=...) would
+    keep cfg's schedule, and the last-checkpoint check would refuse it."""
+
     k: int
     t: int
     n_a: int
@@ -106,27 +113,24 @@ class McConfig:
             raise McError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.t < min_depth(self.n_a) or self.t > MAX_DEPTH[self.bc]:
             raise McError("need ceil(n_a/2) <= t <= 10 for pbc, t <= 30 for obc")
-        cps = self.resolved_checkpoints()
+        defaults = takewhile(lambda c: c < self.samples, (DEFAULT_CHECKPOINT_START * 10**i for i in count()))
+        cps = tuple(self.checkpoints) or tuple(defaults) + (self.samples,)
+        object.__setattr__(self, "checkpoints", cps)
         if cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
             raise McError("checkpoints must be positive and strictly increasing")
         if cps[-1] != self.samples:
             raise McError("the last checkpoint must equal samples")
-        need = self.kept_bytes() + self.batch_bytes()
+        D = self.sym_dim
+        need = self.kept_bytes() + self.batch_bytes() + IN_FLIGHT * self.task_batches() * 16 * D**2
         if need > MEM_BUDGET_BYTES:
-            D = self.sym_dim
             raise McError(f"mc at k={self.k}, n_a={self.n_a}, t={self.t} keeps {JACKKNIFE_BLOCKS} jackknife "
-                          f"block sums of {D} x {D} beside a task working set of "
-                          f"{self.batch_bytes() / 1e9:.2g} GB: ~{need / 1e9:.1f} GB, above budget")
+                          f"block sums of {D} x {D} beside a task working set of {self.batch_bytes() / 1e9:.2g} "
+                          f"GB and the batch sums awaiting reduction: ~{need / 1e9:.1f} GB, above budget")
 
     @cached_property
     def sym_dim(self) -> int:
         """D = C(2^n_a + k - 1, k), the side of a Sym^k block."""
         return math.comb(2**self.n_a + self.k - 1, self.k)
-
-    @cached_property
-    def batch_sizes(self) -> tuple:
-        """The flattened batch plan: each batch's size, batch i drawing stream i."""
-        return tuple(chain.from_iterable(batch_plan(self.resolved_checkpoints())))
 
     def kept_bytes(self) -> int:
         """Bytes _run_estimator keeps, whatever `samples`: JACKKNIFE_BLOCKS D x D complex
@@ -136,9 +140,10 @@ class McConfig:
     def task_batches(self) -> int:
         """Batches per pool task: as many as fit in TASK_BYTES of working set
         (batch_bytes), at least one and at most the plan's, counted per
-        checkpoint interval without building the plan."""
+        checkpoint interval without building the plan.  A finished task holds
+        this many D x D batch sums until the reduction reaches it (pool_width)."""
         fixed, per_batch = self._task_bytes()
-        cps = self.resolved_checkpoints()
+        cps = self.checkpoints
         batches = sum(len(range(a, b, BATCH)) for a, b in zip((0,) + cps, cps))
         return max(1, min(batches, (TASK_BYTES - fixed) // per_batch))
 
@@ -159,7 +164,7 @@ class McConfig:
         (p^2 each), the r + 1 gammas and the norms.  Fixed: one batch's
         _kernels.accumulate_bytes, its sum included.
         """
-        cps = self.resolved_checkpoints()
+        cps = self.checkpoints
         b = max(min(BATCH, hi - lo) for lo, hi in zip((0,) + cps, cps))
         if self.bc == "pbc":
             per_sample = 16 * 5 * 4**self.t
@@ -169,33 +174,27 @@ class McConfig:
             per_sample = 16 * (2 * p * r - r * (r + 1) // 2 + p * r + 2 * p * p) + 8 * (r + 2)
         return _kernels.accumulate_bytes(2**self.n_a, self.k, b), b * per_sample
 
-    def resolved_checkpoints(self) -> tuple:
-        if self.checkpoints:
-            return tuple(self.checkpoints)
-        cps = []
-        c = min(DEFAULT_CHECKPOINT_START, self.samples)
-        while c < self.samples:
-            cps.append(c)
-            c *= 10
-        cps.append(self.samples)
-        return tuple(cps)
 
-
-def batch_plan(checkpoints: tuple) -> list:
-    """Sizes of the batches done by each checkpoint, one list per checkpoint.
+def batch_plan(checkpoints: tuple):
+    """The batch plan, lazily, in stream order: (size, checkpoint) for each batch,
+    checkpoint being the one the batch ends at, or None if it ends at none.
 
     Batches hold BATCH samples and end early at a checkpoint, so no batch
-    crosses one.  Batch i of the flattened plan draws from Philox stream i.
+    crosses one.  Batch i of the plan draws from Philox stream i.
     """
-    return [[min(BATCH, b - s) for s in range(a, b, BATCH)]
-            for a, b in zip((0,) + tuple(checkpoints), checkpoints)]
+    for a, b in zip((0,) + checkpoints, checkpoints):
+        for s in range(a, b, BATCH):
+            yield min(BATCH, b - s), (b if s + BATCH >= b else None)
 
 
 def pool_width(cfg: McConfig) -> int:
-    """Threads for cfg's batches: WORKERS, fewer if their working sets
-    (McConfig.batch_bytes) beside the kept block sums would exceed
-    MEM_BUDGET_BYTES, and never fewer than one."""
-    return min(WORKERS, max(1, (MEM_BUDGET_BYTES - cfg.kept_bytes()) // cfg.batch_bytes()))
+    """Threads for cfg's batches: WORKERS, fewer if what each worker adds
+    beside the kept block sums would exceed MEM_BUDGET_BYTES, and never fewer
+    than one.  A worker adds its task's working set (McConfig.batch_bytes)
+    and the batch sums of its IN_FLIGHT submitted tasks, McConfig.task_batches()
+    D x D sums each, which a finished task holds until the reduction reaches it."""
+    per_worker = cfg.batch_bytes() + IN_FLIGHT * cfg.task_batches() * 16 * cfg.sym_dim**2
+    return min(WORKERS, max(1, (MEM_BUDGET_BYTES - cfg.kept_bytes()) // per_worker))
 
 
 @dataclass
@@ -411,21 +410,20 @@ def _run_sums(cfg: McConfig, w: WTensor, weight_exponent: float, first: int, siz
 def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstimate:
     """Shared accumulation path: weights <psi~|psi~>^weight_exponent.
 
-    The flattened batch plan is generated lazily and cut into runs of
-    cfg.task_batches() consecutive batches, one pool task each (_run_sums).
-    The tasks run on a pool of pool_width(cfg) threads, at most IN_FLIGHT per
-    worker ahead of the reduction, and their batch sums are added here in
-    batch order, into the total and into jackknife block i % JACKKNIFE_BLOCKS.
-    A checkpoint's SE is taken from the blocks filled by then as soon as it is
-    reached, while the pool keeps sampling.
+    The lazy batch_plan is cut into runs of cfg.task_batches() consecutive
+    entries, one pool task each (_run_sums on the entries' sizes).  The tasks
+    run on a pool of pool_width(cfg) threads, at most IN_FLIGHT per worker
+    ahead of the reduction, each kept in `pending` beside its entries'
+    checkpoints.  The reduction walks those in batch order, adding each
+    batch's sum into the total and into jackknife block i % JACKKNIFE_BLOCKS,
+    and takes a checkpoint's row, its SE from the blocks filled by then, at
+    the entry that names it, while the pool keeps sampling.
     """
     from concurrent.futures import ThreadPoolExecutor  # not at import: cli loads this module
 
-    cps = cfg.resolved_checkpoints()
     run = cfg.task_batches()
-    # the flattened batch_plan, generated lazily: its length grows with samples
-    sizes = (min(BATCH, b - s) for a, b in zip((0,) + cps, cps) for s in range(a, b, BATCH))
-    tasks = zip(count(0, run), iter(lambda: tuple(islice(sizes, run)), ()))
+    plan = batch_plan(cfg.checkpoints)  # lazy: its length grows with samples
+    tasks = zip(count(0, run), iter(lambda: tuple(islice(plan, run)), ()))
     num = np.zeros((cfg.sym_dim,) * 2, dtype=complex)
     den = 0.0
     block_nums, block_dens, checkpoint_batches, stderrs = [], [], [], []
@@ -439,23 +437,21 @@ def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstim
     np.empty(min(cfg.batch_bytes(), 2**24), dtype=np.uint8)
     width = pool_width(cfg)
     pool = ThreadPoolExecutor(max_workers=width)
-    pending = deque()  # tasks submitted, in batch order
-    done = deque()  # batch sums of the oldest task not yet reduced
+    pending = deque()  # (task, its plan entries' checkpoints), in batch order
 
     def submit():
-        nxt = next(tasks, None)
-        if nxt is not None:
-            pending.append(pool.submit(_run_sums, cfg, w, weight_exponent, *nxt))
+        for first, entries in islice(tasks, 1):  # the next task, if any
+            sizes, ends = zip(*entries)
+            pending.append((pool.submit(_run_sums, cfg, w, weight_exponent, first, sizes), ends))
 
     try:
         for _ in range(IN_FLIGHT * width):
             submit()
-        for lo, cp in zip((0,) + cps, cps):
-            for _ in range(lo, cp, BATCH):
-                if not done:
-                    done.extend(pending.popleft().result())
-                    submit()
-                bnum = done.popleft()
+        while pending:
+            task, ends = pending.popleft()
+            sums = task.result()
+            submit()
+            for bnum, cp in zip(sums, ends, strict=True):
                 num += bnum
                 bden = float(np.trace(bnum).real)
                 den += bden
@@ -466,12 +462,13 @@ def _run_estimator(cfg: McConfig, w: WTensor, weight_exponent: float) -> McEstim
                     block_nums[batches_done % JACKKNIFE_BLOCKS] += bnum
                     block_dens[batches_done % JACKKNIFE_BLOCKS] += bden
                 batches_done += 1
-            if den <= 0:
-                raise McError("all sampled norms vanished; aborting")
-            rho = num / den
-            series.points.append((cp, 0.5 * sym_haar_distance(rho)))
-            checkpoint_batches.append(batches_done)
-            stderrs.append(_delta_stderr(block_nums, block_dens))
+                if cp is not None:
+                    if den <= 0:
+                        raise McError("all sampled norms vanished; aborting")
+                    rho = num / den
+                    series.points.append((cp, 0.5 * sym_haar_distance(rho)))
+                    checkpoint_batches.append(batches_done)
+                    stderrs.append(_delta_stderr(block_nums, block_dens))
     finally:
         pool.shutdown(cancel_futures=True)  # after an error, tasks not yet started never run
     rho = (rho + rho.conj().T) / 2  # the last checkpoint is at cfg.samples

@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 import tracemalloc
 import warnings
-from itertools import chain
 
 import numpy as np
 import pytest
@@ -614,7 +613,7 @@ def _mc_route(k):
     cfg = McConfig(k=k, t=2, n_a=2, bc="pbc", samples=2500, seed=21)
     w = build_w(2)
     num = 0
-    for i, b in enumerate(chain.from_iterable(batch_plan(cfg.resolved_checkpoints()))):
+    for i, (b, _) in enumerate(batch_plan(cfg.checkpoints)):
         psi = _run_states(cfg, w, i, (b,)).T
         nrm = np.einsum("bs,bs->b", psi, psi.conj()).real
         v = psi

@@ -109,7 +109,7 @@ def test_config_validation():
     McConfig(k=6, t=2, n_a=2, samples=20000)  # 21 Sym^6 batch sums of 84 x 84
     McConfig(k=4, t=2, n_a=2, samples=500_000)  # 64 Sym^4 block sums of 35 x 35
     cfg = McConfig(k=2, t=2, n_a=2, samples=250_000)
-    assert cfg.resolved_checkpoints() == (1000, 10_000, 100_000, 250_000)
+    assert cfg.checkpoints == (1000, 10_000, 100_000, 250_000)
     assert BATCH == 1000
 
 
@@ -117,11 +117,12 @@ def test_preflight_counts_sym_block_batch_sums(monkeypatch):
     # 64 Sym^5 block sums of 56 x 56, the total and the jackknife's two buffers,
     # beside one pbc batch of 1000 8 x 8 unitaries, its 56 x 1000 accumulation
     # rows, the kernel's float rows and casting buffers (3 + 4 dA floats per
-    # state), its float coefficient product and 4 KiB of call objects: ~12 MB,
+    # state), its float coefficient product and 4 KiB of call objects, and the
+    # batch sums of IN_FLIGHT one-batch tasks held for the reduction: ~12 MB,
     # where 67 full 1024 x 1024 sums would be ~1.1 GB
-    McConfig(k=5, t=3, n_a=2, samples=300_000)
+    assert McConfig(k=5, t=3, n_a=2, samples=300_000).task_batches() == 1
     need = (16 * 56**2 * (JACKKNIFE_BLOCKS + 3) + 5 * 16 * 1000 * 8**2 + 4 * 16 * 56 * 1000 + 2 * 16 * 56**2
-            + 8 * (3 + 4 * 4) * 1000 + 8 * 56**2 + 4096)
+            + 8 * (3 + 4 * 4) * 1000 + 8 * 56**2 + 4096 + montecarlo.IN_FLIGHT * 16 * 56**2)
     monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", need - 1)
     with pytest.raises(McError, match="above budget"):
         McConfig(k=5, t=3, n_a=2, samples=300_000)
@@ -133,8 +134,8 @@ def test_one_batch_plan_for_preflight_and_estimator(monkeypatch):
     # checkpoints off the BATCH grid: each ends a short batch
     cps = (1500, 2300, 5000)
     cfg = McConfig(k=2, t=2, n_a=2, bc="obc", samples=5000, checkpoints=cps, seed=3)
-    plan = batch_plan(cps)
-    assert plan == [[1000, 500], [800], [1000, 1000, 700]]
+    plan = list(batch_plan(cps))
+    assert plan == [(1000, None), (500, 1500), (800, 2300), (1000, None), (1000, None), (700, 5000)]
     sizes = []
     real = montecarlo._run_states
 
@@ -150,6 +151,70 @@ def test_one_batch_plan_for_preflight_and_estimator(monkeypatch):
     monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", 0)
     with pytest.raises(McError, match="keeps 64 jackknife block sums of 10 x 10"):
         McConfig(k=2, t=2, n_a=2, bc="obc", samples=5000, checkpoints=cps, seed=3)
+
+
+def test_mc_moment_takes_its_batches_from_batch_plan(monkeypatch):
+    # the estimator's one plan: the sizes _run_sums receives, in stream order,
+    # are those batch_plan yields, and each row is taken where an entry names it
+    cps = (1500, 2300, 2301, 5000)
+    cfg = McConfig(k=2, t=2, n_a=2, bc="obc", samples=5000, checkpoints=cps, seed=3)
+    planned, runs = [], []
+    real_plan, real_sums = montecarlo.batch_plan, montecarlo._run_sums
+
+    def recording_plan(checkpoints):
+        for entry in real_plan(checkpoints):
+            planned.append(entry)
+            yield entry
+
+    def recording_sums(cfg, w, exponent, first, sizes):
+        runs.append((first, sizes))
+        return real_sums(cfg, w, exponent, first, sizes)
+
+    monkeypatch.setattr(montecarlo, "batch_plan", recording_plan)
+    monkeypatch.setattr(montecarlo, "_run_sums", recording_sums)
+    est = mc_moment(cfg)
+    assert planned == [(1000, None), (500, 1500), (800, 2300), (1, 2301), (1000, None), (1000, None), (699, 5000)]
+    assert [b for _, sizes in sorted(runs) for b in sizes] == [b for b, _ in planned]
+    assert [cp for cp, _ in est.series.points] == list(cps)
+    assert est.checkpoint_batches == [2, 3, 4, 7]
+
+
+def test_checkpoints_resolved_once():
+    # the default schedule, 1000, 10^4, ... below samples, then samples, is
+    # resolved in the config, and a list of checkpoints becomes a tuple
+    for samples, cps in ((500, (500,)), (1000, (1000,)), (10**4, (1000, 10**4)),
+                         (250_000, (1000, 10**4, 10**5, 250_000))):
+        cfg = McConfig(k=2, t=2, n_a=2, samples=samples)
+        assert cfg.checkpoints == cps
+        assert cfg == McConfig(k=2, t=2, n_a=2, samples=samples, checkpoints=cps)
+    cfg = McConfig(k=2, t=2, n_a=2, samples=5000, checkpoints=[1500, 5000])
+    assert type(cfg.checkpoints) is tuple and cfg.checkpoints == (1500, 5000)
+
+
+def test_pool_width_counts_batch_sums_held_in_flight(monkeypatch):
+    # IN_FLIGHT tasks a worker are submitted ahead of the reduction, and a
+    # finished one holds its task_batches() D x D sums until it is reduced.  At
+    # Sym^19 (D = 1540), four working sets fit 3.5 GB beside the 64 kept block
+    # sums (3.318 GB), but not with the (IN_FLIGHT - 1) * 4 + 1 finished sums
+    # they may hold (3.508 GB): three workers.  Only the config is built.
+    monkeypatch.setattr(montecarlo, "WORKERS", 8)
+    cfg = McConfig(k=19, t=2, n_a=2, bc="obc", samples=10**6)
+    D, run = cfg.sym_dim, cfg.task_batches()
+    assert (D, run) == (1540, 1)
+
+    def worst(width):  # the working sets and the most finished sums held at once
+        return (cfg.kept_bytes() + width * cfg.batch_bytes()
+                + ((montecarlo.IN_FLIGHT - 1) * width + 1) * run * 16 * D**2)
+
+    assert worst(4) > montecarlo.MEM_BUDGET_BYTES >= worst(3)
+    assert montecarlo.pool_width(cfg) == 3
+    # the preflight counts one worker's IN_FLIGHT tasks of sums beside its working set
+    one = cfg.kept_bytes() + cfg.batch_bytes() + montecarlo.IN_FLIGHT * run * 16 * D**2
+    monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", one - 1)
+    with pytest.raises(McError, match="above budget"):
+        McConfig(k=19, t=2, n_a=2, bc="obc", samples=10**6)
+    monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", one)
+    McConfig(k=19, t=2, n_a=2, bc="obc", samples=10**6)
 
 
 def _widths(monkeypatch, run):
@@ -199,9 +264,11 @@ def test_pool_width_capped_by_memory_budget(monkeypatch):
     cfg = McConfig(k=1, t=6, n_a=1, samples=1000)
     # and beside the states, the accumulation rows and sums of Sym^1, D = 2,
     # the kernel's float rows and casting buffers, 3 + 4 dA floats per state,
-    # its float coefficient product and 4 KiB of call objects
+    # its float coefficient product and 4 KiB of call objects; and the batch
+    # sums of IN_FLIGHT one-batch tasks, held until the reduction reaches them
+    assert cfg.task_batches() == 1
     per_batch = (5 * 16 * montecarlo.BATCH * 4**6 + 4 * 16 * 2 * montecarlo.BATCH + 2 * 16 * 2**2
-                 + 8 * (3 + 4 * 2) * montecarlo.BATCH + 8 * 2**2 + 4096)
+                 + 8 * (3 + 4 * 2) * montecarlo.BATCH + 8 * 2**2 + 4096 + montecarlo.IN_FLIGHT * 16 * 2**2)
     monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", cfg.kept_bytes() + 3 * per_batch)
     assert montecarlo.pool_width(cfg) == 3
     monkeypatch.setattr(montecarlo, "MEM_BUDGET_BYTES", cfg.kept_bytes() + per_batch - 1)
@@ -286,7 +353,7 @@ def test_batch_sum_independent_of_its_run(n_a, t, bc):
     cps = (1500, 2300, 2301, 5000)
     cfg = McConfig(k=k, t=t, n_a=n_a, bc=bc, samples=5000, checkpoints=cps, seed=23)
     w = build_w(n_a)
-    sizes = list(chain.from_iterable(batch_plan(cps)))
+    sizes = [b for b, _ in batch_plan(cps)]
     assert sizes == [1000, 500, 800, 1, 1000, 1000, 699]
     alone = [_run_sums(cfg, w, 1 - k, i, [b])[0] for i, b in enumerate(sizes)]
     runs = (_run_sums(cfg, w, 1 - k, 0, sizes),
@@ -632,7 +699,7 @@ def test_jackknife_blocks_group_batches_by_index(monkeypatch):
     assert est.checkpoint_batches == [1, 10, 100, 130]
     # one eigensolve per checkpoint's delta, one per block left out: at most 64 a checkpoint
     assert len(solves) == 4 + 0 + 10 + JACKKNIFE_BLOCKS + JACKKNIFE_BLOCKS
-    sums = _run_sums(cfg, build_w(2), 1 - cfg.k, 0, cfg.batch_sizes)
+    sums = _run_sums(cfg, build_w(2), 1 - cfg.k, 0, [b for b, _ in batch_plan(cfg.checkpoints)])
     for B, se in zip(est.checkpoint_batches, est.checkpoint_stderrs):
         groups = [sums[j:B:JACKKNIFE_BLOCKS] for j in range(min(B, JACKKNIFE_BLOCKS))]
         nums = np.array([sum(g) for g in groups])
@@ -660,6 +727,16 @@ def test_checkpoint_row_past_64_batches_equals_run_ending_there():
     assert short.checkpoint_batches[-1] == 70
     assert long.series.points[0] == short.series.points[-1]
     assert long.checkpoint_stderrs[0] == short.checkpoint_stderrs[-1]
+    # and off the BATCH grid, each checkpoint ending a short batch (of 500, 800,
+    # 1 and 699 samples): each row is the last of the run on the prefix ending there
+    cps = (1500, 2300, 2301, 5000)
+    long = mc_moment(McConfig(samples=cps[-1], checkpoints=cps, **base))
+    assert long.checkpoint_batches == [2, 3, 4, 7]
+    for i, cp in enumerate(cps):
+        short = mc_moment(McConfig(samples=cp, checkpoints=cps[: i + 1], **base))
+        assert long.series.points[i] == short.series.points[-1]
+        assert long.checkpoint_stderrs[i] == short.checkpoint_stderrs[-1]
+        assert long.checkpoint_batches[i] == short.checkpoint_batches[-1]
 
 
 def test_kept_bytes_independent_of_samples():
@@ -693,7 +770,7 @@ def test_preflight_counts_batches_without_building_the_plan():
 def test_task_runs_are_the_flattened_batch_plan(cps, task_bytes, monkeypatch):
     monkeypatch.setattr(montecarlo, "TASK_BYTES", task_bytes)
     cfg = McConfig(k=1, t=1, n_a=1, bc="obc", samples=cps[-1], checkpoints=cps)
-    flat = list(chain.from_iterable(batch_plan(cps)))
+    flat = [b for b, _ in batch_plan(cps)]
     run = cfg.task_batches()
     if task_bytes == 2**40:
         assert run == len(flat)  # the batch count, from the checkpoints alone
